@@ -2,8 +2,10 @@
 
 Subcommands: widths, decompose, validate, translate, check-theorems,
 catalog.  Graphs come from the text format (`v`/`e`/`s` lines);
-decompositions and terms travel as JSON.  Exit codes: 0 success,
-1 validation or theorem failure, 2 usage or parse error.
+decompositions and terms travel as JSON.  Exit codes: 0 success;
+1 validation or theorem failure, or an exact oracle refusing an input
+beyond its size cap; 2 usage or parse error, including a malformed
+decomposition, term or width-cache file.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import cospan as cs
 from . import oracles
@@ -53,22 +56,78 @@ class CliError(Exception):
     """Usage-level failure; maps to exit code 2."""
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_graph(path: str) -> SourcedGraph:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_graph_text(fh.read())
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+    return parse_graph_text(_read_text(path))
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, parse):
+    """`parse` applied to a JSON file; a malformed file is a usage error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        return parse(json.loads(_read_text(path)))
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
+    except (DecompositionError, tm.TermError) as exc:
+        raise CliError(f"{path}: {exc}") from exc
+
+
+def _decomposition_or_term(data):
+    """A decomposition, or a (term, signature) pair, from its JSON form."""
+    if isinstance(data, dict) and "term" in data:
+        return tm.tree_from_json(data["term"]), tm.signature_from_json(data.get("signature"))
+    return decomposition_from_json(data)
+
+
+def _tree_root(dec: TreeDec, sg: SourcedGraph) -> int:
+    """A tree vertex whose bag holds all the marked sources."""
+    root = next((i for i, b in dec.bags if sg.sources <= b), None)
+    if root is None:
+        raise CliError("no bag contains all marked sources")
+    return root
+
+
+class _Kind(NamedTuple):
+    """What the commands use of one decomposition kind."""
+
+    classic: type
+    rec: type
+    validate: Callable  # (classic, graph) -> Check
+    rec_validate: Callable  # (recursive, graph with sources) -> Check
+    width: Callable  # (classic, graph) -> int
+    rec_width: Callable  # recursive -> int
+    to_rec: Callable  # (classic, graph with sources) -> recursive
+    from_rec: Callable  # recursive -> classic
+    to_term: Callable  # (recursive, graph with sources) -> (term, signature)
+    from_term: Callable  # (term, signature) -> recursive
+    oracle: Callable  # graph -> (width, classic witness)
+
+
+_KINDS = {
+    "tree": _Kind(TreeDec, RecTreeDec, validate_tree_dec, validate_rec_tree_dec,
+                  tree_dec_width, rec_tree_width,
+                  lambda dec, sg: tree_to_recursive(dec, sg, _tree_root(dec, sg)),
+                  tree_from_recursive, tr.t_to_mdec, tr.m_to_tdec, oracles.exact_treewidth),
+    "path": _Kind(PathDec, RecPathDec, validate_path_dec, validate_rec_path_dec,
+                  path_dec_width, rec_path_width, path_to_recursive, path_from_recursive,
+                  tr.p_to_mdec, tr.m_to_pdec, oracles.exact_pathwidth),
+    "branch": _Kind(BranchDec, RecBranchDec, validate_branch_dec, validate_rec_branch_dec,
+                    branch_dec_width, rec_branch_width, branch_to_recursive,
+                    branch_from_recursive, tr.b_to_mdec, tr.m_to_bdec,
+                    oracles.exact_branchwidth),
+}
+
+
+def _kind_of(dec) -> tuple[str, _Kind, bool]:
+    """Kind name and table row of a decomposition, and whether it is recursive."""
+    return next((name, kind, isinstance(dec, kind.rec)) for name, kind in _KINDS.items()
+                if isinstance(dec, (kind.classic, kind.rec)))
 
 
 def _emit(data, as_json: bool, text: str) -> None:
@@ -87,25 +146,7 @@ def cmd_widths(args) -> int:
 
 def cmd_decompose(args) -> int:
     sg = _load_graph(args.file)
-    g = sg.graph
-    if args.kind == "tree":
-        w, dec = oracles.exact_treewidth(g)
-        if args.recursive:
-            root = next((i for i, b in dec.bags if sg.sources <= b), None)
-            if root is None:
-                raise CliError("no bag contains all marked sources")
-            dec = tree_to_recursive(dec, sg, root)
-    elif args.kind == "path":
-        w, dec = oracles.exact_pathwidth(g)
-        if args.recursive:
-            if dec.bags and not sg.sources <= dec.bags[0]:
-                raise CliError("the marked sources are not in the first bag")
-            dec = path_to_recursive(dec, sg)
-    elif args.kind == "branch":
-        w, dec = oracles.exact_branchwidth(g)
-        if args.recursive:
-            dec = branch_to_recursive(dec, sg)
-    else:  # monoidal
+    if args.kind == "monoidal":
         result = tm.bounded_mwd_search(cs.from_sourced(sg), shape=args.shape,
                                        budget=args.budget)
         payload = {"width": result.width, "exact": result.exact,
@@ -115,6 +156,12 @@ def cmd_decompose(args) -> int:
               f"width={result.width} ({'exact within search space' if result.exact else 'bound only'})\n"
               + json.dumps(tm.tree_to_json(result.tree)))
         return 0
+    kind = _KINDS[args.kind]
+    w, dec = kind.oracle(sg.graph)
+    if args.recursive:
+        if args.kind == "path" and dec.bags and not sg.sources <= dec.bags[0]:
+            raise CliError("the marked sources are not in the first bag")
+        dec = kind.to_rec(dec, sg)
     payload = {"width": w, "decomposition": decomposition_to_json(dec)}
     if args.dot:
         _emit(payload, False, decomposition_to_dot(dec))
@@ -124,144 +171,66 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-_VALIDATORS = {
-    TreeDec: (validate_tree_dec, tree_dec_width, True),
-    PathDec: (validate_path_dec, path_dec_width, True),
-    BranchDec: (validate_branch_dec, branch_dec_width, True),
-}
-
-
 def cmd_validate(args) -> int:
     sg = _load_graph(args.file)
-    dec = decomposition_from_json(_load_json(args.dec))
-    if isinstance(dec, (TreeDec, PathDec, BranchDec)):
-        validate, width_fn, _ = _VALIDATORS[type(dec)]
-        check = validate(dec, sg.graph)
-        if check:
-            print(f"valid, width={width_fn(dec, sg.graph)}")
-            return 0
+    dec = _load_json(args.dec, decomposition_from_json)
+    _, kind, rec = _kind_of(dec)
+    check = kind.rec_validate(dec, sg) if rec else kind.validate(dec, sg.graph)
+    if not check:
         print(f"invalid (clause {check.clause}): {check.message}")
         return 1
-    if isinstance(dec, RecTreeDec):
-        check = validate_rec_tree_dec(dec, sg)
-    elif isinstance(dec, RecPathDec):
-        check = validate_rec_path_dec(dec, sg)
-    elif isinstance(dec, RecBranchDec):
-        check = validate_rec_branch_dec(dec, sg)
-    else:
-        raise CliError(f"unsupported decomposition {type(dec).__name__}")
-    if check:
-        widths = {RecTreeDec: rec_tree_width, RecPathDec: rec_path_width,
-                  RecBranchDec: rec_branch_width}
-        fn = next(f for k, f in widths.items() if isinstance(dec, k))
-        print(f"valid, width={fn(dec)}")
-        return 0
-    print(f"invalid (clause {check.clause}): {check.message}")
-    return 1
+    print(f"valid, width={kind.rec_width(dec) if rec else kind.width(dec, sg.graph)}")
+    return 0
 
 
-def cmd_translate(args) -> int:
-    data = _load_json(getattr(args, "from"))
-    dec = None
-    term = None
-    sig = None
-    if "term" in data:
-        term = tm.tree_from_json(data["term"])
-        sig = tm.signature_from_json(data["signature"])
-    else:
-        dec = decomposition_from_json(data)
-
-    to = args.to
-    if term is not None:
+def _translate(path: str, to: str, graph_path) -> dict:
+    """The translate payload: both widths and the result."""
+    source = _load_json(path, _decomposition_or_term)
+    if isinstance(source, tuple):
+        term, sig = source
         source_width = tm.width(term, sig)
-        if to in ("tree", "rec-tree"):
-            out = tr.m_to_tdec(term, sig)
-            out_width = rec_tree_width(out)
-            if to == "tree":
-                out = tree_from_recursive(out)
-        elif to in ("path", "rec-path"):
-            out = tr.m_to_pdec(term, sig)
-            out_width = rec_path_width(out)
-            if to == "path":
-                out = path_from_recursive(out)
-        elif to in ("branch", "rec-branch"):
-            out = tr.m_to_bdec(term, sig)
-            out_width = rec_branch_width(out)
-            if to == "branch":
-                out = branch_from_recursive(out)
-        else:
+        if to == "monoidal":
             raise CliError(f"cannot translate a term to {to!r}")
-        payload = {"from_width": source_width, "to_width": out_width,
-                   "result": decomposition_to_json(out)}
-        _emit(payload, args.json,
-              f"width {source_width} -> {out_width}\n"
-              + json.dumps(decomposition_to_json(out)))
-        return 0
+        kind = _KINDS[to.removeprefix("rec-")]
+        out = kind.from_term(term, sig)
+        out_width = kind.rec_width(out)
+        if not to.startswith("rec-"):
+            out = kind.from_rec(out)
+        return {"from_width": source_width, "to_width": out_width,
+                "result": decomposition_to_json(out)}
 
-    if to == "monoidal":
-        if isinstance(dec, RecTreeDec):
-            tree, sig2 = tr.t_to_mdec(dec, dec.graph)
-            source_width = rec_tree_width(dec)
-        elif isinstance(dec, RecPathDec):
-            tree, sig2 = tr.p_to_mdec(dec, dec.graph)
-            source_width = rec_path_width(dec)
-        elif isinstance(dec, RecBranchDec):
-            tree, sig2 = tr.b_to_mdec(dec, dec.graph)
-            source_width = rec_branch_width(dec)
-        else:
-            raise CliError("translating a classic decomposition to a term "
-                           "needs the recursive form; convert first")
-        payload = {"from_width": source_width,
-                   "to_width": tm.width(tree, sig2),
-                   "term": tm.tree_to_json(tree),
-                   "signature": tm.signature_to_json(sig2)}
-        _emit(payload, args.json,
-              f"width {source_width} -> {tm.width(tree, sig2)}\n"
-              + json.dumps(tm.tree_to_json(tree)))
-        return 0
-
-    # classic <-> recursive conversions need the ambient graph for 'to
-    # recursive'; recursive forms embed theirs
-    if isinstance(dec, RecTreeDec) and to == "tree":
-        out = tree_from_recursive(dec)
-        payload = {"from_width": rec_tree_width(dec),
-                   "to_width": max((len(b) for _, b in out.bags), default=0),
-                   "result": decomposition_to_json(out)}
-    elif isinstance(dec, RecPathDec) and to == "path":
-        out = path_from_recursive(dec)
-        payload = {"from_width": rec_path_width(dec),
-                   "to_width": max((len(b) for b in out.bags), default=0),
-                   "result": decomposition_to_json(out)}
-    elif isinstance(dec, RecBranchDec) and to == "branch":
-        out = branch_from_recursive(dec)
-        payload = {"from_width": rec_branch_width(dec),
-                   "to_width": branch_dec_width(out, dec.graph.graph),
-                   "result": decomposition_to_json(out)}
-    elif isinstance(dec, (TreeDec, PathDec, BranchDec)) and to.startswith("rec-"):
-        if not args.graph:
+    dec = source
+    name, kind, rec = _kind_of(dec)
+    if rec and to == "monoidal":
+        tree, sig = kind.to_term(dec, dec.graph)
+        return {"from_width": kind.rec_width(dec), "to_width": tm.width(tree, sig),
+                "term": tm.tree_to_json(tree), "signature": tm.signature_to_json(sig)}
+    if rec and to == name:
+        out = kind.from_rec(dec)
+        widths = kind.rec_width(dec), kind.width(out, dec.graph.graph)
+    elif not rec and to == "monoidal":
+        raise CliError("translating a classic decomposition to a term "
+                       "needs the recursive form; convert first")
+    elif not rec and to == f"rec-{name}":
+        # classic -> recursive needs the ambient graph; recursive forms embed theirs
+        if not graph_path:
             raise CliError("--graph FILE is required to make a classic "
                            "decomposition recursive")
-        sg = _load_graph(args.graph)
-        if isinstance(dec, TreeDec):
-            root = next((i for i, b in dec.bags if sg.sources <= b), None)
-            if root is None:
-                raise CliError("no bag contains all marked sources")
-            out = tree_to_recursive(dec, sg, root)
-            widths = (tree_dec_width(dec, sg.graph), rec_tree_width(out))
-        elif isinstance(dec, PathDec):
-            out = path_to_recursive(dec, sg)
-            widths = (path_dec_width(dec, sg.graph), rec_path_width(out))
-        else:
-            out = branch_to_recursive(dec, sg)
-            widths = (branch_dec_width(dec, sg.graph), rec_branch_width(out))
-        payload = {"from_width": widths[0], "to_width": widths[1],
-                   "result": decomposition_to_json(out)}
+        sg = _load_graph(graph_path)
+        out = kind.to_rec(dec, sg)
+        widths = kind.width(dec, sg.graph), kind.rec_width(out)
     else:
         raise CliError(f"unsupported translation to {to!r} from "
                        f"{type(dec).__name__}")
+    return {"from_width": widths[0], "to_width": widths[1],
+            "result": decomposition_to_json(out)}
+
+
+def cmd_translate(args) -> int:
+    payload = _translate(getattr(args, "from"), args.to, args.graph)
+    shown = payload["result"] if "result" in payload else payload["term"]
     _emit(payload, args.json,
-          f"width {payload['from_width']} -> {payload['to_width']}\n"
-          + json.dumps(payload["result"]))
+          f"width {payload['from_width']} -> {payload['to_width']}\n" + json.dumps(shown))
     return 0
 
 
@@ -278,7 +247,10 @@ def cmd_check_theorems(args) -> int:
 def cmd_catalog(args) -> int:
     cache = oracles.WidthCache()
     if args.cache:
-        cache.load(args.cache)
+        try:
+            cache.load(args.cache)
+        except oracles.OracleError as exc:
+            raise CliError(str(exc)) from exc
     rows = []
     for g in oracles.enumerate_graphs(args.max_v, args.max_e):
         tw, pw, bw = cache.widths(g)

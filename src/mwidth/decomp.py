@@ -6,6 +6,15 @@ tree width 2 and a single vertex has tree width 1.  Branch width is the
 maximum edge order.  Classic and recursive forms convert into each other;
 the tree/path conversions preserve width exactly, the branch conversions
 satisfy one-sided bounds that are asserted as hard postconditions.
+
+The three recursive families share one private node protocol: every
+node has a `graph`, the graph with sources it decomposes (the empty one
+for the tree and path empty nodes); `_children` gives its children in
+walk order, `_cost` what it adds to the width (bag size for tree and path
+nodes, source count for branch nodes, 0 for empty nodes), and `_LAYOUT`
+its JSON kind and fields.  Width, validation, JSON and DOT are each one
+walker over that protocol; validation takes the local clauses of a
+family from one function per family.
 """
 
 from __future__ import annotations
@@ -193,19 +202,20 @@ def validate_branch_dec(dec: BranchDec, g: Graph) -> Check:
     return _OK
 
 
-def tree_dec_width(dec: TreeDec, g: Graph) -> int:
-    check = validate_tree_dec(dec, g)
+def _require(check: Check, what: str) -> None:
+    """Raise DecompositionError naming the failed clause unless `check` passed."""
     if not check:
-        raise DecompositionError(f"invalid tree decomposition (clause {check.clause}): "
+        raise DecompositionError(f"invalid {what} decomposition (clause {check.clause}): "
                                  f"{check.message}")
+
+
+def tree_dec_width(dec: TreeDec, g: Graph) -> int:
+    _require(validate_tree_dec(dec, g), "tree")
     return max((len(b) for _, b in dec.bags), default=0)
 
 
 def path_dec_width(dec: PathDec, g: Graph) -> int:
-    check = validate_path_dec(dec, g)
-    if not check:
-        raise DecompositionError(f"invalid path decomposition (clause {check.clause}): "
-                                 f"{check.message}")
+    _require(validate_path_dec(dec, g), "path")
     return max((len(b) for b in dec.bags), default=0)
 
 
@@ -222,16 +232,17 @@ def edge_order(dec: BranchDec, g: Graph, e: int) -> int:
 
 
 def branch_dec_width(dec: BranchDec, g: Graph) -> int:
-    check = validate_branch_dec(dec, g)
-    if not check:
-        raise DecompositionError(f"invalid branch decomposition (clause {check.clause}): "
-                                 f"{check.message}")
+    _require(validate_branch_dec(dec, g), "branch")
     return max((edge_order(dec, g, e) for e in sorted(dec.shape.edges)), default=0)
 
 
 # ---------------------------------------------------------------------------
 # Recursive decompositions.  Each non-empty node carries the graph with
 # sources that it decomposes.
+
+
+# every node has a `graph`: the tree and path empty nodes decompose this one
+_EMPTY_SOURCED = SourcedGraph(Graph.empty())
 
 
 class RecTreeDec:
@@ -242,7 +253,7 @@ class RecTreeDec:
 
 @dataclass(frozen=True)
 class RecTreeEmpty(RecTreeDec):
-    pass
+    graph = _EMPTY_SOURCED
 
 
 @dataclass(frozen=True)
@@ -252,11 +263,8 @@ class RecTreeNode(RecTreeDec):
     left: RecTreeDec
     right: RecTreeDec
 
-    def __init__(self, graph: SourcedGraph, bag, left: RecTreeDec, right: RecTreeDec):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "bag", frozenset(bag))
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    def __post_init__(self):
+        object.__setattr__(self, "bag", frozenset(self.bag))
 
 
 REC_TREE_EMPTY = RecTreeEmpty()
@@ -268,7 +276,7 @@ class RecPathDec:
 
 @dataclass(frozen=True)
 class RecPathEmpty(RecPathDec):
-    pass
+    graph = _EMPTY_SOURCED
 
 
 @dataclass(frozen=True)
@@ -277,10 +285,8 @@ class RecPathCons(RecPathDec):
     bag: frozenset
     tail: RecPathDec
 
-    def __init__(self, graph: SourcedGraph, bag, tail: RecPathDec):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "bag", frozenset(bag))
-        object.__setattr__(self, "tail", tail)
+    def __post_init__(self):
+        object.__setattr__(self, "bag", frozenset(self.bag))
 
 
 REC_PATH_EMPTY = RecPathEmpty()
@@ -288,10 +294,6 @@ REC_PATH_EMPTY = RecPathEmpty()
 
 class RecBranchDec:
     __slots__ = ()
-
-
-def _empty_sourced() -> SourcedGraph:
-    return SourcedGraph(Graph.empty())
 
 
 @dataclass(frozen=True)
@@ -303,11 +305,7 @@ class RecBranchEmpty(RecBranchDec):
     sits under a node.
     """
 
-    graph: SourcedGraph = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.graph is None:
-            object.__setattr__(self, "graph", _empty_sourced())
+    graph: SourcedGraph = _EMPTY_SOURCED
 
 
 @dataclass(frozen=True)
@@ -324,11 +322,36 @@ class RecBranchNode(RecBranchDec):
 
 REC_BRANCH_EMPTY = RecBranchEmpty()
 
+_RecDec = Union[RecTreeDec, RecPathDec, RecBranchDec]
 
-def _child_sourced(child: Union[RecTreeDec, RecPathDec, RecBranchDec]) -> SourcedGraph:
-    if isinstance(child, (RecTreeEmpty, RecPathEmpty)):
-        return SourcedGraph(Graph.empty())
-    return child.graph
+# The node protocol of the three recursive families.  Per node class: its
+# JSON kind, the flag marking the class within that kind, and its fields
+# in output order; fields other than "graph" and "bag" hold the children.
+# Reading JSON tries the classes in this order, flagged classes first.
+_LAYOUT = {
+    RecTreeEmpty: ("rec-tree", "empty", ()),
+    RecTreeNode: ("rec-tree", "", ("graph", "bag", "left", "right")),
+    RecPathEmpty: ("rec-path", "empty", ()),
+    RecPathCons: ("rec-path", "", ("graph", "bag", "tail")),
+    RecBranchEmpty: ("rec-branch", "empty", ("graph",)),
+    RecBranchLeaf: ("rec-branch", "leaf", ("graph",)),
+    RecBranchNode: ("rec-branch", "", ("graph", "left", "right")),
+}
+_EMPTY_NODES = (RecTreeEmpty, RecPathEmpty, RecBranchEmpty)
+
+
+def _children(t: _RecDec) -> tuple:
+    """The subdecompositions of a node, left before right."""
+    if isinstance(t, (RecTreeNode, RecBranchNode)):
+        return (t.left, t.right)
+    return (t.tail,) if isinstance(t, RecPathCons) else ()
+
+
+def _cost(t: _RecDec) -> int:
+    """Bag size of a tree or path node, source count of a branch node, 0 when empty."""
+    if isinstance(t, (RecTreeNode, RecPathCons)):
+        return len(t.bag)
+    return 0 if isinstance(t, _EMPTY_NODES) else len(t.graph.sources)
 
 
 def _is_subgraph(sub: Graph, sup: Graph) -> bool:
@@ -337,7 +360,20 @@ def _is_subgraph(sub: Graph, sup: Graph) -> bool:
     return all(sub.ends(e) == sup.ends(e) for e in sub.edges)
 
 
-def validate_rec_tree_dec(t: RecTreeDec, sg: SourcedGraph) -> Check:
+def _validate_rec(t: _RecDec, sg: SourcedGraph, clauses) -> Check:
+    """Check the local `clauses` of a family at every node, pre-order with
+    left before right; each child is checked against the graph it records."""
+    check = clauses(t, sg)
+    if not check:
+        return check
+    for child in _children(t):
+        check = _validate_rec(child, child.graph, clauses)
+        if not check:
+            return check
+    return _OK
+
+
+def _tree_clauses(t: RecTreeDec, sg: SourcedGraph) -> Check:
     if isinstance(t, RecTreeEmpty):
         if sg.is_empty():
             return _OK
@@ -349,7 +385,7 @@ def validate_rec_tree_dec(t: RecTreeDec, sg: SourcedGraph) -> Check:
     g, x, bag = sg.graph, sg.sources, t.bag
     if not bag <= g.vertices:
         return _fail("shape", "bag contains non-vertices")
-    g1, g2 = _child_sourced(t.left), _child_sourced(t.right)
+    g1, g2 = t.left.graph, t.right.graph
     for i, gi in ((1, g1), (2, g2)):
         if not _is_subgraph(gi.graph, g):
             return _fail("subgraph", f"child {i} is not a subgraph")
@@ -367,14 +403,10 @@ def validate_rec_tree_dec(t: RecTreeDec, sg: SourcedGraph) -> Check:
     rest = g.edges - (g1.edges | g2.edges)
     if not ends_of_edge_set(g, rest) <= bag:
         return _fail("vi", "an uncovered edge leaves the bag")
-    for child, gi in ((t.left, g1), (t.right, g2)):
-        sub = validate_rec_tree_dec(child, gi)
-        if not sub:
-            return sub
     return _OK
 
 
-def validate_rec_path_dec(t: RecPathDec, sg: SourcedGraph) -> Check:
+def _path_clauses(t: RecPathDec, sg: SourcedGraph) -> Check:
     if isinstance(t, RecPathEmpty):
         if sg.is_empty():
             return _OK
@@ -386,7 +418,7 @@ def validate_rec_path_dec(t: RecPathDec, sg: SourcedGraph) -> Check:
     g, x, bag = sg.graph, sg.sources, t.bag
     if not bag <= g.vertices:
         return _fail("shape", "bag contains non-vertices")
-    gp = _child_sourced(t.tail)
+    gp = t.tail.graph
     if not _is_subgraph(gp.graph, g):
         return _fail("subgraph", "tail is not a subgraph")
     if not x <= bag:
@@ -397,10 +429,10 @@ def validate_rec_path_dec(t: RecPathDec, sg: SourcedGraph) -> Check:
         return _fail("iii", "tail sources differ from the bag intersection")
     if not ends_of_edge_set(g, g.edges - gp.edges) <= bag:
         return _fail("iv", "an edge outside the tail leaves the first bag")
-    return validate_rec_path_dec(t.tail, gp)
+    return _OK
 
 
-def validate_rec_branch_dec(t: RecBranchDec, sg: SourcedGraph) -> Check:
+def _branch_clauses(t: RecBranchDec, sg: SourcedGraph) -> Check:
     if isinstance(t, RecBranchEmpty):
         if sg.graph.edges:
             return _fail("empty", "empty decomposition of a graph with edges")
@@ -418,7 +450,7 @@ def validate_rec_branch_dec(t: RecBranchDec, sg: SourcedGraph) -> Check:
     if t.graph != sg:
         return _fail("graph", "node does not decompose the expected graph with sources")
     g, x = sg.graph, sg.sources
-    g1, g2 = _child_sourced(t.left), _child_sourced(t.right)
+    g1, g2 = t.left.graph, t.right.graph
     for i, gi in ((1, g1), (2, g2)):
         if not _is_subgraph(gi.graph, g):
             return _fail("subgraph", f"child {i} is not a subgraph")
@@ -430,68 +462,60 @@ def validate_rec_branch_dec(t: RecBranchDec, sg: SourcedGraph) -> Check:
     for i, gi in ((1, g1), (2, g2)):
         if gi.sources != shared | (x & gi.vertices):
             return _fail("iii", f"child {i} boundary differs from the boundary formula")
-    for child, gi in ((t.left, g1), (t.right, g2)):
-        sub = validate_rec_branch_dec(child, gi)
-        if not sub:
-            return sub
     return _OK
 
 
-def _rec_tree_width_raw(t: RecTreeDec) -> int:
-    if isinstance(t, RecTreeEmpty):
-        return 0
-    return max(len(t.bag), _rec_tree_width_raw(t.left), _rec_tree_width_raw(t.right))
+def validate_rec_tree_dec(t: RecTreeDec, sg: SourcedGraph) -> Check:
+    return _validate_rec(t, sg, _tree_clauses)
 
 
-def _rec_path_width_raw(t: RecPathDec) -> int:
-    if isinstance(t, RecPathEmpty):
-        return 0
-    return max(len(t.bag), _rec_path_width_raw(t.tail))
+def validate_rec_path_dec(t: RecPathDec, sg: SourcedGraph) -> Check:
+    return _validate_rec(t, sg, _path_clauses)
 
 
-def _rec_branch_width_raw(t: RecBranchDec) -> int:
-    if isinstance(t, RecBranchEmpty):
-        return 0
-    if isinstance(t, RecBranchLeaf):
-        return len(t.graph.sources)
-    return max(len(t.graph.sources), _rec_branch_width_raw(t.left),
-               _rec_branch_width_raw(t.right))
+def validate_rec_branch_dec(t: RecBranchDec, sg: SourcedGraph) -> Check:
+    return _validate_rec(t, sg, _branch_clauses)
+
+
+def _bags(t: Union[RecTreeDec, RecPathDec]) -> list:
+    """Bags of a recursive tree or path decomposition, pre-order."""
+    if isinstance(t, _EMPTY_NODES):
+        return []
+    bags = [t.bag]
+    for child in _children(t):
+        bags += _bags(child)
+    return bags
+
+
+def _rec_width_raw(t: _RecDec) -> int:
+    """Largest node cost of a recursive decomposition, without validation."""
+    width = _cost(t)
+    for child in _children(t):
+        width = max(width, _rec_width_raw(child))
+    return width
+
+
+def _checked_rec_width(t: _RecDec, sg: Optional[SourcedGraph], validate,
+                       empty: type, what: str) -> int:
+    """Width after validating against `sg`, by default the graph the root
+    records; an empty root with no `sg` given is not validated."""
+    if sg is None and not isinstance(t, empty):
+        sg = t.graph
+    if sg is not None:
+        _require(validate(t, sg), f"recursive {what}")
+    return _rec_width_raw(t)
 
 
 def rec_tree_width(t: RecTreeDec, sg: Optional[SourcedGraph] = None) -> int:
-    if sg is None and not isinstance(t, RecTreeEmpty):
-        sg = t.graph
-    if sg is not None:
-        check = validate_rec_tree_dec(t, sg)
-        if not check:
-            raise DecompositionError(
-                f"invalid recursive tree decomposition (clause {check.clause}): "
-                f"{check.message}")
-    return _rec_tree_width_raw(t)
+    return _checked_rec_width(t, sg, validate_rec_tree_dec, RecTreeEmpty, "tree")
 
 
 def rec_path_width(t: RecPathDec, sg: Optional[SourcedGraph] = None) -> int:
-    if sg is None and not isinstance(t, RecPathEmpty):
-        sg = t.graph
-    if sg is not None:
-        check = validate_rec_path_dec(t, sg)
-        if not check:
-            raise DecompositionError(
-                f"invalid recursive path decomposition (clause {check.clause}): "
-                f"{check.message}")
-    return _rec_path_width_raw(t)
+    return _checked_rec_width(t, sg, validate_rec_path_dec, RecPathEmpty, "path")
 
 
 def rec_branch_width(t: RecBranchDec, sg: Optional[SourcedGraph] = None) -> int:
-    if sg is None and not isinstance(t, RecBranchEmpty):
-        sg = t.graph
-    if sg is not None:
-        check = validate_rec_branch_dec(t, sg)
-        if not check:
-            raise DecompositionError(
-                f"invalid recursive branch decomposition (clause {check.clause}): "
-                f"{check.message}")
-    return _rec_branch_width_raw(t)
+    return _checked_rec_width(t, sg, validate_rec_branch_dec, RecBranchEmpty, "branch")
 
 
 def rec_branch_subtree(t: RecBranchDec, path: Iterable[int]) -> RecBranchDec:
@@ -516,11 +540,9 @@ def boundary_global(t: RecBranchDec, path: Iterable[int]) -> frozenset:
     cur = t
     for step in path:
         sibling = cur.right if step == 0 else cur.left
-        sib = _child_sourced(sibling)
-        outside |= sib.vertices
+        outside |= sibling.graph.vertices
         cur = cur.left if step == 0 else cur.right
-    root = _child_sourced(t)
-    return target.graph.vertices & (root.sources | frozenset(outside))
+    return target.graph.vertices & (t.graph.sources | frozenset(outside))
 
 
 # ---------------------------------------------------------------------------
@@ -542,19 +564,12 @@ def _shape_components_at(shape: Graph, r: int) -> list[tuple[Graph, int]]:
 
 def tree_to_recursive(dec: TreeDec, sg: SourcedGraph, root: int) -> RecTreeDec:
     """Recursive form rooted at `root`; width is preserved exactly."""
-    check = validate_tree_dec(dec, sg.graph)
-    if not check:
-        raise DecompositionError(f"invalid tree decomposition (clause {check.clause}): "
-                                 f"{check.message}")
+    _require(validate_tree_dec(dec, sg.graph), "tree")
     bags = dec.bag_map()
     if root not in bags:
         raise DecompositionError(f"root {root} is not a tree vertex")
     if not sg.sources <= bags[root]:
         raise DecompositionError("the sources are not contained in the root bag")
-
-    def bag_union(shape: Graph) -> frozenset:
-        return frozenset().union(*(bags[i] for i in shape.vertices)) if shape.vertices \
-            else frozenset()
 
     def convert(shape: Graph, r: int, gamma: SourcedGraph) -> RecTreeDec:
         vp = bags[r]
@@ -564,8 +579,7 @@ def tree_to_recursive(dec: TreeDec, sg: SourcedGraph, root: int) -> RecTreeDec:
 
     def group_graph(shapes: list, gamma: SourcedGraph, used_edges: set,
                     vp: frozenset) -> SourcedGraph:
-        vs = frozenset().union(*(bag_union(s) for s, _ in shapes)) if shapes \
-            else frozenset()
+        vs = frozenset().union(*(bags[i] for shape, _ in shapes for i in shape.vertices))
         es = {e for e in gamma.edges - frozenset(used_edges)
               if gamma.graph.ends(e) <= vs}
         used_edges.update(es)
@@ -579,67 +593,61 @@ def tree_to_recursive(dec: TreeDec, sg: SourcedGraph, root: int) -> RecTreeDec:
         used: set = set()
         first = group_graph(subtrees[:1], gamma, used, vp)
         rest = group_graph(subtrees[1:], gamma, used, vp)
-        t1 = convert(subtrees[0][0], subtrees[0][1], first)
-        t2 = chain(subtrees[1:], rest, vp)
-        return t1, t2
+        return convert(*subtrees[0], first), chain(subtrees[1:], rest, vp)
 
     def chain(subtrees: list, gamma: SourcedGraph, vp: frozenset) -> RecTreeDec:
         if not subtrees:
             return REC_TREE_EMPTY
         if len(subtrees) == 1:
-            return convert(subtrees[0][0], subtrees[0][1], gamma)
-        used: set = set()
-        first = group_graph(subtrees[:1], gamma, used, vp)
-        rest = group_graph(subtrees[1:], gamma, used, vp)
-        t1 = convert(subtrees[0][0], subtrees[0][1], first)
-        t2 = chain(subtrees[1:], rest, vp)
-        return RecTreeNode(gamma, gamma.sources, t1, t2)
+            return convert(*subtrees[0], gamma)
+        return RecTreeNode(gamma, gamma.sources, *split(subtrees, gamma, vp))
 
     if sg.is_empty():
         return REC_TREE_EMPTY
     result = convert(dec.shape, root, sg)
-    got = _rec_tree_width_raw(result)
+    got = _rec_width_raw(result)
     want = max((len(b) for b in bags.values()), default=0)
     if got != want:
         raise BoundViolation(f"tree_to_recursive changed the width: {got} != {want}")
     return result
 
 
-def tree_from_recursive(t: RecTreeDec) -> TreeDec:
-    """Classic form with the same bags; width is preserved exactly."""
+def _number(t: _RecDec, on_node, on_edge) -> None:
+    """Number the non-empty nodes of `t` in pre-order: `on_node(i, node)` on
+    entering node i, `on_edge(i, j)` once the subtree of its child j is done."""
     counter = [0]
-    vertices: list[int] = []
-    edges: list[tuple[int, int]] = []
-    bags: dict[int, frozenset] = {}
 
-    def walk(node: RecTreeDec) -> Optional[int]:
-        if isinstance(node, RecTreeEmpty):
+    def walk(node: _RecDec) -> Optional[int]:
+        if isinstance(node, _EMPTY_NODES):
             return None
         i = counter[0]
         counter[0] += 1
-        vertices.append(i)
-        bags[i] = node.bag
-        for child in (node.left, node.right):
+        on_node(i, node)
+        for child in _children(node):
             j = walk(child)
             if j is not None:
-                edges.append((i, j))
+                on_edge(i, j)
         return i
 
-    root = walk(t)
-    if root is None:
+    walk(t)
+
+
+def tree_from_recursive(t: RecTreeDec) -> TreeDec:
+    """Classic form with the same bags; width is preserved exactly."""
+    bags: dict[int, frozenset] = {}
+    edges: list[tuple[int, int]] = []
+    _number(t, lambda i, node: bags.update({i: node.bag}), lambda i, j: edges.append((i, j)))
+    if not bags:
         return TreeDec(Graph.discrete([0]), {0: frozenset()})
-    dec = TreeDec(Graph.from_edge_pairs(vertices, edges), bags)
-    if max((len(b) for b in bags.values()), default=0) != _rec_tree_width_raw(t):
+    dec = TreeDec(Graph.from_edge_pairs(sorted(bags), edges), bags)
+    if max(len(b) for b in bags.values()) != _rec_width_raw(t):
         raise BoundViolation("tree_from_recursive changed the width")
     return dec
 
 
 def path_to_recursive(dec: PathDec, sg: SourcedGraph) -> RecPathDec:
     """Recursive form peeling bags off the front; width is preserved exactly."""
-    check = validate_path_dec(dec, sg.graph)
-    if not check:
-        raise DecompositionError(f"invalid path decomposition (clause {check.clause}): "
-                                 f"{check.message}")
+    _require(validate_path_dec(dec, sg.graph), "path")
     if dec.bags and not sg.sources <= dec.bags[0]:
         raise DecompositionError("the sources are not contained in the first bag")
     if not dec.bags or (len(dec.bags) == 1 and not dec.bags[0]):
@@ -657,33 +665,17 @@ def path_to_recursive(dec: PathDec, sg: SourcedGraph) -> RecPathDec:
         return RecPathCons(gamma, v1, peel(bags[1:], tail_g))
 
     result = peel(dec.bags, sg)
-    if _rec_path_width_raw(result) != max(len(b) for b in dec.bags):
+    if _rec_width_raw(result) != max(len(b) for b in dec.bags):
         raise BoundViolation("path_to_recursive changed the width")
     return result
 
 
 def path_from_recursive(t: RecPathDec) -> PathDec:
-    bags = []
-    cur = t
-    while isinstance(cur, RecPathCons):
-        bags.append(cur.bag)
-        cur = cur.tail
+    bags = _bags(t)
     dec = PathDec(bags)
-    if max((len(b) for b in bags), default=0) != _rec_path_width_raw(t):
+    if max((len(b) for b in bags), default=0) != _rec_width_raw(t):
         raise BoundViolation("path_from_recursive changed the width")
     return dec
-
-
-def _prune_unassigned(shape: Graph, assigned: frozenset) -> Graph:
-    """Iteratively drop degree<=1 vertices that carry no edge assignment."""
-    g = shape
-    while True:
-        drop = [v for v in sorted(g.vertices)
-                if v not in assigned and g.degree(v) <= 1]
-        if not drop:
-            return g
-        v = drop[0]
-        g = g.subgraph(g.vertices - {v}, {e for e in g.edges if v not in g.ends(e)})
 
 
 def branch_to_recursive(dec: BranchDec, sg: SourcedGraph) -> RecBranchDec:
@@ -695,11 +687,7 @@ def branch_to_recursive(dec: BranchDec, sg: SourcedGraph) -> RecBranchDec:
     (Re-choosing split edges at deeper levels can manufacture "middle"
     edge sets whose boundary exceeds every single-edge order.)
     """
-    check = validate_branch_dec(dec, sg.graph)
-    if not check:
-        raise DecompositionError(f"invalid branch decomposition (clause {check.clause}): "
-                                 f"{check.message}")
-    classic_width = branch_dec_width(dec, sg.graph)
+    classic_width = branch_dec_width(dec, sg.graph)  # raises on an invalid decomposition
     shape = dec.shape
     table = dec.leaf_table()
     g, x = sg.graph, sg.sources
@@ -709,12 +697,8 @@ def branch_to_recursive(dec: BranchDec, sg: SourcedGraph) -> RecBranchDec:
     if len(g.edges) == 1:
         return RecBranchLeaf(sg)
 
-    def edges_below(v: int, parent: Optional[int]) -> frozenset:
-        out = {table[v]} if v in table else set()
-        for w in shape.neighbours(v):
-            if w != parent:
-                out |= edges_below(w, v)
-        return frozenset(out)
+    def edges_below(v: int, parent: int) -> frozenset:
+        return frozenset(table[leaf] for leaf in _split_side(shape, v, parent) if leaf in table)
 
     def down(v: int, parent: Optional[int], gamma: SourcedGraph) -> RecBranchDec:
         if v in table:
@@ -726,21 +710,15 @@ def branch_to_recursive(dec: BranchDec, sg: SourcedGraph) -> RecBranchDec:
         g1, g2 = _branch_split(gamma, e1)
         return RecBranchNode(gamma, down(kids[0], v, g1), down(kids[1], v, g2))
 
-    def leaf_count_below(v: int, parent: Optional[int]) -> int:
-        n = 1 if v in table else 0
-        for w in shape.neighbours(v):
-            if w != parent:
-                n += leaf_count_below(w, v)
-        return n
-
+    # the leaf map is a bijection, so a side's edge count is its leaf count
     total = len(table)
     best_e = min(sorted(shape.edges),
-                 key=lambda e: (abs(total - 2 * leaf_count_below(
-                     min(shape.ends(e)), max(shape.ends(e)))), e))
+                 key=lambda e: (abs(total - 2 * len(edges_below(
+                     min(shape.ends(e)), max(shape.ends(e))))), e))
     u, w = min(shape.ends(best_e)), max(shape.ends(best_e))
     g1, g2 = _branch_split(sg, edges_below(u, w))
     result = RecBranchNode(sg, down(u, w, g1), down(w, u, g2))
-    got = _rec_branch_width_raw(result)
+    got = _rec_width_raw(result)
     if got > classic_width + len(sg.sources):
         raise BoundViolation(
             f"branch_to_recursive exceeded the bound: {got} > "
@@ -778,20 +756,15 @@ def _split_side(shape: Graph, u: int, w: int) -> frozenset:
 def branch_from_recursive(t: RecBranchDec) -> BranchDec:
     """Forget the recursive structure; the classic width never exceeds the
     recursive width."""
-    counter = [0]
-    vertices: list[int] = []
+    vertices: list[int] = []  # numbered 0, 1, ... in the order they are added
     edges: list[tuple[int, int]] = []
     table: dict[int, int] = {}
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
 
     def walk(node: RecBranchDec) -> Optional[int]:
         if isinstance(node, RecBranchEmpty):
             return None
         if isinstance(node, RecBranchLeaf):
-            i = fresh()
+            i = len(vertices)
             vertices.append(i)
             table[i] = min(node.graph.edges)
             return i
@@ -802,7 +775,7 @@ def branch_from_recursive(t: RecBranchDec) -> BranchDec:
         if len(kids) == 1:
             # a unary node adds nothing to the tree; splice it out
             return kids[0]
-        i = fresh()
+        i = len(vertices)
         vertices.append(i)
         for k in kids:
             edges.append((i, k))
@@ -812,12 +785,11 @@ def branch_from_recursive(t: RecBranchDec) -> BranchDec:
     if root is None:
         return BranchDec(Graph.empty(), {})
     dec = BranchDec(Graph.from_edge_pairs(vertices, edges), table)
-    sg = _child_sourced(t)
-    got = branch_dec_width(dec, sg.graph)
-    if got > _rec_branch_width_raw(t):
+    got = branch_dec_width(dec, t.graph.graph)
+    if got > _rec_width_raw(t):
         raise BoundViolation(
             f"branch_from_recursive exceeded the recursive width: "
-            f"{got} > {_rec_branch_width_raw(t)}")
+            f"{got} > {_rec_width_raw(t)}")
     return dec
 
 
@@ -839,66 +811,61 @@ def branch_dec_to_json(dec: BranchDec) -> dict:
             "leaf_map": {str(l): e for l, e in dec.leaf_map}}
 
 
-def rec_tree_dec_to_json(t: RecTreeDec) -> dict:
-    if isinstance(t, RecTreeEmpty):
-        return {"kind": "rec-tree", "empty": True}
-    return {"kind": "rec-tree", "graph": sourced_graph_to_json(t.graph),
-            "bag": sorted(t.bag), "left": rec_tree_dec_to_json(t.left),
-            "right": rec_tree_dec_to_json(t.right)}
+def _ints(items) -> list:
+    items = list(items)
+    if not all(isinstance(i, int) for i in items):
+        raise TypeError(f"expected integers, got {items!r}")
+    return items
 
 
-def rec_path_dec_to_json(t: RecPathDec) -> dict:
-    if isinstance(t, RecPathEmpty):
-        return {"kind": "rec-path", "empty": True}
-    return {"kind": "rec-path", "graph": sourced_graph_to_json(t.graph),
-            "bag": sorted(t.bag), "tail": rec_path_dec_to_json(t.tail)}
+def _field(data: dict, name: str, read):
+    """`read(data[name])`; a missing or ill-typed field raises
+    DecompositionError naming it."""
+    if name not in data:
+        raise DecompositionError(f"decomposition field {name!r} is missing")
+    try:
+        return read(data[name])
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise DecompositionError(f"decomposition field {name!r}: {exc}") from exc
 
 
-def rec_branch_dec_to_json(t: RecBranchDec) -> dict:
-    if isinstance(t, RecBranchEmpty):
-        out = {"kind": "rec-branch", "empty": True}
-        if not t.graph.is_empty():
-            out["graph"] = sourced_graph_to_json(t.graph)
-        return out
-    if isinstance(t, RecBranchLeaf):
-        return {"kind": "rec-branch", "leaf": True,
-                "graph": sourced_graph_to_json(t.graph)}
-    return {"kind": "rec-branch", "graph": sourced_graph_to_json(t.graph),
-            "left": rec_branch_dec_to_json(t.left),
-            "right": rec_branch_dec_to_json(t.right)}
+# writers and readers of the recursive node fields; the others hold children
+_REC_FIELD_WRITERS = {"graph": sourced_graph_to_json, "bag": sorted}
+_REC_FIELD_READERS = {"graph": sourced_graph_from_json, "bag": lambda b: set(_ints(b))}
+
+
+def _rec_to_json(t: _RecDec) -> dict:
+    kind, flag, fields = _LAYOUT[type(t)]
+    out = {"kind": kind}
+    if flag:
+        out[flag] = True
+    for name in fields:
+        value = getattr(t, name)
+        # an empty node records its graph only when it has one
+        if flag != "empty" or not value.is_empty():
+            out[name] = _REC_FIELD_WRITERS.get(name, _rec_to_json)(value)
+    return out
 
 
 def decomposition_from_json(data: dict):
+    if not isinstance(data, dict):
+        raise DecompositionError(
+            f"a decomposition is a JSON object, not {type(data).__name__}")
     kind = data.get("kind")
     if kind == "tree":
-        return TreeDec(graph_from_json(data["shape"]),
-                       {int(i): set(b) for i, b in data["bags"].items()})
+        return TreeDec(_field(data, "shape", graph_from_json),
+                       _field(data, "bags", lambda bags: {
+                           int(i): set(_ints(b)) for i, b in bags.items()}))
     if kind == "path":
-        return PathDec([set(b) for b in data["bags"]])
+        return PathDec(_field(data, "bags", lambda bags: [set(_ints(b)) for b in bags]))
     if kind == "branch":
-        return BranchDec(graph_from_json(data["shape"]),
-                         {int(l): e for l, e in data["leaf_map"].items()})
-    if kind == "rec-tree":
-        if data.get("empty"):
-            return REC_TREE_EMPTY
-        return RecTreeNode(sourced_graph_from_json(data["graph"]), set(data["bag"]),
-                           decomposition_from_json(data["left"]),
-                           decomposition_from_json(data["right"]))
-    if kind == "rec-path":
-        if data.get("empty"):
-            return REC_PATH_EMPTY
-        return RecPathCons(sourced_graph_from_json(data["graph"]), set(data["bag"]),
-                           decomposition_from_json(data["tail"]))
-    if kind == "rec-branch":
-        if data.get("empty"):
-            if "graph" in data:
-                return RecBranchEmpty(sourced_graph_from_json(data["graph"]))
-            return REC_BRANCH_EMPTY
-        if data.get("leaf"):
-            return RecBranchLeaf(sourced_graph_from_json(data["graph"]))
-        return RecBranchNode(sourced_graph_from_json(data["graph"]),
-                             decomposition_from_json(data["left"]),
-                             decomposition_from_json(data["right"]))
+        return BranchDec(_field(data, "shape", graph_from_json),
+                         _field(data, "leaf_map", lambda table: dict(
+                             zip(map(int, table), _ints(table.values())))))
+    for cls, (cls_kind, flag, fields) in _LAYOUT.items():
+        if cls_kind == kind and (not flag or data.get(flag)):
+            return cls(*(_field(data, name, _REC_FIELD_READERS.get(name, decomposition_from_json))
+                         for name in fields if flag != "empty" or name in data))
     raise DecompositionError(f"unknown decomposition kind {kind!r}")
 
 
@@ -909,12 +876,8 @@ def decomposition_to_json(dec) -> dict:
         return path_dec_to_json(dec)
     if isinstance(dec, BranchDec):
         return branch_dec_to_json(dec)
-    if isinstance(dec, RecTreeDec):
-        return rec_tree_dec_to_json(dec)
-    if isinstance(dec, RecPathDec):
-        return rec_path_dec_to_json(dec)
-    if isinstance(dec, RecBranchDec):
-        return rec_branch_dec_to_json(dec)
+    if type(dec) in _LAYOUT:
+        return _rec_to_json(dec)
     raise DecompositionError(f"not a decomposition: {dec!r}")
 
 
@@ -944,34 +907,17 @@ def decomposition_to_dot(dec) -> str:
         for e in sorted(dec.shape.edges):
             pts = sorted(dec.shape.ends(e))
             lines.append(f"  n{pts[0]} -- n{pts[-1]};")
-    elif isinstance(dec, (RecTreeDec, RecPathDec, RecBranchDec)):
-        counter = [0]
-
-        def walk(node) -> Optional[int]:
-            if isinstance(node, (RecTreeEmpty, RecPathEmpty, RecBranchEmpty)):
-                return None
-            i = counter[0]
-            counter[0] += 1
-            if isinstance(node, RecTreeNode):
-                label = bag_label(node.bag)
-                kids = [node.left, node.right]
-            elif isinstance(node, RecPathCons):
-                label = bag_label(node.bag)
-                kids = [node.tail]
-            elif isinstance(node, RecBranchLeaf):
+    elif type(dec) in _LAYOUT:
+        def node_line(i: int, node: _RecDec) -> None:
+            if isinstance(node, RecBranchLeaf):
                 label = f"e{min(node.graph.edges)}"
-                kids = []
-            else:
+            elif isinstance(node, RecBranchNode):
                 label = bag_label(node.graph.sources)
-                kids = [node.left, node.right]
+            else:
+                label = bag_label(node.bag)
             lines.append(f'  n{i} [label="{label}"];')
-            for kid in kids:
-                j = walk(kid)
-                if j is not None:
-                    lines.append(f"  n{i} -- n{j};")
-            return i
 
-        walk(dec)
+        _number(dec, node_line, lambda i, j: lines.append(f"  n{i} -- n{j};"))
     else:
         raise DecompositionError(f"not a decomposition: {dec!r}")
     lines.append("}")

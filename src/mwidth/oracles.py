@@ -29,7 +29,7 @@ from .decomp import (
     path_from_recursive,
     tree_from_recursive,
 )
-from .graph import Graph, SourcedGraph, UnionFind, canonical_key
+from .graph import Graph, SourcedGraph, UnionFind, canonical_key, ends_of_edge_set
 
 
 class OracleError(ValueError):
@@ -87,19 +87,39 @@ def _grouped(comps: list, mask: int) -> tuple[frozenset, frozenset]:
     return frozenset(vs), frozenset(es)
 
 
-def optimal_rec_tree_dec(sg: SourcedGraph,
-                         max_vertices: int = 8) -> tuple[int, RecTreeDec]:
-    """Minimum-width recursive tree decomposition by exhaustive search."""
+def _tree_parts(sub: Graph, vs: frozenset, es: frozenset, bag: frozenset):
+    """Children of a tree node: the outside components split into two groups."""
+    comps = _outside_components(sub, vs, es, bag)
+    k = len(comps)
+    for mask in range(1 << max(k - 1, 0)):
+        yield _grouped(comps, mask), _grouped(comps, ((1 << k) - 1) ^ mask)
+
+
+def _path_parts(sub: Graph, vs: frozenset, es: frozenset, bag: frozenset):
+    """The one child of a path node: the minimal suffix, which keeps exactly
+    the edges not inside the bag, and only the vertices they still need
+    plus the uncovered ones."""
+    rest_es = frozenset(e for e in es if not sub.ends(e) <= bag)
+    rest_vs = (vs - bag) | ends_of_edge_set(sub, rest_es)
+    if (rest_vs, rest_es) != (vs, es):
+        yield ((rest_vs, rest_es),)
+
+
+def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make, parts):
+    """Minimum-width recursive decomposition by exhaustive search over bags,
+    memoized on the (vertices, edges, sources) state.  `parts` yields the
+    candidate child states for a bag, and `make(graph, bag, *children)`
+    builds the node."""
     g = sg.graph
     if len(g.vertices) > max_vertices:
         raise OracleError(
-            f"refusing tree-width search on {len(g.vertices)} > {max_vertices} vertices")
+            f"refusing {what}-width search on {len(g.vertices)} > {max_vertices} vertices")
     memo: dict = {}
     active: set = set()
 
     def best(vs: frozenset, es: frozenset, xs: frozenset) -> tuple:
         if not vs and not es:
-            return 0, REC_TREE_EMPTY
+            return 0, empty
         key = (vs, es, xs)
         if key in memo:
             return memo[key]
@@ -112,19 +132,17 @@ def optimal_rec_tree_dec(sg: SourcedGraph,
             bag = xs | extra
             if len(bag) >= best_w:
                 continue
-            comps = _outside_components(sub, vs, es, bag)
-            k = len(comps)
-            for mask in range(1 << max(k - 1, 0)):
-                v1, e1 = _grouped(comps, mask)
-                v2, e2 = _grouped(comps, ((1 << k) - 1) ^ mask)
-                w1, t1 = best(v1, e1, v1 & bag) if (v1 or e1) else (0, REC_TREE_EMPTY)
-                if max(w1, len(bag)) >= best_w:
-                    continue
-                w2, t2 = best(v2, e2, v2 & bag) if (v2 or e2) else (0, REC_TREE_EMPTY)
-                w = max(len(bag), w1, w2)
-                if w < best_w and t1 is not None and t2 is not None:
-                    best_w = w
-                    best_t = RecTreeNode(SourcedGraph(sub, xs), bag, t1, t2)
+            for children in parts(sub, vs, es, bag):
+                # children in order, stopping once they cannot beat the best
+                w, kids = len(bag), []
+                for cv, ce in children:
+                    cw, ct = best(cv, ce, cv & bag)
+                    w = max(w, cw)
+                    if w >= best_w:
+                        break
+                    kids.append(ct)
+                else:
+                    best_w, best_t = w, make(SourcedGraph(sub, xs), bag, *kids)
         active.discard(key)
         if best_t is not None:
             memo[key] = (best_w, best_t)
@@ -132,62 +150,20 @@ def optimal_rec_tree_dec(sg: SourcedGraph,
 
     w, t = best(g.vertices, g.edges, sg.sources)
     if t is None:
-        raise OracleError("no recursive tree decomposition found")
+        raise OracleError(f"no recursive {what} decomposition found")
     return w, t
+
+
+def optimal_rec_tree_dec(sg: SourcedGraph,
+                         max_vertices: int = 8) -> tuple[int, RecTreeDec]:
+    """Minimum-width recursive tree decomposition by exhaustive search."""
+    return _optimal_rec(sg, max_vertices, "tree", REC_TREE_EMPTY, RecTreeNode, _tree_parts)
 
 
 def optimal_rec_path_dec(sg: SourcedGraph,
                          max_vertices: int = 8) -> tuple[int, RecPathDec]:
     """Minimum-width recursive path decomposition by exhaustive search."""
-    g = sg.graph
-    if len(g.vertices) > max_vertices:
-        raise OracleError(
-            f"refusing path-width search on {len(g.vertices)} > {max_vertices} vertices")
-    memo: dict = {}
-    active: set = set()
-
-    def best(vs: frozenset, es: frozenset, xs: frozenset) -> tuple:
-        if not vs and not es:
-            return 0, REC_PATH_EMPTY
-        key = (vs, es, xs)
-        if key in memo:
-            return memo[key]
-        if key in active:
-            return _INF, None
-        active.add(key)
-        best_w, best_t = _INF, None
-        sub = g.subgraph(vs, es)
-        for extra in _subsets(vs - xs):
-            bag = xs | extra
-            if len(bag) >= best_w:
-                continue
-            # minimal suffix: keep exactly the edges not inside the bag,
-            # and only the vertices they still need plus the uncovered ones
-            rest_es = frozenset(e for e in es if not sub.ends(e) <= bag)
-            rest_vs = (vs - bag) | _ends_cache(sub, rest_es)
-            if (rest_vs, rest_es) == (vs, es):
-                continue
-            w1, t1 = best(rest_vs, rest_es, bag & rest_vs)
-            w = max(len(bag), w1)
-            if w < best_w and t1 is not None:
-                best_w = w
-                best_t = RecPathCons(SourcedGraph(sub, xs), bag, t1)
-        active.discard(key)
-        if best_t is not None:
-            memo[key] = (best_w, best_t)
-        return best_w, best_t
-
-    w, t = best(g.vertices, g.edges, sg.sources)
-    if t is None:
-        raise OracleError("no recursive path decomposition found")
-    return w, t
-
-
-def _ends_cache(g: Graph, es: frozenset) -> frozenset:
-    out: set = set()
-    for e in es:
-        out |= g.ends(e)
-    return frozenset(out)
+    return _optimal_rec(sg, max_vertices, "path", REC_PATH_EMPTY, RecPathCons, _path_parts)
 
 
 def exact_treewidth(g: Graph, max_vertices: int = 8) -> tuple[int, TreeDec]:
@@ -313,11 +289,22 @@ class WidthCache:
         return rec["tw"], rec["pw"], rec["bw"]
 
     def load(self, path: str) -> "WidthCache":
+        """Add the records of a cache file, if it exists; a file that is not
+        an object of {"tw": int, "pw": int, "bw": int} records raises
+        OracleError."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                self.data.update(json.load(fh))
+                data = json.load(fh)
         except FileNotFoundError:
-            pass
+            return self
+        except (OSError, ValueError) as exc:  # unreadable, undecodable or invalid JSON
+            raise OracleError(f"width cache {path}: {exc}") from exc
+        if not isinstance(data, dict) or not all(
+                isinstance(rec, dict) and sorted(rec) == ["bw", "pw", "tw"]
+                and all(type(w) is int for w in rec.values()) for rec in data.values()):
+            raise OracleError(f"width cache {path}: not an object of "
+                              '{"tw": int, "pw": int, "bw": int} records')
+        self.data.update(data)
         return self
 
     def save(self, path: str) -> None:

@@ -260,15 +260,22 @@ def tree_to_json(d: DecompTree) -> dict:
 
 
 def tree_from_json(data: dict) -> DecompTree:
-    op = data.get("op")
-    if op == "leaf":
-        return Leaf(data["atom"])
-    if op == "tensor":
-        a, b = data["children"]
-        return Tensor(tree_from_json(a), tree_from_json(b))
-    if op == "compose":
-        a, b = data["children"]
-        return Compose(tree_from_json(a), int(data["cut"]), tree_from_json(b))
+    op = data.get("op") if isinstance(data, dict) else None
+    try:
+        if op == "leaf":
+            if not isinstance(data["atom"], str):
+                raise TypeError(f"atom {data['atom']!r} is not a name")
+            return Leaf(data["atom"])
+        if op == "tensor":
+            a, b = data["children"]
+            return Tensor(tree_from_json(a), tree_from_json(b))
+        if op == "compose":
+            a, b = data["children"]
+            return Compose(tree_from_json(a), int(data["cut"]), tree_from_json(b))
+    except KeyError as exc:
+        raise TermError(f"{op} node lacks field {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a TermError below is a TypeError too
+        raise TermError(f"malformed {op} node: {exc}") from exc
     raise TermError(f"unknown term op {op!r}")
 
 
@@ -284,10 +291,16 @@ def signature_to_json(sig: Signature) -> dict:
 
 
 def signature_from_json(data: dict) -> Signature:
+    if not isinstance(data, dict):
+        raise TermError(f"a signature is a JSON object, not {type(data).__name__}")
     sig = Signature()
     for name, rec in data.items():
-        c = cs.cospan_from_json(rec["cospan"]) if rec.get("cospan") else None
-        sig.add(name, rec["dom"], rec["cod"], rec["weight"], c)
+        try:
+            c = cs.cospan_from_json(rec["cospan"]) if rec.get("cospan") else None
+            dom, cod, weight = (int(rec[k]) for k in ("dom", "cod", "weight"))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise TermError(f"malformed atom {name!r}: {exc!r}") from exc
+        sig.add(name, dom, cod, weight, c)
     return sig
 
 
@@ -302,10 +315,14 @@ def tree_serial(d: DecompTree) -> str:
 
 @dataclass
 class SearchResult:
+    """A searched term and its width.  `exact` means the search space was
+    exhausted within the budget -- `width` is then the least over the terms
+    the search builds, not a proof of optimality; False is "bound only"."""
+
     tree: DecompTree
     signature: Signature
     width: int
-    exact: bool  # False when the node budget was exhausted ("bound only")
+    exact: bool
 
 
 def _cospan_key(c: Cospan) -> tuple:
@@ -365,7 +382,7 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
     parts, composition splits induced by edge bipartitions (cut = shared
     vertices), and, for closed-enough cospans, whole decompositions emitted
     by the graph-decomposition translations.  The result is an upper bound
-    witness; `exact` is False when the budget ran out.
+    witness; `exact` says whether the space was exhausted within the budget.
     """
     if shape not in ("any", "right-tree", "path"):
         raise TermError(f"unknown search shape {shape!r}")

@@ -27,7 +27,6 @@ from . import terms as tm
 from .cospan import Cospan
 from .decomp import (
     BoundViolation,
-    DecompositionError,
     RecBranchDec,
     RecBranchEmpty,
     RecBranchLeaf,
@@ -48,9 +47,12 @@ from .decomp import (
     validate_rec_branch_dec,
     validate_rec_path_dec,
     validate_rec_tree_dec,
-    _rec_branch_width_raw,
-    _rec_path_width_raw,
-    _rec_tree_width_raw,
+    _EMPTY_NODES,
+    _bags,
+    _branch_split,
+    _children,
+    _rec_width_raw,
+    _require,
 )
 from .graph import (
     FiniteMap,
@@ -92,42 +94,32 @@ def epis_from_composition(g1: Cospan, g2: Cospan) -> EpiWitness:
     composite, m1, m2 = cs.compose_with_maps(g1, g2)
     a1, a2 = _onto_image(m1), _onto_image(m2)
     for alpha, inner in ((a1, g1.right_image()), (a2, g2.left_image())):
-        merged: dict = {}
-        for v in sorted(alpha.vmap):
-            w = alpha.vmap[v]
-            if w in merged and merged[w] != v:
-                if v not in inner or merged[w] not in inner:
-                    raise BoundViolation(
-                        f"composition identified {merged[w]} and {v} outside the boundary")
-            merged.setdefault(w, v)
+        bad = _first_bad_pair(alpha.vmap, lambda v, w: v in inner and w in inner)
+        if bad is not None:
+            raise BoundViolation(
+                f"composition identified {bad[0]} and {bad[1]} outside the boundary")
     return EpiWitness(composite, a1, a2)
 
 
-def _bags_of_tree(t: RecTreeDec) -> list:
-    if isinstance(t, RecTreeEmpty):
-        return []
-    return [t.bag] + _bags_of_tree(t.left) + _bags_of_tree(t.right)
-
-
-def _bags_of_path(t: RecPathDec) -> list:
-    if isinstance(t, RecPathEmpty):
-        return []
-    return [t.bag] + _bags_of_path(t.tail)
+def _first_bad_pair(mapping: dict, ok) -> Optional[tuple]:
+    """First pair of keys with one image, in ascending order, failing `ok`."""
+    classes: dict = {}
+    for v in sorted(mapping):
+        classes.setdefault(mapping[v], []).append(v)
+    for group in classes.values():
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                if not ok(group[i], group[j]):
+                    return group[i], group[j]
+    return None
 
 
 def _check_epi_precondition(alpha: GraphMorphism, bags: list) -> None:
     if not is_epimorphism(alpha):
         raise TranslationError("the morphism is not an epimorphism")
-    classes: dict = {}
-    for v in sorted(alpha.vmap):
-        classes.setdefault(alpha.vmap[v], []).append(v)
-    for group in classes.values():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                v, w = group[i], group[j]
-                if not any(v in b and w in b for b in bags):
-                    raise TranslationError(
-                        f"identified vertices {v} and {w} share no bag")
+    bad = _first_bad_pair(alpha.vmap, lambda v, w: any(v in b and w in b for b in bags))
+    if bad is not None:
+        raise TranslationError(f"identified vertices {bad[0]} and {bad[1]} share no bag")
 
 
 def _restrict_morphism(alpha: GraphMorphism, sub: SourcedGraph) -> GraphMorphism:
@@ -143,52 +135,37 @@ def epi_to_dec_tree(alpha: GraphMorphism, t: RecTreeDec) -> RecTreeDec:
 
     Identified vertices must share some bag; the width never increases.
     """
-    if isinstance(t, RecTreeEmpty):
-        return REC_TREE_EMPTY
-    if alpha.domain != t.graph.graph:
-        raise TranslationError("the morphism domain is not the decomposed graph")
-    _check_epi_precondition(alpha, _bags_of_tree(t))
-    result = _push_tree(alpha, t)
-    if _rec_tree_width_raw(result) > _rec_tree_width_raw(t):
-        raise BoundViolation("pushing through an epimorphism increased the tree width")
-    return result
-
-
-def _push_tree(alpha: GraphMorphism, t: RecTreeDec) -> RecTreeDec:
-    if isinstance(t, RecTreeEmpty):
-        return REC_TREE_EMPTY
-    target = SourcedGraph(alpha.codomain, alpha.apply_vertices(t.graph.sources))
-    kids = []
-    for child in (t.left, t.right):
-        if isinstance(child, RecTreeEmpty):
-            kids.append(REC_TREE_EMPTY)
-        else:
-            kids.append(_push_tree(_restrict_morphism(alpha, child.graph), child))
-    return RecTreeNode(target, alpha.apply_vertices(t.bag), kids[0], kids[1])
+    return _epi_to_dec(alpha, t, "tree")
 
 
 def epi_to_dec_path(alpha: GraphMorphism, t: RecPathDec) -> RecPathDec:
     """Path-decomposition analogue of epi_to_dec_tree."""
-    if isinstance(t, RecPathEmpty):
-        return REC_PATH_EMPTY
+    return _epi_to_dec(alpha, t, "path")
+
+
+def _epi_to_dec(alpha: GraphMorphism, t, what: str):
+    if isinstance(t, _EMPTY_NODES):
+        return t
     if alpha.domain != t.graph.graph:
         raise TranslationError("the morphism domain is not the decomposed graph")
-    _check_epi_precondition(alpha, _bags_of_path(t))
-    result = _push_path(alpha, t)
-    if _rec_path_width_raw(result) > _rec_path_width_raw(t):
-        raise BoundViolation("pushing through an epimorphism increased the path width")
+    _check_epi_precondition(alpha, _bags(t))
+    result = _push(alpha, t)
+    if _rec_width_raw(result) > _rec_width_raw(t):
+        raise BoundViolation(f"pushing through an epimorphism increased the {what} width")
     return result
 
 
-def _push_path(alpha: GraphMorphism, t: RecPathDec) -> RecPathDec:
-    if isinstance(t, RecPathEmpty):
-        return REC_PATH_EMPTY
+def _push(alpha: GraphMorphism, t):
+    """Rebuild a recursive tree or path decomposition over the image of
+    `alpha`; each child goes through `alpha` restricted to its graph."""
+    if isinstance(t, _EMPTY_NODES):
+        return t
     target = SourcedGraph(alpha.codomain, alpha.apply_vertices(t.graph.sources))
-    if isinstance(t.tail, RecPathEmpty):
-        tail = REC_PATH_EMPTY
-    else:
-        tail = _push_path(_restrict_morphism(alpha, t.tail.graph), t.tail)
-    return RecPathCons(target, alpha.apply_vertices(t.bag), tail)
+    kids = []
+    for child in _children(t):
+        kids.append(child if isinstance(child, _EMPTY_NODES)
+                    else _push(_restrict_morphism(alpha, child.graph), child))
+    return type(t)(target, alpha.apply_vertices(t.bag), *kids)
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +192,21 @@ def copy_mdec(d: DecompTree, sig: Signature, y: int, xs: Sequence[int],
     return result
 
 
+def _peel(sig: Signature, head: DecompTree, x: int, z: int) -> DecompTree:
+    """`head`, doubling x wires, then its second copy swapped past z wires."""
+    if z == 0:
+        return head
+    return Compose(Tensor(head, sig.leaf_identity(z)), 2 * x + z,
+                   Tensor(sig.leaf_identity(x), sig.leaf_swap(x, z)))
+
+
 def _copy_rec(d: DecompTree, sig: Signature, y: int, xs: list, z: int) -> DecompTree:
     if not xs:
         return d
     x = xs[-1]
     inner = _copy_rec(d, sig, y, xs[:-1], x + z)
     xbar = sum(xs[:-1])
-    if z == 0:
-        peel: DecompTree = sig.leaf_copy(x)
-    else:
-        peel = Compose(
-            Tensor(sig.leaf_copy(x), sig.leaf_identity(z)), 2 * x + z,
-            Tensor(sig.leaf_identity(x), sig.leaf_swap(x, z)))
-    layer = Tensor(sig.leaf_identity(y + xbar), peel)
+    layer = Tensor(sig.leaf_identity(y + xbar), _peel(sig, sig.leaf_copy(x), x, z))
     return Compose(layer, y + xbar + x + z + x, Tensor(inner, sig.leaf_identity(x)))
 
 
@@ -264,16 +243,6 @@ def _tensor_comb(factors: list) -> tuple[DecompTree, list]:
     return tree, ports
 
 
-def _discrete_term(sig: Signature, sg: SourcedGraph) -> DecompTree:
-    """Term for an edgeless graph with sources: one single-vertex leaf per
-    vertex, domain ports in ascending source order."""
-    vs = sorted(sg.vertices)
-    if not vs:
-        return sig.leaf(cs.identity(0))
-    tree, ports = _tensor_comb([_vertex_factor(sig, v, sg.sources) for v in vs])
-    return _perm_into(sig, sorted(sg.sources), ports, tree)
-
-
 # ---------------------------------------------------------------------------
 # Tree decompositions <-> right-tree terms.
 
@@ -283,14 +252,11 @@ def t_to_mdec(t: RecTreeDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]:
 
     The term width is at most twice the decomposition width.
     """
-    check = validate_rec_tree_dec(t, sg)
-    if not check:
-        raise DecompositionError(f"invalid recursive tree decomposition "
-                                 f"(clause {check.clause}): {check.message}")
+    _require(validate_rec_tree_dec(t, sg), "recursive tree")
     sig = Signature()
     tree = _t2m(t, sg, sig)
     got = tm.width(tree, sig)
-    bound = 2 * _rec_tree_width_raw(t)
+    bound = 2 * _rec_width_raw(t)
     if got > bound:
         raise BoundViolation(f"tree-to-term width {got} exceeds 2*{bound // 2}")
     if not tm.is_right_tree(tree):
@@ -304,8 +270,7 @@ def _t2m(t: RecTreeDec, sg: SourcedGraph, sig: Signature) -> DecompTree:
     g, x = sg.graph, sg.sources
     if isinstance(t.left, RecTreeEmpty) and isinstance(t.right, RecTreeEmpty):
         return sig.leaf(cs.from_sourced(sg))
-    g1 = t.left.graph if isinstance(t.left, RecTreeNode) else SourcedGraph(Graph.empty())
-    g2 = t.right.graph if isinstance(t.right, RecTreeNode) else SourcedGraph(Graph.empty())
+    g1, g2 = t.left.graph, t.right.graph
     x1, x2 = g1.sources, g2.sources
     covered = g.edges - (g1.edges | g2.edges)
     hub = g.subgraph(t.bag, covered)
@@ -327,51 +292,55 @@ def m_to_tdec(d: DecompTree, sig: Signature) -> RecTreeDec:
     The term must have an empty right boundary; the result decomposes
     (apex, image of the left leg) with width <= max(term width, image size).
     """
-    if not tm.is_right_tree(d):
-        raise TranslationError("the term is not right-tree shaped")
-    g = tm.evaluate(d, sig)
-    if g.right_arity != 0:
-        raise TranslationError("the term's right boundary is not empty")
+    _check_closed_term(d, sig, tm.is_right_tree, "right-tree")
     cospan, t = _m2t(d, sig)
-    got = _rec_tree_width_raw(t)
-    bound = max(tm.width(d, sig), len(cospan.left_image()))
+    return _within(t, max(tm.width(d, sig), len(cospan.left_image())), "tree")
+
+
+def _within(t, bound: int, what: str):
+    """`t`, a term's decomposition, after checking its width against `bound`."""
+    got = _rec_width_raw(t)
     if got > bound:
-        raise BoundViolation(f"term-to-tree width {got} exceeds {bound}")
+        raise BoundViolation(f"term-to-{what} width {got} exceeds {bound}")
     return t
 
 
-def _leaf_node_dec(g: Cospan) -> RecTreeDec:
-    sg = SourcedGraph(g.apex, g.left_image())
-    if sg.is_empty():
-        return REC_TREE_EMPTY
-    return RecTreeNode(sg, g.apex.vertices, REC_TREE_EMPTY, REC_TREE_EMPTY)
+def _check_closed_term(d: DecompTree, sig: Signature, shaped, shape: str) -> None:
+    if not shaped(d):
+        raise TranslationError(f"the term is not {shape} shaped")
+    if tm.evaluate(d, sig).right_arity != 0:
+        raise TranslationError("the term's right boundary is not empty")
+
+
+def _one_bag(sg: SourcedGraph, bag: frozenset, node: type, *empties):
+    """One-node tree or path decomposition of `sg`, empty for the empty graph."""
+    return empties[0] if sg.is_empty() else node(sg, bag, *empties)
 
 
 def _m2t(d: DecompTree, sig: Signature) -> tuple[Cospan, RecTreeDec]:
     if isinstance(d, Leaf):
         g = sig.atom(d.atom).cospan
-        return g, _leaf_node_dec(g)
+        return g, _one_bag(SourcedGraph(g.apex, g.left_image()), g.apex.vertices,
+                           RecTreeNode, REC_TREE_EMPTY, REC_TREE_EMPTY)
     if isinstance(d, Compose):
         h1 = sig.atom(d.left.atom).cospan
         g2, t2 = _m2t(d.right, sig)
         witness = epis_from_composition(h1, g2)
         g = witness.composite
         a1, a2 = witness.alpha1, witness.alpha2
-        t2p = epi_to_dec_tree(a2, t2) if not isinstance(t2, RecTreeEmpty) else t2
+        t2p = epi_to_dec_tree(a2, t2)
         v1 = frozenset(a1.vmap.values())
         v2 = frozenset(a2.vmap.values())
         vp = g.left_image() | (v1 & v2)
         left_graph = SourcedGraph(a1.image_subgraph(), v1 & vp)
-        left = RecTreeNode(left_graph, v1, REC_TREE_EMPTY, REC_TREE_EMPTY) \
-            if not left_graph.is_empty() else REC_TREE_EMPTY
+        left = _one_bag(left_graph, v1, RecTreeNode, REC_TREE_EMPTY, REC_TREE_EMPTY)
         whole = SourcedGraph(g.apex, g.left_image())
         return g, RecTreeNode(whole, vp, left, t2p)
     # tensor: embed both parts and join under the boundary-image bag
     g1, t1 = _m2t(d.left, sig)
     g2, t2 = _m2t(d.right, sig)
     g, i1, i2 = cs.tensor_with_maps(g1, g2)
-    t1p = _push_tree(_onto_image(i1), t1) if not isinstance(t1, RecTreeEmpty) else t1
-    t2p = _push_tree(_onto_image(i2), t2) if not isinstance(t2, RecTreeEmpty) else t2
+    t1p, t2p = _push(_onto_image(i1), t1), _push(_onto_image(i2), t2)
     whole = SourcedGraph(g.apex, g.left_image())
     return g, RecTreeNode(whole, g.left_image(), t1p, t2p)
 
@@ -383,14 +352,11 @@ def _m2t(d: DecompTree, sig: Signature) -> tuple[Cospan, RecTreeDec]:
 def p_to_mdec(t: RecPathDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]:
     """Path term for the cospan of a recursive path decomposition; the
     width is preserved exactly."""
-    check = validate_rec_path_dec(t, sg)
-    if not check:
-        raise DecompositionError(f"invalid recursive path decomposition "
-                                 f"(clause {check.clause}): {check.message}")
+    _require(validate_rec_path_dec(t, sg), "recursive path")
     sig = Signature()
     tree = _p2m(t, sg, sig)
     got = tm.width(tree, sig)
-    want = _rec_path_width_raw(t)
+    want = _rec_width_raw(t)
     if got != want:
         raise BoundViolation(f"path-to-term width {got} differs from {want}")
     if not tm.is_path(tree):
@@ -417,33 +383,23 @@ def m_to_pdec(d: DecompTree, sig: Signature) -> RecPathDec:
     Reassociation does not change the leaf or cut lists, so the term is
     flattened first; width never increases.
     """
-    if not tm.is_path(d):
-        raise TranslationError("the term is not path shaped")
-    g = tm.evaluate(d, sig)
-    if g.right_arity != 0:
-        raise TranslationError("the term's right boundary is not empty")
+    _check_closed_term(d, sig, tm.is_path, "path")
     flat = tm.flatten_path(d)
     leaves = flat[0::2]
     cospan, t = _m2p(leaves, sig)
-    got = _rec_path_width_raw(t)
-    bound = tm.width(d, sig)
-    if got > bound:
-        raise BoundViolation(f"term-to-path width {got} exceeds {bound}")
-    return t
+    return _within(t, tm.width(d, sig), "path")
 
 
 def _m2p(leaves: list, sig: Signature) -> tuple[Cospan, RecPathDec]:
     g = sig.atom(leaves[0].atom).cospan
     if len(leaves) == 1:
-        sgl = SourcedGraph(g.apex, g.left_image())
-        if sgl.is_empty():
-            return g, REC_PATH_EMPTY
-        return g, RecPathCons(sgl, g.apex.vertices, REC_PATH_EMPTY)
+        return g, _one_bag(SourcedGraph(g.apex, g.left_image()), g.apex.vertices,
+                           RecPathCons, REC_PATH_EMPTY)
     g2, t2 = _m2p(leaves[1:], sig)
     witness = epis_from_composition(g, g2)
     comp = witness.composite
     a1, a2 = witness.alpha1, witness.alpha2
-    t2p = epi_to_dec_path(a2, t2) if not isinstance(t2, RecPathEmpty) else t2
+    t2p = epi_to_dec_path(a2, t2)
     v1 = frozenset(a1.vmap.values())
     whole = SourcedGraph(comp.apex, comp.left_image())
     return comp, RecPathCons(whole, v1, t2p)
@@ -460,15 +416,12 @@ def b_to_mdec(t: RecBranchDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]
     forced: any term for a graph containing a proper edge has width at
     least two, no matter how cheap the decomposition is.
     """
-    check = validate_rec_branch_dec(t, sg)
-    if not check:
-        raise DecompositionError(f"invalid recursive branch decomposition "
-                                 f"(clause {check.clause}): {check.message}")
+    _require(validate_rec_branch_dec(t, sg), "recursive branch")
     sig = Signature()
     tree, ports = _b2m(t, sg, sig)
     tree = _perm_into(sig, sorted(sg.sources), ports, tree)
     got = tm.width(tree, sig)
-    bound = max(_rec_branch_width_raw(t), 1) + 1
+    bound = max(_rec_width_raw(t), 1) + 1
     if got > bound:
         raise BoundViolation(f"branch-to-term width {got} exceeds {bound}")
     return tree, sig
@@ -492,8 +445,7 @@ def _b2m(t: RecBranchDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree,
         factors.sort(key=lambda f: min(f[1], default=math.inf))
         return _tensor_comb(factors)
 
-    g1 = _branch_child(t.left)
-    g2 = _branch_child(t.right)
+    g1, g2 = t.left.graph, t.right.graph
     x1, x2 = g1.sources, g2.sources
     d1, ports1 = _b2m(t.left, g1, sig)
     d2, ports2 = _b2m(t.right, g2, sig)
@@ -508,11 +460,7 @@ def _b2m(t: RecBranchDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree,
         a_k = len(y_block) + sum(existing[:k - 1])
         zk = len(shared) - k
         head = sig.leaf_copy(1) if existing[k - 1] else sig.leaf_spider(0, 2)
-        if zk == 0:
-            peel: DecompTree = head
-        else:
-            peel = Compose(Tensor(head, sig.leaf_identity(zk)), 2 + zk,
-                           Tensor(sig.leaf_identity(1), sig.leaf_swap(1, zk)))
+        peel = _peel(sig, head, 1, zk)
         layer = Tensor(sig.leaf_identity(a_k), peel) if a_k else peel
         inner = Compose(layer, a_k + 2 + zk, Tensor(inner, sig.leaf_identity(1)))
     gamma_ports = y_block + [v for v, ex in zip(shared, existing) if ex]
@@ -525,10 +473,6 @@ def _b2m(t: RecBranchDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree,
     return whole, gamma_ports + z_block
 
 
-def _branch_child(t: RecBranchDec) -> SourcedGraph:
-    return t.graph
-
-
 # ---------------------------------------------------------------------------
 # Terms -> branch decompositions via a glue map.
 
@@ -536,16 +480,7 @@ def _branch_child(t: RecBranchDec) -> SourcedGraph:
 def check_glueing(h: Cospan, phi: FiniteMap) -> Optional[tuple]:
     """First vertex pair violating the glueing property, or None."""
     boundary = h.left_image() | h.right_image()
-    classes: dict = {}
-    for w in sorted(phi.domain):
-        classes.setdefault(phi(w), []).append(w)
-    for group in classes.values():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                v, w = group[i], group[j]
-                if v not in boundary or w not in boundary:
-                    return (v, w)
-    return None
+    return _first_bad_pair(phi.mapping, lambda v, w: v in boundary and w in boundary)
 
 
 def _pushed_sourced(h: Cospan, phi_v: FiniteMap, phi_e: dict) -> SourcedGraph:
@@ -579,28 +514,17 @@ def m_to_bdec(d: DecompTree, sig: Signature,
     if not check:
         raise BoundViolation(f"term-to-branch output invalid "
                              f"(clause {check.clause}): {check.message}")
-    got = _rec_branch_width_raw(t)
-    bound = 2 * max(tm.width(d, sig), h.left_arity, h.right_arity)
-    if got > bound:
-        raise BoundViolation(f"term-to-branch width {got} exceeds {bound}")
-    return t
+    return _within(t, 2 * max(tm.width(d, sig), h.left_arity, h.right_arity), "branch")
 
 
 def _left_comb_branch(sg: SourcedGraph) -> RecBranchDec:
     """Any valid recursive branch decomposition: split edges off one at a
     time in ascending id order; isolated vertices stay with the tail."""
-    g, x = sg.graph, sg.sources
-    if not g.edges:
+    if not sg.edges:
         return RecBranchEmpty(sg)
-    if len(g.edges) == 1:
+    if len(sg.edges) == 1:
         return RecBranchLeaf(sg)
-    e0 = min(g.edges)
-    v1 = g.ends(e0)
-    e2 = g.edges - {e0}
-    v2 = frozenset().union(*(g.ends(e) for e in e2)) | (g.vertices - v1)
-    shared = v1 & v2
-    g1 = SourcedGraph(g.subgraph(v1, {e0}), shared | (x & v1))
-    g2 = SourcedGraph(g.subgraph(v2, e2), shared | (x & v2))
+    g1, g2 = _branch_split(sg, frozenset({min(sg.edges)}))
     return RecBranchNode(sg, RecBranchLeaf(g1), _left_comb_branch(g2))
 
 
@@ -707,7 +631,8 @@ def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
     therefore fails on graphs of branch width 0 that have a proper
     (non-loop) edge, such as a single edge or a matching: every term for
     them has width at least 2, and the bound that ``b_to_mdec`` guarantees
-    is ``max(bw, 1) + 1``.
+    is ``max(bw, 1) + 1``.  Its detail then names that guaranteed bound,
+    which tells this gap from a broken sandwich.
     """
     from . import oracles
 
@@ -725,7 +650,7 @@ def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
     mtwd_upper = tm.width(term_t, sig_t)
     witnesses["tree_term"] = tm.tree_to_json(term_t)
     cert_t = m_to_tdec(term_t, sig_t)
-    mtwd_lower_cert = _rec_tree_width_raw(cert_t)
+    mtwd_lower_cert = _rec_width_raw(cert_t)
     checks.append(TheoremCheck(
         "tree-upper", mtwd_upper <= 2 * tw, f"mtwd_upper={mtwd_upper} vs 2*tw={2 * tw}"))
     checks.append(TheoremCheck(
@@ -745,8 +670,8 @@ def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
     checks.append(TheoremCheck(
         "path-equality", mpwd == pw, f"min path-term width {mpwd} vs pw={pw}"))
     checks.append(TheoremCheck(
-        "path-lower-cert", pw <= _rec_path_width_raw(cert_p),
-        f"pw={pw} vs certified decomposition width {_rec_path_width_raw(cert_p)}"))
+        "path-lower-cert", pw <= _rec_width_raw(cert_p),
+        f"pw={pw} vs certified decomposition width {_rec_width_raw(cert_p)}"))
 
     # branch sandwich: bw/2 <= mwd <= bw + 1.  branch-upper checks the
     # literal bw + 1, so it fails at bw = 0 with a proper edge, where the
@@ -766,8 +691,10 @@ def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
     cert_graph = tm.evaluate(best.tree, best.signature).apex
     cert_classic = branch_from_recursive(cert_b)
     cert_width = branch_dec_width(cert_classic, cert_graph)
-    checks.append(TheoremCheck(
-        "branch-upper", mwd_upper <= bw + 1, f"mwd_upper={mwd_upper} vs bw+1={bw + 1}"))
+    upper_detail = f"mwd_upper={mwd_upper} vs bw+1={bw + 1}"
+    if bw == 0 and any(len(g.ends(e)) == 2 for e in g.edges):
+        upper_detail += f" (bw=0 floor: guaranteed max(bw,1)+1={max(bw, 1) + 1})"
+    checks.append(TheoremCheck("branch-upper", mwd_upper <= bw + 1, upper_detail))
     checks.append(TheoremCheck(
         "branch-lower", bw <= 2 * best.width,
         f"bw={bw} vs 2*searched width {2 * best.width} "

@@ -2,7 +2,21 @@ import json
 
 import pytest
 
+from mwidth import (
+    BranchDec,
+    PathDec,
+    SourcedGraph,
+    TreeDec,
+    branch_to_recursive,
+    decomposition_to_json,
+    p_to_mdec,
+    path_to_recursive,
+    signature_to_json,
+    tree_to_json,
+    tree_to_recursive,
+)
 from mwidth.cli import main
+from conftest import path_graph
 
 
 K3_TEXT = "v 0\nv 1\nv 2\ne 0 1\ne 1 2\ne 0 2\n"
@@ -134,3 +148,124 @@ def test_output_deterministic(k3_file, capsys):
     first = capsys.readouterr().out
     main(["check-theorems", k3_file, "--json"])
     assert capsys.readouterr().out == first
+
+
+def test_widths_oracle_refusal_exits_one(tmp_path, capsys):
+    # an oracle refusing an input beyond its size cap is exit 1, not 2
+    k5 = tmp_path / "k5.g"
+    k5.write_text("".join(f"v {i}\n" for i in range(5))
+                  + "".join(f"e {i} {j}\n" for i in range(5) for j in range(i + 1, 5)))
+    assert main(["widths", str(k5)]) == 1
+    assert capsys.readouterr().err == "error: refusing branch-width search on 10 > 7 edges\n"
+
+
+# ---------------------------------------------------------------------------
+# translate over every input kind and every --to.
+
+TRANSLATE_TOS = ("tree", "path", "branch", "rec-tree", "rec-path", "rec-branch", "monoidal")
+TRANSLATE_SOURCES = ("tree", "path", "branch", "rec-tree", "rec-path", "rec-branch", "term",
+                     "rec-tree-empty", "rec-path-empty", "rec-branch-empty")
+# (input, --to) -> (from_width, to_width) on P3; every other pair exits 2.
+# A classic kind X goes only to rec-X, a recursive one only to its classic
+# kind or to a term, and a term to any decomposition kind.
+TRANSLATE_OK = {
+    ("tree", "rec-tree"): (2, 2), ("path", "rec-path"): (2, 2),
+    ("branch", "rec-branch"): (1, 1),
+    ("rec-tree", "tree"): (2, 2), ("rec-path", "path"): (2, 2),
+    ("rec-branch", "branch"): (1, 1),
+    ("rec-tree", "monoidal"): (2, 2), ("rec-path", "monoidal"): (2, 2),
+    ("rec-branch", "monoidal"): (1, 2),
+    ("term", "tree"): (2, 2), ("term", "path"): (2, 2), ("term", "branch"): (2, 1),
+    ("term", "rec-tree"): (2, 2), ("term", "rec-path"): (2, 2),
+    ("term", "rec-branch"): (2, 1),
+    ("rec-tree-empty", "tree"): (0, 0), ("rec-path-empty", "path"): (0, 0),
+    ("rec-branch-empty", "branch"): (0, 0),
+    ("rec-tree-empty", "monoidal"): (0, 0), ("rec-path-empty", "monoidal"): (0, 0),
+    ("rec-branch-empty", "monoidal"): (0, 0),
+}
+
+
+@pytest.fixture(scope="module")
+def translate_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("translate")
+    (root / "p3.g").write_text(P3_TEXT)
+    p3, shape = path_graph(3), path_graph(2)
+    sg = SourcedGraph(p3)
+    tree = TreeDec(shape, {0: {0, 1}, 1: {1, 2}})
+    path = PathDec([{0, 1}, {1, 2}])
+    branch = BranchDec(shape, {0: 0, 1: 1})
+    rec_path = path_to_recursive(path, sg)
+    term, sig = p_to_mdec(rec_path, sg)
+    blobs = {"tree": decomposition_to_json(tree), "path": decomposition_to_json(path),
+             "branch": decomposition_to_json(branch),
+             "rec-tree": decomposition_to_json(tree_to_recursive(tree, sg, 0)),
+             "rec-path": decomposition_to_json(rec_path),
+             "rec-branch": decomposition_to_json(branch_to_recursive(branch, sg)),
+             "term": {"term": tree_to_json(term), "signature": signature_to_json(sig)}}
+    for kind in ("tree", "path", "branch"):
+        blobs[f"rec-{kind}-empty"] = {"kind": f"rec-{kind}", "empty": True}
+    for name, blob in blobs.items():
+        (root / f"{name}.json").write_text(json.dumps(blob))
+    return root
+
+
+@pytest.mark.parametrize("to", TRANSLATE_TOS)
+@pytest.mark.parametrize("source", TRANSLATE_SOURCES)
+def test_translate_matrix(translate_inputs, source, to, capsys):
+    code = main(["translate", "--from", str(translate_inputs / f"{source}.json"),
+                 "--to", to, "--graph", str(translate_inputs / "p3.g"), "--json"])
+    out, err = capsys.readouterr()
+    if (source, to) not in TRANSLATE_OK:
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert (payload["from_width"], payload["to_width"]) == TRANSLATE_OK[source, to]
+    if to == "monoidal":
+        assert set(payload) == {"from_width", "to_width", "term", "signature"}
+    else:
+        assert payload["result"]["kind"] == to
+
+
+def test_translate_empty_recursive_to_monoidal_text(translate_inputs, capsys):
+    for kind in ("tree", "path", "branch"):
+        assert main(["translate", "--from", str(translate_inputs / f"rec-{kind}-empty.json"),
+                     "--to", "monoidal"]) == 0
+        assert capsys.readouterr().out.startswith("width 0 -> 0\n")
+
+
+# ---------------------------------------------------------------------------
+# Malformed input files: one error line and exit 2, never a traceback.
+
+MALFORMED = [
+    ("cache-invalid-json", "catalog", "{not json", None),
+    ("cache-top-level-list", "catalog", "[]", None),
+    ("cache-bad-record", "catalog", json.dumps({"k": {"tw": 1, "pw": "2", "bw": 0}}), None),
+    ("dec-missing-shape", "validate", json.dumps({"kind": "tree"}), "'shape'"),
+    ("dec-top-level-list", "validate", "[]", None),
+    ("dec-ill-typed-bags", "validate", json.dumps({"kind": "path", "bags": 5}), "'bags'"),
+    ("dec-unknown-kind", "validate", json.dumps({"kind": "cactus"}), "'cactus'"),
+    ("dec-bad-child", "translate", json.dumps(
+        {"kind": "rec-path", "graph": {"v": [0], "e": []}, "bag": [0], "tail": 3}), "'tail'"),
+    ("term-leaf-without-atom", "translate", json.dumps(
+        {"term": {"op": "leaf"}, "signature": {}}), "'atom'"),
+    ("term-bad-signature", "translate", json.dumps(
+        {"term": {"op": "leaf", "atom": "a"}, "signature": {"a": {"dom": 0}}}), None),
+]
+
+
+@pytest.mark.parametrize("command,text,named", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_input_exits_two(p3_file, tmp_path, capsys, command, text, named):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = {"catalog": ["catalog", "--max-v", "2", "--cache", str(bad)],
+            "validate": ["validate", p3_file, "--dec", str(bad)],
+            "translate": ["translate", "--from", str(bad), "--to", "rec-tree"]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err
+    if named:
+        assert named in err

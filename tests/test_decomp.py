@@ -6,11 +6,17 @@ import pytest
 from conftest import all_tree_decs, k, path_graph, random_graph
 from mwidth import (
     BranchDec,
+    Check,
     DecompositionError,
     Graph,
     PathDec,
+    RecBranchEmpty,
+    RecBranchLeaf,
     RecBranchNode,
+    RecPathCons,
     RecTreeNode,
+    REC_BRANCH_EMPTY,
+    REC_PATH_EMPTY,
     REC_TREE_EMPTY,
     SourcedGraph,
     TreeDec,
@@ -38,7 +44,7 @@ from mwidth import (
     validate_rec_tree_dec,
     validate_tree_dec,
 )
-from mwidth.decomp import RecBranchEmpty, rec_branch_subtree
+from mwidth.decomp import rec_branch_subtree
 from mwidth.oracles import _leaf_trees, exact_branchwidth
 
 
@@ -240,3 +246,189 @@ def test_dot_export(p3):
     assert "--" in decomposition_to_dot(rec)
     _, bdec = exact_branchwidth(p3)
     assert "e0" in decomposition_to_dot(bdec)
+
+
+# ---------------------------------------------------------------------------
+# Every failure clause of the recursive validators, on hand-built bad nodes
+# of P3 (vertices 0, 1, 2; edge 0 = {0, 1}, edge 1 = {1, 2}).
+
+_P3 = path_graph(3)
+
+
+def _sg(vs, es=(), sources=()):
+    return SourcedGraph(_P3.subgraph(frozenset(vs), frozenset(es)), sources)
+
+
+def _tnode(sg, bag, left=REC_TREE_EMPTY, right=REC_TREE_EMPTY):
+    return RecTreeNode(sg, bag, left, right)
+
+
+def _pnode(sg, bag, tail=REC_PATH_EMPTY):
+    return RecPathCons(sg, bag, tail)
+
+
+_ALL = _sg({0, 1, 2}, {0, 1})
+_X0 = _sg({0, 1, 2}, {0, 1}, {0})
+_ODD = SourcedGraph(Graph.discrete([9]))
+_ISO3 = SourcedGraph(Graph.from_edge_pairs(range(4), [(0, 1), (1, 2)]))
+
+REC_TREE_FAILURES = [
+    ("empty", REC_TREE_EMPTY, _ALL, "empty decomposition of a non-empty graph"),
+    ("type", REC_PATH_EMPTY, _ALL, "not a recursive tree decomposition: RecPathEmpty()"),
+    ("graph", _tnode(_ALL, {0, 1, 2}), _X0,
+     "node does not decompose the expected graph with sources"),
+    ("shape", _tnode(_ALL, {0, 1, 2, 7}), _ALL, "bag contains non-vertices"),
+    ("subgraph", _tnode(_ALL, {0, 1, 2}, _tnode(_ODD, {9})), _ALL,
+     "child 1 is not a subgraph"),
+    ("subgraph", _tnode(_ALL, {0, 1, 2}, REC_TREE_EMPTY, _tnode(_ODD, {9})), _ALL,
+     "child 2 is not a subgraph"),
+    ("i", _tnode(_X0, {1, 2}), _X0, "sources [0] missing from the bag"),
+    ("ii", _tnode(_ALL, {0, 1}), _ALL, "bag and children do not cover the vertices"),
+    ("iii", _tnode(_ALL, {0, 1}, _tnode(_sg({1, 2}, {1}), {1, 2})), _ALL,
+     "child 1 sources differ from its bag intersection"),
+    ("iii", _tnode(_ALL, {0, 1}, REC_TREE_EMPTY, _tnode(_sg({1, 2}, {1}), {1, 2})), _ALL,
+     "child 2 sources differ from its bag intersection"),
+    ("iv", _tnode(_ALL, {0, 1}, _tnode(_sg({1, 2}, {1}, {1}), {1, 2}),
+                  _tnode(_sg({2}), {2})), _ALL,
+     "children share vertices outside the bag"),
+    ("v", _tnode(_ALL, {0, 1, 2}, _tnode(_sg({0, 1, 2}, {0, 1}, {0, 1, 2}), {0, 1, 2}),
+                 _tnode(_sg({0, 1, 2}, {0, 1}, {0, 1, 2}), {0, 1, 2})), _ALL,
+     "children share edges"),
+    ("vi", _tnode(_ALL, {0, 1}, _tnode(_sg({1, 2}, (), {1}), {1, 2})), _ALL,
+     "an uncovered edge leaves the bag"),
+    # pre-order, left before right: the left child's fault is reported
+    ("shape", _tnode(_ALL, {0, 1, 2},
+                     _tnode(_sg({0, 1, 2}, {0, 1}, {0, 1, 2}), {0, 1, 2, 8}),
+                     _tnode(_sg({2}, (), {2}), {2, 3})), _ALL,
+     "bag contains non-vertices"),
+    ("iii", _tnode(_ALL, {0, 1, 2}, _tnode(_sg({0, 1, 2}, {0, 1}, {0, 1, 2}), {0, 1, 2},
+                                           _tnode(_sg({0}), {0}))), _ALL,
+     "child 1 sources differ from its bag intersection"),
+]
+
+REC_PATH_FAILURES = [
+    ("empty", REC_PATH_EMPTY, _ALL, "empty decomposition of a non-empty graph"),
+    ("type", REC_TREE_EMPTY, _ALL, "not a recursive path decomposition: RecTreeEmpty()"),
+    ("graph", _pnode(_ALL, {0, 1, 2}), _X0,
+     "node does not decompose the expected graph with sources"),
+    ("shape", _pnode(_ALL, {0, 1, 2, 7}), _ALL, "bag contains non-vertices"),
+    ("subgraph", _pnode(_ALL, {0, 1, 2}, _pnode(_ODD, {9})), _ALL,
+     "tail is not a subgraph"),
+    ("i", _pnode(_X0, {1, 2}), _X0, "sources [0] missing from the first bag"),
+    ("ii", _pnode(_ALL, {0, 1}), _ALL, "bag and tail do not cover the vertices"),
+    ("iii", _pnode(_ALL, {0, 1}, _pnode(_sg({1, 2}, {1}), {1, 2})), _ALL,
+     "tail sources differ from the bag intersection"),
+    ("iv", _pnode(_ALL, {0, 1}, _pnode(_sg({1, 2}, (), {1}), {1, 2})), _ALL,
+     "an edge outside the tail leaves the first bag"),
+    ("ii", _pnode(_ALL, {0, 1}, _pnode(_sg({1, 2}, {1}, {1}), {1})), _ALL,
+     "bag and tail do not cover the vertices"),
+]
+
+_E0 = _sg({0, 1}, {0}, {1})
+_E1 = _sg({1, 2}, {1}, {1})
+
+REC_BRANCH_FAILURES = [
+    ("empty", REC_BRANCH_EMPTY, _ALL, "empty decomposition of a graph with edges"),
+    ("graph", RecBranchEmpty(SourcedGraph(Graph.discrete([0, 1]))),
+     SourcedGraph(Graph.discrete([0])), "empty decomposition records a different graph"),
+    ("graph", RecBranchLeaf(_sg({0, 1}, {0})), _sg({0, 1}, {0}, {0}),
+     "leaf does not decompose the expected graph with sources"),
+    ("leaf", RecBranchLeaf(_ALL), _ALL, "leaves carry exactly one edge"),
+    ("type", REC_TREE_EMPTY, _ALL, "not a recursive branch decomposition: RecTreeEmpty()"),
+    ("graph", RecBranchNode(_ALL, RecBranchLeaf(_E0), RecBranchLeaf(_E1)), _X0,
+     "node does not decompose the expected graph with sources"),
+    ("subgraph", RecBranchNode(_ALL, RecBranchLeaf(_ODD), RecBranchLeaf(_E1)), _ALL,
+     "child 1 is not a subgraph"),
+    ("subgraph", RecBranchNode(_ALL, RecBranchLeaf(_E0), RecBranchLeaf(_ODD)), _ALL,
+     "child 2 is not a subgraph"),
+    ("i", RecBranchNode(_ALL, RecBranchLeaf(_E0), RecBranchLeaf(_E0)), _ALL,
+     "children edges do not partition the edges"),
+    ("ii", RecBranchNode(_ISO3, RecBranchLeaf(_E0), RecBranchLeaf(_E1)), _ISO3,
+     "children do not cover the vertices"),
+    ("iii", RecBranchNode(_ALL, RecBranchLeaf(_sg({0, 1}, {0})), RecBranchLeaf(_E1)), _ALL,
+     "child 1 boundary differs from the boundary formula"),
+    ("iii", RecBranchNode(_ALL, RecBranchLeaf(_E0), RecBranchLeaf(_sg({1, 2}, {1}))), _ALL,
+     "child 2 boundary differs from the boundary formula"),
+    # a fault two levels down, below a valid left leaf
+    ("leaf", RecBranchNode(_ALL, RecBranchLeaf(_E0),
+                           RecBranchNode(_E1, RecBranchLeaf(_sg({1}, (), {1})),
+                                         RecBranchLeaf(_E1))), _ALL,
+     "leaves carry exactly one edge"),
+    ("leaf", RecBranchNode(_ALL, RecBranchEmpty(_sg({0}, (), {0})),
+                           RecBranchLeaf(_sg({0, 1, 2}, {0, 1}, {0}))), _ALL,
+     "leaves carry exactly one edge"),
+]
+
+
+def _failure_ids(cases):
+    return [f"{i}-{case[0]}" for i, case in enumerate(cases)]
+
+
+@pytest.mark.parametrize("clause,node,sg,message", REC_TREE_FAILURES,
+                         ids=_failure_ids(REC_TREE_FAILURES))
+def test_validate_rec_tree_dec_failure_clauses(clause, node, sg, message):
+    assert validate_rec_tree_dec(node, sg) == Check(False, clause, message)
+
+
+@pytest.mark.parametrize("clause,node,sg,message", REC_PATH_FAILURES,
+                         ids=_failure_ids(REC_PATH_FAILURES))
+def test_validate_rec_path_dec_failure_clauses(clause, node, sg, message):
+    assert validate_rec_path_dec(node, sg) == Check(False, clause, message)
+
+
+@pytest.mark.parametrize("clause,node,sg,message", REC_BRANCH_FAILURES,
+                         ids=_failure_ids(REC_BRANCH_FAILURES))
+def test_validate_rec_branch_dec_failure_clauses(clause, node, sg, message):
+    assert validate_rec_branch_dec(node, sg) == Check(False, clause, message)
+
+
+# ---------------------------------------------------------------------------
+# Golden JSON (key order included) and DOT for P3 in all six kinds.
+
+_K2_SHAPE = path_graph(2)
+_P3_TREE = TreeDec(_K2_SHAPE, {0: {0, 1}, 1: {1, 2}})
+_P3_PATH = PathDec([{0, 1}, {1, 2}])
+_P3_BRANCH = BranchDec(_K2_SHAPE, {0: 0, 1: 1})
+_P3_SG = SourcedGraph(_P3, {0})
+_P3_G = '"graph": {"v": [0, 1, 2], "e": [[0, 0, 1], [1, 1, 2]], "s": [0]}'
+_TWO_BAGS_DOT = ('graph decomposition {\n  node [shape=box];\n  n0 [label="{0,1}"];\n'
+                 '  n1 [label="{1,2}"];\n  n0 -- n1;\n}')
+
+GOLDEN = [
+    ("tree", lambda: _P3_TREE,
+     '{"kind": "tree", "shape": {"v": [0, 1], "e": [[0, 0, 1]]}, '
+     '"bags": {"0": [0, 1], "1": [1, 2]}}', _TWO_BAGS_DOT),
+    ("path", lambda: _P3_PATH, '{"kind": "path", "bags": [[0, 1], [1, 2]]}', _TWO_BAGS_DOT),
+    ("branch", lambda: _P3_BRANCH,
+     '{"kind": "branch", "shape": {"v": [0, 1], "e": [[0, 0, 1]]}, '
+     '"leaf_map": {"0": 0, "1": 1}}',
+     'graph decomposition {\n  node [shape=box];\n  n0 [label="e0"];\n'
+     '  n1 [label="e1"];\n  n0 -- n1;\n}'),
+    ("rec-tree", lambda: tree_to_recursive(_P3_TREE, _P3_SG, 0),
+     '{"kind": "rec-tree", ' + _P3_G + ', "bag": [0, 1], "left": {"kind": "rec-tree", '
+     '"graph": {"v": [1, 2], "e": [[1, 1, 2]], "s": [1]}, "bag": [1, 2], '
+     '"left": {"kind": "rec-tree", "empty": true}, "right": {"kind": "rec-tree", '
+     '"empty": true}}, "right": {"kind": "rec-tree", "empty": true}}', _TWO_BAGS_DOT),
+    ("rec-path", lambda: path_to_recursive(_P3_PATH, _P3_SG),
+     '{"kind": "rec-path", ' + _P3_G + ', "bag": [0, 1], "tail": {"kind": "rec-path", '
+     '"graph": {"v": [1, 2], "e": [[1, 1, 2]], "s": [1]}, "bag": [1, 2], '
+     '"tail": {"kind": "rec-path", "empty": true}}}', _TWO_BAGS_DOT),
+    ("rec-branch", lambda: branch_to_recursive(_P3_BRANCH, _P3_SG),
+     '{"kind": "rec-branch", ' + _P3_G + ', "left": {"kind": "rec-branch", "leaf": true, '
+     '"graph": {"v": [0, 1], "e": [[0, 0, 1]], "s": [0, 1]}}, "right": {"kind": '
+     '"rec-branch", "leaf": true, "graph": {"v": [1, 2], "e": [[1, 1, 2]], "s": [1]}}}',
+     'graph decomposition {\n  node [shape=box];\n  n0 [label="{0}"];\n'
+     '  n1 [label="e0"];\n  n0 -- n1;\n  n2 [label="e1"];\n  n0 -- n2;\n}'),
+    ("rec-branch-empty", lambda: RecBranchEmpty(SourcedGraph(Graph.discrete([0, 1]), {1})),
+     '{"kind": "rec-branch", "empty": true, "graph": {"v": [0, 1], "e": [], "s": [1]}}',
+     'graph decomposition {\n  node [shape=box];\n}'),
+]
+
+
+@pytest.mark.parametrize("name,build,golden_json,golden_dot", GOLDEN,
+                         ids=[case[0] for case in GOLDEN])
+def test_golden_json_and_dot(name, build, golden_json, golden_dot):
+    dec = build()
+    assert json.dumps(decomposition_to_json(dec)) == golden_json
+    assert decomposition_to_dot(dec) == golden_dot
+    assert decomposition_from_json(json.loads(golden_json)) == dec

@@ -394,6 +394,9 @@ def test_check_theorems_single_edge_reports_branch_gap():
     # the branch upper bound is unattainable here: any term for a graph
     # with a proper edge has width two, but bw + 1 is one
     assert failed == ["branch-upper"]
+    # the detail names the guaranteed floor, telling the gap from a broken bound
+    upper = next(c for c in rep.checks if c.name == "branch-upper")
+    assert upper.detail == "mwd_upper=2 vs bw+1=1 (bw=0 floor: guaranteed max(bw,1)+1=2)"
 
 
 def test_check_theorems_empty_graph():
