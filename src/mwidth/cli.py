@@ -3,9 +3,10 @@
 Subcommands: widths, decompose, validate, translate, check-theorems,
 catalog.  Graphs come from the text format (`v`/`e`/`s` lines);
 decompositions and terms travel as JSON.  Exit codes: 0 success;
-1 validation or theorem failure, or an exact oracle refusing an input
-beyond its size cap; 2 usage or parse error, including a malformed
-decomposition, term or width-cache file.
+1 validation or theorem failure, an exact oracle refusing an input
+beyond its size cap, or a decomposition that does not fit the graph
+(such as marked sources outside its root or first bag); 2 usage or
+parse error, including a malformed decomposition, term or width-cache file.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _tree_root(dec: TreeDec, sg: SourcedGraph) -> int:
     """A tree vertex whose bag holds all the marked sources."""
     root = next((i for i, b in dec.bags if sg.sources <= b), None)
     if root is None:
-        raise CliError("no bag contains all marked sources")
+        raise DecompositionError("no bag contains all marked sources")
     return root
 
 
@@ -159,8 +160,6 @@ def cmd_decompose(args) -> int:
     kind = _KINDS[args.kind]
     w, dec = kind.oracle(sg.graph)
     if args.recursive:
-        if args.kind == "path" and dec.bags and not sg.sources <= dec.bags[0]:
-            raise CliError("the marked sources are not in the first bag")
         dec = kind.to_rec(dec, sg)
     payload = {"width": w, "decomposition": decomposition_to_json(dec)}
     if args.dot:

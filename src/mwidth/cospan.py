@@ -55,12 +55,6 @@ class Cospan:
     def right_image(self) -> frozenset:
         return frozenset(self.right)
 
-    def left_map(self) -> FiniteMap:
-        return FiniteMap(dict(enumerate(self.left)), self.apex.vertices)
-
-    def right_map(self) -> FiniteMap:
-        return FiniteMap(dict(enumerate(self.right)), self.apex.vertices)
-
     def __repr__(self) -> str:
         return f"Cospan({self.left_arity}->{len(self.apex.vertices)}v<-{self.right_arity})"
 

@@ -62,9 +62,6 @@ class Graph:
             raise GraphError(f"unknown edge id {e}")
         return self._ends[e]
 
-    def ends_table(self) -> dict[int, frozenset]:
-        return dict(self._ends)
-
     def is_loop(self, e: int) -> bool:
         return len(self.ends(e)) == 1
 
@@ -191,9 +188,6 @@ class FiniteMap:
     def image(self) -> frozenset:
         return frozenset(self.mapping.values())
 
-    def restrict(self, xs: Iterable) -> "FiniteMap":
-        return FiniteMap({x: self(x) for x in xs}, self.codomain)
-
     def then(self, other: "FiniteMap") -> "FiniteMap":
         return FiniteMap({k: other(v) for k, v in self.mapping.items()}, other.codomain)
 
@@ -247,12 +241,6 @@ class GraphMorphism:
     def apply_vertices(self, vs: Iterable[int]) -> frozenset:
         return frozenset(self.vmap[v] for v in vs)
 
-    def apply_edges(self, es: Iterable[int]) -> frozenset:
-        return frozenset(self.emap[e] for e in es)
-
-    def vertex_map(self) -> FiniteMap:
-        return FiniteMap(self.vmap, self.codomain.vertices)
-
     def then(self, other: "GraphMorphism") -> "GraphMorphism":
         if self.codomain != other.domain:
             raise GraphError("morphisms are not composable")
@@ -281,10 +269,6 @@ class UnionFind:
     def __init__(self, items: Iterable = ()):
         self.parent = {x: x for x in items}
 
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-
     def find(self, x):
         root = x
         while self.parent[root] != root:
@@ -302,12 +286,6 @@ class UnionFind:
             ra, rb = rb, ra
         self.parent[rb] = ra
         return ra
-
-    def classes(self) -> dict:
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), set()).add(x)
-        return out
 
 
 def ends_of_edge_set(g: Graph, es: Iterable[int]) -> frozenset:

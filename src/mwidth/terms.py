@@ -118,30 +118,17 @@ class SymbolicSignature(Signature):
     w(id_n) = n, w(cp_n) = 2n, w(swap_{n,m}) = n + m.
     """
 
-    def leaf_identity(self, n: int) -> Leaf:
-        key = ("id", n)
-        if key not in self._wiring_cache:
-            self._wiring_cache[key] = self.add(f"id{n}", n, n, n)
-        return Leaf(self._wiring_cache[key])
+    # kind -> (dom, cod, weight) of its wiring atom, from the key's arities
+    _WIRING = {"id": lambda n: (n, n, n), "cp": lambda n: (n, 2 * n, 2 * n),
+               "sw": lambda n, m: (n + m, n + m, n + m),
+               "sp": lambda n, m: (n, m, max(n, m, 1))}
 
-    def leaf_copy(self, n: int) -> Leaf:
-        key = ("cp", n)
-        if key not in self._wiring_cache:
-            self._wiring_cache[key] = self.add(f"cp{n}", n, 2 * n, 2 * n)
-        return Leaf(self._wiring_cache[key])
-
-    def leaf_swap(self, n: int, m: int) -> Leaf:
-        key = ("sw", n, m)
-        if key not in self._wiring_cache:
-            self._wiring_cache[key] = self.add(f"sw{n}_{m}", n + m, n + m, n + m)
-        return Leaf(self._wiring_cache[key])
-
-    def leaf_spider(self, n_left: int, n_right: int) -> Leaf:
-        key = ("sp", n_left, n_right)
-        if key not in self._wiring_cache:
-            self._wiring_cache[key] = self.add(
-                f"sp{n_left}_{n_right}", n_left, n_right, max(n_left, n_right, 1))
-        return Leaf(self._wiring_cache[key])
+    def _wiring_leaf(self, key: tuple, factory) -> Leaf:
+        kind, *ns = key
+        if kind in self._WIRING and key not in self._wiring_cache:
+            self._wiring_cache[key] = self.add(kind + "_".join(map(str, ns)),
+                                               *self._WIRING[kind](*ns))
+        return super()._wiring_leaf(key, factory)
 
 
 def arity(d: DecompTree, sig: Signature, _path: str = "") -> tuple[int, int]:
@@ -317,7 +304,8 @@ def tree_serial(d: DecompTree) -> str:
 class SearchResult:
     """A searched term and its width.  `exact` means the search space was
     exhausted within the budget -- `width` is then the least over the terms
-    the search builds, not a proof of optimality; False is "bound only"."""
+    the search builds, not a proof of optimality; False is "bound only".
+    `signature` holds only the atoms that `tree` uses."""
 
     tree: DecompTree
     signature: Signature
@@ -374,6 +362,19 @@ def _compose_splits(c: Cospan) -> Iterable[tuple[Cospan, int, Cospan]]:
         yield cs._renumber(g1), len(cut), cs._renumber(g2)
 
 
+def _ranks_before(a: tuple, b: tuple) -> bool:
+    """Whether the (width, node count, tree) triple `a` ranks strictly before
+    `b`: lower width, then fewer nodes, then the smaller `tree_serial`, which
+    is only computed on a tie of the first two."""
+    if a[:2] != b[:2]:
+        return a[:2] < b[:2]
+    return tree_serial(a[2]) < tree_serial(b[2])
+
+
+def _leaf_atoms(d: DecompTree) -> set:
+    return {d.atom} if isinstance(d, Leaf) else _leaf_atoms(d.left) | _leaf_atoms(d.right)
+
+
 def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
                        seed_translations: bool = True) -> SearchResult:
     """Best decomposition of `g` found within the searched space.
@@ -387,47 +388,36 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
     if shape not in ("any", "right-tree", "path"):
         raise TermError(f"unknown search shape {shape!r}")
     sig = Signature()
-    memo: dict[tuple, tuple[int, DecompTree]] = {}
-    state = {"n": 0, "exceeded": False}
+    memo: dict[tuple, tuple[int, int, DecompTree]] = {}
+    visited = 0
 
-    def best(c: Cospan, shp: str) -> tuple[int, DecompTree]:
-        key = (_cospan_key(c), shp)
+    def best(c: Cospan) -> tuple[int, int, DecompTree]:
+        nonlocal visited
+        key = _cospan_key(c)
         if key in memo:
             return memo[key]
-        leaf = sig.leaf(c)
-        result = (cs.weight(c), leaf)
-        state["n"] += 1
-        if state["n"] > budget:
-            state["exceeded"] = True
-            memo[key] = result
-            return result
-
-        def consider(w: int, tree: DecompTree):
-            nonlocal result
-            cand = (w, tree)
-            if (w, node_count(tree), tree_serial(tree)) < (
-                    result[0], node_count(result[1]), tree_serial(result[1])):
-                result = cand
-
-        if shp != "path":
-            for g1, g2 in _tensor_splits(c):
-                w1, t1 = best(g1, shp)
-                w2, t2 = best(g2, shp)
-                consider(max(w1, w2), Tensor(t1, t2))
-        for g1, cut, g2 in _compose_splits(c):
-            if shp == "right-tree":
-                t1 = sig.leaf(g1)
-                w1 = cs.weight(g1)
-            else:
-                w1, t1 = best(g1, shp)
-            w2, t2 = best(g2, shp)
-            consider(max(w1, cut, w2), Compose(t1, cut, t2))
+        result = (cs.weight(c), 1, sig.leaf(c))
+        visited += 1
+        if visited <= budget:
+            if shape != "path":
+                for g1, g2 in _tensor_splits(c):
+                    (w1, n1, t1), (w2, n2, t2) = best(g1), best(g2)
+                    cand = (max(w1, w2), n1 + n2 + 1, Tensor(t1, t2))
+                    if _ranks_before(cand, result):
+                        result = cand
+            for g1, cut, g2 in _compose_splits(c):
+                if shape == "right-tree":
+                    w1, n1, t1 = cs.weight(g1), 1, sig.leaf(g1)
+                else:
+                    w1, n1, t1 = best(g1)
+                w2, n2, t2 = best(g2)
+                cand = (max(w1, cut, w2), n1 + n2 + 1, Compose(t1, cut, t2))
+                if _ranks_before(cand, result):
+                    result = cand
         memo[key] = result
         return result
 
-    w, tree = best(cs._renumber(g), shape)
-    results = [SearchResult(tree, sig, w, not state["exceeded"])]
-
+    found, found_sig = best(cs._renumber(g)), sig
     closed = (g.right_arity == 0 and g.left == tuple(sorted(set(g.left)))
               and len(g.apex.vertices) <= 8 and len(g.apex.edges) <= 7)
     if seed_translations and closed:
@@ -441,7 +431,7 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
                 _, bdec = oracles.exact_branchwidth(g.apex)
                 seeds.append(translate.b_to_mdec(branch_to_recursive(bdec, sg), sg))
             elif shape == "right-tree":
-                twd, tdec = oracles.exact_treewidth(g.apex)
+                _, tdec = oracles.exact_treewidth(g.apex)
                 bags = tdec.bag_map()
                 root = next(v for v in sorted(bags) if sg.sources <= bags[v])
                 seeds.append(translate.t_to_mdec(tree_to_recursive(tdec, sg, root), sg))
@@ -452,8 +442,12 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
         except (StopIteration, oracles.OracleError):
             pass
         for tree2, sig2 in seeds:
-            results.append(SearchResult(tree2, sig2, width(tree2, sig2),
-                                        not state["exceeded"]))
+            cand = (width(tree2, sig2), node_count(tree2), tree2)
+            if _ranks_before(cand, found):
+                found, found_sig = cand, sig2
 
-    results.sort(key=lambda r: (r.width, node_count(r.tree), tree_serial(r.tree)))
-    return results[0]
+    w, _, tree = found
+    used = _leaf_atoms(tree)
+    trimmed = Signature()
+    trimmed.atoms = {name: a for name, a in found_sig.atoms.items() if name in used}
+    return SearchResult(tree, trimmed, w, visited <= budget)

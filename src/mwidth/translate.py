@@ -135,37 +135,37 @@ def epi_to_dec_tree(alpha: GraphMorphism, t: RecTreeDec) -> RecTreeDec:
 
     Identified vertices must share some bag; the width never increases.
     """
-    return _epi_to_dec(alpha, t, "tree")
+    return _epi_to_dec(alpha, t)
 
 
 def epi_to_dec_path(alpha: GraphMorphism, t: RecPathDec) -> RecPathDec:
     """Path-decomposition analogue of epi_to_dec_tree."""
-    return _epi_to_dec(alpha, t, "path")
+    return _epi_to_dec(alpha, t)
 
 
-def _epi_to_dec(alpha: GraphMorphism, t, what: str):
+def _epi_to_dec(alpha: GraphMorphism, t):
     if isinstance(t, _EMPTY_NODES):
         return t
     if alpha.domain != t.graph.graph:
         raise TranslationError("the morphism domain is not the decomposed graph")
     _check_epi_precondition(alpha, _bags(t))
-    result = _push(alpha, t)
-    if _rec_width_raw(result) > _rec_width_raw(t):
-        raise BoundViolation(f"pushing through an epimorphism increased the {what} width")
-    return result
+    return _push(alpha, t)
 
 
 def _push(alpha: GraphMorphism, t):
     """Rebuild a recursive tree or path decomposition over the image of
-    `alpha`; each child goes through `alpha` restricted to its graph."""
+    `alpha`, restricted to each child's graph; a bag that grows is a BoundViolation."""
     if isinstance(t, _EMPTY_NODES):
         return t
+    bag = alpha.apply_vertices(t.bag)
+    if len(bag) > len(t.bag):
+        raise BoundViolation(f"pushing through an epimorphism enlarged bag {sorted(t.bag)}")
     target = SourcedGraph(alpha.codomain, alpha.apply_vertices(t.graph.sources))
     kids = []
     for child in _children(t):
         kids.append(child if isinstance(child, _EMPTY_NODES)
                     else _push(_restrict_morphism(alpha, child.graph), child))
-    return type(t)(target, alpha.apply_vertices(t.bag), *kids)
+    return type(t)(target, bag, *kids)
 
 
 # ---------------------------------------------------------------------------

@@ -269,3 +269,47 @@ def test_malformed_input_exits_two(p3_file, tmp_path, capsys, command, text, nam
     assert str(bad) in err
     if named:
         assert named in err
+
+
+def test_decompose_monoidal_json_holds_only_the_term_atoms(tmp_path, capsys):
+    k4 = tmp_path / "k4.g"
+    k4.write_text("".join(f"v {i}\n" for i in range(4))
+                  + "".join(f"e {i} {j}\n" for i in range(4) for j in range(i + 1, 4)))
+    assert main(["decompose", str(k4), "--kind", "monoidal", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["width"], data["exact"]) == (3, True)
+    leaves, stack = set(), [data["term"]]
+    while stack:
+        node = stack.pop()
+        if node["op"] == "leaf":
+            leaves.add(node["atom"])
+        stack.extend(node.get("children", ()))
+    assert len(data["signature"]) == 5 and set(data["signature"]) == leaves
+
+
+# ---------------------------------------------------------------------------
+# Marked sources outside the root bag (tree) or the first bag (path): the
+# decomposition does not fit the graph, so every command exits 1.
+
+SOURCES_OUTSIDE = {
+    "tree": ("s 0\ns 2\n", {"kind": "tree", "shape": {"v": [0, 1], "e": [[0, 0, 1]]},
+                            "bags": {"0": [0, 1], "1": [1, 2]}}),
+    "path": ("s 2\n", {"kind": "path", "bags": [[0, 1], [1, 2]]}),
+}
+
+
+@pytest.mark.parametrize("command", ("decompose", "translate"))
+@pytest.mark.parametrize("kind", ("tree", "path"))
+def test_sources_outside_the_bag_exit_one(tmp_path, capsys, command, kind):
+    sources, dec = SOURCES_OUTSIDE[kind]
+    graph = tmp_path / "p3s.g"
+    graph.write_text(P3_TEXT + sources)
+    dec_path = tmp_path / "dec.json"
+    dec_path.write_text(json.dumps(dec))
+    argv = {"decompose": ["decompose", str(graph), "--kind", kind, "--recursive"],
+            "translate": ["translate", "--from", str(dec_path), "--to", f"rec-{kind}",
+                          "--graph", str(graph)]}[command]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "sources" in err

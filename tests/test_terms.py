@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import (
+    cycle_graph,
     doubling_balanced,
     doubling_naive,
     example_fan_term,
@@ -12,6 +13,7 @@ from conftest import (
 )
 from mwidth import (
     Signature,
+    SymbolicSignature,
     TermError,
     bounded_mwd_search,
     cospan_iso_eq,
@@ -28,7 +30,7 @@ from mwidth import (
 )
 from mwidth import cospan as cs
 from mwidth.oracles import exact_pathwidth
-from mwidth.terms import Compose, Leaf, Tensor, tree_serial
+from mwidth.terms import Compose, Leaf, Tensor, node_count, tree_serial
 
 
 def test_example_fan_width_two():
@@ -185,6 +187,117 @@ def test_search_right_tree_shape():
     assert cospan_iso_eq(evaluate(res.tree, res.signature), of_graph(g))
     tw, _ = exact_treewidth(g)
     assert tw <= res.width <= 2 * tw
+
+
+# ---------------------------------------------------------------------------
+# Search results pinned byte for byte: (graph, shape, budget,
+# seed_translations, width, exact, node count, tree_serial).
+
+SEARCH_GRAPHS = {"K4": of_graph(k(4)), "C5": of_graph(cycle_graph(5)),
+                 "P4": of_graph(path_graph(4)),
+                 "P3-0-2": cs.Cospan(path_graph(3), (0,), (2,))}
+SEARCH_PINS = [
+    ('K4', 'any', 4000, False, 3, True, 9,
+     '{"children":[{"atom":"a1","op":"leaf"},{"children":[{"children":[{"atom":"a2'
+     '21","op":"leaf"},{"children":[{"atom":"a9","op":"leaf"},{"atom":"a237","op":'
+     '"leaf"}],"op":"tensor"}],"cut":3,"op":"compose"},{"atom":"a6","op":"leaf"}],'
+     '"cut":3,"op":"compose"}],"cut":2,"op":"compose"}'),
+    ('K4', 'right-tree', 4000, False, 4, True, 1,
+     '{"atom":"a0","op":"leaf"}'),
+    ('K4', 'path', 4000, False, 4, True, 1,
+     '{"atom":"a0","op":"leaf"}'),
+    ('C5', 'any', 4000, False, 2, True, 9,
+     '{"children":[{"atom":"a1","op":"leaf"},{"children":[{"children":[{"atom":"a2'
+     '3","op":"leaf"},{"children":[{"atom":"a5","op":"leaf"},{"atom":"a5","op":"le'
+     'af"}],"cut":1,"op":"compose"}],"op":"tensor"},{"atom":"a8","op":"leaf"}],"cu'
+     't":2,"op":"compose"}],"cut":2,"op":"compose"}'),
+    ('C5', 'right-tree', 4000, False, 3, True, 5,
+     '{"children":[{"atom":"a130","op":"leaf"},{"children":[{"atom":"a63","op":"le'
+     'af"},{"atom":"a6","op":"leaf"}],"cut":2,"op":"compose"}],"cut":2,"op":"compo'
+     'se"}'),
+    ('C5', 'path', 4000, False, 3, True, 5,
+     '{"children":[{"atom":"a114","op":"leaf"},{"children":[{"atom":"a14","op":"le'
+     'af"},{"atom":"a13","op":"leaf"}],"cut":2,"op":"compose"}],"cut":2,"op":"comp'
+     'ose"}'),
+    ('P4', 'any', 4000, False, 2, True, 5,
+     '{"children":[{"atom":"a1","op":"leaf"},{"children":[{"atom":"a3","op":"leaf"'
+     '},{"atom":"a4","op":"leaf"}],"cut":1,"op":"compose"}],"cut":1,"op":"compose"'
+     '}'),
+    ('P4', 'right-tree', 4000, False, 2, True, 5,
+     '{"children":[{"atom":"a1","op":"leaf"},{"children":[{"atom":"a3","op":"leaf"'
+     '},{"atom":"a4","op":"leaf"}],"cut":1,"op":"compose"}],"cut":1,"op":"compose"'
+     '}'),
+    ('P4', 'path', 4000, False, 2, True, 5,
+     '{"children":[{"atom":"a1","op":"leaf"},{"children":[{"atom":"a3","op":"leaf"'
+     '},{"atom":"a4","op":"leaf"}],"cut":1,"op":"compose"}],"cut":1,"op":"compose"'
+     '}'),
+    ('K4', 'any', 50, False, 3, False, 11,
+     '{"children":[{"atom":"a108","op":"leaf"},{"children":[{"children":[{"atom":"'
+     'a9","op":"leaf"},{"children":[{"children":[{"atom":"a9","op":"leaf"},{"atom"'
+     ':"a33","op":"leaf"}],"op":"tensor"},{"atom":"a14","op":"leaf"}],"cut":2,"op"'
+     ':"compose"}],"op":"tensor"},{"atom":"a12","op":"leaf"}],"cut":2,"op":"compos'
+     'e"}],"cut":3,"op":"compose"}'),
+    ('P3-0-2', 'any', 4000, False, 2, True, 3,
+     '{"children":[{"atom":"a1","op":"leaf"},{"atom":"a1","op":"leaf"}],"cut":1,"o'
+     'p":"compose"}'),
+    ('K4', 'any', 4000, True, 3, True, 9,
+     '{"children":[{"atom":"a1","op":"leaf"},{"children":[{"children":[{"atom":"a2'
+     '21","op":"leaf"},{"children":[{"atom":"a9","op":"leaf"},{"atom":"a237","op":'
+     '"leaf"}],"op":"tensor"}],"cut":3,"op":"compose"},{"atom":"a6","op":"leaf"}],'
+     '"cut":3,"op":"compose"}],"cut":2,"op":"compose"}'),
+    ('C5', 'right-tree', 4000, True, 3, True, 5,
+     '{"children":[{"atom":"a130","op":"leaf"},{"children":[{"atom":"a63","op":"le'
+     'af"},{"atom":"a6","op":"leaf"}],"cut":2,"op":"compose"}],"cut":2,"op":"compo'
+     'se"}'),
+    ('P4', 'path', 4000, True, 2, True, 5,
+     '{"children":[{"atom":"a0","op":"leaf"},{"children":[{"atom":"a1","op":"leaf"'
+     '},{"atom":"a2","op":"leaf"}],"cut":1,"op":"compose"}],"cut":1,"op":"compose"'
+     '}'),
+    ('C5', 'path', 3, True, 3, False, 7,
+     '{"children":[{"atom":"a0","op":"leaf"},{"children":[{"atom":"a1","op":"leaf"'
+     '},{"children":[{"atom":"a2","op":"leaf"},{"atom":"a3","op":"leaf"}],"cut":2,'
+     '"op":"compose"}],"cut":2,"op":"compose"}],"cut":2,"op":"compose"}'),
+]
+
+
+@pytest.mark.parametrize("name,shape,budget,seeds,w,exact,nodes,serial", SEARCH_PINS,
+                         ids=[f"{p[0]}-{p[1]}-{p[2]}-{'seeded' if p[3] else 'unseeded'}"
+                              for p in SEARCH_PINS])
+def test_search_golden_pins(name, shape, budget, seeds, w, exact, nodes, serial):
+    res = bounded_mwd_search(SEARCH_GRAPHS[name], shape=shape, budget=budget,
+                             seed_translations=seeds)
+    assert (res.width, res.exact, node_count(res.tree), tree_serial(res.tree)) == (
+        w, exact, nodes, serial)
+
+
+def _leaf_names(d) -> set:
+    return {d.atom} if isinstance(d, Leaf) else _leaf_names(d.left) | _leaf_names(d.right)
+
+
+@pytest.mark.parametrize("shape", ("any", "right-tree", "path"))
+def test_search_signature_holds_only_the_tree_atoms(shape):
+    for name, g in SEARCH_GRAPHS.items():
+        for budget, seeds in ((4000, False), (4000, True), (3, True)):
+            res = bounded_mwd_search(g, shape=shape, budget=budget, seed_translations=seeds)
+            assert set(res.signature.atoms) == _leaf_names(res.tree), (name, budget, seeds)
+            assert cospan_iso_eq(evaluate(res.tree, res.signature), g)
+
+
+def test_symbolic_wiring_atoms_are_named_weighted_and_cached():
+    sig = SymbolicSignature()
+    made = [sig.leaf_identity(3), sig.leaf_copy(2), sig.leaf_swap(1, 2),
+            sig.leaf_spider(0, 2), sig.leaf_spider(0, 0), sig.leaf_permutation((1, 0))]
+    got = {leaf.atom: (a.dom, a.cod, a.weight)
+           for leaf in made for a in [sig.atom(leaf.atom)]}
+    assert got == {"id3": (3, 3, 3), "cp2": (2, 4, 4), "sw1_2": (3, 3, 3),
+                   "sp0_2": (0, 2, 2), "sp0_0": (0, 0, 1), "w5_pm": (2, 2, 2)}
+    assert sig.atom("w5_pm").cospan is not None
+    atoms = dict(sig.atoms)
+    again = [sig.leaf_identity(3), sig.leaf_copy(2), sig.leaf_swap(1, 2),
+             sig.leaf_spider(0, 2), sig.leaf_spider(0, 0), sig.leaf_permutation((1, 0))]
+    assert again == made
+    assert sig.atoms == atoms and all(sig.atoms[n] is atoms[n] for n in atoms)
+    assert sig.leaf_swap(2, 1).atom == "sw2_1" and len(sig.atoms) == 7
 
 
 def test_rebalancing_compose_chain_preserves_evaluation():
