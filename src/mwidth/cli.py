@@ -49,6 +49,7 @@ from .decomp import (
     validate_rec_path_dec,
     validate_rec_tree_dec,
     validate_tree_dec,
+    _source_root,
 )
 from .graph import GraphError, GraphParseError, SourcedGraph, parse_graph_text
 
@@ -86,14 +87,6 @@ def _decomposition_or_term(data):
     return decomposition_from_json(data)
 
 
-def _tree_root(dec: TreeDec, sg: SourcedGraph) -> int:
-    """A tree vertex whose bag holds all the marked sources."""
-    root = next((i for i, b in dec.bags if sg.sources <= b), None)
-    if root is None:
-        raise DecompositionError("no bag contains all marked sources")
-    return root
-
-
 class _Kind(NamedTuple):
     """What the commands use of one decomposition kind."""
 
@@ -113,7 +106,7 @@ class _Kind(NamedTuple):
 _KINDS = {
     "tree": _Kind(TreeDec, RecTreeDec, validate_tree_dec, validate_rec_tree_dec,
                   tree_dec_width, rec_tree_width,
-                  lambda dec, sg: tree_to_recursive(dec, sg, _tree_root(dec, sg)),
+                  lambda dec, sg: tree_to_recursive(dec, sg, _source_root(dec, sg)),
                   tree_from_recursive, tr.t_to_mdec, tr.m_to_tdec, oracles.exact_treewidth),
     "path": _Kind(PathDec, RecPathDec, validate_path_dec, validate_rec_path_dec,
                   path_dec_width, rec_path_width, path_to_recursive, path_from_recursive,

@@ -15,6 +15,12 @@ nodes, source count for branch nodes, 0 for empty nodes), and `_LAYOUT`
 its JSON kind and fields.  Width, validation, JSON and DOT are each one
 walker over that protocol; validation takes the local clauses of a
 family from one function per family.
+
+Each classic decomposition tree is walked once per question (`_walk`):
+clause 3, that the bags holding a vertex are connected, is one linear
+per-vertex test against the parent bag for trees and paths alike;
+`tree_to_recursive` reads children and subtree bags from one walk, and
+the branch code reads the side of a tree edge from a walk not crossing it.
 """
 
 from __future__ import annotations
@@ -79,12 +85,6 @@ class TreeDec:
         items = tuple(sorted((i, frozenset(b)) for i, b in dict(bags).items()))
         object.__setattr__(self, "bags", items)
 
-    def bag(self, i: int) -> frozenset:
-        for j, b in self.bags:
-            if j == i:
-                return b
-        raise DecompositionError(f"no bag at tree vertex {i}")
-
     def bag_map(self) -> dict:
         return dict(self.bags)
 
@@ -114,26 +114,36 @@ class BranchDec:
         return dict(self.leaf_map)
 
 
-def _tree_paths_through(shape: Graph, i: int, k: int) -> list:
-    """Vertices on the unique tree path from i to k (inclusive)."""
-    if i == k:
-        return [i]
-    prev = {i: None}
-    stack = [i]
-    while stack:
-        v = stack.pop()
-        if v == k:
-            break
-        for w in sorted(shape.neighbours(v)):
-            if w not in prev:
-                prev[w] = v
-                stack.append(w)
-    if k not in prev:
-        return []
-    path = [k]
-    while path[-1] != i:
-        path.append(prev[path[-1]])
-    return path
+def _walk(shape: Graph, root: int, cut: Optional[int] = None) -> dict:
+    """Parent of every node reachable from `root` without passing `cut`
+    (None for the root), each node listed after its parent."""
+    adjacent: dict = {v: [] for v in shape.vertices}
+    for e in shape.edges:
+        u, *others = shape.ends(e)  # a loop has one end and no other
+        for w in others:
+            adjacent[u].append(w)
+            adjacent[w].append(u)
+    parent = {root: None}
+    order = [root]
+    for v in order:
+        for w in adjacent[v]:
+            if w != cut and w not in parent:
+                parent[w] = v
+                order.append(w)
+    return parent
+
+
+def _bags_connected(pairs: Iterable) -> Check:
+    """Clause 3 over the (bag, parent bag) pairs of a rooted tree, the root's
+    parent bag empty: the bags holding a vertex are connected exactly when
+    only one of them has a parent bag without it."""
+    tops: set = set()
+    for bag, up in pairs:
+        for v in bag - up:
+            if v in tops:
+                return _fail("3", f"the bags holding vertex {v} are not connected")
+            tops.add(v)
+    return _OK
 
 
 def validate_tree_dec(dec: TreeDec, g: Graph) -> Check:
@@ -151,18 +161,8 @@ def validate_tree_dec(dec: TreeDec, g: Graph) -> Check:
     for e in sorted(g.edges):
         if not any(g.ends(e) <= b for b in bags.values()):
             return _fail("2", f"edge {e} has no bag containing both endpoints")
-    nodes = sorted(dec.shape.vertices)
-    for i in nodes:
-        for k in nodes:
-            if i >= k:
-                continue
-            common = bags[i] & bags[k]
-            if not common:
-                continue
-            for j in _tree_paths_through(dec.shape, i, k):
-                if not common <= bags[j]:
-                    return _fail("3", f"t({i}) ∩ t({k}) not inside t({j})")
-    return _OK
+    parent = _walk(dec.shape, min(bags))
+    return _bags_connected((bags[i], bags.get(p, frozenset())) for i, p in parent.items())
 
 
 def validate_path_dec(dec: PathDec, g: Graph) -> Check:
@@ -176,13 +176,7 @@ def validate_path_dec(dec: PathDec, g: Graph) -> Check:
     for e in sorted(g.edges):
         if not any(g.ends(e) <= b for b in bags):
             return _fail("2", f"edge {e} has no bag containing both endpoints")
-    for i in range(len(bags)):
-        for k in range(i + 2, len(bags)):
-            common = bags[i] & bags[k]
-            for j in range(i + 1, k):
-                if not common <= bags[j]:
-                    return _fail("3", f"p({i}) ∩ p({k}) not inside p({j})")
-    return _OK
+    return _bags_connected(zip(bags, (frozenset(),) + bags[:-1]))
 
 
 def validate_branch_dec(dec: BranchDec, g: Graph) -> Check:
@@ -224,7 +218,7 @@ def edge_order(dec: BranchDec, g: Graph, e: int) -> int:
     if e not in dec.shape.edges:
         raise GraphError(f"unknown decomposition tree edge {e}")
     pts = sorted(dec.shape.ends(e))
-    side = _split_side(dec.shape, pts[0], pts[-1])
+    side = _walk(dec.shape, pts[0], pts[-1])
     table = dec.leaf_table()
     a_edges = {table[l] for l in table if l in side}
     b_edges = set(table.values()) - a_edges
@@ -549,17 +543,12 @@ def boundary_global(t: RecBranchDec, path: Iterable[int]) -> frozenset:
 # Classic <-> recursive translations.
 
 
-def _shape_components_at(shape: Graph, r: int) -> list[tuple[Graph, int]]:
-    """Subtrees hanging off r, each with its root (the neighbour of r)."""
-    rest_vs = shape.vertices - {r}
-    rest_es = {e for e in shape.edges if r not in shape.ends(e)}
-    rest = shape.subgraph(rest_vs, rest_es)
-    out = []
-    for v in sorted(shape.neighbours(r)):
-        comp_vs, comp_es = next((vs, es) for vs, es in rest.connected_components()
-                                if v in vs)
-        out.append((rest.subgraph(comp_vs, comp_es), v))
-    return out
+def _source_root(dec: TreeDec, sg: SourcedGraph) -> int:
+    """The first tree node, in id order, whose bag holds the sources of `sg`."""
+    for i, b in dec.bags:
+        if sg.sources <= b:
+            return i
+    raise DecompositionError("no bag contains all marked sources")
 
 
 def tree_to_recursive(dec: TreeDec, sg: SourcedGraph, root: int) -> RecTreeDec:
@@ -570,41 +559,48 @@ def tree_to_recursive(dec: TreeDec, sg: SourcedGraph, root: int) -> RecTreeDec:
         raise DecompositionError(f"root {root} is not a tree vertex")
     if not sg.sources <= bags[root]:
         raise DecompositionError("the sources are not contained in the root bag")
+    parent = _walk(dec.shape, root)
+    kids: dict = {i: [] for i in parent}
+    held = dict(bags)  # the union of the bags in each node's subtree
+    for i in reversed(parent):
+        p = parent[i]
+        if p is not None:
+            kids[p].append(i)
+            held[p] = held[p] | held[i]
 
-    def convert(shape: Graph, r: int, gamma: SourcedGraph) -> RecTreeDec:
+    def convert(r: int, gamma: SourcedGraph) -> RecTreeDec:
         vp = bags[r]
-        subtrees = _shape_components_at(shape, r)
-        t1, t2 = split(subtrees, gamma, vp)
+        t1, t2 = split(sorted(kids[r]), gamma, vp)
         return RecTreeNode(gamma, vp, t1, t2)
 
-    def group_graph(shapes: list, gamma: SourcedGraph, used_edges: set,
+    def group_graph(nodes: list, gamma: SourcedGraph, used_edges: set,
                     vp: frozenset) -> SourcedGraph:
-        vs = frozenset().union(*(bags[i] for shape, _ in shapes for i in shape.vertices))
+        vs = frozenset().union(*(held[i] for i in nodes))
         es = {e for e in gamma.edges - frozenset(used_edges)
               if gamma.graph.ends(e) <= vs}
         used_edges.update(es)
         return SourcedGraph(gamma.graph.subgraph(vs, es), vs & vp)
 
-    def split(subtrees: list, gamma: SourcedGraph,
+    def split(nodes: list, gamma: SourcedGraph,
               vp: frozenset) -> tuple[RecTreeDec, RecTreeDec]:
         # first subtree becomes the left child, the rest are chained on the right
-        if not subtrees:
+        if not nodes:
             return REC_TREE_EMPTY, REC_TREE_EMPTY
         used: set = set()
-        first = group_graph(subtrees[:1], gamma, used, vp)
-        rest = group_graph(subtrees[1:], gamma, used, vp)
-        return convert(*subtrees[0], first), chain(subtrees[1:], rest, vp)
+        first = group_graph(nodes[:1], gamma, used, vp)
+        rest = group_graph(nodes[1:], gamma, used, vp)
+        return convert(nodes[0], first), chain(nodes[1:], rest, vp)
 
-    def chain(subtrees: list, gamma: SourcedGraph, vp: frozenset) -> RecTreeDec:
-        if not subtrees:
+    def chain(nodes: list, gamma: SourcedGraph, vp: frozenset) -> RecTreeDec:
+        if not nodes:
             return REC_TREE_EMPTY
-        if len(subtrees) == 1:
-            return convert(*subtrees[0], gamma)
-        return RecTreeNode(gamma, gamma.sources, *split(subtrees, gamma, vp))
+        if len(nodes) == 1:
+            return convert(nodes[0], gamma)
+        return RecTreeNode(gamma, gamma.sources, *split(nodes, gamma, vp))
 
     if sg.is_empty():
         return REC_TREE_EMPTY
-    result = convert(dec.shape, root, sg)
+    result = convert(root, sg)
     got = _rec_width_raw(result)
     want = max((len(b) for b in bags.values()), default=0)
     if got != want:
@@ -698,7 +694,7 @@ def branch_to_recursive(dec: BranchDec, sg: SourcedGraph) -> RecBranchDec:
         return RecBranchLeaf(sg)
 
     def edges_below(v: int, parent: int) -> frozenset:
-        return frozenset(table[leaf] for leaf in _split_side(shape, v, parent) if leaf in table)
+        return frozenset(table[leaf] for leaf in _walk(shape, v, parent) if leaf in table)
 
     def down(v: int, parent: Optional[int], gamma: SourcedGraph) -> RecBranchDec:
         if v in table:
@@ -736,21 +732,6 @@ def _branch_split(gamma: SourcedGraph, e1: frozenset) -> tuple[SourcedGraph, Sou
     shared = v1 & v2
     return (SourcedGraph(g.subgraph(v1, e1), shared | (x & v1)),
             SourcedGraph(g.subgraph(v2, e2), shared | (x & v2)))
-
-
-def _split_side(shape: Graph, u: int, w: int) -> frozenset:
-    """Vertices on u's side after deleting the edge between u and w."""
-    side = set()
-    stack = [u]
-    seen = {u, w}
-    while stack:
-        v = stack.pop()
-        side.add(v)
-        for x in shape.neighbours(v):
-            if x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return frozenset(side)
 
 
 def branch_from_recursive(t: RecBranchDec) -> BranchDec:

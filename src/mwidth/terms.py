@@ -81,9 +81,6 @@ class Signature:
             raise TermError(f"unknown atom {name!r}")
         return self.atoms[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.atoms
-
     def leaf(self, c: Cospan, name: Optional[str] = None) -> Leaf:
         return Leaf(self.add_cospan(c, name))
 
@@ -423,7 +420,8 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
     if seed_translations and closed:
         from .graph import SourcedGraph
         from . import oracles, translate
-        from .decomp import branch_to_recursive, path_to_recursive, tree_to_recursive
+        from .decomp import (DecompositionError, _source_root, branch_to_recursive,
+                             path_to_recursive, tree_to_recursive)
         sg = SourcedGraph(g.apex, set(g.left))
         seeds = []
         try:
@@ -432,14 +430,13 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
                 seeds.append(translate.b_to_mdec(branch_to_recursive(bdec, sg), sg))
             elif shape == "right-tree":
                 _, tdec = oracles.exact_treewidth(g.apex)
-                bags = tdec.bag_map()
-                root = next(v for v in sorted(bags) if sg.sources <= bags[v])
+                root = _source_root(tdec, sg)
                 seeds.append(translate.t_to_mdec(tree_to_recursive(tdec, sg, root), sg))
             elif shape == "path":
                 _, pdec = oracles.exact_pathwidth(g.apex)
                 if pdec.bags and sg.sources <= pdec.bags[0]:
                     seeds.append(translate.p_to_mdec(path_to_recursive(pdec, sg), sg))
-        except (StopIteration, oracles.OracleError):
+        except (DecompositionError, oracles.OracleError):
             pass
         for tree2, sig2 in seeds:
             cand = (width(tree2, sig2), node_count(tree2), tree2)

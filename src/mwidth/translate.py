@@ -53,6 +53,7 @@ from .decomp import (
     _children,
     _rec_width_raw,
     _require,
+    _source_root,
 )
 from .graph import (
     FiniteMap,
@@ -122,14 +123,6 @@ def _check_epi_precondition(alpha: GraphMorphism, bags: list) -> None:
         raise TranslationError(f"identified vertices {bad[0]} and {bad[1]} share no bag")
 
 
-def _restrict_morphism(alpha: GraphMorphism, sub: SourcedGraph) -> GraphMorphism:
-    g = sub.graph
-    vmap = {v: alpha.vmap[v] for v in g.vertices}
-    emap = {e: alpha.emap[e] for e in g.edges}
-    image = alpha.codomain.subgraph(set(vmap.values()), set(emap.values()))
-    return GraphMorphism(g, image, vmap, emap)
-
-
 def epi_to_dec_tree(alpha: GraphMorphism, t: RecTreeDec) -> RecTreeDec:
     """Push a recursive tree decomposition through a graph epimorphism.
 
@@ -154,18 +147,19 @@ def _epi_to_dec(alpha: GraphMorphism, t):
 
 def _push(alpha: GraphMorphism, t):
     """Rebuild a recursive tree or path decomposition over the image of
-    `alpha`, restricted to each child's graph; a bag that grows is a BoundViolation."""
+    `alpha`: each node decomposes the image of its own graph, which at the
+    root is the whole codomain because `alpha` is onto there; a bag that
+    grows is a BoundViolation."""
     if isinstance(t, _EMPTY_NODES):
         return t
     bag = alpha.apply_vertices(t.bag)
     if len(bag) > len(t.bag):
         raise BoundViolation(f"pushing through an epimorphism enlarged bag {sorted(t.bag)}")
-    target = SourcedGraph(alpha.codomain, alpha.apply_vertices(t.graph.sources))
-    kids = []
-    for child in _children(t):
-        kids.append(child if isinstance(child, _EMPTY_NODES)
-                    else _push(_restrict_morphism(alpha, child.graph), child))
-    return type(t)(target, bag, *kids)
+    g = t.graph.graph
+    image = alpha.codomain.subgraph(alpha.apply_vertices(g.vertices),
+                                    {alpha.emap[e] for e in g.edges})
+    target = SourcedGraph(image, alpha.apply_vertices(t.graph.sources))
+    return type(t)(target, bag, *(_push(alpha, child) for child in _children(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +639,7 @@ def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
     witnesses: dict = {}
 
     # tree sandwich: tw <= mtwd <= 2 tw
-    rec_t = tree_to_recursive(tdec, sg, min(tdec.bag_map(), key=lambda i: i))
+    rec_t = tree_to_recursive(tdec, sg, _source_root(tdec, sg))
     term_t, sig_t = t_to_mdec(rec_t, sg)
     mtwd_upper = tm.width(term_t, sig_t)
     witnesses["tree_term"] = tm.tree_to_json(term_t)

@@ -432,3 +432,95 @@ def test_golden_json_and_dot(name, build, golden_json, golden_dot):
     assert json.dumps(decomposition_to_json(dec)) == golden_json
     assert decomposition_to_dot(dec) == golden_dot
     assert decomposition_from_json(json.loads(golden_json)) == dec
+
+
+# ---------------------------------------------------------------------------
+# Clause 3 of the classic validators against a pairwise reference.
+
+
+def _tree_path(shape: Graph, i: int, k: int) -> list:
+    prev = {i: None}
+    stack = [i]
+    while stack:
+        v = stack.pop()
+        for w in shape.neighbours(v):
+            if w not in prev:
+                prev[w] = v
+                stack.append(w)
+    path = [k]
+    while path[-1] != i:
+        path.append(prev[path[-1]])
+    return path
+
+
+def _pairwise_clause_3(nodes, bags, between) -> bool:
+    """Every bag between two bags holds what the two share."""
+    return all(bags[i] & bags[k] <= bags[j]
+               for i in nodes for k in nodes for j in between(i, k))
+
+
+def _random_bags(rng: random.Random, nodes, g: Graph) -> dict:
+    """Random bags that pass clauses 1 and 2 on `g`."""
+    bags = {i: {v for v in g.vertices if rng.random() < 0.4} for i in nodes}
+    for v in sorted(g.vertices):
+        if not any(v in b for b in bags.values()):
+            bags[rng.choice(nodes)].add(v)
+    for e in sorted(g.edges):
+        if not any(g.ends(e) <= b for b in bags.values()):
+            bags[rng.choice(nodes)] |= g.ends(e)
+    return bags
+
+
+def test_clause_3_agrees_with_a_pairwise_reference():
+    rng = random.Random(2026)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        g = random_graph(rng, max_v=5, max_e=5)
+        n = rng.randint(1, 6)
+        ids = rng.sample(range(20), n)  # node ids out of walk order
+        shape = Graph.from_edge_pairs(ids, [(ids[rng.randrange(j)], ids[j])
+                                            for j in range(1, n)])
+        bags = _random_bags(rng, ids, g)
+        want = _pairwise_clause_3(ids, bags, lambda i, k: _tree_path(shape, i, k))
+        chk = validate_tree_dec(TreeDec(shape, bags), g)
+        assert (chk.ok, chk.clause) == (want, "" if want else "3"), (shape, bags, g)
+        seen[want] += 1
+        pbags = _random_bags(rng, list(range(n)), g)
+        want = _pairwise_clause_3(range(n), pbags,
+                                  lambda i, k: range(min(i, k), max(i, k) + 1))
+        chk = validate_path_dec(PathDec([pbags[i] for i in range(n)]), g)
+        assert (chk.ok, chk.clause) == (want, "" if want else "3"), (pbags, g)
+        seen[want] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_clause_3_message_names_the_split_vertex():
+    g, dec = fig_style_graph_and_dec()
+    split_tree = TreeDec(dec.shape, {0: {0, 1, 2}, 1: {3}, 2: {2, 3, 4}})
+    assert validate_tree_dec(split_tree, g).message == \
+        "the bags holding vertex 2 are not connected"
+    split_path = PathDec([{0, 1}, {1, 2}, {0, 2, 3}])
+    assert validate_path_dec(split_path, path_graph(4)).message == \
+        "the bags holding vertex 0 are not connected"
+
+
+def test_tree_to_recursive_golden_three_children():
+    # the root 4 has children 1, 6 and 9, listed out of id order in the shape's
+    # edges; 1 goes left and 6, 9 are chained on the right in id order
+    g = Graph.from_edge_pairs(range(5), [(0, 1), (0, 2), (0, 3), (3, 4)])
+    shape = Graph.from_edge_pairs([1, 3, 4, 6, 9], [(4, 9), (6, 3), (4, 6), (4, 1)])
+    dec = TreeDec(shape, {4: {0}, 9: {0, 1}, 1: {0, 2}, 6: {0, 3}, 3: {3, 4}})
+    rec = tree_to_recursive(dec, SourcedGraph(g, {0}), 4)
+    empty = '{"kind": "rec-tree", "empty": true}'
+    leaf = ('{"kind": "rec-tree", "graph": %s, "bag": %s, "left": ' + empty
+            + ', "right": ' + empty + '}')
+    assert json.dumps(decomposition_to_json(rec)) == (
+        '{"kind": "rec-tree", "graph": {"v": [0, 1, 2, 3, 4], "e": [[0, 0, 1], [1, 0, 2], '
+        '[2, 0, 3], [3, 3, 4]], "s": [0]}, "bag": [0], "left": '
+        + leaf % ('{"v": [0, 2], "e": [[1, 0, 2]], "s": [0]}', "[0, 2]")
+        + ', "right": {"kind": "rec-tree", "graph": {"v": [0, 1, 3, 4], "e": [[0, 0, 1], '
+        '[2, 0, 3], [3, 3, 4]], "s": [0]}, "bag": [0], "left": {"kind": "rec-tree", '
+        '"graph": {"v": [0, 3, 4], "e": [[2, 0, 3], [3, 3, 4]], "s": [0]}, "bag": [0, 3], '
+        '"left": ' + leaf % ('{"v": [3, 4], "e": [[3, 3, 4]], "s": [3]}', "[3, 4]")
+        + ', "right": ' + empty + '}, "right": '
+        + leaf % ('{"v": [0, 1], "e": [[0, 0, 1]], "s": [0]}', "[0, 1]") + '}}')
