@@ -17,8 +17,10 @@ walker over that protocol; validation takes the local clauses of a
 family from one function per family.
 
 Each classic decomposition tree is walked once per question (`_walk`):
-clause 3, that the bags holding a vertex are connected, is one linear
-per-vertex test against the parent bag for trees and paths alike;
+the tree validator's walk both tells whether the shape is a tree and
+gives the parents for clause 3 (the bags holding a vertex are connected),
+which is one linear per-vertex test against the parent bag for trees and
+paths alike;
 `tree_to_recursive` reads children and subtree bags from one walk, and
 the branch code reads the side of a tree edge from a walk not crossing it.
 """
@@ -148,9 +150,13 @@ def _bags_connected(pairs: Iterable) -> Check:
 
 def validate_tree_dec(dec: TreeDec, g: Graph) -> Check:
     bags = dec.bag_map()
-    if not dec.shape.is_tree():
+    shape = dec.shape
+    # a tree: one walk reaches every node and |E| = |V| - 1, which leaves no
+    # room for a loop; the empty shape fails the edge count
+    parent = _walk(shape, min(shape.vertices)) if shape.vertices else {}
+    if len(parent) != len(shape.vertices) or len(shape.edges) != len(shape.vertices) - 1:
         return _fail("shape", "decomposition shape is not a tree")
-    if frozenset(bags) != dec.shape.vertices:
+    if frozenset(bags) != shape.vertices:
         return _fail("shape", "bag map is not total on the tree vertices")
     for i, b in bags.items():
         if not b <= g.vertices:
@@ -161,7 +167,6 @@ def validate_tree_dec(dec: TreeDec, g: Graph) -> Check:
     for e in sorted(g.edges):
         if not any(g.ends(e) <= b for b in bags.values()):
             return _fail("2", f"edge {e} has no bag containing both endpoints")
-    parent = _walk(dec.shape, min(bags))
     return _bags_connected((bags[i], bags.get(p, frozenset())) for i, p in parent.items())
 
 
@@ -635,10 +640,7 @@ def tree_from_recursive(t: RecTreeDec) -> TreeDec:
     _number(t, lambda i, node: bags.update({i: node.bag}), lambda i, j: edges.append((i, j)))
     if not bags:
         return TreeDec(Graph.discrete([0]), {0: frozenset()})
-    dec = TreeDec(Graph.from_edge_pairs(sorted(bags), edges), bags)
-    if max(len(b) for b in bags.values()) != _rec_width_raw(t):
-        raise BoundViolation("tree_from_recursive changed the width")
-    return dec
+    return TreeDec(Graph.from_edge_pairs(sorted(bags), edges), bags)
 
 
 def path_to_recursive(dec: PathDec, sg: SourcedGraph) -> RecPathDec:
@@ -667,11 +669,7 @@ def path_to_recursive(dec: PathDec, sg: SourcedGraph) -> RecPathDec:
 
 
 def path_from_recursive(t: RecPathDec) -> PathDec:
-    bags = _bags(t)
-    dec = PathDec(bags)
-    if max((len(b) for b in bags), default=0) != _rec_width_raw(t):
-        raise BoundViolation("path_from_recursive changed the width")
-    return dec
+    return PathDec(_bags(t))
 
 
 def branch_to_recursive(dec: BranchDec, sg: SourcedGraph) -> RecBranchDec:

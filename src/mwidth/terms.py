@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Union
 
 from . import cospan as cs
 from .cospan import Cospan
+from .graph import Graph
 
 
 class TermError(TypeError):
@@ -310,53 +311,78 @@ class SearchResult:
     exact: bool
 
 
-def _cospan_key(c: Cospan) -> tuple:
-    ends = tuple(sorted(tuple(sorted(c.apex.ends(e))) for e in c.apex.edges))
-    return (c.left, c.right, tuple(sorted(c.apex.vertices)), ends)
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def _tensor_splits(c: Cospan) -> Iterable[tuple[Cospan, Cospan]]:
-    comps = c.apex.connected_components()
-    if len(comps) < 2:
-        return
-    port_vs = list(c.left) + list(c.right)
+def _prefix_in(ports: tuple, mask: int) -> int:
+    """How many leading `ports` lie in `mask`; -1 if a later port does too."""
+    n = 0
+    while n < len(ports) and mask >> ports[n] & 1:
+        n += 1
+    return -1 if any(mask >> v & 1 for v in ports[n:]) else n
+
+
+def _tensor_split_states(state: tuple, ends_mask: list) -> Iterable[tuple[tuple, tuple]]:
+    """Tensor splits of a search state along unions of its components,
+    ordered by minimum vertex; the first factor takes a boundary prefix."""
+    vmask, emask, left, right = state
+    es = _bits(emask)
+    comps = []
+    rest = vmask
+    while rest:
+        comp = rest & -rest
+        grown = True
+        while grown:
+            grown = False
+            for e in es:
+                if ends_mask[e] & comp and ends_mask[e] & ~comp:
+                    comp |= ends_mask[e]
+                    grown = True
+        comps.append((comp, sum(1 << e for e in es if ends_mask[e] & comp)))
+        rest &= ~comp
     for mask in range(1, (1 << len(comps)) - 1):
-        vs1: set = set()
-        es1: set = set()
-        for i, (vs, es) in enumerate(comps):
-            if mask & (1 << i):
+        vs1 = es1 = 0
+        for i, (vs, e1) in enumerate(comps):
+            if mask >> i & 1:
                 vs1 |= vs
-                es1 |= es
-        # the first tensor factor must occupy a prefix of both boundaries
-        lsel = [v in vs1 for v in c.left]
-        rsel = [v in vs1 for v in c.right]
-        if lsel != sorted(lsel, reverse=True) or rsel != sorted(rsel, reverse=True):
-            continue
-        nl = sum(lsel)
-        nr = sum(rsel)
-        vs2 = c.apex.vertices - vs1
-        es2 = c.apex.edges - es1
-        g1 = Cospan(c.apex.subgraph(vs1, es1), c.left[:nl], c.right[:nr])
-        g2 = Cospan(c.apex.subgraph(vs2, es2), c.left[nl:], c.right[nr:])
-        yield cs._renumber(g1), cs._renumber(g2)
+                es1 |= e1
+        nl, nr = _prefix_in(left, vs1), _prefix_in(right, vs1)
+        if nl >= 0 and nr >= 0:
+            yield ((vs1, es1, left[:nl], right[:nr]),
+                   (vmask & ~vs1, emask & ~es1, left[nl:], right[nr:]))
 
 
-def _compose_splits(c: Cospan) -> Iterable[tuple[Cospan, int, Cospan]]:
-    edges = sorted(c.apex.edges)
-    if len(edges) < 2:
+def _compose_split_states(state: tuple, ends_mask: list) -> Iterable[tuple[tuple, int, tuple]]:
+    """Composition splits of a search state, one per proper edge bipartition
+    in counting order; the cut is the shared vertices, ascending."""
+    vmask, emask, left, right = state
+    es = _bits(emask)
+    if len(es) < 2:
         return
-    legged = frozenset(c.left) | frozenset(c.right)
-    free = [v for v in sorted(c.apex.vertices)
-            if v not in legged and not c.apex.incident_edges(v)]
-    for mask in range(1, (1 << len(edges)) - 1):
-        es1 = {edges[i] for i in range(len(edges)) if mask & (1 << i)}
-        es2 = set(edges) - es1
-        vs1 = set().union(*(c.apex.ends(e) for e in es1)) | set(c.left) | set(free)
-        vs2 = set().union(*(c.apex.ends(e) for e in es2)) | set(c.right)
-        cut = tuple(sorted(vs1 & vs2))
-        g1 = Cospan(c.apex.subgraph(vs1, es1), c.left, cut)
-        g2 = Cospan(c.apex.subgraph(vs2, es2), cut, c.right)
-        yield cs._renumber(g1), len(cut), cs._renumber(g2)
+    full = (1 << len(es)) - 1
+    # endpoint and edge masks of every subset of `es`, built by lowest bit
+    union = [0] * (full + 1)
+    edges = [0] * (full + 1)
+    for s in range(1, full + 1):
+        low = s & -s
+        e = es[low.bit_length() - 1]
+        union[s] = union[s ^ low] | ends_mask[e]
+        edges[s] = edges[s ^ low] | 1 << e
+    lmask = sum(1 << v for v in set(left))
+    rmask = sum(1 << v for v in set(right))
+    free = vmask & ~(lmask | rmask | union[full])
+    for s in range(1, full):
+        vs1 = union[s] | lmask | free
+        vs2 = union[full ^ s] | rmask
+        cut = tuple(_bits(vs1 & vs2))
+        yield (vs1, edges[s], left, cut), len(cut), (vs2, edges[full ^ s], cut, right)
 
 
 def _ranks_before(a: tuple, b: tuple) -> bool:
@@ -381,40 +407,71 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
     vertices), and, for closed-enough cospans, whole decompositions emitted
     by the graph-decomposition translations.  The result is an upper bound
     witness; `exact` says whether the space was exhausted within the budget.
+
+    A search state is a sub-cospan of the renumbered input, held as
+    (vertex mask, edge mask, left ports, right ports) over its apex.  The
+    memo key is the state's cospan renumbered order-preservingly, read
+    straight off the masks, so states that renumber alike share one entry.
+    A state's cospan and its atom are built only on a memo miss (and, for
+    right trees, for each atomic left factor).
     """
     if shape not in ("any", "right-tree", "path"):
         raise TermError(f"unknown search shape {shape!r}")
     sig = Signature()
     memo: dict[tuple, tuple[int, int, DecompTree]] = {}
+    keys: dict[tuple, tuple] = {}  # raw state -> memo key, each key computed once
     visited = 0
+    root = cs._renumber(g)
+    # root edge ids are 0..m-1: their sorted ends and their endpoint masks
+    ends = [tuple(sorted(root.apex.ends(e))) for e in range(len(root.apex.edges))]
+    ends_mask = [sum(1 << v for v in pts) for pts in ends]
 
-    def best(c: Cospan) -> tuple[int, int, DecompTree]:
+    def key_of(state: tuple) -> tuple:
+        """What `_renumber` makes of the state: its ports, vertex count and
+        sorted edge ends, in ranks within the vertex mask."""
+        vmask, emask, left, right = state
+        rank = {v: i for i, v in enumerate(_bits(vmask))}
+        es = sorted(tuple(rank[v] for v in ends[e]) for e in _bits(emask))
+        return tuple(rank[v] for v in left), tuple(rank[v] for v in right), len(rank), tuple(es)
+
+    def cospan_of(state: tuple) -> Cospan:
+        """The state's sub-cospan, renumbered order-preservingly."""
+        vmask, emask, left, right = state
+        rank = {v: i for i, v in enumerate(_bits(vmask))}
+        apex = Graph(range(len(rank)), {i: {rank[v] for v in ends[e]}
+                                        for i, e in enumerate(_bits(emask))})
+        return Cospan(apex, tuple(rank[v] for v in left), tuple(rank[v] for v in right))
+
+    def best(state: tuple) -> tuple[int, int, DecompTree]:
         nonlocal visited
-        key = _cospan_key(c)
+        key = keys.get(state)
+        if key is None:
+            key = keys[state] = key_of(state)
         if key in memo:
             return memo[key]
-        result = (cs.weight(c), 1, sig.leaf(c))
+        result = (state[0].bit_count(), 1, sig.leaf(cospan_of(state)))
         visited += 1
         if visited <= budget:
             if shape != "path":
-                for g1, g2 in _tensor_splits(c):
-                    (w1, n1, t1), (w2, n2, t2) = best(g1), best(g2)
+                for s1, s2 in _tensor_split_states(state, ends_mask):
+                    (w1, n1, t1), (w2, n2, t2) = best(s1), best(s2)
                     cand = (max(w1, w2), n1 + n2 + 1, Tensor(t1, t2))
                     if _ranks_before(cand, result):
                         result = cand
-            for g1, cut, g2 in _compose_splits(c):
+            for s1, cut, s2 in _compose_split_states(state, ends_mask):
                 if shape == "right-tree":
-                    w1, n1, t1 = cs.weight(g1), 1, sig.leaf(g1)
+                    w1, n1, t1 = s1[0].bit_count(), 1, sig.leaf(cospan_of(s1))
                 else:
-                    w1, n1, t1 = best(g1)
-                w2, n2, t2 = best(g2)
+                    w1, n1, t1 = best(s1)
+                w2, n2, t2 = best(s2)
                 cand = (max(w1, cut, w2), n1 + n2 + 1, Compose(t1, cut, t2))
                 if _ranks_before(cand, result):
                     result = cand
         memo[key] = result
         return result
 
-    found, found_sig = best(cs._renumber(g)), sig
+    found, found_sig = best(((1 << len(root.apex.vertices)) - 1, (1 << len(ends)) - 1,
+                             root.left, root.right)), sig
     closed = (g.right_arity == 0 and g.left == tuple(sorted(set(g.left)))
               and len(g.apex.vertices) <= 8 and len(g.apex.edges) <= 7)
     if seed_translations and closed:

@@ -577,6 +577,7 @@ class TheoremReport:
     mwd_lower_cert: int
     checks: list = field(default_factory=list)
     witnesses: dict = field(default_factory=dict)
+    mwd_search_exact: bool = False  # the shape="any" search exhausted its space
 
     @property
     def ok(self) -> bool:
@@ -596,10 +597,13 @@ class TheoremReport:
             "bounds": {
                 "mtwd": list(self.mtwd_interval()),
                 "mtwd_achieved": self.mtwd_upper,
+                "mtwd_lower_cert": self.mtwd_lower_cert,
                 "mpwd": self.mpwd,
                 "mwd": list(self.mwd_interval()),
                 "mwd_achieved": self.mwd_upper,
                 "mwd_search": self.mwd_search,
+                "mwd_search_exact": self.mwd_search_exact,
+                "mwd_lower_cert": self.mwd_lower_cert,
             },
             "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
                        for c in self.checks],
@@ -694,4 +698,5 @@ def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
         f"bw={bw} vs 2*searched width {2 * best.width} "
         f"(certificate width {cert_width})"))
     return TheoremReport(tw, pw, bw, mtwd_upper, mtwd_lower_cert, mpwd,
-                         mwd_upper, best.width, cert_width, checks, witnesses)
+                         mwd_upper, best.width, cert_width, checks, witnesses,
+                         mwd_search_exact=searched.exact)

@@ -74,6 +74,14 @@ def test_tree_dec_clause_diagnostics():
     not_tree = TreeDec(Graph.from_edge_pairs(range(3), [(0, 1), (1, 2), (0, 2)]),
                        {0: {0, 1, 2, 3, 4}, 1: {0}, 2: {0}})
     assert validate_tree_dec(not_tree, g).clause == "shape"
+    # |E| = |V| - 1 but disconnected, a loop, parallel edges, and no node at all
+    for shape in (Graph.from_edge_pairs(range(4), [(0, 1), (1, 2), (0, 2)]),
+                  Graph.from_edge_pairs(range(1), [(0, 0)]),
+                  Graph.from_edge_pairs(range(3), [(0, 1), (0, 1)]),
+                  Graph.empty()):
+        bags = {i: set(g.vertices) for i in shape.vertices}
+        chk = validate_tree_dec(TreeDec(shape, bags), g)
+        assert (chk.clause, chk.message) == ("shape", "decomposition shape is not a tree")
     with pytest.raises(DecompositionError):
         tree_dec_width(missing_edge, g)
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     cycle_graph,
@@ -12,6 +14,7 @@ from conftest import (
     path_graph,
 )
 from mwidth import (
+    Graph,
     Signature,
     SymbolicSignature,
     TermError,
@@ -281,6 +284,32 @@ def test_search_signature_holds_only_the_tree_atoms(shape):
             res = bounded_mwd_search(g, shape=shape, budget=budget, seed_translations=seeds)
             assert set(res.signature.atoms) == _leaf_names(res.tree), (name, budget, seeds)
             assert cospan_iso_eq(evaluate(res.tree, res.signature), g)
+
+
+@st.composite
+def small_cospans(draw):
+    """Up to 5 vertices with sparse ids, up to 6 edges (loops and parallel
+    edges allowed), and up to 3 ports a side, which may repeat vertices."""
+    vs = draw(st.lists(st.integers(0, 9), max_size=5, unique=True))
+    if not vs:
+        return cs.Cospan(Graph.empty(), (), ())
+    vertex = st.sampled_from(vs)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    left, right = draw(st.lists(vertex, max_size=3)), draw(st.lists(vertex, max_size=3))
+    return cs.Cospan(Graph.from_edge_pairs(vs, pairs), tuple(left), tuple(right))
+
+
+@settings(derandomize=True, deadline=None)
+@given(small_cospans())
+def test_search_terms_evaluate_back_to_their_cospan(g):
+    for shape in ("any", "right-tree", "path"):
+        for budget in (4000, 3):
+            res = bounded_mwd_search(g, shape=shape, budget=budget)
+            assert cospan_iso_eq(evaluate(res.tree, res.signature), g)
+            assert width(res.tree, res.signature) == res.width
+            assert set(res.signature.atoms) == _leaf_names(res.tree)
+            assert shape != "path" or is_path(res.tree)
+            assert shape != "right-tree" or is_right_tree(res.tree)
 
 
 def test_symbolic_wiring_atoms_are_named_weighted_and_cached():

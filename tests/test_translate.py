@@ -411,6 +411,9 @@ def test_report_json_shape(k3):
     assert data["widths"] == {"tw": 3, "pw": 3, "bw": 2}
     assert data["bounds"]["mtwd"] == [3, 6]
     assert data["bounds"]["mpwd"] == 3
+    assert data["bounds"]["mtwd_lower_cert"] == 3
+    assert data["bounds"]["mwd_lower_cert"] == 2
+    assert data["bounds"]["mwd_search_exact"] is True
     assert {c["name"] for c in data["checks"]} >= {"tree-upper", "path-equality"}
     assert "tree_term" in data["witnesses"]
 
