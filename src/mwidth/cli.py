@@ -14,44 +14,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, NamedTuple
 
 from . import cospan as cs
 from . import oracles
 from . import terms as tm
 from . import translate as tr
 from .decomp import (
-    BranchDec,
     DecompositionError,
-    PathDec,
-    RecBranchDec,
-    RecPathDec,
-    RecTreeDec,
-    TreeDec,
-    branch_dec_width,
-    branch_to_recursive,
-    branch_from_recursive,
     decomposition_from_json,
     decomposition_to_dot,
     decomposition_to_json,
-    path_dec_width,
-    path_from_recursive,
-    path_to_recursive,
-    rec_branch_width,
-    rec_path_width,
-    rec_tree_width,
-    tree_dec_width,
-    tree_from_recursive,
-    tree_to_recursive,
-    validate_branch_dec,
-    validate_path_dec,
-    validate_rec_branch_dec,
-    validate_rec_path_dec,
-    validate_rec_tree_dec,
-    validate_tree_dec,
-    _source_root,
 )
 from .graph import GraphError, GraphParseError, SourcedGraph, parse_graph_text
+from .translate import _KINDS, _Kind
 
 
 class CliError(Exception):
@@ -85,37 +60,6 @@ def _decomposition_or_term(data):
     if isinstance(data, dict) and "term" in data:
         return tm.tree_from_json(data["term"]), tm.signature_from_json(data.get("signature"))
     return decomposition_from_json(data)
-
-
-class _Kind(NamedTuple):
-    """What the commands use of one decomposition kind."""
-
-    classic: type
-    rec: type
-    validate: Callable  # (classic, graph) -> Check
-    rec_validate: Callable  # (recursive, graph with sources) -> Check
-    width: Callable  # (classic, graph) -> int
-    rec_width: Callable  # recursive -> int
-    to_rec: Callable  # (classic, graph with sources) -> recursive
-    from_rec: Callable  # recursive -> classic
-    to_term: Callable  # (recursive, graph with sources) -> (term, signature)
-    from_term: Callable  # (term, signature) -> recursive
-    oracle: Callable  # graph -> (width, classic witness)
-
-
-_KINDS = {
-    "tree": _Kind(TreeDec, RecTreeDec, validate_tree_dec, validate_rec_tree_dec,
-                  tree_dec_width, rec_tree_width,
-                  lambda dec, sg: tree_to_recursive(dec, sg, _source_root(dec, sg)),
-                  tree_from_recursive, tr.t_to_mdec, tr.m_to_tdec, oracles.exact_treewidth),
-    "path": _Kind(PathDec, RecPathDec, validate_path_dec, validate_rec_path_dec,
-                  path_dec_width, rec_path_width, path_to_recursive, path_from_recursive,
-                  tr.p_to_mdec, tr.m_to_pdec, oracles.exact_pathwidth),
-    "branch": _Kind(BranchDec, RecBranchDec, validate_branch_dec, validate_rec_branch_dec,
-                    branch_dec_width, rec_branch_width, branch_to_recursive,
-                    branch_from_recursive, tr.b_to_mdec, tr.m_to_bdec,
-                    oracles.exact_branchwidth),
-}
 
 
 def _kind_of(dec) -> tuple[str, _Kind, bool]:

@@ -22,7 +22,7 @@ gives the parents for clause 3 (the bags holding a vertex are connected),
 which is one linear per-vertex test against the parent bag for trees and
 paths alike;
 `tree_to_recursive` reads children and subtree bags from one walk, and
-the branch code reads the side of a tree edge from a walk not crossing it.
+`branch_dec_width` the leaf edges below every node from one rooted walk.
 """
 
 from __future__ import annotations
@@ -231,8 +231,17 @@ def edge_order(dec: BranchDec, g: Graph, e: int) -> int:
 
 
 def branch_dec_width(dec: BranchDec, g: Graph) -> int:
+    """Largest edge order; a node's side of its parent edge is the leaves below it."""
     _require(validate_branch_dec(dec, g), "branch")
-    return max((edge_order(dec, g, e) for e in sorted(dec.shape.edges)), default=0)
+    shape, table = dec.shape, dec.leaf_table()
+    parent = _walk(shape, min(shape.vertices)) if shape.vertices else {}
+    below = {v: {table[v]} if v in table else set() for v in parent}
+    for v in reversed(parent):
+        if parent[v] is not None:
+            below[parent[v]] |= below[v]
+    every = set(table.values())
+    return max((len(ends_of_edge_set(g, side) & ends_of_edge_set(g, every - side))
+                for side in below.values()), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .decomp import (
     path_from_recursive,
     tree_from_recursive,
 )
-from .graph import Graph, SourcedGraph, UnionFind, canonical_key, ends_of_edge_set
+from .graph import Graph, SourcedGraph, canonical_key, ends_of_edge_set
 
 
 class OracleError(ValueError):
@@ -52,27 +52,11 @@ def _outside_components(g: Graph, vs: frozenset, es: frozenset,
 
     An edge is outside when its endpoints are not all inside the bag; a
     vertex is outside when it is not in the bag.  Each component comes
-    with its bag anchors included (vertices shared with the bag).
+    with its bag anchors included (vertices shared with the bag); they are
+    sorted by smallest vertex, then by smallest outside vertex.
     """
-    outside_edges = {e for e in es if not g.ends(e) <= bag}
-    outside_vertices = vs - bag
-    uf = UnionFind(outside_vertices)
-    for e in sorted(outside_edges):
-        # an outside edge always has at least one endpoint off the bag
-        out = [v for v in sorted(g.ends(e)) if v not in bag]
-        for v in out[1:]:
-            uf.union(out[0], v)
-    comp_edges: dict[int, set] = {}
-    comp_verts: dict[int, set] = {}
-    for v in outside_vertices:
-        comp_verts.setdefault(uf.find(v), set()).add(v)
-    for e in sorted(outside_edges):
-        out = [v for v in sorted(g.ends(e)) if v not in bag]
-        root = uf.find(out[0])
-        comp_edges.setdefault(root, set()).add(e)
-        comp_verts.setdefault(root, set()).update(g.ends(e))
-    comps = [(frozenset(comp_verts[r]), frozenset(comp_edges.get(r, set())))
-             for r in comp_verts]
+    outside = Graph(vs - bag, {e: g.ends(e) - bag for e in es if not g.ends(e) <= bag})
+    comps = [(cv | ends_of_edge_set(g, ce), ce) for cv, ce in outside.connected_components()]
     comps.sort(key=lambda c: min(c[0]))
     return comps
 

@@ -16,7 +16,9 @@ from typing import Iterable, Optional, Union
 
 from . import cospan as cs
 from .cospan import Cospan
-from .graph import Graph
+from .decomp import DecompositionError
+from .graph import Graph, SourcedGraph
+from .oracles import OracleError
 
 
 class TermError(TypeError):
@@ -404,9 +406,9 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
 
     The space covers the atomic leaf, tensor splits along disjoint apex
     parts, composition splits induced by edge bipartitions (cut = shared
-    vertices), and, for closed-enough cospans, whole decompositions emitted
-    by the graph-decomposition translations.  The result is an upper bound
-    witness; `exact` says whether the space was exhausted within the budget.
+    vertices), and, for closed-enough cospans, the `translate._optimal_term`
+    of the shape's kind.  The result is an upper bound witness; `exact` says
+    whether the space was exhausted within the budget.
 
     A search state is a sub-cospan of the renumbered input, held as
     (vertex mask, edge mask, left ports, right ports) over its apex.  The
@@ -475,27 +477,13 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
     closed = (g.right_arity == 0 and g.left == tuple(sorted(set(g.left)))
               and len(g.apex.vertices) <= 8 and len(g.apex.edges) <= 7)
     if seed_translations and closed:
-        from .graph import SourcedGraph
-        from . import oracles, translate
-        from .decomp import (DecompositionError, _source_root, branch_to_recursive,
-                             path_to_recursive, tree_to_recursive)
-        sg = SourcedGraph(g.apex, set(g.left))
-        seeds = []
+        from .translate import _optimal_term
+        kind = {"any": "branch", "right-tree": "tree", "path": "path"}[shape]
         try:
-            if shape == "any":
-                _, bdec = oracles.exact_branchwidth(g.apex)
-                seeds.append(translate.b_to_mdec(branch_to_recursive(bdec, sg), sg))
-            elif shape == "right-tree":
-                _, tdec = oracles.exact_treewidth(g.apex)
-                root = _source_root(tdec, sg)
-                seeds.append(translate.t_to_mdec(tree_to_recursive(tdec, sg, root), sg))
-            elif shape == "path":
-                _, pdec = oracles.exact_pathwidth(g.apex)
-                if pdec.bags and sg.sources <= pdec.bags[0]:
-                    seeds.append(translate.p_to_mdec(path_to_recursive(pdec, sg), sg))
-        except (DecompositionError, oracles.OracleError):
+            _, tree2, sig2 = _optimal_term(kind, SourcedGraph(g.apex, set(g.left)))
+        except (DecompositionError, OracleError):
             pass
-        for tree2, sig2 in seeds:
+        else:
             cand = (width(tree2, sig2), node_count(tree2), tree2)
             if _ranks_before(cand, found):
                 found, found_sig = cand, sig2

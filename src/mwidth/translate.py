@@ -20,13 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import cospan as cs
+from . import oracles
 from . import terms as tm
 from .cospan import Cospan
 from .decomp import (
     BoundViolation,
+    BranchDec,
+    PathDec,
     RecBranchDec,
     RecBranchEmpty,
     RecBranchLeaf,
@@ -39,14 +42,25 @@ from .decomp import (
     RecTreeNode,
     REC_PATH_EMPTY,
     REC_TREE_EMPTY,
+    TreeDec,
     branch_dec_width,
     branch_from_recursive,
     branch_to_recursive,
+    path_dec_width,
+    path_from_recursive,
     path_to_recursive,
+    rec_branch_width,
+    rec_path_width,
+    rec_tree_width,
+    tree_dec_width,
+    tree_from_recursive,
     tree_to_recursive,
+    validate_branch_dec,
+    validate_path_dec,
     validate_rec_branch_dec,
     validate_rec_path_dec,
     validate_rec_tree_dec,
+    validate_tree_dec,
     _EMPTY_NODES,
     _bags,
     _branch_split,
@@ -552,6 +566,48 @@ def _m2b(d: DecompTree, sig: Signature, phi_v: FiniteMap,
 
 
 # ---------------------------------------------------------------------------
+# The decomposition kinds.
+
+
+class _Kind(NamedTuple):
+    """What the CLI, theorem checks and search seeds use of one kind."""
+
+    classic: type
+    rec: type
+    validate: Callable  # (classic, graph) -> Check
+    rec_validate: Callable  # (recursive, graph with sources) -> Check
+    width: Callable  # (classic, graph) -> int
+    rec_width: Callable  # recursive -> int
+    to_rec: Callable  # (classic, graph with sources) -> recursive
+    from_rec: Callable  # recursive -> classic
+    to_term: Callable  # (recursive, graph with sources) -> (term, signature)
+    from_term: Callable  # (term, signature) -> recursive
+    oracle: Callable  # graph -> (width, classic witness)
+
+
+_KINDS = {
+    "tree": _Kind(TreeDec, RecTreeDec, validate_tree_dec, validate_rec_tree_dec,
+                  tree_dec_width, rec_tree_width,
+                  lambda dec, sg: tree_to_recursive(dec, sg, _source_root(dec, sg)),
+                  tree_from_recursive, t_to_mdec, m_to_tdec, oracles.exact_treewidth),
+    "path": _Kind(PathDec, RecPathDec, validate_path_dec, validate_rec_path_dec,
+                  path_dec_width, rec_path_width, path_to_recursive, path_from_recursive,
+                  p_to_mdec, m_to_pdec, oracles.exact_pathwidth),
+    "branch": _Kind(BranchDec, RecBranchDec, validate_branch_dec, validate_rec_branch_dec,
+                    branch_dec_width, rec_branch_width, branch_to_recursive,
+                    branch_from_recursive, b_to_mdec, m_to_bdec,
+                    oracles.exact_branchwidth),
+}
+
+
+def _optimal_term(kind: str, sg: SourcedGraph) -> tuple[int, DecompTree, Signature]:
+    """Exact `kind` width of `sg`'s graph and the term of its oracle's witness."""
+    k = _KINDS[kind]
+    w, dec = k.oracle(sg.graph)
+    return (w, *k.to_term(k.to_rec(dec, sg), sg))
+
+
+# ---------------------------------------------------------------------------
 # Theorem checks.
 
 
@@ -621,8 +677,8 @@ class TheoremReport:
 def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
     """Verify the three width correspondences on one graph.
 
-    Upper bounds come from translating optimal recursive decompositions;
-    lower bounds from translating the best searched terms back into
+    Widths and upper bounds come from `_optimal_term` for each kind; lower
+    bounds from translating the best searched terms back into
     decompositions whose validity certifies them.
 
     ``branch-upper`` tests the literal ``mwd_upper <= bw + 1``.  It
@@ -632,19 +688,15 @@ def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
     is ``max(bw, 1) + 1``.  Its detail then names that guaranteed bound,
     which tells this gap from a broken sandwich.
     """
-    from . import oracles
-
-    tw, tdec = oracles.exact_treewidth(g)
-    pw, pdec = oracles.exact_pathwidth(g)
-    bw, bdec = oracles.exact_branchwidth(g)
     sg = SourcedGraph(g)
+    tw, term_t, sig_t = _optimal_term("tree", sg)
+    pw, term_p, sig_p = _optimal_term("path", sg)
+    bw, term_b, sig_b = _optimal_term("branch", sg)
     closed = cs.of_graph(g)
     checks: list = []
     witnesses: dict = {}
 
     # tree sandwich: tw <= mtwd <= 2 tw
-    rec_t = tree_to_recursive(tdec, sg, _source_root(tdec, sg))
-    term_t, sig_t = t_to_mdec(rec_t, sg)
     mtwd_upper = tm.width(term_t, sig_t)
     witnesses["tree_term"] = tm.tree_to_json(term_t)
     cert_t = m_to_tdec(term_t, sig_t)
@@ -656,8 +708,6 @@ def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
         f"tw={tw} vs certified decomposition width {mtwd_lower_cert}"))
 
     # path equality: mpwd == pw
-    rec_p = path_to_recursive(pdec, sg)
-    term_p, sig_p = p_to_mdec(rec_p, sg)
     searched_p = tm.bounded_mwd_search(closed, shape="path", budget=budget,
                                        seed_translations=False)
     mpwd = min(tm.width(term_p, sig_p), searched_p.width)
@@ -674,8 +724,6 @@ def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
     # branch sandwich: bw/2 <= mwd <= bw + 1.  branch-upper checks the
     # literal bw + 1, so it fails at bw = 0 with a proper edge, where the
     # guaranteed bound is max(bw, 1) + 1
-    rec_b = branch_to_recursive(bdec, sg)
-    term_b, sig_b = b_to_mdec(rec_b, sg)
     mwd_upper = tm.width(term_b, sig_b)
     witnesses["branch_term"] = tm.tree_to_json(term_b)
     searched = tm.bounded_mwd_search(closed, shape="any", budget=budget,

@@ -207,6 +207,31 @@ def test_branch_exhaustive_small(p3):
                 assert branch_dec_width(back, g) <= rec_branch_width(rec)
 
 
+def _largest_edge_order(dec: BranchDec, g: Graph) -> int:
+    return max((edge_order(dec, g, e) for e in dec.shape.edges), default=0)
+
+
+def test_branch_dec_width_is_the_largest_edge_order():
+    rng = random.Random(71)
+    trees = {m: list(_leaf_trees(m)) for m in range(1, 8)}
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        g = Graph.from_edge_pairs(range(n), [(rng.randrange(n), rng.randrange(n))
+                                             for _ in range(rng.randint(1, 7))])
+        shape, table = rng.choice(trees[len(g.edges)])
+        # fresh node ids move the walk's root; shuffled edges move the leaves
+        ids = dict(zip(sorted(shape.vertices), rng.sample(range(40), len(shape.vertices))))
+        edges = rng.sample(sorted(g.edges), len(g.edges))
+        shape = Graph(ids.values(), {e: {ids[v] for v in shape.ends(e)} for e in shape.edges})
+        dec = BranchDec(shape, {ids[leaf]: edges[i] for leaf, i in table.items()})
+        assert branch_dec_width(dec, g) == _largest_edge_order(dec, g), (g, dec)
+    g = Graph.from_edge_pairs(range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (1, 1)])
+    for shape, table in _leaf_trees(5):
+        dec = BranchDec(shape, table)
+        assert branch_dec_width(dec, g) == _largest_edge_order(dec, g), dec
+    assert branch_dec_width(BranchDec(Graph.empty(), {}), Graph.discrete([0])) == 0
+
+
 def _branch_paths(t, prefix=()):
     yield prefix
     if isinstance(t, RecBranchNode):

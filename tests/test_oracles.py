@@ -5,7 +5,9 @@ import pytest
 from conftest import cycle_graph, k, path_graph, random_graph
 from mwidth import (
     Graph,
+    PathDec,
     SourcedGraph,
+    TreeDec,
     WidthCache,
     canonical_key,
     enumerate_graphs,
@@ -170,3 +172,30 @@ def test_oracle_minima_match_enumerated_decompositions():
         best_p = min(path_dec_width(d, g) for d in all_path_decs(g))
         assert tw == best_t, g
         assert pw == best_p, g
+
+
+def _relabelled(dec, ids: list):
+    """A witness over vertices 0..n-1 with each vertex i renamed ids[i]."""
+    if isinstance(dec, TreeDec):
+        return TreeDec(dec.shape, {i: {ids[v] for v in b} for i, b in dec.bags})
+    if isinstance(dec, PathDec):
+        return PathDec({ids[v] for v in b} for b in dec.bags)
+    return dec  # a branch witness names edges, which keep their ids
+
+
+def test_oracle_witnesses_follow_vertex_order():
+    # from id 8 on a small frozenset no longer iterates in id order, so a
+    # witness that followed set order would not follow the ids
+    rng = random.Random(59)
+    graphs = [Graph([3, 7, 11], {0: {11, 3}, 1: {3, 7}})]
+    for _ in range(100):
+        ids = sorted(rng.sample(range(8, 60), rng.randint(1, 7)))
+        pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 7))]
+        graphs.append(Graph.from_edge_pairs(ids, pairs))
+    for g in graphs:
+        ids = sorted(g.vertices)
+        rank = {v: i for i, v in enumerate(ids)}
+        small = Graph(range(len(ids)), {e: {rank[v] for v in g.ends(e)} for e in g.edges})
+        for oracle in (exact_treewidth, exact_pathwidth, exact_branchwidth):
+            w, dec = oracle(small)
+            assert oracle(g) == (w, _relabelled(dec, ids)), (oracle.__name__, g)

@@ -16,6 +16,7 @@ from conftest import (
 from mwidth import (
     Graph,
     Signature,
+    SourcedGraph,
     SymbolicSignature,
     TermError,
     bounded_mwd_search,
@@ -26,6 +27,7 @@ from mwidth import (
     is_right_tree,
     node_weights,
     of_graph,
+    signature_to_json,
     tree_from_json,
     tree_to_json,
     weight,
@@ -284,6 +286,26 @@ def test_search_signature_holds_only_the_tree_atoms(shape):
             res = bounded_mwd_search(g, shape=shape, budget=budget, seed_translations=seeds)
             assert set(res.signature.atoms) == _leaf_names(res.tree), (name, budget, seeds)
             assert cospan_iso_eq(evaluate(res.tree, res.signature), g)
+
+
+def _search_outcome(g, shape: str, seeds: bool) -> tuple:
+    res = bounded_mwd_search(g, shape=shape, seed_translations=seeds)
+    return tree_serial(res.tree), res.width, res.exact, signature_to_json(res.signature)
+
+
+def test_path_seed_needs_the_sources_in_the_first_bag():
+    # the path oracle's witness for 0-1-2 starts with the bag {0, 1}, so
+    # with a source outside it there is no path seed and the search stands
+    p3 = path_graph(3)
+    for sources in ({2}, {0, 2}):
+        g = cs.from_sourced(SourcedGraph(p3, sources))
+        assert _search_outcome(g, "path", True) == _search_outcome(g, "path", False)
+    g = cs.from_sourced(SourcedGraph(p3, {0}))
+    assert _search_outcome(g, "path", True) != _search_outcome(g, "path", False)
+    # on the empty cospan each seed ties the searched leaf and loses
+    for shape in ("any", "right-tree", "path"):
+        assert _search_outcome(of_graph(Graph.empty()), shape, True) == \
+            _search_outcome(of_graph(Graph.empty()), shape, False)
 
 
 @st.composite
