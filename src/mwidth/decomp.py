@@ -487,11 +487,12 @@ def validate_rec_branch_dec(t: RecBranchDec, sg: SourcedGraph) -> Check:
 
 def _bags(t: Union[RecTreeDec, RecPathDec]) -> list:
     """Bags of a recursive tree or path decomposition, pre-order."""
-    if isinstance(t, _EMPTY_NODES):
-        return []
-    bags = [t.bag]
-    for child in _children(t):
-        bags += _bags(child)
+    bags, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, _EMPTY_NODES):
+            bags.append(node.bag)
+            stack.extend(reversed(_children(node)))
     return bags
 
 

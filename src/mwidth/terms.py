@@ -208,20 +208,30 @@ def is_path(d: DecompTree) -> bool:
 
 def evaluate(d: DecompTree, sig: Signature, _path: str = "") -> Cospan:
     """Fold the term back into the category; every atom must carry a cospan."""
+    return _fold(d, sig, _path, {})
+
+
+def _fold(d: DecompTree, sig: Signature, path: str, nodes: dict) -> Cospan:
+    """`evaluate`, recording in `nodes`, by `id(node)`, each node's cospan and
+    the apex maps of its two factors into it (None at a leaf)."""
     if isinstance(d, Leaf):
         a = sig.atom(d.atom)
         if a.cospan is None:
-            raise TermError(f"atom {d.atom!r} at {_path or 'root'} has no cospan binding")
-        return a.cospan
-    left = evaluate(d.left, sig, _path + "L")
-    right = evaluate(d.right, sig, _path + "R")
-    if isinstance(d, Tensor):
-        return cs.tensor(left, right)
-    if left.right_arity != d.cut or right.left_arity != d.cut:
-        raise TermError(
-            f"cut mismatch at node {_path or 'root'}: "
-            f"{left.right_arity} -> [{d.cut}] -> {right.left_arity}")
-    return cs.compose(left, right)
+            raise TermError(f"atom {d.atom!r} at {path or 'root'} has no cospan binding")
+        out = a.cospan, None, None
+    else:
+        left = _fold(d.left, sig, path + "L", nodes)
+        right = _fold(d.right, sig, path + "R", nodes)
+        if isinstance(d, Tensor):
+            out = cs.tensor_with_maps(left, right)
+        elif left.right_arity != d.cut or right.left_arity != d.cut:
+            raise TermError(
+                f"cut mismatch at node {path or 'root'}: "
+                f"{left.right_arity} -> [{d.cut}] -> {right.left_arity}")
+        else:
+            out = cs.compose_with_maps(left, right)
+    nodes[id(d)] = out
+    return out[0]
 
 
 def flatten_path(d: DecompTree) -> list[tuple]:
@@ -387,13 +397,26 @@ def _compose_split_states(state: tuple, ends_mask: list) -> Iterable[tuple[tuple
         yield (vs1, edges[s], left, cut), len(cut), (vs2, edges[full ^ s], cut, right)
 
 
-def _ranks_before(a: tuple, b: tuple) -> bool:
-    """Whether the (width, node count, tree) triple `a` ranks strictly before
-    `b`: lower width, then fewer nodes, then the smaller `tree_serial`, which
-    is only computed on a tie of the first two."""
-    if a[:2] != b[:2]:
-        return a[:2] < b[:2]
-    return tree_serial(a[2]) < tree_serial(b[2])
+class _Incumbent:
+    """The best (width, node count, tree) triple offered: lower width, then
+    fewer nodes, then the smaller `tree_serial`, which is computed only on a
+    tie of the first two, and for the incumbent once."""
+
+    def __init__(self, first: tuple):
+        self.best, self.serial = first, None
+
+    def offer(self, cand: tuple) -> bool:
+        """Take `cand` if it ranks strictly before the incumbent."""
+        serial = None
+        if cand[:2] == self.best[:2]:
+            self.serial = self.serial or tree_serial(self.best[2])
+            serial = tree_serial(cand[2])
+            if serial >= self.serial:
+                return False
+        elif cand[:2] > self.best[:2]:
+            return False
+        self.best, self.serial = cand, serial
+        return True
 
 
 def _leaf_atoms(d: DecompTree) -> set:
@@ -451,26 +474,22 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
             key = keys[state] = key_of(state)
         if key in memo:
             return memo[key]
-        result = (state[0].bit_count(), 1, sig.leaf(cospan_of(state)))
+        result = _Incumbent((state[0].bit_count(), 1, sig.leaf(cospan_of(state))))
         visited += 1
         if visited <= budget:
             if shape != "path":
                 for s1, s2 in _tensor_split_states(state, ends_mask):
                     (w1, n1, t1), (w2, n2, t2) = best(s1), best(s2)
-                    cand = (max(w1, w2), n1 + n2 + 1, Tensor(t1, t2))
-                    if _ranks_before(cand, result):
-                        result = cand
+                    result.offer((max(w1, w2), n1 + n2 + 1, Tensor(t1, t2)))
             for s1, cut, s2 in _compose_split_states(state, ends_mask):
                 if shape == "right-tree":
                     w1, n1, t1 = s1[0].bit_count(), 1, sig.leaf(cospan_of(s1))
                 else:
                     w1, n1, t1 = best(s1)
                 w2, n2, t2 = best(s2)
-                cand = (max(w1, cut, w2), n1 + n2 + 1, Compose(t1, cut, t2))
-                if _ranks_before(cand, result):
-                    result = cand
-        memo[key] = result
-        return result
+                result.offer((max(w1, cut, w2), n1 + n2 + 1, Compose(t1, cut, t2)))
+        memo[key] = result.best
+        return result.best
 
     found, found_sig = best(((1 << len(root.apex.vertices)) - 1, (1 << len(ends)) - 1,
                              root.left, root.right)), sig
@@ -485,7 +504,7 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
             pass
         else:
             cand = (width(tree2, sig2), node_count(tree2), tree2)
-            if _ranks_before(cand, found):
+            if _Incumbent(found).offer(cand):
                 found, found_sig = cand, sig2
 
     w, _, tree = found

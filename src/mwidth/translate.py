@@ -10,6 +10,9 @@ theorems work:
 * recursive branch dec-> term               with width <= max(input width, 1) + 1;
 * term + glue map     -> recursive branch dec with width <= 2 * max(term width, arities).
 
+The term -> decomposition directions evaluate each subterm once and push
+each node once, so they are linear in the term.
+
 The bounds are hard postconditions (BoundViolation on failure).  The
 branch upper bound carries a floor of one because a term for a graph with
 a real edge always contains a two-vertex apex, whatever the decomposition
@@ -129,7 +132,10 @@ def _first_bad_pair(mapping: dict, ok) -> Optional[tuple]:
     return None
 
 
-def _check_epi_precondition(alpha: GraphMorphism, bags: list) -> None:
+def _check_epi(alpha: GraphMorphism, t, bags: list) -> None:
+    """Preconditions for pushing the non-empty `t` through `alpha`, given `bags`."""
+    if alpha.domain != t.graph.graph:
+        raise TranslationError("the morphism domain is not the decomposed graph")
     if not is_epimorphism(alpha):
         raise TranslationError("the morphism is not an epimorphism")
     bad = _first_bad_pair(alpha.vmap, lambda v, w: any(v in b and w in b for b in bags))
@@ -153,27 +159,49 @@ def epi_to_dec_path(alpha: GraphMorphism, t: RecPathDec) -> RecPathDec:
 def _epi_to_dec(alpha: GraphMorphism, t):
     if isinstance(t, _EMPTY_NODES):
         return t
-    if alpha.domain != t.graph.graph:
-        raise TranslationError("the morphism domain is not the decomposed graph")
-    _check_epi_precondition(alpha, _bags(t))
-    return _push(alpha, t)
+    _check_epi(alpha, t, _bags(t))
+    return _push(t, alpha.vmap, alpha.emap, alpha.codomain, {})
 
 
-def _push(alpha: GraphMorphism, t):
-    """Rebuild a recursive tree or path decomposition over the image of
-    `alpha`: each node decomposes the image of its own graph, which at the
-    root is the whole codomain because `alpha` is onto there; a bag that
-    grows is a BoundViolation."""
+def _push(t, vmap: dict, emap: dict, target: Graph, steps: dict):
+    """Rebuild a recursive tree or path decomposition over `target` through
+    the vertex and edge maps: each node decomposes the image of its own
+    graph, a subgraph of `target`, with the image of its bag and sources.
+
+    A child whose id is in `steps` is still in the coordinates of its own
+    factor: `steps[id(child)]` maps those into its parent's, and is composed
+    with the maps on the way down, so each node is rebuilt once.
+    """
     if isinstance(t, _EMPTY_NODES):
         return t
-    bag = alpha.apply_vertices(t.bag)
-    if len(bag) > len(t.bag):
-        raise BoundViolation(f"pushing through an epimorphism enlarged bag {sorted(t.bag)}")
-    g = t.graph.graph
-    image = alpha.codomain.subgraph(alpha.apply_vertices(g.vertices),
-                                    {alpha.emap[e] for e in g.edges})
-    target = SourcedGraph(image, alpha.apply_vertices(t.graph.sources))
-    return type(t)(target, bag, *(_push(alpha, child) for child in _children(t)))
+    g = t.graph
+    image = target.subgraph({vmap[v] for v in g.vertices}, {emap[e] for e in g.edges})
+    kids = []
+    for child in _children(t):
+        step = steps.get(id(child))
+        maps = (vmap, emap) if step is None else ({v: vmap[w] for v, w in step.vmap.items()},
+                                                  {e: emap[f] for e, f in step.emap.items()})
+        kids.append(_push(child, *maps, target, steps))
+    return type(t)(SourcedGraph(image, {vmap[v] for v in g.sources}),
+                   {vmap[v] for v in t.bag}, *kids)
+
+
+def _defer(alpha: GraphMorphism, t, steps: dict):
+    """Record the push of a factor's `t` through the composition epi `alpha`
+    for `_push`.  The checks run now, on the root bag alone: it holds the
+    factor's inner boundary image, and so every vertex `alpha` identifies."""
+    if not isinstance(t, _EMPTY_NODES):
+        _check_epi(alpha, t, [t.bag])
+        steps[id(t)] = alpha
+    return t
+
+
+def _settle(build, term, sig: Signature):
+    """`build` (`_m2t` or `_m2p`) on `term`, then every push it deferred, in one walk."""
+    steps: dict = {}
+    g, t = build(term, sig, steps)
+    return g, _push(t, {v: v for v in g.apex.vertices}, {e: e for e in g.apex.edges},
+                    g.apex, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +329,7 @@ def m_to_tdec(d: DecompTree, sig: Signature) -> RecTreeDec:
     (apex, image of the left leg) with width <= max(term width, image size).
     """
     _check_closed_term(d, sig, tm.is_right_tree, "right-tree")
-    cospan, t = _m2t(d, sig)
+    cospan, t = _settle(_m2t, d, sig)
     return _within(t, max(tm.width(d, sig), len(cospan.left_image())), "tree")
 
 
@@ -325,32 +353,31 @@ def _one_bag(sg: SourcedGraph, bag: frozenset, node: type, *empties):
     return empties[0] if sg.is_empty() else node(sg, bag, *empties)
 
 
-def _m2t(d: DecompTree, sig: Signature) -> tuple[Cospan, RecTreeDec]:
+def _m2t(d: DecompTree, sig: Signature, steps: dict) -> tuple[Cospan, RecTreeDec]:
+    """The term's cospan and a decomposition of it whose pushes into the
+    composite are recorded in `steps`, not done (see `_push`)."""
     if isinstance(d, Leaf):
         g = sig.atom(d.atom).cospan
         return g, _one_bag(SourcedGraph(g.apex, g.left_image()), g.apex.vertices,
                            RecTreeNode, REC_TREE_EMPTY, REC_TREE_EMPTY)
     if isinstance(d, Compose):
         h1 = sig.atom(d.left.atom).cospan
-        g2, t2 = _m2t(d.right, sig)
+        g2, t2 = _m2t(d.right, sig, steps)
         witness = epis_from_composition(h1, g2)
-        g = witness.composite
-        a1, a2 = witness.alpha1, witness.alpha2
-        t2p = epi_to_dec_tree(a2, t2)
-        v1 = frozenset(a1.vmap.values())
-        v2 = frozenset(a2.vmap.values())
+        g, a1, a2 = witness.composite, witness.alpha1, witness.alpha2
+        _defer(a2, t2, steps)
+        v1, v2 = a1.codomain.vertices, a2.codomain.vertices
         vp = g.left_image() | (v1 & v2)
-        left_graph = SourcedGraph(a1.image_subgraph(), v1 & vp)
-        left = _one_bag(left_graph, v1, RecTreeNode, REC_TREE_EMPTY, REC_TREE_EMPTY)
-        whole = SourcedGraph(g.apex, g.left_image())
-        return g, RecTreeNode(whole, vp, left, t2p)
-    # tensor: embed both parts and join under the boundary-image bag
-    g1, t1 = _m2t(d.left, sig)
-    g2, t2 = _m2t(d.right, sig)
+        left = _one_bag(SourcedGraph(a1.codomain, v1 & vp), v1,
+                        RecTreeNode, REC_TREE_EMPTY, REC_TREE_EMPTY)
+        return g, RecTreeNode(SourcedGraph(g.apex, g.left_image()), vp, left, t2)
+    # tensor: join both parts under the boundary image; the shared empty node takes no step
+    g1, t1 = _m2t(d.left, sig, steps)
+    g2, t2 = _m2t(d.right, sig, steps)
     g, i1, i2 = cs.tensor_with_maps(g1, g2)
-    t1p, t2p = _push(_onto_image(i1), t1), _push(_onto_image(i2), t2)
-    whole = SourcedGraph(g.apex, g.left_image())
-    return g, RecTreeNode(whole, g.left_image(), t1p, t2p)
+    steps.update((id(t), i) for t, i in ((t1, i1), (t2, i2))
+                 if not isinstance(t, _EMPTY_NODES))
+    return g, RecTreeNode(SourcedGraph(g.apex, g.left_image()), g.left_image(), t1, t2)
 
 
 # ---------------------------------------------------------------------------
@@ -392,25 +419,21 @@ def m_to_pdec(d: DecompTree, sig: Signature) -> RecPathDec:
     flattened first; width never increases.
     """
     _check_closed_term(d, sig, tm.is_path, "path")
-    flat = tm.flatten_path(d)
-    leaves = flat[0::2]
-    cospan, t = _m2p(leaves, sig)
+    cospan, t = _settle(_m2p, tm.flatten_path(d)[0::2], sig)
     return _within(t, tm.width(d, sig), "path")
 
 
-def _m2p(leaves: list, sig: Signature) -> tuple[Cospan, RecPathDec]:
-    g = sig.atom(leaves[0].atom).cospan
-    if len(leaves) == 1:
-        return g, _one_bag(SourcedGraph(g.apex, g.left_image()), g.apex.vertices,
-                           RecPathCons, REC_PATH_EMPTY)
-    g2, t2 = _m2p(leaves[1:], sig)
-    witness = epis_from_composition(g, g2)
-    comp = witness.composite
-    a1, a2 = witness.alpha1, witness.alpha2
-    t2p = epi_to_dec_path(a2, t2)
-    v1 = frozenset(a1.vmap.values())
-    whole = SourcedGraph(comp.apex, comp.left_image())
-    return comp, RecPathCons(whole, v1, t2p)
+def _m2p(leaves: list, sig: Signature, steps: dict) -> tuple[Cospan, RecPathDec]:
+    """`_m2t` for the composite of `leaves`, folded from the last leaf."""
+    g = sig.atom(leaves[-1].atom).cospan
+    t = _one_bag(SourcedGraph(g.apex, g.left_image()), g.apex.vertices,
+                 RecPathCons, REC_PATH_EMPTY)
+    for leaf in leaves[-2::-1]:
+        witness = epis_from_composition(sig.atom(leaf.atom).cospan, g)
+        g = witness.composite
+        t = RecPathCons(SourcedGraph(g.apex, g.left_image()),
+                        witness.alpha1.codomain.vertices, _defer(witness.alpha2, t, steps))
+    return g, t
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +529,8 @@ def m_to_bdec(d: DecompTree, sig: Signature,
     it may merge vertices only inside the boundary images (the glueing
     property).  Width is at most twice max(term width, boundary arities).
     """
-    h = tm.evaluate(d, sig)
+    nodes: dict = {}
+    h = tm._fold(d, sig, "", nodes)
     if phi is None:
         phi = FiniteMap({v: v for v in h.apex.vertices}, h.apex.vertices)
     if phi.domain != h.apex.vertices:
@@ -516,7 +540,7 @@ def m_to_bdec(d: DecompTree, sig: Signature,
         raise TranslationError(
             f"glue map identifies {bad[0]} and {bad[1]} outside the boundary")
     phi_e = {e: e for e in h.apex.edges}
-    t = _m2b(d, sig, phi, phi_e)
+    t = _m2b(d, nodes, phi, phi_e)
     target = _pushed_sourced(h, phi, phi_e)
     check = validate_rec_branch_dec(t, target)
     if not check:
@@ -536,17 +560,12 @@ def _left_comb_branch(sg: SourcedGraph) -> RecBranchDec:
     return RecBranchNode(sg, RecBranchLeaf(g1), _left_comb_branch(g2))
 
 
-def _m2b(d: DecompTree, sig: Signature, phi_v: FiniteMap,
-         phi_e: dict) -> RecBranchDec:
+def _m2b(d: DecompTree, nodes: dict, phi_v: FiniteMap, phi_e: dict) -> RecBranchDec:
+    """Node `d` through its glue map, from what `terms._fold` recorded in `nodes`."""
+    composite, m1, m2 = nodes[id(d)]
     if isinstance(d, Leaf):
-        h = sig.atom(d.atom).cospan
-        return _left_comb_branch(_pushed_sourced(h, phi_v, phi_e))
-    h1 = tm.evaluate(d.left, sig)
-    h2 = tm.evaluate(d.right, sig)
-    if isinstance(d, Compose):
-        composite, m1, m2 = cs.compose_with_maps(h1, h2)
-    else:
-        composite, m1, m2 = cs.tensor_with_maps(h1, h2)
+        return _left_comb_branch(_pushed_sourced(composite, phi_v, phi_e))
+    h1, h2 = nodes[id(d.left)][0], nodes[id(d.right)][0]
     phi1 = FiniteMap({v: phi_v(m1.vmap[v]) for v in h1.apex.vertices}, phi_v.codomain)
     phi2 = FiniteMap({v: phi_v(m2.vmap[v]) for v in h2.apex.vertices}, phi_v.codomain)
     pe1 = {e: phi_e[m1.emap[e]] for e in h1.apex.edges}
@@ -557,8 +576,8 @@ def _m2b(d: DecompTree, sig: Signature, phi_v: FiniteMap,
             raise BoundViolation(
                 f"induced glue map on the {side} factor identifies "
                 f"{bad[0]} and {bad[1]} outside its boundary")
-    t1 = _m2b(d.left, sig, phi1, pe1)
-    t2 = _m2b(d.right, sig, phi2, pe2)
+    t1 = _m2b(d.left, nodes, phi1, pe1)
+    t2 = _m2b(d.right, nodes, phi2, pe2)
     target = _pushed_sourced(composite, phi_v, phi_e)
     if isinstance(t1, RecBranchEmpty) and isinstance(t2, RecBranchEmpty):
         return RecBranchEmpty(target)

@@ -1,9 +1,14 @@
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import k, path_graph, random_graph
+from conftest import cycle_graph, k, path_graph, random_graph
 from mwidth import (
+    BranchDec,
     FiniteMap,
     Graph,
     GraphMorphism,
@@ -19,6 +24,7 @@ from mwidth import (
     check_theorems,
     copy_mdec,
     cospan_iso_eq,
+    decomposition_to_json,
     epi_to_dec_path,
     epi_to_dec_tree,
     epis_from_composition,
@@ -45,9 +51,11 @@ from mwidth import (
     width,
 )
 from mwidth import cospan as cs
+from mwidth import graph as graph_module
 from mwidth.decomp import RecBranchLeaf, RecBranchEmpty, RecTreeNode, REC_TREE_EMPTY
 from mwidth.oracles import optimal_rec_path_dec, optimal_rec_tree_dec
 from mwidth.terms import Leaf
+from mwidth.translate import _KINDS, _optimal_term
 
 
 # ---------------------------------------------------------------------------
@@ -443,3 +451,119 @@ def test_translation_bounds_exhaustive_small():
             assert width(term, sig) == w
             back = m_to_pdec(term, sig)
             assert rec_path_width(back) <= w
+
+
+# ---------------------------------------------------------------------------
+# term -> decomposition translations: pinned outputs, properties, growth.
+
+# sha256 (first 16 hex digits) of the sorted-key JSON of m_to_<kind> on the
+# term of the oracle's witness, and the width of that decomposition
+M_TO_PINS = {
+    ("P4", (), "tree"): ("66b6ddf138d90624", 2),
+    ("P4", (), "path"): ("2b36f8b343d08324", 2),
+    ("P4", (), "branch"): ("edd7f1915ef17054", 2),
+    ("P4", (0,), "tree"): ("fc0cdefd77ee1a54", 2),
+    ("P4", (0,), "path"): ("98780d48227354f6", 2),
+    ("P4", (0,), "branch"): ("d302ed1d401c4cb4", 2),
+    ("C5", (), "tree"): ("0ab6468da49a8f5e", 3),
+    ("C5", (), "path"): ("eee94f62aaadd89c", 3),
+    ("C5", (), "branch"): ("8787b8a2b1c90bc3", 3),
+    ("C5", (0,), "tree"): ("fe7e9ee7306b67b3", 3),
+    ("C5", (0,), "path"): ("02f39ffcad6ac3ec", 3),
+    ("C5", (0,), "branch"): ("c58fdb52c8af6212", 4),
+    ("K4", (), "tree"): ("985c7b06271de76a", 4),
+    ("K4", (), "path"): ("0348d690860e0532", 4),
+    ("K4", (), "branch"): ("a8224a045bd0be75", 4),
+    ("K4", (0,), "tree"): ("78b63577971a8fb6", 4),
+    ("K4", (0,), "path"): ("cb9e45084a89ecbb", 4),
+    ("K4", (0,), "branch"): ("b70914f20ac22616", 4),
+}
+NAMED = {"P4": path_graph(4), "C5": cycle_graph(5), "K4": k(4)}
+
+
+@pytest.mark.parametrize("name,sources,kind", sorted(M_TO_PINS),
+                         ids=[f"{n}-{set(s) or '{}'}-{k}" for n, s, k in sorted(M_TO_PINS)])
+def test_term_to_decomposition_golden_pins(name, sources, kind):
+    _, term, sig = _optimal_term(kind, SourcedGraph(NAMED[name], sources))
+    out = _KINDS[kind].from_term(term, sig)
+    text = json.dumps(decomposition_to_json(out), sort_keys=True, separators=(",", ":"))
+    got = (hashlib.sha256(text.encode()).hexdigest()[:16], _KINDS[kind].rec_width(out))
+    assert got == M_TO_PINS[name, sources, kind]
+
+
+@st.composite
+def small_sourced_graphs(draw):
+    """Up to 5 vertices with sparse ids, up to 5 edges (loops and parallel
+    edges allowed) and any set of sources."""
+    vs = draw(st.lists(st.integers(0, 9), max_size=5, unique=True))
+    if not vs:
+        return SourcedGraph(Graph.empty())
+    vertex = st.sampled_from(vs)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=5))
+    return SourcedGraph(Graph.from_edge_pairs(vs, pairs), draw(st.sets(vertex)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(small_sourced_graphs())
+def test_terms_translate_back_to_valid_decompositions_within_bounds(sg):
+    rec_tree = optimal_rec_tree_dec(sg)[1]
+    rec_path = optimal_rec_path_dec(sg)[1]
+    rec_branch = branch_to_recursive(exact_branchwidth(sg.graph)[1], sg)
+    for kind, rec in (("tree", rec_tree), ("path", rec_path), ("branch", rec_branch)):
+        term, sig = _KINDS[kind].to_term(rec, sg)
+        back = _KINDS[kind].from_term(term, sig)
+        h = evaluate(term, sig)
+        w = width(term, sig)
+        if kind == "branch":  # through the identity glue map
+            target = SourcedGraph(h.apex, h.left_image() | h.right_image())
+            bound = 2 * max(w, h.left_arity, h.right_arity)
+        else:
+            target = SourcedGraph(h.apex, h.left_image())
+            bound = max(w, len(h.left_image())) if kind == "tree" else w
+        assert _KINDS[kind].rec_validate(back, target), kind
+        assert _KINDS[kind].rec_width(back) <= bound, kind
+
+
+def _caterpillar(m: int) -> BranchDec:
+    """Branch decomposition of edges 0..m-1 (m >= 3) on a cubic caterpillar:
+    leaf i holds edge i, spine node m + j - 1 is the j-th of m - 2."""
+    spine = [m + j for j in range(m - 2)]
+    edges = [(spine[0], 0), (spine[0], 1), (spine[-1], m - 1)]
+    edges += [(a, b) for a, b in zip(spine, spine[1:])]
+    edges += [(spine[j], j + 1) for j in range(1, m - 2)]
+    return BranchDec(Graph.from_edge_pairs(range(2 * m - 2), edges), {i: i for i in range(m)})
+
+
+def _graphs_built(monkeypatch, fn, *args) -> int:
+    built = []
+    init = graph_module.Graph.__init__
+
+    def counting(self, *a, **kw):
+        built.append(None)
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(graph_module.Graph, "__init__", counting)
+    fn(*args)
+    monkeypatch.setattr(graph_module.Graph, "__init__", init)
+    return len(built)
+
+
+def _path_terms(n: int) -> dict:
+    """Terms for the path P_n from its chain tree, path and caterpillar
+    branch decompositions."""
+    sg = SourcedGraph(path_graph(n))
+    chain = [{i, i + 1} for i in range(n - 1)]
+    tdec = TreeDec(path_graph(n - 1), dict(enumerate(chain)))
+    return {"tree": t_to_mdec(tree_to_recursive(tdec, sg, 0), sg),
+            "path": p_to_mdec(path_to_recursive(PathDec(chain), sg), sg),
+            "branch": b_to_mdec(branch_to_recursive(_caterpillar(n - 1), sg), sg)}
+
+
+def test_term_to_decomposition_translations_grow_linearly(monkeypatch):
+    # each node is evaluated and pushed once, so doubling the path about
+    # doubles the graphs built (a quadratic translation gives about 4x)
+    terms = {n: _path_terms(n) for n in (40, 80)}
+    for kind, how in (("tree", m_to_tdec), ("path", m_to_pdec), ("branch", m_to_bdec),
+                      ("tree", m_to_bdec)):
+        built = [_graphs_built(monkeypatch, how, *terms[n][kind]) for n in (40, 80)]
+        assert built[1] / built[0] <= 2.5, (kind, how.__name__, built)
