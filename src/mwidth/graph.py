@@ -98,19 +98,7 @@ class Graph:
 
     def connected_components(self) -> list[tuple[frozenset, frozenset]]:
         """Components as (vertex set, edge set) pairs, sorted by minimum vertex."""
-        uf = UnionFind(self.vertices)
-        for pts in self._ends.values():
-            pts = sorted(pts)
-            uf.union(pts[0], pts[-1])
-        groups: dict[int, set] = {}
-        for v in self.vertices:
-            groups.setdefault(uf.find(v), set()).add(v)
-        comps = []
-        for vs in groups.values():
-            es = {e for e, pts in self._ends.items() if pts <= vs}
-            comps.append((frozenset(vs), frozenset(es)))
-        comps.sort(key=lambda c: min(c[0]))
-        return comps
+        return components(self.vertices, self._ends)
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -286,6 +274,22 @@ class UnionFind:
             ra, rb = rb, ra
         self.parent[rb] = ra
         return ra
+
+
+def components(vertices: Iterable[int],
+               ends: Mapping[int, frozenset]) -> list[tuple[frozenset, frozenset]]:
+    """Components of the graph on `vertices` whose edges have the endpoint
+    sets `ends`, as (vertex set, edge set) pairs sorted by minimum vertex."""
+    uf = UnionFind(vertices)
+    for pts in ends.values():
+        uf.union(min(pts), max(pts))
+    groups: dict[int, tuple[set, set]] = {}
+    for v in uf.parent:
+        groups.setdefault(uf.find(v), (set(), set()))[0].add(v)
+    for e, pts in ends.items():
+        groups[uf.find(min(pts))][1].add(e)
+    return sorted(((frozenset(vs), frozenset(es)) for vs, es in groups.values()),
+                  key=lambda c: min(c[0]))
 
 
 def ends_of_edge_set(g: Graph, es: Iterable[int]) -> frozenset:

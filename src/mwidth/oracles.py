@@ -29,7 +29,7 @@ from .decomp import (
     path_from_recursive,
     tree_from_recursive,
 )
-from .graph import Graph, SourcedGraph, canonical_key, ends_of_edge_set
+from .graph import Graph, SourcedGraph, canonical_key, components, ends_of_edge_set
 
 
 class OracleError(ValueError):
@@ -55,8 +55,8 @@ def _outside_components(g: Graph, vs: frozenset, es: frozenset,
     with its bag anchors included (vertices shared with the bag); they are
     sorted by smallest vertex, then by smallest outside vertex.
     """
-    outside = Graph(vs - bag, {e: g.ends(e) - bag for e in es if not g.ends(e) <= bag})
-    comps = [(cv | ends_of_edge_set(g, ce), ce) for cv, ce in outside.connected_components()]
+    outside = {e: g.ends(e) - bag for e in es if not g.ends(e) <= bag}
+    comps = [(cv | ends_of_edge_set(g, ce), ce) for cv, ce in components(vs - bag, outside)]
     comps.sort(key=lambda c: min(c[0]))
     return comps
 

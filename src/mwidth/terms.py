@@ -234,15 +234,6 @@ def _fold(d: DecompTree, sig: Signature, path: str, nodes: dict) -> Cospan:
     return out[0]
 
 
-def flatten_path(d: DecompTree) -> list[tuple]:
-    """Composition-only term as an alternating [leaf, cut, leaf, ...] list."""
-    if isinstance(d, Leaf):
-        return [d]
-    if isinstance(d, Tensor):
-        raise TermError("not a path-shaped term")
-    return flatten_path(d.left) + [d.cut] + flatten_path(d.right)
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization.
 

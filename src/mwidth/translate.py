@@ -10,8 +10,9 @@ theorems work:
 * recursive branch dec-> term               with width <= max(input width, 1) + 1;
 * term + glue map     -> recursive branch dec with width <= 2 * max(term width, arities).
 
-The term -> decomposition directions evaluate each subterm once and push
-each node once, so they are linear in the term.
+The term -> decomposition directions fold the term once (`terms._fold`)
+and walk it top-down, building each node once, directly in the root apex,
+so they are linear in the term.
 
 The bounds are hard postconditions (BoundViolation on failure).  The
 branch upper bound carries a floor of one because a term for a graph with
@@ -87,7 +88,7 @@ class TranslationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Epimorphisms induced by composition.
+# Epimorphisms induced by composition, and nodes built through apex maps.
 
 
 @dataclass
@@ -99,10 +100,6 @@ class EpiWitness:
     alpha2: GraphMorphism
 
 
-def _onto_image(m: GraphMorphism) -> GraphMorphism:
-    return GraphMorphism(m.domain, m.image_subgraph(), m.vmap, m.emap)
-
-
 def epis_from_composition(g1: Cospan, g2: Cospan) -> EpiWitness:
     """Quotient maps of a composition, restricted onto their images.
 
@@ -110,13 +107,19 @@ def epis_from_composition(g1: Cospan, g2: Cospan) -> EpiWitness:
     image of the inner boundary leg, which is asserted.
     """
     composite, m1, m2 = cs.compose_with_maps(g1, g2)
-    a1, a2 = _onto_image(m1), _onto_image(m2)
-    for alpha, inner in ((a1, g1.right_image()), (a2, g2.left_image())):
-        bad = _first_bad_pair(alpha.vmap, lambda v, w: v in inner and w in inner)
+    _check_identified(g1, g2, m1, m2)
+    return EpiWitness(composite, *(GraphMorphism(m.domain, m.image_subgraph(), m.vmap, m.emap)
+                                   for m in (m1, m2)))
+
+
+def _check_identified(g1: Cospan, g2: Cospan, m1: GraphMorphism, m2: GraphMorphism) -> None:
+    """The quotient maps of composing `g1` with `g2` identify vertices only
+    inside the inner boundary images."""
+    for m, inner in ((m1, g1.right_image()), (m2, g2.left_image())):
+        bad = _first_bad_pair(m.vmap, lambda v, w: v in inner and w in inner)
         if bad is not None:
             raise BoundViolation(
                 f"composition identified {bad[0]} and {bad[1]} outside the boundary")
-    return EpiWitness(composite, a1, a2)
 
 
 def _first_bad_pair(mapping: dict, ok) -> Optional[tuple]:
@@ -130,17 +133,6 @@ def _first_bad_pair(mapping: dict, ok) -> Optional[tuple]:
                 if not ok(group[i], group[j]):
                     return group[i], group[j]
     return None
-
-
-def _check_epi(alpha: GraphMorphism, t, bags: list) -> None:
-    """Preconditions for pushing the non-empty `t` through `alpha`, given `bags`."""
-    if alpha.domain != t.graph.graph:
-        raise TranslationError("the morphism domain is not the decomposed graph")
-    if not is_epimorphism(alpha):
-        raise TranslationError("the morphism is not an epimorphism")
-    bad = _first_bad_pair(alpha.vmap, lambda v, w: any(v in b and w in b for b in bags))
-    if bad is not None:
-        raise TranslationError(f"identified vertices {bad[0]} and {bad[1]} share no bag")
 
 
 def epi_to_dec_tree(alpha: GraphMorphism, t: RecTreeDec) -> RecTreeDec:
@@ -159,49 +151,50 @@ def epi_to_dec_path(alpha: GraphMorphism, t: RecPathDec) -> RecPathDec:
 def _epi_to_dec(alpha: GraphMorphism, t):
     if isinstance(t, _EMPTY_NODES):
         return t
-    _check_epi(alpha, t, _bags(t))
-    return _push(t, alpha.vmap, alpha.emap, alpha.codomain, {})
+    if alpha.domain != t.graph.graph:
+        raise TranslationError("the morphism domain is not the decomposed graph")
+    if not is_epimorphism(alpha):
+        raise TranslationError("the morphism is not an epimorphism")
+    bags = _bags(t)
+    bad = _first_bad_pair(alpha.vmap, lambda v, w: any(v in b and w in b for b in bags))
+    if bad is not None:
+        raise TranslationError(f"identified vertices {bad[0]} and {bad[1]} share no bag")
+    return _push(t, alpha.vmap, alpha.emap, alpha.codomain)
 
 
-def _push(t, vmap: dict, emap: dict, target: Graph, steps: dict):
+def _push(t, vmap: dict, emap: dict, target: Graph):
     """Rebuild a recursive tree or path decomposition over `target` through
     the vertex and edge maps: each node decomposes the image of its own
-    graph, a subgraph of `target`, with the image of its bag and sources.
-
-    A child whose id is in `steps` is still in the coordinates of its own
-    factor: `steps[id(child)]` maps those into its parent's, and is composed
-    with the maps on the way down, so each node is rebuilt once.
-    """
+    graph, a subgraph of `target`, with the image of its bag and sources."""
     if isinstance(t, _EMPTY_NODES):
         return t
     g = t.graph
-    image = target.subgraph({vmap[v] for v in g.vertices}, {emap[e] for e in g.edges})
-    kids = []
-    for child in _children(t):
-        step = steps.get(id(child))
-        maps = (vmap, emap) if step is None else ({v: vmap[w] for v, w in step.vmap.items()},
-                                                  {e: emap[f] for e, f in step.emap.items()})
-        kids.append(_push(child, *maps, target, steps))
-    return type(t)(SourcedGraph(image, {vmap[v] for v in g.sources}),
-                   {vmap[v] for v in t.bag}, *kids)
+    return _image(type(t), vmap, emap, target, g.vertices, g.edges, g.sources, t.bag,
+                  *(_push(child, vmap, emap, target) for child in _children(t)))
 
 
-def _defer(alpha: GraphMorphism, t, steps: dict):
-    """Record the push of a factor's `t` through the composition epi `alpha`
-    for `_push`.  The checks run now, on the root bag alone: it holds the
-    factor's inner boundary image, and so every vertex `alpha` identifies."""
-    if not isinstance(t, _EMPTY_NODES):
-        _check_epi(alpha, t, [t.bag])
-        steps[id(t)] = alpha
-    return t
+def _image(node: type, vmap: dict, emap: dict, target: Graph, vs, es, sources, bag, *kids):
+    """`node` over the image in `target` of the part (`vs`, `es`) of a graph,
+    with the images of `sources` and `bag`."""
+    image = target.subgraph({vmap[v] for v in vs}, {emap[e] for e in es})
+    return node(SourcedGraph(image, {vmap[v] for v in sources}), {vmap[v] for v in bag}, *kids)
 
 
-def _settle(build, term, sig: Signature):
-    """`build` (`_m2t` or `_m2p`) on `term`, then every push it deferred, in one walk."""
-    steps: dict = {}
-    g, t = build(term, sig, steps)
-    return g, _push(t, {v: v for v in g.apex.vertices}, {e: e for e in g.apex.edges},
-                    g.apex, steps)
+def _through(m: GraphMorphism, vmap: dict, emap: dict) -> tuple[dict, dict]:
+    """A factor's apex map `m` from the `terms._fold` table, then `vmap` and `emap`."""
+    return {v: vmap[w] for v, w in m.vmap.items()}, {e: emap[f] for e, f in m.emap.items()}
+
+
+def _fold_closed(d: DecompTree, sig: Signature, shaped, shape: str) -> tuple[Cospan, dict]:
+    """The cospan of the `shape`d term `d`, which must have an empty right
+    boundary, and the `terms._fold` table of its nodes."""
+    if not shaped(d):
+        raise TranslationError(f"the term is not {shape} shaped")
+    nodes: dict = {}
+    g = tm._fold(d, sig, "", nodes)
+    if g.right_arity != 0:
+        raise TranslationError("the term's right boundary is not empty")
+    return g, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +321,9 @@ def m_to_tdec(d: DecompTree, sig: Signature) -> RecTreeDec:
     The term must have an empty right boundary; the result decomposes
     (apex, image of the left leg) with width <= max(term width, image size).
     """
-    _check_closed_term(d, sig, tm.is_right_tree, "right-tree")
-    cospan, t = _settle(_m2t, d, sig)
-    return _within(t, max(tm.width(d, sig), len(cospan.left_image())), "tree")
+    g, nodes = _fold_closed(d, sig, tm.is_right_tree, "right-tree")
+    t = _m2t(d, nodes, {v: v for v in g.apex.vertices}, {e: e for e in g.apex.edges}, g.apex)
+    return _within(t, max(tm.width(d, sig), len(g.left_image())), "tree")
 
 
 def _within(t, bound: int, what: str):
@@ -341,43 +334,34 @@ def _within(t, bound: int, what: str):
     return t
 
 
-def _check_closed_term(d: DecompTree, sig: Signature, shaped, shape: str) -> None:
-    if not shaped(d):
-        raise TranslationError(f"the term is not {shape} shaped")
-    if tm.evaluate(d, sig).right_arity != 0:
-        raise TranslationError("the term's right boundary is not empty")
+def _one_bag(node: type, vmap: dict, emap: dict, target: Graph, vs, es, sources, *empties):
+    """`_image` of a one-bag node holding all of `vs`; empty for no vertices."""
+    if not vs:
+        return empties[0]
+    return _image(node, vmap, emap, target, vs, es, sources, vs, *empties)
 
 
-def _one_bag(sg: SourcedGraph, bag: frozenset, node: type, *empties):
-    """One-node tree or path decomposition of `sg`, empty for the empty graph."""
-    return empties[0] if sg.is_empty() else node(sg, bag, *empties)
-
-
-def _m2t(d: DecompTree, sig: Signature, steps: dict) -> tuple[Cospan, RecTreeDec]:
-    """The term's cospan and a decomposition of it whose pushes into the
-    composite are recorded in `steps`, not done (see `_push`)."""
+def _m2t(d: DecompTree, nodes: dict, vmap: dict, emap: dict, target: Graph) -> RecTreeDec:
+    """Node `d` of a right-tree term, built in the root apex `target` through
+    its apex maps into it, from the `terms._fold` table `nodes`."""
+    g, m1, m2 = nodes[id(d)]
+    apex, ports, empty = g.apex, g.left_image(), REC_TREE_EMPTY
     if isinstance(d, Leaf):
-        g = sig.atom(d.atom).cospan
-        return g, _one_bag(SourcedGraph(g.apex, g.left_image()), g.apex.vertices,
-                           RecTreeNode, REC_TREE_EMPTY, REC_TREE_EMPTY)
+        return _one_bag(RecTreeNode, vmap, emap, target, apex.vertices, apex.edges, ports,
+                        empty, empty)
     if isinstance(d, Compose):
-        h1 = sig.atom(d.left.atom).cospan
-        g2, t2 = _m2t(d.right, sig, steps)
-        witness = epis_from_composition(h1, g2)
-        g, a1, a2 = witness.composite, witness.alpha1, witness.alpha2
-        _defer(a2, t2, steps)
-        v1, v2 = a1.codomain.vertices, a2.codomain.vertices
-        vp = g.left_image() | (v1 & v2)
-        left = _one_bag(SourcedGraph(a1.codomain, v1 & vp), v1,
-                        RecTreeNode, REC_TREE_EMPTY, REC_TREE_EMPTY)
-        return g, RecTreeNode(SourcedGraph(g.apex, g.left_image()), vp, left, t2)
-    # tensor: join both parts under the boundary image; the shared empty node takes no step
-    g1, t1 = _m2t(d.left, sig, steps)
-    g2, t2 = _m2t(d.right, sig, steps)
-    g, i1, i2 = cs.tensor_with_maps(g1, g2)
-    steps.update((id(t), i) for t, i in ((t1, i1), (t2, i2))
-                 if not isinstance(t, _EMPTY_NODES))
-    return g, RecTreeNode(SourcedGraph(g.apex, g.left_image()), g.left_image(), t1, t2)
+        # the atom's image is the left child; the bag adds what it shares with the rest
+        _check_identified(nodes[id(d.left)][0], nodes[id(d.right)][0], m1, m2)
+        v1 = frozenset(m1.vmap.values())
+        bag = ports | (v1 & frozenset(m2.vmap.values()))
+        left = _one_bag(RecTreeNode, vmap, emap, target, v1, m1.emap.values(), v1 & bag,
+                        empty, empty)
+        kids = left, _m2t(d.right, nodes, *_through(m2, vmap, emap), target)
+    else:  # tensor: join both parts under the boundary image
+        bag = ports
+        kids = (_m2t(d.left, nodes, *_through(m1, vmap, emap), target),
+                _m2t(d.right, nodes, *_through(m2, vmap, emap), target))
+    return _image(RecTreeNode, vmap, emap, target, apex.vertices, apex.edges, ports, bag, *kids)
 
 
 # ---------------------------------------------------------------------------
@@ -415,25 +399,34 @@ def _p2m(t: RecPathDec, sg: SourcedGraph, sig: Signature) -> DecompTree:
 def m_to_pdec(d: DecompTree, sig: Signature) -> RecPathDec:
     """Recursive path decomposition read off a composition-only term.
 
-    Reassociation does not change the leaf or cut lists, so the term is
-    flattened first; width never increases.
+    Node i is the part of the root apex covered by leaves i, i+1, ..., with
+    leaf i's image as its bag.  The apex and each leaf's map into it do not
+    depend on how the term is associated.  Width never increases.
     """
-    _check_closed_term(d, sig, tm.is_path, "path")
-    cospan, t = _settle(_m2p, tm.flatten_path(d)[0::2], sig)
+    g, nodes = _fold_closed(d, sig, tm.is_path, "path")
+    leaves: list = []
+    _leaf_maps(d, nodes, {v: v for v in g.apex.vertices}, {e: e for e in g.apex.edges}, leaves)
+    t, vs, es = REC_PATH_EMPTY, set(), set()
+    for i, (h, vmap, emap) in enumerate(reversed(leaves)):
+        bag = {vmap[v] for v in h.apex.vertices}
+        vs |= bag
+        es.update(emap[e] for e in h.apex.edges)
+        if bag or i:  # only an empty last leaf leaves the tail empty
+            t = RecPathCons(SourcedGraph(g.apex.subgraph(vs, es), {vmap[v] for v in h.left}),
+                            bag, t)
     return _within(t, tm.width(d, sig), "path")
 
 
-def _m2p(leaves: list, sig: Signature, steps: dict) -> tuple[Cospan, RecPathDec]:
-    """`_m2t` for the composite of `leaves`, folded from the last leaf."""
-    g = sig.atom(leaves[-1].atom).cospan
-    t = _one_bag(SourcedGraph(g.apex, g.left_image()), g.apex.vertices,
-                 RecPathCons, REC_PATH_EMPTY)
-    for leaf in leaves[-2::-1]:
-        witness = epis_from_composition(sig.atom(leaf.atom).cospan, g)
-        g = witness.composite
-        t = RecPathCons(SourcedGraph(g.apex, g.left_image()),
-                        witness.alpha1.codomain.vertices, _defer(witness.alpha2, t, steps))
-    return g, t
+def _leaf_maps(d: DecompTree, nodes: dict, vmap: dict, emap: dict, out: list) -> None:
+    """Append each leaf's cospan and apex maps into the root apex to `out`,
+    left to right, for the path term `d` with `terms._fold` table `nodes`."""
+    g, m1, m2 = nodes[id(d)]
+    if isinstance(d, Leaf):
+        out.append((g, vmap, emap))
+        return
+    _check_identified(nodes[id(d.left)][0], nodes[id(d.right)][0], m1, m2)
+    _leaf_maps(d.left, nodes, *_through(m1, vmap, emap), out)
+    _leaf_maps(d.right, nodes, *_through(m2, vmap, emap), out)
 
 
 # ---------------------------------------------------------------------------
@@ -561,23 +554,21 @@ def _left_comb_branch(sg: SourcedGraph) -> RecBranchDec:
 
 
 def _m2b(d: DecompTree, nodes: dict, phi_v: FiniteMap, phi_e: dict) -> RecBranchDec:
-    """Node `d` through its glue map, from what `terms._fold` recorded in `nodes`."""
+    """Node `d` through its glue map, from the `terms._fold` table `nodes`."""
     composite, m1, m2 = nodes[id(d)]
     if isinstance(d, Leaf):
         return _left_comb_branch(_pushed_sourced(composite, phi_v, phi_e))
-    h1, h2 = nodes[id(d.left)][0], nodes[id(d.right)][0]
-    phi1 = FiniteMap({v: phi_v(m1.vmap[v]) for v in h1.apex.vertices}, phi_v.codomain)
-    phi2 = FiniteMap({v: phi_v(m2.vmap[v]) for v in h2.apex.vertices}, phi_v.codomain)
-    pe1 = {e: phi_e[m1.emap[e]] for e in h1.apex.edges}
-    pe2 = {e: phi_e[m2.emap[e]] for e in h2.apex.edges}
-    for hh, pp, side in ((h1, phi1, "left"), (h2, phi2, "right")):
-        bad = check_glueing(hh, pp)
+    factors = []
+    for child, m, side in ((d.left, m1, "left"), (d.right, m2, "right")):
+        pv, pe = _through(m, phi_v.mapping, phi_e)
+        phi = FiniteMap(pv, phi_v.codomain)
+        bad = check_glueing(nodes[id(child)][0], phi)
         if bad is not None:
             raise BoundViolation(
                 f"induced glue map on the {side} factor identifies "
                 f"{bad[0]} and {bad[1]} outside its boundary")
-    t1 = _m2b(d.left, nodes, phi1, pe1)
-    t2 = _m2b(d.right, nodes, phi2, pe2)
+        factors.append((child, phi, pe))
+    t1, t2 = (_m2b(child, nodes, phi, pe) for child, phi, pe in factors)
     target = _pushed_sourced(composite, phi_v, phi_e)
     if isinstance(t1, RecBranchEmpty) and isinstance(t2, RecBranchEmpty):
         return RecBranchEmpty(target)

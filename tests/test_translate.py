@@ -54,7 +54,7 @@ from mwidth import cospan as cs
 from mwidth import graph as graph_module
 from mwidth.decomp import RecBranchLeaf, RecBranchEmpty, RecTreeNode, REC_TREE_EMPTY
 from mwidth.oracles import optimal_rec_path_dec, optimal_rec_tree_dec
-from mwidth.terms import Leaf
+from mwidth.terms import Compose, Leaf, Tensor, node_count, tree_from_json, tree_to_json
 from mwidth.translate import _KINDS, _optimal_term
 
 
@@ -567,3 +567,66 @@ def test_term_to_decomposition_translations_grow_linearly(monkeypatch):
                       ("tree", m_to_bdec)):
         built = [_graphs_built(monkeypatch, how, *terms[n][kind]) for n in (40, 80)]
         assert built[1] / built[0] <= 2.5, (kind, how.__name__, built)
+
+
+def _dumped(dec) -> str:
+    return json.dumps(decomposition_to_json(dec), sort_keys=True)
+
+
+def test_term_to_decomposition_evaluates_the_term_once(monkeypatch):
+    # each composition is one pushout and each tensor one coproduct, so one
+    # evaluation of the term makes exactly one per inner node
+    calls = []
+    for name in ("graph_pushout", "graph_coproduct"):
+        real = getattr(cs, name)
+        monkeypatch.setattr(cs, name, lambda *a, real=real: calls.append(None) or real(*a))
+    for kind, how in (("tree", m_to_tdec), ("path", m_to_pdec)):
+        _, term, sig = _optimal_term(kind, SourcedGraph(cycle_graph(5), {0}))
+        calls.clear()
+        how(term, sig)
+        assert len(calls) == (node_count(term) - 1) // 2, kind
+
+
+def _reassociated(d, rng: random.Random):
+    """The path term `d` with its compositions regrouped at random."""
+    leaves, cuts = [], []
+
+    def flatten(t):
+        if isinstance(t, Leaf):
+            leaves.append(t)
+        else:
+            flatten(t.left)
+            cuts.append(t.cut)
+            flatten(t.right)
+
+    def group(lo: int, hi: int):
+        if lo == hi:
+            return leaves[lo]
+        k = rng.randint(lo, hi - 1)
+        return Compose(group(lo, k), cuts[k], group(k + 1, hi))
+
+    flatten(d)
+    return group(0, len(leaves) - 1)
+
+
+def test_m_to_pdec_ignores_how_the_term_is_associated():
+    rng = random.Random(11)
+    for _ in range(12):
+        g = random_graph(rng, max_v=6, max_e=7)
+        sg = SourcedGraph(g, {v for v in g.vertices if rng.random() < 0.3})
+        term, sig = p_to_mdec(optimal_rec_path_dec(sg)[1], sg)
+        want = _dumped(m_to_pdec(term, sig))
+        for _ in range(3):
+            assert _dumped(m_to_pdec(_reassociated(term, rng), sig)) == want
+
+
+def test_term_to_decomposition_on_a_shared_subterm():
+    # the same subterm object at two places of a term gets different maps
+    # into the root apex at each; a structural copy must give the same output
+    for kind, how, join in (("tree", m_to_tdec, lambda a, b: Tensor(a, b)),
+                            ("path", m_to_pdec, lambda a, b: Compose(a, 0, b)),
+                            ("branch", m_to_bdec, lambda a, b: Tensor(a, b)),
+                            ("branch", m_to_bdec, lambda a, b: Compose(a, 0, b))):
+        _, x, sig = _optimal_term(kind, SourcedGraph(cycle_graph(4)))
+        shared = _dumped(how(join(x, x), sig))
+        assert shared == _dumped(how(join(x, tree_from_json(tree_to_json(x))), sig)), kind
