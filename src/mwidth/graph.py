@@ -9,7 +9,6 @@ with equal endpoint sets.  All constructions renumber ids deterministically
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Mapping, Optional
 
 
@@ -312,15 +311,23 @@ def tree_leaves(g: Graph) -> frozenset:
     return frozenset(v for v in g.vertices if g.degree(v) <= 1)
 
 
-def graph_coproduct(g1: Graph, g2: Graph) -> tuple[Graph, GraphMorphism, GraphMorphism]:
-    """Disjoint union with both injections; ids renumbered deterministically."""
+def _coproduct_numbering(g1: Graph, g2: Graph) -> tuple[dict, dict, dict, dict, dict]:
+    """Vertex and edge numberings of g1 and g2 in their disjoint union (g1's
+    ids first, each side in sorted order), and the union's endpoint table
+    in edge-id order."""
     v1 = {v: i for i, v in enumerate(sorted(g1.vertices))}
     v2 = {v: i + len(v1) for i, v in enumerate(sorted(g2.vertices))}
     e1 = {e: i for i, e in enumerate(sorted(g1.edges))}
     e2 = {e: i + len(e1) for i, e in enumerate(sorted(g2.edges))}
-    ends = {e1[e]: {v1[v] for v in g1.ends(e)} for e in g1.edges}
-    ends.update({e2[e]: {v2[v] for v in g2.ends(e)} for e in g2.edges})
-    g = Graph(set(v1.values()) | set(v2.values()), ends)
+    ends = {e1[e]: {v1[v] for v in g1.ends(e)} for e in e1}
+    ends.update({e2[e]: {v2[v] for v in g2.ends(e)} for e in e2})
+    return v1, v2, e1, e2, ends
+
+
+def graph_coproduct(g1: Graph, g2: Graph) -> tuple[Graph, GraphMorphism, GraphMorphism]:
+    """Disjoint union with both injections; ids renumbered deterministically."""
+    v1, v2, e1, e2, ends = _coproduct_numbering(g1, g2)
+    g = Graph(range(len(v1) + len(v2)), ends)
     return g, GraphMorphism(g1, g, v1, e1), GraphMorphism(g2, g, v2, e2)
 
 
@@ -330,36 +337,47 @@ def graph_pushout(g1: Graph, g2: Graph, y: Iterable, l1: FiniteMap,
 
     The apex identifies l1(a) with l2(a) for every a in y; class
     representatives are minimum coproduct ids, then renumbered
-    order-preserving.  Returns the two quotient morphisms.
+    order-preserving.  Edges keep their coproduct ids.  Returns the two
+    quotient morphisms.
     """
     ys = frozenset(y)
     if not ys <= l1.domain or not ys <= l2.domain:
         raise GraphError("pushout legs must be total on the shared boundary")
     if not l1.image() <= g1.vertices or not l2.image() <= g2.vertices:
         raise GraphError("pushout legs must land in the graph vertices")
-    co, i1, i2 = graph_coproduct(g1, g2)
-    uf = UnionFind(co.vertices)
+    v1, v2, e1, e2, ends = _coproduct_numbering(g1, g2)
+    co_vertices = range(len(v1) + len(v2))
+    uf = UnionFind(co_vertices)
     for a in sorted(ys):
-        uf.union(i1.vmap[l1(a)], i2.vmap[l2(a)])
-    reps = sorted({uf.find(v) for v in co.vertices})
+        uf.union(v1[l1(a)], v2[l2(a)])
+    reps = sorted({uf.find(v) for v in co_vertices})
     renum = {r: i for i, r in enumerate(reps)}
-    q = {v: renum[uf.find(v)] for v in co.vertices}
-    ends = {e: {q[v] for v in co.ends(e)} for e in co.edges}
-    apex = Graph(set(renum.values()), ends)
-    qm = GraphMorphism(co, apex, q, {e: e for e in co.edges})
-    return apex, i1.then(qm), i2.then(qm)
+    q = {v: renum[uf.find(v)] for v in co_vertices}
+    apex = Graph(range(len(reps)), {e: {q[v] for v in pts} for e, pts in ends.items()})
+    return (apex,
+            GraphMorphism(g1, apex, {v: q[i] for v, i in v1.items()}, e1),
+            GraphMorphism(g2, apex, {v: q[i] for v, i in v2.items()}, e2))
 
 
-def _vertex_invariant(g: Graph, v: int) -> tuple:
-    loops = sum(1 for e in g.incident_edges(v) if g.is_loop(e))
-    return (g.degree(v), loops)
+def _multiplicities(g: Graph) -> tuple[dict, dict]:
+    """Loops at each vertex, and each vertex's other endpoints with the
+    number of edges to them."""
+    loops = dict.fromkeys(g.vertices, 0)
+    adj: dict = {v: {} for v in g.vertices}
+    for pts in g._ends.values():
+        if len(pts) == 1:
+            (v,) = pts
+            loops[v] += 1
+        else:
+            u, w = pts
+            adj[u][w] = adj[u].get(w, 0) + 1
+            adj[w][u] = adj[w].get(u, 0) + 1
+    return loops, adj
 
 
-def _edge_class_profile(g: Graph) -> dict[frozenset, int]:
-    prof: dict[frozenset, int] = {}
-    for e in g.edges:
-        prof[g.ends(e)] = prof.get(g.ends(e), 0) + 1
-    return prof
+def _vertex_invariants(loops: dict, adj: dict) -> dict[int, tuple]:
+    """(degree, loops) of every vertex; a loop adds 2 to the degree."""
+    return {v: (2 * loops[v] + sum(adj[v].values()), loops[v]) for v in adj}
 
 
 def find_isomorphism(g1: Graph, g2: Graph,
@@ -372,9 +390,11 @@ def find_isomorphism(g1: Graph, g2: Graph,
     """
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return None
-    inv1 = sorted(_vertex_invariant(g1, v) for v in g1.vertices)
-    inv2 = sorted(_vertex_invariant(g2, v) for v in g2.vertices)
-    if inv1 != inv2:
+    loops1, adj1 = _multiplicities(g1)
+    loops2, adj2 = _multiplicities(g2)
+    inv1 = _vertex_invariants(loops1, adj1)
+    inv2 = _vertex_invariants(loops2, adj2)
+    if sorted(inv1.values()) != sorted(inv2.values()):
         return None
     forced = dict(forced or {})
     assign: dict[int, int] = {}
@@ -388,30 +408,27 @@ def find_isomorphism(g1: Graph, g2: Graph,
             return None
         assign[v] = w
         used.add(w)
-        if _vertex_invariant(g1, v) != _vertex_invariant(g2, w):
+        if inv1[v] != inv2[w]:
             return None
-
-    multi1 = {frozenset(p): c for p, c in _edge_class_profile(g1).items()}
-    multi2 = {frozenset(p): c for p, c in _edge_class_profile(g2).items()}
 
     def compatible(v: int, w: int) -> bool:
         # every already-assigned neighbour relation must carry over with
         # matching multiplicities
         for u, x in assign.items():
-            c1 = multi1.get(frozenset({v, u}), 0)
-            c2 = multi2.get(frozenset({w, x}), 0)
+            c1 = loops1[v] if u == v else adj1[v].get(u, 0)
+            c2 = loops2[w] if x == w else adj2[w].get(x, 0)
             if c1 != c2:
                 return False
         return True
 
-    order = sorted(g1.vertices - set(assign), key=lambda v: (_vertex_invariant(g1, v), v))
+    order = sorted(g1.vertices - set(assign), key=lambda v: (inv1[v], v))
 
     def extend(i: int) -> bool:
         if i == len(order):
             return True
         v = order[i]
         for w in sorted(g2.vertices - used):
-            if _vertex_invariant(g1, v) != _vertex_invariant(g2, w):
+            if inv1[v] != inv2[w]:
                 continue
             if not compatible(v, w):
                 continue
@@ -447,21 +464,88 @@ def graph_isomorphic(g1: Graph, g2: Graph) -> Optional[GraphMorphism]:
     return find_isomorphism(g1, g2)
 
 
-def canonical_key(g: Graph) -> tuple:
-    """A label-independent canonical form; minimum over all vertex orderings.
+def _twin_classes(loops: dict, adj: dict) -> dict:
+    """Vertex -> its twin class.  Twins have equal loops and equal edge
+    multiplicities to every third vertex, so swapping two of them is an
+    automorphism."""
+    reps: list = []
+    out = {}
+    for v in sorted(adj):
+        for r in reps:
+            if loops[r] == loops[v] and (
+                    {x: m for x, m in adj[r].items() if x != v}
+                    == {x: m for x, m in adj[v].items() if x != r}):
+                out[v] = out[r]
+                break
+        else:
+            reps.append(v)
+            out[v] = v
+    return out
 
-    Brute force over permutations, so only suitable for small graphs.
+
+def _refine(colour: dict, adj: dict) -> dict:
+    """Split colour classes by each vertex's multiset of (neighbour colour,
+    edge multiplicity) until the number of classes stops growing.  Colours
+    are renumbered 0.. by sorted signature, so they do not depend on the
+    vertex ids."""
+    cells = len(set(colour.values()))
+    while True:
+        sig = {v: (c, tuple(sorted((colour[u], m) for u, m in adj[v].items())))
+               for v, c in colour.items()}
+        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        colour = {v: rank[s] for v, s in sig.items()}
+        if len(rank) == cells:
+            return colour
+        cells = len(rank)
+
+
+def _leaf_key(g: Graph, label: dict) -> tuple:
+    """The key of g relabelled by a vertex order."""
+    return (len(label), tuple(sorted(tuple(sorted(label[v] for v in pts))
+                                     for pts in g._ends.values())))
+
+
+def canonical_key(g: Graph) -> tuple:
+    """A label-independent canonical form: equal keys if and only if the
+    graphs are isomorphic.
+
+    The key is `(n, sorted tuple of sorted endpoint tuples)` of g relabelled
+    onto 0..n-1, a loop being a 1-tuple; so it is a copy of g itself.  It is
+    the least such key over the leaves of an individualisation-refinement
+    search (McKay & Piperno, *Practical graph isomorphism II*, 2014): colour
+    the vertices by (degree, loops) and refine, then individualise each
+    vertex of the first non-singleton class in turn and refine again, until
+    every class is a single vertex and the colours order the vertices.  A
+    vertex whose swap with one already tried is an automorphism (a twin) is
+    skipped.  Graphs without twins or refinable structure still have n!
+    leaves, but the search never has more than the brute force over all
+    orderings.
     """
-    vs = sorted(g.vertices)
-    n = len(vs)
+    n = len(g.vertices)
+    if not n:
+        return (0, ())
+    loops, adj = _multiplicities(g)
+    twin = _twin_classes(loops, adj)
+    start = _vertex_invariants(loops, adj)
+    rank = {c: i for i, c in enumerate(sorted(set(start.values())))}
     best = None
-    for perm in permutations(range(n)):
-        relab = {v: perm[i] for i, v in enumerate(vs)}
-        edges = sorted(tuple(sorted(relab[v] for v in g.ends(e))) for e in g.edges)
-        cand = (n, tuple(edges))
-        if best is None or cand < best:
-            best = cand
-    return best if best is not None else (0, ())
+    stack = [_refine({v: rank[c] for v, c in start.items()}, adj)]
+    while stack:
+        colour = stack.pop()
+        cells: dict = {}
+        for v, c in colour.items():
+            cells.setdefault(c, []).append(v)
+        if len(cells) == n:
+            key = _leaf_key(g, colour)
+            if best is None or key < best:
+                best = key
+            continue
+        tried = set()
+        for v in sorted(cells[min(c for c, vs in cells.items() if len(vs) > 1)]):
+            if twin[v] not in tried:
+                tried.add(twin[v])
+                stack.append(_refine({u: 2 * c + (u != v) for u, c in colour.items()}, adj))
+    return best
 
 
 # ---------------------------------------------------------------------------

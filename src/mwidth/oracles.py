@@ -252,8 +252,16 @@ def enumerate_graphs(max_v: int, max_e: Optional[int] = None) -> list[Graph]:
 
 @dataclass
 class WidthCache:
-    """Exact widths (and witnesses) memoized across calls; optionally
-    persisted as JSON to keep repeated suites fast."""
+    """Exact widths memoized across calls; optionally persisted as JSON to
+    keep repeated suites fast.
+
+    Records are keyed by `repr(canonical_key(g))`.  A key is a relabelled
+    copy of the graph itself, so two keys are equal only for isomorphic
+    graphs, whichever canonical form wrote them.  A file keyed by another
+    form (such as the least key over all vertex orderings) is therefore
+    never misread: its records can only miss.  So the file carries no
+    version field.
+    """
 
     data: dict = field(default_factory=dict)
 

@@ -4,7 +4,7 @@ acceptance-criterion verdicts and prints one line per criterion at the
 end of the run."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -68,6 +68,20 @@ def k4():
 @pytest.fixture
 def p3():
     return path_graph(3)
+
+
+def reference_key(g: Graph) -> tuple:
+    """The brute-force canonical form: the least `(n, sorted endpoint
+    tuples)` over all n! vertex orderings.  Reference for `canonical_key`."""
+    vs = sorted(g.vertices)
+    best = None
+    for perm in permutations(range(len(vs))):
+        relab = {v: perm[i] for i, v in enumerate(vs)}
+        cand = (len(vs), tuple(sorted(tuple(sorted(relab[v] for v in g.ends(e)))
+                                      for e in g.edges)))
+        if best is None or cand < best:
+            best = cand
+    return best if best is not None else (0, ())
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -125,6 +126,17 @@ def test_catalog_output(capsys):
     assert len(rows) == 7  # 1 + 2 + 4 nonempty graphs up to iso
     assert {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]],
             "tw": 3, "pw": 3, "bw": 2} in rows
+
+
+def test_catalog_row_order_up_to_6_vertices(capsys):
+    # one row per class in the order enumerate_graphs first meets each
+    # class: the digest of the (n, edges) rows as the brute-force keys gave
+    assert main(["catalog", "--max-v", "6", "--max-e", "5", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    order = json.dumps([[r["n"], r["edges"]] for r in rows])
+    assert len(rows) == 70
+    assert hashlib.sha256(order.encode()).hexdigest() == (
+        "2c460cd39a732ac1ca54816da7e1dd9cb5014855a394e36c254ffdf80deed194")
 
 
 def test_parse_error_exit_two(tmp_path, capsys):

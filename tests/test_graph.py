@@ -22,7 +22,13 @@ from mwidth import (
     is_subcubic_tree,
     parse_graph_text,
 )
-from mwidth.graph import find_isomorphism, graph_from_json, graph_to_json, tree_leaves
+from mwidth.graph import (
+    UnionFind,
+    find_isomorphism,
+    graph_from_json,
+    graph_to_json,
+    tree_leaves,
+)
 from mwidth.oracles import enumerate_graphs
 
 
@@ -110,6 +116,39 @@ def test_pushout_identification_property():
             for v, w in itertools.combinations(sorted(m.domain.vertices), 2):
                 if m.vmap[v] == m.vmap[w]:
                     assert v in img and w in img
+
+
+def test_pushout_is_the_quotient_of_the_coproduct():
+    # the apex and both maps, dict order included, equal the coproduct
+    # injections followed by the quotient onto least-id classes
+    rng = random.Random(11)
+    for _ in range(60):
+        g1, g2 = (_sparse_ids(rng, random_graph(rng, max_v=5, max_e=6)) for _ in "ab")
+        if not g1.vertices or not g2.vertices:
+            continue
+        y = list(range(rng.randint(0, 4)))
+        l1 = FiniteMap({a: rng.choice(sorted(g1.vertices)) for a in y}, g1.vertices)
+        l2 = FiniteMap({a: rng.choice(sorted(g2.vertices)) for a in y}, g2.vertices)
+        apex, m1, m2 = graph_pushout(g1, g2, y, l1, l2)
+        co, i1, i2 = graph_coproduct(g1, g2)
+        uf = UnionFind(co.vertices)
+        for a in y:
+            uf.union(i1.vmap[l1(a)], i2.vmap[l2(a)])
+        reps = sorted({uf.find(v) for v in co.vertices})
+        q = {v: reps.index(uf.find(v)) for v in co.vertices}
+        want = Graph(range(len(reps)), {e: {q[v] for v in co.ends(e)} for e in co.edges})
+        qm = GraphMorphism(co, want, q, {e: e for e in co.edges})
+        assert apex == want
+        for got, ref in ((m1, i1.then(qm)), (m2, i2.then(qm))):
+            assert list(got.vmap.items()) == list(ref.vmap.items())
+            assert list(got.emap.items()) == list(ref.emap.items())
+
+
+def _sparse_ids(rng, g: Graph) -> Graph:
+    """g with its vertex and edge ids spread over 0..99."""
+    vs = dict(zip(sorted(g.vertices), sorted(rng.sample(range(100), len(g.vertices)))))
+    es = rng.sample(range(100), len(g.edges))
+    return Graph(vs.values(), {f: {vs[v] for v in g.ends(e)} for f, e in zip(es, sorted(g.edges))})
 
 
 def _morphisms_between(g: Graph, h: Graph):

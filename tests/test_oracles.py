@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from conftest import cycle_graph, k, path_graph, random_graph
+from conftest import cycle_graph, k, path_graph, random_graph, reference_key
 from mwidth import (
     Graph,
     PathDec,
@@ -158,6 +159,21 @@ def test_width_cache_round_trip(tmp_path):
     fresh = WidthCache().load(str(path))
     assert fresh.widths(g) == (3, 3, 2)
     assert fresh.data  # loaded, not recomputed
+
+
+def test_width_cache_file_with_other_keys_never_misreads(tmp_path):
+    # a file keyed by the brute-force form: every record can only miss or
+    # hit its own class, so each lookup gives that graph's widths
+    graphs = enumerate_graphs(4)
+    truth = [(exact_treewidth(g)[0], exact_pathwidth(g)[0], exact_branchwidth(g)[0])
+             for g in graphs]
+    path = tmp_path / "widths.json"
+    path.write_text(json.dumps({repr(reference_key(g)): {"tw": tw, "pw": pw, "bw": bw}
+                                for g, (tw, pw, bw) in zip(graphs, truth)}))
+    cache = WidthCache().load(str(path))
+    assert len(cache.data) == len(graphs)
+    for g, want in zip(graphs, truth):
+        assert cache.widths(g) == want
 
 
 def test_oracle_minima_match_enumerated_decompositions():
