@@ -46,13 +46,20 @@ def _load_graph(path: str) -> SourcedGraph:
 
 
 def _load_json(path: str, parse):
-    """`parse` applied to a JSON file; a malformed file is a usage error."""
+    """`parse` applied to a JSON file; a malformed file, or one nested too
+    deeply to decode or parse, is a usage error."""
+    text = _read_text(path)
     try:
-        return parse(json.loads(_read_text(path)))
+        return parse(json.loads(text))
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
     except (DecompositionError, tm.TermError) as exc:
         raise CliError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        # from the decoder where it counts nesting against sys's limit
+        # (Python 3.10, 3.11), else from the parsers, which recurse per level
+        raise CliError(f"{path}: JSON nested too deeply to read "
+                       f"(recursion limit {sys.getrecursionlimit()})") from exc
 
 
 def _decomposition_or_term(data):

@@ -231,8 +231,14 @@ def edge_order(dec: BranchDec, g: Graph, e: int) -> int:
 
 
 def branch_dec_width(dec: BranchDec, g: Graph) -> int:
-    """Largest edge order; a node's side of its parent edge is the leaves below it."""
+    """Largest edge order of a validated branch decomposition."""
     _require(validate_branch_dec(dec, g), "branch")
+    return _branch_width(dec, g)
+
+
+def _branch_width(dec: BranchDec, g: Graph) -> int:
+    """Largest edge order, without validating `dec`; a node's side of its
+    parent edge is the leaves below it."""
     shape, table = dec.shape, dec.leaf_table()
     parent = _walk(shape, min(shape.vertices)) if shape.vertices else {}
     below = {v: {table[v]} if v in table else set() for v in parent}

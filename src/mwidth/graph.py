@@ -299,6 +299,16 @@ def ends_of_edge_set(g: Graph, es: Iterable[int]) -> frozenset:
     return frozenset(out)
 
 
+def _subset_unions(masks: list[int]) -> list[int]:
+    """The union of `masks[i]` over the set bits i of s, for every s below
+    2**len(masks); each entry is an earlier one joined with the mask of its
+    highest bit."""
+    out = [0]
+    for m in masks:
+        out += [u | m for u in out]
+    return out
+
+
 def is_subcubic_tree(g: Graph) -> bool:
     """True iff g is a tree in which every vertex has at most three neighbours."""
     if not g.is_tree():

@@ -1,10 +1,12 @@
-"""Exact brute-force width oracles and small-graph enumeration.
+"""Exact width oracles and small-graph enumeration.
 
 The tree and path oracles search the recursive decomposition forms
 directly (bag choice + outside-component grouping), memoized on the
 (subgraph, sources) state, so they exercise the same inductive
-definitions the validators check.  The branch oracle enumerates all
-leaf-labelled cubic trees.  Everything here is desk scale only.
+definitions the validators check.  The branch oracle computes the width
+by a dynamic program over edge subsets, then takes as witness the first
+leaf-labelled cubic tree that attains it.  Everything here is desk scale
+only.
 """
 
 from __future__ import annotations
@@ -25,15 +27,23 @@ from .decomp import (
     REC_PATH_EMPTY,
     REC_TREE_EMPTY,
     TreeDec,
+    _branch_width,
     branch_dec_width,
     path_from_recursive,
     tree_from_recursive,
 )
-from .graph import Graph, SourcedGraph, canonical_key, components, ends_of_edge_set
+from .graph import (
+    Graph,
+    SourcedGraph,
+    _subset_unions,
+    canonical_key,
+    components,
+    ends_of_edge_set,
+)
 
 
 class OracleError(ValueError):
-    """Input outside the configured brute-force bounds."""
+    """Input outside the configured size bounds."""
 
 
 _INF = math.inf
@@ -198,11 +208,45 @@ def _leaf_trees(k: int) -> Iterable[tuple[Graph, dict]]:
     yield from grow(base, {0: 0, 1: 1}, 2)
 
 
+def _branchwidth_value(g: Graph, edges: list) -> int:
+    """Branch width of `g` (at least one edge) by a dynamic program over the
+    subsets X of `edges`, held as bit masks, in O(3**m).
+
+    f(X) is the least width of a rooted binary tree with leaves X, counting
+    the order of every tree edge below the root: 0 for a single edge, else
+    the minimum over splits (A, X - A) of max(mid(A), mid(X - A), f(A),
+    f(X - A)), where mid(S) counts the vertices incident to both S and the
+    edges outside S.  Joining the root's two edges into one makes the tree
+    cubic, so f(edges) is the branch width.
+    """
+    bit = {v: 1 << i for i, v in enumerate(sorted(g.vertices))}
+    ends = _subset_unions([sum(bit[v] for v in g.ends(e)) for e in edges])
+    full = len(ends) - 1
+    mid = [(ends[s] & ends[full ^ s]).bit_count() for s in range(full + 1)]
+    f = [0] * (full + 1)
+    for x in range(1, full + 1):
+        low = x & -x
+        rest = x ^ low
+        if not rest:
+            continue
+        # each split once: A holds the lowest edge of X, X - A is not empty
+        best, sub = len(bit), rest
+        while sub:
+            sub = (sub - 1) & rest
+            a = low | sub
+            best = min(best, max(mid[a], mid[x ^ a], f[a], f[x ^ a]))
+        f[x] = best
+    return f[full]
+
+
 def exact_branchwidth(g: Graph, max_edges: int = 7) -> tuple[int, BranchDec]:
     """Exact branch width with a classic witness.
 
-    Edgeless graphs have width 0 with the empty decomposition; a single
-    edge sits on a one-vertex tree with no tree edges, hence width 0.
+    The width comes from `_branchwidth_value`; the witness is the first tree
+    of `_leaf_trees` that attains it, which is the first least-width tree of
+    the full enumeration.  Only that tree is validated.  Edgeless graphs
+    have width 0 with the empty decomposition; a single edge sits on a
+    one-vertex tree with no tree edges, hence width 0.
     """
     edges = sorted(g.edges)
     if len(edges) > max_edges:
@@ -210,15 +254,11 @@ def exact_branchwidth(g: Graph, max_edges: int = 7) -> tuple[int, BranchDec]:
             f"refusing branch-width search on {len(edges)} > {max_edges} edges")
     if not edges:
         return 0, BranchDec(Graph.empty(), {})
-    best_w, best_dec = _INF, None
-    for tree, table in _leaf_trees(len(edges)):
-        dec = BranchDec(tree, {leaf: edges[i] for leaf, i in table.items()})
-        w = branch_dec_width(dec, g)
-        if w < best_w:
-            best_w, best_dec = w, dec
-            if best_w == 0:
-                break
-    return best_w, best_dec
+    width = _branchwidth_value(g, edges)
+    decs = (BranchDec(tree, {leaf: edges[i] for leaf, i in table.items()})
+            for tree, table in _leaf_trees(len(edges)))
+    dec = next(d for d in decs if _branch_width(d, g) == width)
+    return branch_dec_width(dec, g), dec
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +329,7 @@ class WidthCache:
                 data = json.load(fh)
         except FileNotFoundError:
             return self
-        except (OSError, ValueError) as exc:  # unreadable, undecodable or invalid JSON
+        except (OSError, ValueError, RecursionError) as exc:  # unreadable or invalid JSON
             raise OracleError(f"width cache {path}: {exc}") from exc
         if not isinstance(data, dict) or not all(
                 isinstance(rec, dict) and sorted(rec) == ["bw", "pw", "tw"]

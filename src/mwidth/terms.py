@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Union
 from . import cospan as cs
 from .cospan import Cospan
 from .decomp import DecompositionError
-from .graph import Graph, SourcedGraph
+from .graph import Graph, SourcedGraph, _subset_unions
 from .oracles import OracleError
 
 
@@ -370,14 +370,9 @@ def _compose_split_states(state: tuple, ends_mask: list) -> Iterable[tuple[tuple
     if len(es) < 2:
         return
     full = (1 << len(es)) - 1
-    # endpoint and edge masks of every subset of `es`, built by lowest bit
-    union = [0] * (full + 1)
-    edges = [0] * (full + 1)
-    for s in range(1, full + 1):
-        low = s & -s
-        e = es[low.bit_length() - 1]
-        union[s] = union[s ^ low] | ends_mask[e]
-        edges[s] = edges[s ^ low] | 1 << e
+    # endpoint and edge masks of every subset of `es`
+    union = _subset_unions([ends_mask[e] for e in es])
+    edges = _subset_unions([1 << e for e in es])
     lmask = sum(1 << v for v in set(left))
     rmask = sum(1 << v for v in set(right))
     free = vmask & ~(lmask | rmask | union[full])

@@ -9,13 +9,16 @@ from itertools import combinations, permutations, product
 import pytest
 
 from mwidth import (
+    BranchDec,
     Cospan,
     Graph,
     PathDec,
     SymbolicSignature,
     TreeDec,
+    branch_dec_width,
     canonical_key,
 )
+from mwidth.oracles import _leaf_trees
 from mwidth.terms import Compose, Leaf, Tensor
 
 ACCEPTANCE_RESULTS = []
@@ -82,6 +85,22 @@ def reference_key(g: Graph) -> tuple:
         if best is None or cand < best:
             best = cand
     return best if best is not None else (0, ())
+
+
+def reference_branchwidth(g: Graph) -> tuple:
+    """The brute-force branch width: the first least-width tree over every
+    leaf-labelled cubic tree of `_leaf_trees`, each one validated and
+    scored.  Reference for `exact_branchwidth`."""
+    edges = sorted(g.edges)
+    if not edges:
+        return 0, BranchDec(Graph.empty(), {})
+    best = None
+    for tree, table in _leaf_trees(len(edges)):
+        dec = BranchDec(tree, {leaf: edges[i] for leaf, i in table.items()})
+        w = branch_dec_width(dec, g)
+        if best is None or w < best[0]:
+            best = w, dec
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -281,6 +282,76 @@ def test_malformed_input_exits_two(p3_file, tmp_path, capsys, command, text, nam
     assert str(bad) in err
     if named:
         assert named in err
+
+
+_DEEP_JSON = {  # (innermost node, node with its child at "@") per input kind
+    "term": ('{"op": "leaf", "atom": "a"}',
+             '{"op": "tensor", "children": [@, {"op": "leaf", "atom": "a"}]}'),
+    "rec-path": ('{"kind": "rec-path", "empty": true}',
+                 '{"kind": "rec-path", "graph": {"v": [], "e": [], "s": []}, '
+                 '"bag": [], "tail": @}'),
+}
+
+
+def _deep_json(kind: str, depth: int) -> str:
+    """JSON text of a term or recursive path decomposition `depth` nodes deep;
+    a term is wrapped in a term file."""
+    leaf, node = _DEEP_JSON[kind]
+    text = leaf
+    for _ in range(depth):
+        text = node.replace("@", text)
+    return f'{{"term": {text}, "signature": {{}}}}' if kind == "term" else text
+
+
+def _deep_argv(command: str, path: str, p3_file: str) -> list:
+    return {"catalog": ["catalog", "--max-v", "2", "--cache", path],
+            "validate": ["validate", p3_file, "--dec", path],
+            "translate": ["translate", "--from", path, "--to", "rec-tree"]}[command]
+
+
+def _assert_one_error_line(err: str, path: str) -> None:
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ("translate", "validate", "catalog"))
+def test_deeply_nested_json_exits_two(p3_file, tmp_path, capsys, command):
+    # twice the recursion limit: whether the decoder or the parser gives up
+    # first depends on the Python version, and both must end the same way
+    depth = 2 * sys.getrecursionlimit()
+    deep = tmp_path / "deep.json"
+    deep.write_text({"translate": lambda: _deep_json("term", depth),
+                     "validate": lambda: _deep_json("rec-path", depth),
+                     "catalog": lambda: "[" * 100_000 + "]" * 100_000}[command]())
+    assert main(_deep_argv(command, str(deep), p3_file)) == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line(err, str(deep))
+    if command != "catalog":
+        assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("command", ("translate", "validate"))
+def test_decoded_but_too_deep_to_parse_exits_two(p3_file, tmp_path, capsys,
+                                                  monkeypatch, command):
+    # the parse side alone: a decoder that follows any depth hands over a
+    # term or decomposition nested past the recursion limit
+    depth = 2 * sys.getrecursionlimit()
+    data = {"op": "leaf", "atom": "a"} if command == "translate" else {
+        "kind": "rec-path", "empty": True}
+    for _ in range(depth):
+        data = ({"op": "tensor", "children": [data, {"op": "leaf", "atom": "a"}]}
+                if command == "translate" else
+                {"kind": "rec-path", "graph": {"v": [], "e": [], "s": []},
+                 "bag": [], "tail": data})
+    if command == "translate":
+        data = {"term": data, "signature": {}}
+    deep = tmp_path / "deep.json"
+    deep.write_text("{}")
+    monkeypatch.setattr(json, "loads", lambda text: data)
+    assert main(_deep_argv(command, str(deep), p3_file)) == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line(err, str(deep))
+    assert "nested too deeply" in err
 
 
 def test_decompose_monoidal_json_holds_only_the_term_atoms(tmp_path, capsys):

@@ -2,8 +2,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mwidth.decomp as decomp_mod
 from conftest import cycle_graph, k, path_graph, random_graph, reference_key
+from conftest import reference_branchwidth
 from mwidth import (
     Graph,
     PathDec,
@@ -215,3 +219,57 @@ def test_oracle_witnesses_follow_vertex_order():
         for oracle in (exact_treewidth, exact_pathwidth, exact_branchwidth):
             w, dec = oracle(small)
             assert oracle(g) == (w, _relabelled(dec, ids)), (oracle.__name__, g)
+
+
+# ---------------------------------------------------------------------------
+# Branch width: the subset DP against the brute force over every cubic tree.
+
+
+def test_branchwidth_matches_the_brute_force_on_the_6_vertex_catalog():
+    graphs = [g for g in enumerate_graphs(6) if len(g.edges) <= 7]
+    assert len(graphs) == 126
+    for g in graphs:
+        assert exact_branchwidth(g) == reference_branchwidth(g), g
+
+
+@st.composite
+def multigraphs(draw):
+    """A multigraph with loops and parallel edges: up to 5 vertices, 0 to 7 edges."""
+    n = draw(st.integers(1, 5))
+    vertex = st.integers(0, n - 1)
+    return Graph.from_edge_pairs(range(n), draw(st.lists(st.tuples(vertex, vertex),
+                                                         max_size=7)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(multigraphs())
+def test_branchwidth_matches_the_brute_force_on_multigraphs(g):
+    assert exact_branchwidth(g) == reference_branchwidth(g)
+
+
+def _star(leaves: int) -> Graph:
+    return Graph.from_edge_pairs(range(leaves + 1), [(0, i) for i in range(1, leaves + 1)])
+
+
+# bw(K_n) = ceil(2n / 3) for n >= 3, bw(C_n) = 2 for n >= 3, and a star with
+# at least two edges has width 1: every edge order is its centre alone
+@pytest.mark.parametrize("g,bw", [(k(3), 2), (k(4), 3), (cycle_graph(3), 2),
+                                  (cycle_graph(5), 2), (cycle_graph(7), 2),
+                                  (_star(1), 0), (_star(2), 1), (_star(5), 1),
+                                  (_star(7), 1)])
+def test_branchwidth_closed_forms(g, bw):
+    assert exact_branchwidth(g)[0] == bw
+
+
+def test_branchwidth_validates_only_its_witness(monkeypatch):
+    checked = []
+    real = decomp_mod.validate_branch_dec
+
+    def counted(dec, g):
+        checked.append(dec)
+        return real(dec, g)
+    monkeypatch.setattr(decomp_mod, "validate_branch_dec", counted)
+    for g in (k(4), cycle_graph(7), _star(1)):
+        w, dec = exact_branchwidth(g)
+        assert checked == [dec]
+        checked.clear()
