@@ -100,16 +100,12 @@ def compose(g1: Cospan, g2: Cospan) -> Cospan:
     return compose_with_maps(g1, g2)[0]
 
 
-def tensor_with_maps(g1: Cospan, g2: Cospan) -> tuple[Cospan, GraphMorphism, GraphMorphism]:
+def tensor(g1: Cospan, g2: Cospan) -> Cospan:
+    """Monoidal product: disjoint union of apexes, concatenated boundaries."""
     apex, i1, i2 = graph_coproduct(g1.apex, g2.apex)
     left = tuple(i1.vmap[v] for v in g1.left) + tuple(i2.vmap[v] for v in g2.left)
     right = tuple(i1.vmap[v] for v in g1.right) + tuple(i2.vmap[v] for v in g2.right)
-    return Cospan(apex, left, right), i1, i2
-
-
-def tensor(g1: Cospan, g2: Cospan) -> Cospan:
-    """Monoidal product: disjoint union of apexes, concatenated boundaries."""
-    return tensor_with_maps(g1, g2)[0]
+    return Cospan(apex, left, right)
 
 
 def wiring(n_vertices: int, left: Iterable[int], right: Iterable[int]) -> Cospan:

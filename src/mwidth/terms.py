@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import cospan as cs
 from .cospan import Cospan
 from .decomp import DecompositionError
-from .graph import Graph, SourcedGraph, _subset_unions
+from .graph import Graph, SourcedGraph, UnionFind, _subset_unions
 from .oracles import OracleError
 
 
@@ -131,107 +131,216 @@ class SymbolicSignature(Signature):
         return super()._wiring_leaf(key, factory)
 
 
-def arity(d: DecompTree, sig: Signature, _path: str = "") -> tuple[int, int]:
+def _post_order(d: DecompTree) -> list:
+    """The nodes of `d`, each after its children, left before right.  Only
+    `Tensor` and `Compose` nodes are entered."""
+    out, stack = [], [d]
+    while stack:  # parents before children, right before left: the reverse
+        node = stack.pop()
+        out.append(node)
+        if isinstance(node, (Tensor, Compose)):
+            stack += node.left, node.right
+    out.reverse()
+    return out
+
+
+def _path(d: DecompTree, target) -> str:
+    """The steps ("L", "R") from the root of `d` to the first node `target`
+    in post-order, or "root".  A node's checks depend only on its subterm,
+    so the first failing node is the first occurrence of its object."""
+    trail = [[d, "", 0]]  # open nodes from the root down, each with its step
+    while True:
+        frame = trail[-1]
+        node, _, seen = frame
+        if seen < 2 and isinstance(node, (Tensor, Compose)):
+            frame[2] = seen + 1
+            trail.append([node.right if seen else node.left, "LR"[seen], 0])
+        elif node is target:
+            return "".join(step for _, step, _ in trail) or "root"
+        else:
+            trail.pop()
+
+
+def _cut_mismatch(d: DecompTree, node: Compose, cod: int, dom: int) -> TermError:
+    return TermError(f"cut mismatch at node {_path(d, node)}: {cod} -> [{node.cut}] -> {dom}")
+
+
+def _typed(d: DecompTree, sig: Signature) -> tuple[int, int, int]:
+    """Domain and codomain arities and width of `d`, in one post-order walk;
+    raises TermError naming the first bad node."""
+    done: list = []  # (dom, cod, width) of the finished subterms, innermost last
+    for node in _post_order(d):
+        if isinstance(node, Leaf):
+            a = sig.atom(node.atom)
+            done.append((a.dom, a.cod, a.weight))
+            continue
+        if not isinstance(node, (Tensor, Compose)):
+            raise TermError(f"not a decomposition tree node: {node!r}")
+        d2, c2, w2 = done.pop()
+        d1, c1, w1 = done.pop()
+        if isinstance(node, Tensor):
+            done.append((d1 + d2, c1 + c2, max(w1, w2)))
+        elif c1 != node.cut or d2 != node.cut:
+            raise _cut_mismatch(d, node, c1, d2)
+        else:
+            done.append((d1, c2, max(w1, node.cut, w2)))
+    return done[0]
+
+
+def arity(d: DecompTree, sig: Signature) -> tuple[int, int]:
     """Domain and codomain arities; raises TermError naming the bad node."""
-    if isinstance(d, Leaf):
-        a = sig.atom(d.atom)
-        return a.dom, a.cod
-    if isinstance(d, Tensor):
-        d1, c1 = arity(d.left, sig, _path + "L")
-        d2, c2 = arity(d.right, sig, _path + "R")
-        return d1 + d2, c1 + c2
-    if isinstance(d, Compose):
-        d1, c1 = arity(d.left, sig, _path + "L")
-        d2, c2 = arity(d.right, sig, _path + "R")
-        if c1 != d.cut or d2 != d.cut:
-            raise TermError(
-                f"cut mismatch at node {_path or 'root'}: "
-                f"{c1} -> [{d.cut}] -> {d2}")
-        return d1, c2
-    raise TermError(f"not a decomposition tree node: {d!r}")
+    return _typed(d, sig)[:2]
 
 
 def width(d: DecompTree, sig: Signature) -> int:
     """max over leaves of atom weight and over composition nodes of cut weight."""
-    arity(d, sig)
-    return _width(d, sig)
-
-
-def _width(d: DecompTree, sig: Signature) -> int:
-    if isinstance(d, Leaf):
-        return sig.atom(d.atom).weight
-    if isinstance(d, Tensor):
-        return max(_width(d.left, sig), _width(d.right, sig))
-    return max(_width(d.left, sig), d.cut, _width(d.right, sig))
+    return _typed(d, sig)[2]
 
 
 def node_weights(d: DecompTree, sig: Signature) -> list[int]:
-    """Weights of all tree nodes (tensor nodes cost 0)."""
-    if isinstance(d, Leaf):
-        return [sig.atom(d.atom).weight]
-    if isinstance(d, Tensor):
-        return node_weights(d.left, sig) + [0] + node_weights(d.right, sig)
-    return node_weights(d.left, sig) + [d.cut] + node_weights(d.right, sig)
+    """Weights of all tree nodes in order (tensor nodes cost 0)."""
+    out: list = []
+    above: list = []  # inner nodes whose left subterm is being listed
+    node = d
+    while True:
+        while not isinstance(node, Leaf):
+            above.append(node)
+            node = node.left
+        out.append(sig.atom(node.atom).weight)
+        if not above:
+            return out
+        node = above.pop()
+        out.append(0 if isinstance(node, Tensor) else node.cut)
+        node = node.right
 
 
 def node_count(d: DecompTree) -> int:
-    if isinstance(d, Leaf):
-        return 1
-    return 1 + node_count(d.left) + node_count(d.right)
+    return len(_post_order(d))
 
 
 def is_right_tree(d: DecompTree) -> bool:
     """Compositions may only recurse on the right; the left factor is atomic."""
-    if isinstance(d, Leaf):
-        return True
-    if isinstance(d, Tensor):
-        return is_right_tree(d.left) and is_right_tree(d.right)
-    return isinstance(d.left, Leaf) and is_right_tree(d.right)
+    return all(isinstance(node.left, Leaf) for node in _post_order(d)
+               if isinstance(node, Compose))
 
 
 def is_left_tree(d: DecompTree) -> bool:
-    if isinstance(d, Leaf):
-        return True
-    if isinstance(d, Tensor):
-        return is_left_tree(d.left) and is_left_tree(d.right)
-    return isinstance(d.right, Leaf) and is_left_tree(d.left)
+    return all(isinstance(node.right, Leaf) for node in _post_order(d)
+               if isinstance(node, Compose))
 
 
 def is_path(d: DecompTree) -> bool:
     """No tensor nodes anywhere."""
-    if isinstance(d, Leaf):
-        return True
-    if isinstance(d, Tensor):
-        return False
-    return is_path(d.left) and is_path(d.right)
+    return not any(isinstance(node, Tensor) for node in _post_order(d))
 
 
-def evaluate(d: DecompTree, sig: Signature, _path: str = "") -> Cospan:
-    """Fold the term back into the category; every atom must carry a cospan."""
-    return _fold(d, sig, _path, {})
+class _Node(NamedTuple):
+    """A node of an evaluated term, in the global numbering of its leaves."""
+
+    term: DecompTree
+    vertices: range  # global ids of its leaves' apex vertices
+    edges: range  # global ids of its leaves' apex edges
+    left: tuple  # global ids of its left ports
+    right: tuple  # global ids of its right ports
 
 
-def _fold(d: DecompTree, sig: Signature, path: str, nodes: dict) -> Cospan:
-    """`evaluate`, recording in `nodes`, by `id(node)`, each node's cospan and
-    the apex maps of its two factors into it (None at a leaf)."""
-    if isinstance(d, Leaf):
-        a = sig.atom(d.atom)
-        if a.cospan is None:
-            raise TermError(f"atom {d.atom!r} at {path or 'root'} has no cospan binding")
-        out = a.cospan, None, None
-    else:
-        left = _fold(d.left, sig, path + "L", nodes)
-        right = _fold(d.right, sig, path + "R", nodes)
-        if isinstance(d, Tensor):
-            out = cs.tensor_with_maps(left, right)
-        elif left.right_arity != d.cut or right.left_arity != d.cut:
-            raise TermError(
-                f"cut mismatch at node {path or 'root'}: "
-                f"{left.right_arity} -> [{d.cut}] -> {right.left_arity}")
+class _Glued(NamedTuple):
+    """A term's value with each node's place in it: a node's image in the
+    value's apex is `vertex` and `edge` of its global ids."""
+
+    value: Cospan
+    vertex: list  # global vertex id -> apex vertex of `value`
+    edge: Sequence  # global edge id -> apex edge of `value`
+    nodes: list  # the _Node of every term node, in post-order
+
+
+def _numbered(c: Cospan) -> tuple:
+    """A leaf cospan in its own sorted numbering: vertex count, edge ends
+    and the two legs."""
+    rank = {v: i for i, v in enumerate(sorted(c.apex.vertices))}
+    ends = [tuple(rank[v] for v in c.apex.ends(e)) for e in sorted(c.apex.edges)]
+    return (len(rank), ends, tuple(rank[v] for v in c.left),
+            tuple(rank[v] for v in c.right))
+
+
+def _glue(d: DecompTree, sig: Signature) -> _Glued:
+    """Evaluate `d` as one colimit of its leaves.
+
+    The leaves' apex vertices and edges get global ids left to right, each
+    leaf's in sorted order (the coproduct order).  Each composition unions
+    its cut ports; classes are numbered by their least global id, and the
+    edges keep their global ids.  This is the apex that nested pushouts and
+    coproducts build, since each numbers its classes by least coproduct id.
+    The arity and cut checks all run, in post-order, before any union.
+    """
+    nodes: list = []
+    done: list = []  # _Node of the finished subterms, innermost last
+    blocks: list = []  # (first vertex id, local edge ends) of each leaf
+    pairs: list = []  # cut ports to identify
+    numbered: dict = {}  # id(leaf cospan) -> _numbered of it
+    n_vertices = n_edges = 0
+    for node in _post_order(d):
+        if isinstance(node, Leaf):
+            c = sig.atom(node.atom).cospan
+            if c is None:
+                raise TermError(f"atom {node.atom!r} at {_path(d, node)} has no cospan binding")
+            if id(c) not in numbered:
+                numbered[id(c)] = _numbered(c)
+            n, leaf_ends, left, right = numbered[id(c)]
+            v0, e0 = n_vertices, n_edges
+            n_vertices += n
+            n_edges += len(leaf_ends)
+            blocks.append((v0, leaf_ends))
+            out = _Node(node, range(v0, n_vertices), range(e0, n_edges),
+                        tuple([v0 + v for v in left]), tuple([v0 + v for v in right]))
+        elif isinstance(node, (Tensor, Compose)):
+            n2 = done.pop()
+            n1 = done.pop()
+            vs = range(n1.vertices.start, n2.vertices.stop)
+            es = range(n1.edges.start, n2.edges.stop)
+            if isinstance(node, Tensor):
+                out = _Node(node, vs, es, n1.left + n2.left, n1.right + n2.right)
+            elif len(n1.right) != node.cut or len(n2.left) != node.cut:
+                raise _cut_mismatch(d, node, len(n1.right), len(n2.left))
+            else:
+                pairs += zip(n1.right, n2.left)
+                out = _Node(node, vs, es, n1.left, n2.right)
         else:
-            out = cs.compose_with_maps(left, right)
-    nodes[id(d)] = out
-    return out[0]
+            raise TermError(f"not a decomposition tree node: {node!r}")
+        nodes.append(out)
+        done.append(out)
+    if isinstance(d, Leaf):
+        c = sig.atom(d.atom).cospan
+        return _Glued(c, sorted(c.apex.vertices), sorted(c.apex.edges), nodes)
+    uf = UnionFind(range(n_vertices))
+    for a, b in pairs:
+        uf.union(a, b)
+    # a class's representative is its least id, so it is met and numbered first
+    vertex: list = []
+    n_classes = 0
+    for v in range(n_vertices):
+        r = uf.find(v)
+        if r == v:
+            vertex.append(n_classes)
+            n_classes += 1
+        else:
+            vertex.append(vertex[r])
+    ends = [{vertex[v0 + v] for v in pts} for v0, leaf_ends in blocks for pts in leaf_ends]
+    apex = Graph(range(n_classes), dict(enumerate(ends)))
+    (root,) = done
+    return _Glued(Cospan(apex, tuple(vertex[v] for v in root.left),
+                         tuple(vertex[v] for v in root.right)),
+                  vertex, range(len(ends)), nodes)
+
+
+def evaluate(d: DecompTree, sig: Signature) -> Cospan:
+    """Fold the term back into the category; every atom must carry a cospan.
+
+    The value is the one colimit of the leaves (`_glue`): apex vertices are
+    numbered by the least leaf-order id of their class, edges by leaf order.
+    A bare leaf evaluates to its atom's own cospan, as it is.
+    """
+    return _glue(d, sig).value
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +515,7 @@ class _Incumbent:
 
 
 def _leaf_atoms(d: DecompTree) -> set:
-    return {d.atom} if isinstance(d, Leaf) else _leaf_atoms(d.left) | _leaf_atoms(d.right)
+    return {node.atom for node in _post_order(d) if isinstance(node, Leaf)}
 
 
 def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,

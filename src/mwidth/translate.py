@@ -10,9 +10,11 @@ theorems work:
 * recursive branch dec-> term               with width <= max(input width, 1) + 1;
 * term + glue map     -> recursive branch dec with width <= 2 * max(term width, arities).
 
-The term -> decomposition directions fold the term once (`terms._fold`)
-and walk it top-down, building each node once, directly in the root apex,
-so they are linear in the term.
+The term -> decomposition directions evaluate the term once, in one
+union-find pass (`terms._glue`) that also gives every term node's image in
+the root apex.  One post-order pass over those nodes then builds each
+decomposition node from its term node's image, so they are linear in the
+term.
 
 The bounds are hard postconditions (BoundViolation on failure).  The
 branch upper bound carries a floor of one because a term for a graph with
@@ -173,28 +175,23 @@ def _push(t, vmap: dict, emap: dict, target: Graph):
                   *(_push(child, vmap, emap, target) for child in _children(t)))
 
 
-def _image(node: type, vmap: dict, emap: dict, target: Graph, vs, es, sources, bag, *kids):
+def _image(node: type, vmap, emap, target: Graph, vs, es, sources, bag, *kids):
     """`node` over the image in `target` of the part (`vs`, `es`) of a graph,
-    with the images of `sources` and `bag`."""
+    with the images of `sources` and `bag`; `vmap` and `emap` are indexed
+    by id (dicts, or the lists of `terms._glue`)."""
     image = target.subgraph({vmap[v] for v in vs}, {emap[e] for e in es})
     return node(SourcedGraph(image, {vmap[v] for v in sources}), {vmap[v] for v in bag}, *kids)
 
 
-def _through(m: GraphMorphism, vmap: dict, emap: dict) -> tuple[dict, dict]:
-    """A factor's apex map `m` from the `terms._fold` table, then `vmap` and `emap`."""
-    return {v: vmap[w] for v, w in m.vmap.items()}, {e: emap[f] for e, f in m.emap.items()}
-
-
-def _fold_closed(d: DecompTree, sig: Signature, shaped, shape: str) -> tuple[Cospan, dict]:
-    """The cospan of the `shape`d term `d`, which must have an empty right
-    boundary, and the `terms._fold` table of its nodes."""
+def _glue_closed(d: DecompTree, sig: Signature, shaped, shape: str) -> tm._Glued:
+    """`terms._glue` of the `shape`d term `d`, which must have an empty
+    right boundary."""
     if not shaped(d):
         raise TranslationError(f"the term is not {shape} shaped")
-    nodes: dict = {}
-    g = tm._fold(d, sig, "", nodes)
-    if g.right_arity != 0:
+    glued = tm._glue(d, sig)
+    if glued.value.right_arity != 0:
         raise TranslationError("the term's right boundary is not empty")
-    return g, nodes
+    return glued
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +312,52 @@ def _t2m(t: RecTreeDec, sg: SourcedGraph, sig: Signature) -> DecompTree:
                    Compose(b, len(x1) + len(x2), Tensor(d1, d2)))
 
 
+_NO_KIDS = REC_TREE_EMPTY, REC_TREE_EMPTY
+
+
 def m_to_tdec(d: DecompTree, sig: Signature) -> RecTreeDec:
     """Recursive tree decomposition read off a right-tree term.
 
     The term must have an empty right boundary; the result decomposes
     (apex, image of the left leg) with width <= max(term width, image size).
+    Each node decomposes its term node's image in the apex, built in one
+    post-order pass over the nodes of `terms._glue`.
     """
-    g, nodes = _fold_closed(d, sig, tm.is_right_tree, "right-tree")
-    t = _m2t(d, nodes, {v: v for v in g.apex.vertices}, {e: e for e in g.apex.edges}, g.apex)
-    return _within(t, max(tm.width(d, sig), len(g.left_image())), "tree")
+    glued = _glue_closed(d, sig, tm.is_right_tree, "right-tree")
+    at = glued.vertex, glued.edge, glued.value.apex  # global ids -> the apex
+    done: list = []  # (node, its decomposition; None for a leaf), innermost last
+    for n in glued.nodes:
+        if isinstance(n.term, Leaf):
+            done.append((n, None))
+            continue
+        (n1, t1), (n2, t2) = done[-2:]
+        del done[-2:]
+        if isinstance(n.term, Compose):
+            # the atom's image is the left child; the bag adds the cut, which
+            # is all the two factors share
+            bag = n.left + n1.right
+            kids = (_one_bag(RecTreeNode, *at, n1.vertices, n1.edges, bag, *_NO_KIDS),
+                    _placed(n2, t2, at))
+        else:  # tensor: join both parts under the boundary image
+            bag = n.left
+            kids = _placed(n1, t1, at), _placed(n2, t2, at)
+        done.append((n, _image(RecTreeNode, *at, n.vertices, n.edges, n.left, bag, *kids)))
+    t = _placed(*done[0], at)
+    return _within(t, max(tm.width(d, sig), len(glued.value.left_image())), "tree")
+
+
+def _one_bag(node: type, vmap, emap, target: Graph, vs, es, sources, *empties):
+    """`_image` of a one-bag node holding all of `vs`; empty for no vertices."""
+    if not vs:
+        return empties[0]
+    return _image(node, vmap, emap, target, vs, es, sources, vs, *empties)
+
+
+def _placed(n: tm._Node, t: Optional[RecTreeDec], at: tuple) -> RecTreeDec:
+    """`t`, or for a leaf `n` (None) its one-bag node, built at its parent."""
+    if t is not None:
+        return t
+    return _one_bag(RecTreeNode, *at, n.vertices, n.edges, n.left, *_NO_KIDS)
 
 
 def _within(t, bound: int, what: str):
@@ -332,36 +366,6 @@ def _within(t, bound: int, what: str):
     if got > bound:
         raise BoundViolation(f"term-to-{what} width {got} exceeds {bound}")
     return t
-
-
-def _one_bag(node: type, vmap: dict, emap: dict, target: Graph, vs, es, sources, *empties):
-    """`_image` of a one-bag node holding all of `vs`; empty for no vertices."""
-    if not vs:
-        return empties[0]
-    return _image(node, vmap, emap, target, vs, es, sources, vs, *empties)
-
-
-def _m2t(d: DecompTree, nodes: dict, vmap: dict, emap: dict, target: Graph) -> RecTreeDec:
-    """Node `d` of a right-tree term, built in the root apex `target` through
-    its apex maps into it, from the `terms._fold` table `nodes`."""
-    g, m1, m2 = nodes[id(d)]
-    apex, ports, empty = g.apex, g.left_image(), REC_TREE_EMPTY
-    if isinstance(d, Leaf):
-        return _one_bag(RecTreeNode, vmap, emap, target, apex.vertices, apex.edges, ports,
-                        empty, empty)
-    if isinstance(d, Compose):
-        # the atom's image is the left child; the bag adds what it shares with the rest
-        _check_identified(nodes[id(d.left)][0], nodes[id(d.right)][0], m1, m2)
-        v1 = frozenset(m1.vmap.values())
-        bag = ports | (v1 & frozenset(m2.vmap.values()))
-        left = _one_bag(RecTreeNode, vmap, emap, target, v1, m1.emap.values(), v1 & bag,
-                        empty, empty)
-        kids = left, _m2t(d.right, nodes, *_through(m2, vmap, emap), target)
-    else:  # tensor: join both parts under the boundary image
-        bag = ports
-        kids = (_m2t(d.left, nodes, *_through(m1, vmap, emap), target),
-                _m2t(d.right, nodes, *_through(m2, vmap, emap), target))
-    return _image(RecTreeNode, vmap, emap, target, apex.vertices, apex.edges, ports, bag, *kids)
 
 
 # ---------------------------------------------------------------------------
@@ -400,33 +404,21 @@ def m_to_pdec(d: DecompTree, sig: Signature) -> RecPathDec:
     """Recursive path decomposition read off a composition-only term.
 
     Node i is the part of the root apex covered by leaves i, i+1, ..., with
-    leaf i's image as its bag.  The apex and each leaf's map into it do not
+    leaf i's image as its bag.  The apex and each leaf's image in it do not
     depend on how the term is associated.  Width never increases.
     """
-    g, nodes = _fold_closed(d, sig, tm.is_path, "path")
-    leaves: list = []
-    _leaf_maps(d, nodes, {v: v for v in g.apex.vertices}, {e: e for e in g.apex.edges}, leaves)
+    glued = _glue_closed(d, sig, tm.is_path, "path")
+    target, vertex, edge = glued.value.apex, glued.vertex, glued.edge
+    leaves = [n for n in glued.nodes if isinstance(n.term, Leaf)]
     t, vs, es = REC_PATH_EMPTY, set(), set()
-    for i, (h, vmap, emap) in enumerate(reversed(leaves)):
-        bag = {vmap[v] for v in h.apex.vertices}
+    for i, n in enumerate(reversed(leaves)):
+        bag = {vertex[v] for v in n.vertices}
         vs |= bag
-        es.update(emap[e] for e in h.apex.edges)
+        es.update(edge[e] for e in n.edges)
         if bag or i:  # only an empty last leaf leaves the tail empty
-            t = RecPathCons(SourcedGraph(g.apex.subgraph(vs, es), {vmap[v] for v in h.left}),
+            t = RecPathCons(SourcedGraph(target.subgraph(vs, es), {vertex[v] for v in n.left}),
                             bag, t)
     return _within(t, tm.width(d, sig), "path")
-
-
-def _leaf_maps(d: DecompTree, nodes: dict, vmap: dict, emap: dict, out: list) -> None:
-    """Append each leaf's cospan and apex maps into the root apex to `out`,
-    left to right, for the path term `d` with `terms._fold` table `nodes`."""
-    g, m1, m2 = nodes[id(d)]
-    if isinstance(d, Leaf):
-        out.append((g, vmap, emap))
-        return
-    _check_identified(nodes[id(d.left)][0], nodes[id(d.right)][0], m1, m2)
-    _leaf_maps(d.left, nodes, *_through(m1, vmap, emap), out)
-    _leaf_maps(d.right, nodes, *_through(m2, vmap, emap), out)
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +499,10 @@ def check_glueing(h: Cospan, phi: FiniteMap) -> Optional[tuple]:
     return _first_bad_pair(phi.mapping, lambda v, w: v in boundary and w in boundary)
 
 
-def _pushed_sourced(h: Cospan, phi_v: FiniteMap, phi_e: dict) -> SourcedGraph:
-    verts = frozenset(phi_v(v) for v in h.apex.vertices)
-    ends = {phi_e[e]: {phi_v(v) for v in h.apex.ends(e)} for e in h.apex.edges}
-    sources = frozenset(phi_v(v) for v in h.left_image() | h.right_image())
-    return SourcedGraph(Graph(verts, ends), sources)
+def _pushed(apex: Graph, phi: dict, vs, es, sources) -> SourcedGraph:
+    """The part (`vs`, `es`) of `apex`, with `sources`, through the vertex map `phi`."""
+    return SourcedGraph(Graph({phi[v] for v in vs}, {e: {phi[v] for v in apex.ends(e)} for e in es}),
+                        {phi[v] for v in sources})
 
 
 def m_to_bdec(d: DecompTree, sig: Signature,
@@ -521,9 +512,12 @@ def m_to_bdec(d: DecompTree, sig: Signature,
     `phi` tells which apex vertices are destined to be identified later;
     it may merge vertices only inside the boundary images (the glueing
     property).  Width is at most twice max(term width, boundary arities).
+    Each node decomposes the image through `phi` of its term node's image
+    in the apex, built in one post-order pass over the nodes of
+    `terms._glue`.
     """
-    nodes: dict = {}
-    h = tm._fold(d, sig, "", nodes)
+    glued = tm._glue(d, sig)
+    h, vertex, edge = glued.value, glued.vertex, glued.edge
     if phi is None:
         phi = FiniteMap({v: v for v in h.apex.vertices}, h.apex.vertices)
     if phi.domain != h.apex.vertices:
@@ -532,10 +526,22 @@ def m_to_bdec(d: DecompTree, sig: Signature,
     if bad is not None:
         raise TranslationError(
             f"glue map identifies {bad[0]} and {bad[1]} outside the boundary")
-    phi_e = {e: e for e in h.apex.edges}
-    t = _m2b(d, nodes, phi, phi_e)
-    target = _pushed_sourced(h, phi, phi_e)
-    check = validate_rec_branch_dec(t, target)
+    done: list = []  # decompositions of the finished subterms, innermost last
+    for n in glued.nodes:
+        part = _pushed(h.apex, phi.mapping, (vertex[v] for v in n.vertices),
+                       (edge[e] for e in n.edges), (vertex[v] for v in n.left + n.right))
+        if isinstance(n.term, Leaf):
+            done.append(_left_comb_branch(part))
+            continue
+        t1, t2 = done[-2:]
+        del done[-2:]
+        if isinstance(t1, RecBranchEmpty) and isinstance(t2, RecBranchEmpty):
+            done.append(RecBranchEmpty(part))
+        else:
+            done.append(RecBranchNode(part, t1, t2))
+    (t,) = done
+    check = validate_rec_branch_dec(t, _pushed(h.apex, phi.mapping, h.apex.vertices,
+                                               h.apex.edges, h.left + h.right))
     if not check:
         raise BoundViolation(f"term-to-branch output invalid "
                              f"(clause {check.clause}): {check.message}")
@@ -551,28 +557,6 @@ def _left_comb_branch(sg: SourcedGraph) -> RecBranchDec:
         return RecBranchLeaf(sg)
     g1, g2 = _branch_split(sg, frozenset({min(sg.edges)}))
     return RecBranchNode(sg, RecBranchLeaf(g1), _left_comb_branch(g2))
-
-
-def _m2b(d: DecompTree, nodes: dict, phi_v: FiniteMap, phi_e: dict) -> RecBranchDec:
-    """Node `d` through its glue map, from the `terms._fold` table `nodes`."""
-    composite, m1, m2 = nodes[id(d)]
-    if isinstance(d, Leaf):
-        return _left_comb_branch(_pushed_sourced(composite, phi_v, phi_e))
-    factors = []
-    for child, m, side in ((d.left, m1, "left"), (d.right, m2, "right")):
-        pv, pe = _through(m, phi_v.mapping, phi_e)
-        phi = FiniteMap(pv, phi_v.codomain)
-        bad = check_glueing(nodes[id(child)][0], phi)
-        if bad is not None:
-            raise BoundViolation(
-                f"induced glue map on the {side} factor identifies "
-                f"{bad[0]} and {bad[1]} outside its boundary")
-        factors.append((child, phi, pe))
-    t1, t2 = (_m2b(child, nodes, phi, pe) for child, phi, pe in factors)
-    target = _pushed_sourced(composite, phi_v, phi_e)
-    if isinstance(t1, RecBranchEmpty) and isinstance(t2, RecBranchEmpty):
-        return RecBranchEmpty(target)
-    return RecBranchNode(target, t1, t2)
 
 
 # ---------------------------------------------------------------------------

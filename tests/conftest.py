@@ -13,13 +13,16 @@ from mwidth import (
     Cospan,
     Graph,
     PathDec,
+    Signature,
     SymbolicSignature,
+    TermError,
     TreeDec,
     branch_dec_width,
     canonical_key,
 )
+from mwidth import cospan as cs
 from mwidth.oracles import _leaf_trees
-from mwidth.terms import Compose, Leaf, Tensor
+from mwidth.terms import Compose, DecompTree, Leaf, Tensor
 
 ACCEPTANCE_RESULTS = []
 
@@ -101,6 +104,25 @@ def reference_branchwidth(g: Graph) -> tuple:
         if best is None or w < best[0]:
             best = w, dec
     return best
+
+
+def reference_evaluate(d: DecompTree, sig: Signature, path: str = "") -> Cospan:
+    """The nested fold: one `cs.compose` or `cs.tensor` per inner node,
+    checking each leaf's binding and each cut in post-order.  Reference for
+    `evaluate`, its numbering and its errors."""
+    if isinstance(d, Leaf):
+        a = sig.atom(d.atom)
+        if a.cospan is None:
+            raise TermError(f"atom {d.atom!r} at {path or 'root'} has no cospan binding")
+        return a.cospan
+    left = reference_evaluate(d.left, sig, path + "L")
+    right = reference_evaluate(d.right, sig, path + "R")
+    if isinstance(d, Tensor):
+        return cs.tensor(left, right)
+    if left.right_arity != d.cut or right.left_arity != d.cut:
+        raise TermError(f"cut mismatch at node {path or 'root'}: "
+                        f"{left.right_arity} -> [{d.cut}] -> {right.left_arity}")
+    return cs.compose(left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ from conftest import (
     fg_signature,
     k,
     path_graph,
+    reference_evaluate,
 )
 from mwidth import (
+    Cospan,
     Graph,
     Signature,
     SourcedGraph,
@@ -367,3 +369,63 @@ def test_width_requires_only_weights_not_cospans():
     # symbolic signatures never need evaluation to report widths
     sig = fg_signature()
     assert width(doubling_naive(3), sig) == 8
+
+
+def _sparse_cospan(rng: random.Random, left: int, right: int) -> Cospan:
+    """Sparse vertex and edge ids, some loops, legs that need not be injective."""
+    n = rng.randint(1 if left or right else 0, 4)
+    vs = rng.sample(range(40), n)
+    ends = {e: {rng.choice(vs), rng.choice(vs)}
+            for e in rng.sample(range(90), rng.randint(0, 4) if n else 0)}
+    return Cospan(Graph(vs, ends), tuple(rng.choice(vs) for _ in range(left)),
+                  tuple(rng.choice(vs) for _ in range(right)))
+
+
+def _random_term(rng: random.Random, sig: Signature, dom: int, depth: int):
+    """A well-typed term with domain `dom`, and its codomain; some leaves
+    share an atom."""
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        same_dom = [name for name, a in sig.atoms.items() if a.dom == dom]
+        if same_dom and r < 0.1:
+            name = rng.choice(same_dom)
+            return Leaf(name), sig.atoms[name].cod
+        cod = rng.randint(0, 3)
+        return sig.leaf(_sparse_cospan(rng, dom, cod)), cod
+    if r < 0.6:
+        d1 = rng.randint(0, dom)
+        t1, c1 = _random_term(rng, sig, d1, depth - 1)
+        t2, c2 = _random_term(rng, sig, dom - d1, depth - 1)
+        return Tensor(t1, t2), c1 + c2
+    t1, c1 = _random_term(rng, sig, dom, depth - 1)
+    t2, c2 = _random_term(rng, sig, c1, depth - 1)
+    return Compose(t1, c1, t2), c2
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_evaluate_matches_the_nested_fold(seed):
+    rng = random.Random(seed)
+    sig = Signature()
+    term, _ = _random_term(rng, sig, rng.randint(0, 3), rng.randint(0, 5))
+    got, want = evaluate(term, sig), reference_evaluate(term, sig)
+    assert got.apex == want.apex
+    assert list(got.apex._ends.items()) == list(want.apex._ends.items())
+    assert (got.left, got.right) == (want.left, want.right)
+    for name, a in sig.atoms.items():
+        # a bare leaf is its atom's own cospan, not renumbered
+        assert evaluate(Leaf(name), sig) is a.cospan
+
+
+@pytest.mark.parametrize("nesting", ["right", "left"])
+def test_deep_compose_chains_need_no_recursion(nesting):
+    sig = Signature()
+    e = sig.leaf(cs.edge())
+    term = e
+    for _ in range(5000):
+        term = Compose(e, 1, term) if nesting == "right" else Compose(term, 1, e)
+    value = evaluate(term, sig)
+    assert weight(value) == 5002 and len(value.apex.edges) == 5001
+    assert (value.left, value.right) == ((0,), (5001,))
+    assert width(term, sig) == 2
+    assert node_weights(term, sig) == [2, 1] * 5000 + [2]

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_graph, k, path_graph, random_graph
+from conftest import cycle_graph, k, path_graph, random_graph, reference_evaluate
 from mwidth import (
     BranchDec,
     FiniteMap,
@@ -16,6 +17,7 @@ from mwidth import (
     Signature,
     SourcedGraph,
     SymbolicSignature,
+    TermError,
     TranslationError,
     TreeDec,
     b_to_mdec,
@@ -52,9 +54,10 @@ from mwidth import (
 )
 from mwidth import cospan as cs
 from mwidth import graph as graph_module
+from mwidth import terms as tm
 from mwidth.decomp import RecBranchLeaf, RecBranchEmpty, RecTreeNode, REC_TREE_EMPTY
 from mwidth.oracles import optimal_rec_path_dec, optimal_rec_tree_dec
-from mwidth.terms import Compose, Leaf, Tensor, node_count, tree_from_json, tree_to_json
+from mwidth.terms import Compose, Leaf, Tensor, tree_from_json, tree_to_json
 from mwidth.translate import _KINDS, _optimal_term
 
 
@@ -573,18 +576,59 @@ def _dumped(dec) -> str:
     return json.dumps(decomposition_to_json(dec), sort_keys=True)
 
 
-def test_term_to_decomposition_evaluates_the_term_once(monkeypatch):
-    # each composition is one pushout and each tensor one coproduct, so one
-    # evaluation of the term makes exactly one per inner node
-    calls = []
+def test_term_to_decomposition_glues_the_term_once(monkeypatch):
+    # one union-find pass evaluates the whole term: no pushout, no coproduct
+    calls, pushouts = [], []
+    real = tm._glue
+    monkeypatch.setattr(tm, "_glue", lambda *a: calls.append(None) or real(*a))
     for name in ("graph_pushout", "graph_coproduct"):
-        real = getattr(cs, name)
-        monkeypatch.setattr(cs, name, lambda *a, real=real: calls.append(None) or real(*a))
-    for kind, how in (("tree", m_to_tdec), ("path", m_to_pdec)):
+        monkeypatch.setattr(cs, name, lambda *a: pushouts.append(None))
+    for kind, how in (("tree", m_to_tdec), ("path", m_to_pdec), ("branch", m_to_bdec)):
         _, term, sig = _optimal_term(kind, SourcedGraph(cycle_graph(5), {0}))
         calls.clear()
         how(term, sig)
-        assert len(calls) == (node_count(term) - 1) // 2, kind
+        assert len(calls) == 1 and not pushouts, kind
+
+
+def _fault_chains(sig: Signature, e: Leaf):
+    """Right combs of five leaves with two or three faults at distinct
+    paths: an unknown atom, an atom with no cospan, a cut that does not
+    match (the composition at depth i has cut 2)."""
+    bad_leaves = {"unknown": Leaf("nope"), "unbound": Leaf("unbound")}
+    for kinds in list(permutations(["unknown", "unbound", "cut"], 2)) + \
+            list(permutations(["unknown", "unbound", "cut"], 3)):
+        for places in permutations(range(5), len(kinds)):
+            leaves, cuts = [e] * 5, [1] * 5  # the comb has no fifth composition
+            for kind, i in zip(kinds, places):
+                if kind == "cut":
+                    cuts[i] = 2
+                else:
+                    leaves[i] = bad_leaves[kind]
+            if cuts[4] == 1:
+                term = leaves[4]
+                for i in reversed(range(4)):
+                    term = Compose(leaves[i], cuts[i], term)
+                yield term
+
+
+def test_first_fault_is_the_nested_folds_everywhere():
+    # the arity and cut checks run in post-order before any glueing, so
+    # evaluate and every term -> decomposition translation raise the
+    # reference fold's first error
+    sig = Signature()
+    e = sig.leaf(cs.edge())
+    sig.add("unbound", 1, 1, 2)
+    cases = list(_fault_chains(sig, e))
+    assert len(cases) > 100
+    cases += [Tensor(a, b) for a, b in zip(cases[::7], cases[3::7])]
+    for term in cases:
+        with pytest.raises(TermError) as want:
+            reference_evaluate(term, sig)
+        shaped = (evaluate, m_to_bdec) + ((m_to_tdec, m_to_pdec) if is_path(term) else ())
+        for how in shaped:
+            with pytest.raises(TermError) as got:
+                how(term, sig)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 def _reassociated(d, rng: random.Random):
