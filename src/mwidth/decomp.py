@@ -504,9 +504,11 @@ def _bags(t: Union[RecTreeDec, RecPathDec]) -> list:
 
 def _rec_width_raw(t: _RecDec) -> int:
     """Largest node cost of a recursive decomposition, without validation."""
-    width = _cost(t)
-    for child in _children(t):
-        width = max(width, _rec_width_raw(child))
+    width, stack = 0, [t]
+    while stack:
+        node = stack.pop()
+        width = max(width, _cost(node))
+        stack += _children(node)
     return width
 
 

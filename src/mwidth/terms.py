@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import cospan as cs
@@ -70,6 +71,9 @@ class Signature:
             cospan: Optional[Cospan] = None) -> str:
         if name in self.atoms:
             raise TermError(f"atom {name!r} already declared")
+        if cospan is not None and (cospan.left_arity, cospan.right_arity) != (dom, cod):
+            raise TermError(f"atom {name!r} is declared {dom} -> {cod} but its cospan is "
+                            f"{cospan.left_arity} -> {cospan.right_arity}")
         self.atoms[name] = Atom(dom, cod, weight, cospan)
         return name
 
@@ -401,9 +405,58 @@ def signature_from_json(data: dict) -> Signature:
     return sig
 
 
+def _json_value(x) -> str:
+    """Compact, key-sorted JSON of one field value, as `tree_serial` writes it."""
+    return json.dumps(x, sort_keys=True, separators=(",", ":"))
+
+
+def _serial(d: DecompTree, kept: Optional[dict] = None) -> str:
+    """`tree_serial(d)`, built by concatenation in one post-order walk.
+
+    With a `kept` dict (id(node) -> (node, serial); the node keeps its id
+    from being reused) the serial of every node walked is stored there,
+    and nodes already in it are not walked again.  Without one, a child's
+    serial is dropped once its parent has used it, so a deep term needs
+    only its root's serial at the end.
+    """
+    done = {} if kept is None else kept
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if id(node) in done:
+            continue
+        if isinstance(node, Leaf):
+            name = node.atom
+            serial = '{"atom":' + (encode_basestring_ascii(name) if type(name) is str
+                                   else _json_value(name)) + ',"op":"leaf"}'
+        else:
+            left, right = done.get(id(node.left)), done.get(id(node.right))
+            if left is None or right is None:
+                stack.append(node)
+                if right is None:
+                    stack.append(node.right)
+                if left is None:
+                    stack.append(node.left)
+                continue
+            if kept is None:
+                done.pop(id(node.left), None)
+                done.pop(id(node.right), None)
+            children = '{"children":[' + left[1] + ',' + right[1] + '],'
+            if isinstance(node, Tensor):
+                serial = children + '"op":"tensor"}'
+            else:
+                cut = node.cut
+                serial = (children + '"cut":' + (str(cut) if type(cut) is int else _json_value(cut))
+                          + ',"op":"compose"}')
+        done[id(node)] = (node, serial)
+    return done[id(d)][1]
+
+
 def tree_serial(d: DecompTree) -> str:
-    """Deterministic serialization used for golden tests and tie-breaking."""
-    return json.dumps(tree_to_json(d), sort_keys=True, separators=(",", ":"))
+    """Deterministic serialization used for golden tests and tie-breaking:
+    `json.dumps(tree_to_json(d), sort_keys=True, separators=(",", ":"))`,
+    built without recursion."""
+    return _serial(d)
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +476,18 @@ class SearchResult:
     exact: bool
 
 
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of `mask`, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+class _Bits(dict):
+    """mask -> the positions of its set bits, ascending, as a tuple; filled
+    on first lookup.  One search keeps one table."""
+
+    def __missing__(self, mask: int) -> tuple:
+        out, rest = [], mask
+        while rest:
+            low = rest & -rest
+            out.append(low.bit_length() - 1)
+            rest ^= low
+        self[mask] = out = tuple(out)
+        return out
 
 
 def _prefix_in(ports: tuple, mask: int) -> int:
@@ -441,11 +498,12 @@ def _prefix_in(ports: tuple, mask: int) -> int:
     return -1 if any(mask >> v & 1 for v in ports[n:]) else n
 
 
-def _tensor_split_states(state: tuple, ends_mask: list) -> Iterable[tuple[tuple, tuple]]:
+def _tensor_split_states(state: tuple, ends_mask: list,
+                         bits: _Bits) -> Iterable[tuple[tuple, tuple]]:
     """Tensor splits of a search state along unions of its components,
     ordered by minimum vertex; the first factor takes a boundary prefix."""
     vmask, emask, left, right = state
-    es = _bits(emask)
+    es = bits[emask]
     comps = []
     rest = vmask
     while rest:
@@ -471,11 +529,12 @@ def _tensor_split_states(state: tuple, ends_mask: list) -> Iterable[tuple[tuple,
                    (vmask & ~vs1, emask & ~es1, left[nl:], right[nr:]))
 
 
-def _compose_split_states(state: tuple, ends_mask: list) -> Iterable[tuple[tuple, int, tuple]]:
+def _compose_split_states(state: tuple, ends_mask: list,
+                          bits: _Bits) -> Iterable[tuple[tuple, int, tuple]]:
     """Composition splits of a search state, one per proper edge bipartition
     in counting order; the cut is the shared vertices, ascending."""
     vmask, emask, left, right = state
-    es = _bits(emask)
+    es = bits[emask]
     if len(es) < 2:
         return
     full = (1 << len(es)) - 1
@@ -488,29 +547,27 @@ def _compose_split_states(state: tuple, ends_mask: list) -> Iterable[tuple[tuple
     for s in range(1, full):
         vs1 = union[s] | lmask | free
         vs2 = union[full ^ s] | rmask
-        cut = tuple(_bits(vs1 & vs2))
+        cut = bits[vs1 & vs2]
         yield (vs1, edges[s], left, cut), len(cut), (vs2, edges[full ^ s], cut, right)
 
 
 class _Incumbent:
     """The best (width, node count, tree) triple offered: lower width, then
-    fewer nodes, then the smaller `tree_serial`, which is computed only on a
-    tie of the first two, and for the incumbent once."""
+    fewer nodes, then the smaller `tree_serial`.  Serials are read only on
+    a tie of the first two, from `serials`, the `_serial` cache that one
+    search shares among all its incumbents."""
 
-    def __init__(self, first: tuple):
-        self.best, self.serial = first, None
+    def __init__(self, first: tuple, serials: dict):
+        self.best, self.serials = first, serials
 
     def offer(self, cand: tuple) -> bool:
         """Take `cand` if it ranks strictly before the incumbent."""
-        serial = None
         if cand[:2] == self.best[:2]:
-            self.serial = self.serial or tree_serial(self.best[2])
-            serial = tree_serial(cand[2])
-            if serial >= self.serial:
+            if _serial(cand[2], self.serials) >= _serial(self.best[2], self.serials):
                 return False
         elif cand[:2] > self.best[:2]:
             return False
-        self.best, self.serial = cand, serial
+        self.best = cand
         return True
 
 
@@ -532,62 +589,83 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
     (vertex mask, edge mask, left ports, right ports) over its apex.  The
     memo key is the state's cospan renumbered order-preservingly, read
     straight off the masks, so states that renumber alike share one entry.
-    A state's cospan and its atom are built only on a memo miss (and, for
-    right trees, for each atomic left factor).
+    The search builds no graph or cospan for a state: a memo miss (and, for
+    right trees, each atomic left factor) gets a fresh atom `a0`, `a1`, ...
+    recorded against its state, and only the atoms of the returned term get
+    their cospans, at the end.  The set bits of each mask, the ranks within
+    each vertex mask and the tie-break serial of each term node are kept in
+    tables local to the call.
     """
     if shape not in ("any", "right-tree", "path"):
         raise TermError(f"unknown search shape {shape!r}")
-    sig = Signature()
     memo: dict[tuple, tuple[int, int, DecompTree]] = {}
-    keys: dict[tuple, tuple] = {}  # raw state -> memo key, each key computed once
+    seen: dict[tuple, tuple] = {}  # raw state -> memo entry, each key computed once
+    atom_states: dict[str, tuple] = {}  # atom name -> its state, in naming order
+    bits = _Bits()
+    ranks: dict[int, dict] = {}  # vertex mask -> vertex -> rank within the mask
+    serials: dict = {}  # the `_serial` cache of every incumbent
     visited = 0
     root = cs._renumber(g)
     # root edge ids are 0..m-1: their sorted ends and their endpoint masks
     ends = [tuple(sorted(root.apex.ends(e))) for e in range(len(root.apex.edges))]
     ends_mask = [sum(1 << v for v in pts) for pts in ends]
 
+    def rank_in(vmask: int) -> dict:
+        rank = ranks.get(vmask)
+        if rank is None:
+            rank = ranks[vmask] = {v: i for i, v in enumerate(bits[vmask])}
+        return rank
+
     def key_of(state: tuple) -> tuple:
         """What `_renumber` makes of the state: its ports, vertex count and
         sorted edge ends, in ranks within the vertex mask."""
         vmask, emask, left, right = state
-        rank = {v: i for i, v in enumerate(_bits(vmask))}
-        es = sorted(tuple(rank[v] for v in ends[e]) for e in _bits(emask))
+        rank = rank_in(vmask)
+        es = sorted(tuple(rank[v] for v in ends[e]) for e in bits[emask])
         return tuple(rank[v] for v in left), tuple(rank[v] for v in right), len(rank), tuple(es)
 
     def cospan_of(state: tuple) -> Cospan:
         """The state's sub-cospan, renumbered order-preservingly."""
         vmask, emask, left, right = state
-        rank = {v: i for i, v in enumerate(_bits(vmask))}
+        rank = rank_in(vmask)
         apex = Graph(range(len(rank)), {i: {rank[v] for v in ends[e]}
-                                        for i, e in enumerate(_bits(emask))})
+                                        for i, e in enumerate(bits[emask])})
         return Cospan(apex, tuple(rank[v] for v in left), tuple(rank[v] for v in right))
+
+    def leaf(state: tuple) -> Leaf:
+        """A fresh atom for `state`, named as `Signature.add_cospan` names."""
+        name = f"a{len(atom_states)}"
+        atom_states[name] = state
+        return Leaf(name)
 
     def best(state: tuple) -> tuple[int, int, DecompTree]:
         nonlocal visited
-        key = keys.get(state)
-        if key is None:
-            key = keys[state] = key_of(state)
-        if key in memo:
-            return memo[key]
-        result = _Incumbent((state[0].bit_count(), 1, sig.leaf(cospan_of(state))))
-        visited += 1
-        if visited <= budget:
-            if shape != "path":
-                for s1, s2 in _tensor_split_states(state, ends_mask):
-                    (w1, n1, t1), (w2, n2, t2) = best(s1), best(s2)
-                    result.offer((max(w1, w2), n1 + n2 + 1, Tensor(t1, t2)))
-            for s1, cut, s2 in _compose_split_states(state, ends_mask):
-                if shape == "right-tree":
-                    w1, n1, t1 = s1[0].bit_count(), 1, sig.leaf(cospan_of(s1))
-                else:
-                    w1, n1, t1 = best(s1)
-                w2, n2, t2 = best(s2)
-                result.offer((max(w1, cut, w2), n1 + n2 + 1, Compose(t1, cut, t2)))
-        memo[key] = result.best
-        return result.best
+        out = seen.get(state)
+        if out is not None:
+            return out
+        key = key_of(state)
+        out = memo.get(key)
+        if out is None:
+            result = _Incumbent((state[0].bit_count(), 1, leaf(state)), serials)
+            visited += 1
+            if visited <= budget:
+                if shape != "path":
+                    for s1, s2 in _tensor_split_states(state, ends_mask, bits):
+                        (w1, n1, t1), (w2, n2, t2) = best(s1), best(s2)
+                        result.offer((max(w1, w2), n1 + n2 + 1, Tensor(t1, t2)))
+                for s1, cut, s2 in _compose_split_states(state, ends_mask, bits):
+                    if shape == "right-tree":
+                        w1, n1, t1 = s1[0].bit_count(), 1, leaf(s1)
+                    else:
+                        w1, n1, t1 = best(s1)
+                    w2, n2, t2 = best(s2)
+                    result.offer((max(w1, cut, w2), n1 + n2 + 1, Compose(t1, cut, t2)))
+            out = memo[key] = result.best
+        seen[state] = out
+        return out
 
-    found, found_sig = best(((1 << len(root.apex.vertices)) - 1, (1 << len(ends)) - 1,
-                             root.left, root.right)), sig
+    found, seed_sig = best(((1 << len(root.apex.vertices)) - 1, (1 << len(ends)) - 1,
+                            root.left, root.right)), None
     closed = (g.right_arity == 0 and g.left == tuple(sorted(set(g.left)))
               and len(g.apex.vertices) <= 8 and len(g.apex.edges) <= 7)
     if seed_translations and closed:
@@ -599,11 +677,16 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
             pass
         else:
             cand = (width(tree2, sig2), node_count(tree2), tree2)
-            if _Incumbent(found).offer(cand):
-                found, found_sig = cand, sig2
+            if _Incumbent(found, serials).offer(cand):
+                found, seed_sig = cand, sig2
 
     w, _, tree = found
     used = _leaf_atoms(tree)
     trimmed = Signature()
-    trimmed.atoms = {name: a for name, a in found_sig.atoms.items() if name in used}
+    if seed_sig is None:
+        for name, state in atom_states.items():
+            if name in used:
+                trimmed.add_cospan(cospan_of(state), name)
+    else:
+        trimmed.atoms = {name: a for name, a in seed_sig.atoms.items() if name in used}
     return SearchResult(tree, trimmed, w, visited <= budget)

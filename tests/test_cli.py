@@ -17,6 +17,7 @@ from mwidth import (
     tree_to_json,
     tree_to_recursive,
 )
+from mwidth import cospan as cs
 from mwidth.cli import main
 from conftest import path_graph
 
@@ -396,3 +397,16 @@ def test_sources_outside_the_bag_exit_one(tmp_path, capsys, command, kind):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "sources" in err
+
+
+def test_signature_atom_with_other_arities_than_its_cospan_exits_two(tmp_path, capsys):
+    # "x" is declared 2 -> 1, but its cospan, one edge, is 1 -> 1
+    term = tmp_path / "term.json"
+    term.write_text(json.dumps({
+        "term": {"op": "leaf", "atom": "x"},
+        "signature": {"x": {"dom": 2, "cod": 1, "weight": 2,
+                            "cospan": cs.cospan_to_json(cs.edge())}}}))
+    assert main(["translate", "--from", str(term), "--to", "rec-tree"]) == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line(err, str(term))
+    assert "'x' is declared 2 -> 1 but its cospan is 1 -> 1" in err

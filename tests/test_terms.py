@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from mwidth import (
     is_right_tree,
     node_weights,
     of_graph,
+    signature_from_json,
     signature_to_json,
     tree_from_json,
     tree_to_json,
@@ -37,7 +39,7 @@ from mwidth import (
 )
 from mwidth import cospan as cs
 from mwidth.oracles import exact_pathwidth
-from mwidth.terms import Compose, Leaf, Tensor, node_count, tree_serial
+from mwidth.terms import Compose, Leaf, Tensor, _serial, node_count, tree_serial
 
 
 def test_example_fan_width_two():
@@ -429,3 +431,113 @@ def test_deep_compose_chains_need_no_recursion(nesting):
     assert (value.left, value.right) == ((0,), (5001,))
     assert width(term, sig) == 2
     assert node_weights(term, sig) == [2, 1] * 5000 + [2]
+
+
+def _json_serial(d) -> str:
+    return json.dumps(tree_to_json(d), sort_keys=True, separators=(",", ":"))
+
+
+# names that JSON must escape: quotes, backslashes, controls and non-ASCII
+_ATOM_NAMES = st.text(alphabet=st.sampled_from('a"\\/\n\x00\x7f\u00e9\u03bb\U0001f600'),
+                      max_size=4) | st.text(max_size=5)
+_TERMS = st.recursive(
+    st.builds(Leaf, _ATOM_NAMES),
+    lambda sub: st.builds(Tensor, sub, sub) | st.builds(Compose, sub, st.integers(0, 12), sub),
+    max_leaves=12)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_TERMS)
+def test_tree_serial_is_the_compact_sorted_json(t):
+    shared = Tensor(t, Compose(t, 0, t))  # one subterm object at three places
+    for d in (t, shared):
+        assert tree_serial(d) == _json_serial(d)
+        kept: dict = {}
+        assert _serial(d, kept) == _json_serial(d)
+        # every kept entry holds the node of its id and that subterm's serial
+        assert all(key == id(node) and serial == _json_serial(node)
+                   for key, (node, serial) in kept.items())
+        assert _serial(d, kept) == _json_serial(d)
+
+
+def test_tree_serial_of_a_deep_chain_needs_no_recursion():
+    e = Leaf("e")
+    term = e
+    for _ in range(5000):
+        term = Compose(e, 1, term)
+    assert tree_serial(term) == ('{"children":[{"atom":"e","op":"leaf"},' * 5000
+                                 + '{"atom":"e","op":"leaf"}'
+                                 + '],"cut":1,"op":"compose"}' * 5000)
+
+
+def test_signature_add_checks_the_cospan_arities():
+    sig = Signature()
+    for dom, cod in ((2, 2), (1, 2), (0, 1)):
+        with pytest.raises(TermError, match=rf"'x' is declared {dom} -> {cod} but its "
+                                            r"cospan is 1 -> 1"):
+            sig.add("x", dom, cod, 1, cs.edge())
+    assert sig.atoms == {}
+    sig.add("x", 1, 1, 2, cs.edge())
+    sig.add("symbolic", 2, 2, 1)  # an atom without a cospan declares any arities
+    assert set(sig.atoms) == {"x", "symbolic"}
+
+
+def test_signature_from_json_names_an_ill_typed_atom():
+    sig = Signature()
+    sig.add("x", 1, 1, 2, cs.edge())
+    data = signature_to_json(sig)
+    assert signature_to_json(signature_from_json(data)) == data
+    data["x"]["dom"] = 2
+    with pytest.raises(TermError, match="'x' is declared 2 -> 1"):
+        signature_from_json(data)
+
+
+# `cospan_to_json` of each atom that `bounded_mwd_search` returns, recorded
+# while the search still built a cospan for every state it named
+SEARCH_ATOM_COSPANS = {
+    ("K4", "any"): {
+        "a1": {"apex": {"e": [[0, 1]], "v": [0, 1]}, "left": [], "legL": {},
+               "legR": {"0": 0, "1": 1}, "right": [0, 1]},
+        "a221": {"apex": {"e": [[0, 2]], "v": [0, 1, 2]}, "left": [0, 1],
+                 "legL": {"0": 1, "1": 2}, "legR": {"0": 0, "1": 1, "2": 2},
+                 "right": [0, 1, 2]},
+        "a237": {"apex": {"e": [[0, 2]], "v": [0, 1, 2]}, "left": [0, 1],
+                 "legL": {"0": 1, "1": 2}, "legR": {"0": 0, "1": 1}, "right": [0, 1]},
+        "a6": {"apex": {"e": [[0, 1], [0, 2], [1, 2]], "v": [0, 1, 2]}, "left": [0, 1, 2],
+               "legL": {"0": 0, "1": 1, "2": 2}, "legR": {}, "right": []},
+        "a9": {"apex": {"e": [], "v": [0]}, "left": [0], "legL": {"0": 0},
+               "legR": {"0": 0}, "right": [0]}},
+    ("C5", "right-tree"): {
+        "a130": {"apex": {"e": [[0, 1], [1, 2]], "v": [0, 1, 2]}, "left": [], "legL": {},
+                 "legR": {"0": 0, "1": 2}, "right": [0, 1]},
+        "a6": {"apex": {"e": [[1, 2], [0, 2]], "v": [0, 1, 2]}, "left": [0, 1],
+               "legL": {"0": 0, "1": 1}, "legR": {}, "right": []},
+        "a63": {"apex": {"e": [[0, 1]], "v": [0, 1, 2]}, "left": [0, 1],
+                "legL": {"0": 1, "1": 2}, "legR": {"0": 0, "1": 2}, "right": [0, 1]}},
+    ("P4", "path"): {
+        "a1": {"apex": {"e": [[0, 1]], "v": [0, 1]}, "left": [], "legL": {},
+               "legR": {"0": 1}, "right": [0]},
+        "a3": {"apex": {"e": [[0, 1]], "v": [0, 1]}, "left": [0], "legL": {"0": 0},
+               "legR": {"0": 1}, "right": [0]},
+        "a4": {"apex": {"e": [[0, 1]], "v": [0, 1]}, "left": [0], "legL": {"0": 0},
+               "legR": {}, "right": []}},
+}
+
+
+@pytest.mark.parametrize("name,shape", list(SEARCH_ATOM_COSPANS))
+def test_search_builds_graphs_only_for_the_returned_atoms(monkeypatch, name, shape):
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    res = bounded_mwd_search(SEARCH_GRAPHS[name], shape=shape, seed_translations=False)
+    monkeypatch.undo()
+    # one graph for the renumbered input, then one per returned atom
+    assert len(built) <= len(res.signature.atoms) + 1
+    got = {atom: cs.cospan_to_json(a.cospan) for atom, a in res.signature.atoms.items()}
+    assert got == SEARCH_ATOM_COSPANS[name, shape]
+    assert list(got) == sorted(got, key=lambda atom: int(atom[1:]))  # naming order

@@ -55,7 +55,10 @@ from mwidth import (
 from mwidth import cospan as cs
 from mwidth import graph as graph_module
 from mwidth import terms as tm
-from mwidth.decomp import RecBranchLeaf, RecBranchEmpty, RecTreeNode, REC_TREE_EMPTY
+from mwidth.decomp import (
+    RecBranchLeaf, RecBranchEmpty, RecPathCons, RecTreeNode, REC_TREE_EMPTY, _bags,
+    _rec_width_raw,
+)
 from mwidth.oracles import optimal_rec_path_dec, optimal_rec_tree_dec
 from mwidth.terms import Compose, Leaf, Tensor, tree_from_json, tree_to_json
 from mwidth.translate import _KINDS, _optimal_term
@@ -674,3 +677,16 @@ def test_term_to_decomposition_on_a_shared_subterm():
         _, x, sig = _optimal_term(kind, SourcedGraph(cycle_graph(4)))
         shared = _dumped(how(join(x, x), sig))
         assert shared == _dumped(how(join(x, tree_from_json(tree_to_json(x))), sig)), kind
+
+
+def test_m_to_pdec_of_a_deep_path_term_needs_no_recursion():
+    # 3,000 edges composed one by one and closed: a 3,001-node path
+    # decomposition, deeper than the recursion limit
+    sig = Signature()
+    edge, close = sig.leaf(cs.edge()), sig.leaf(cs.delete(1))
+    term = close
+    for _ in range(3000):
+        term = Compose(edge, 1, term)
+    t = m_to_pdec(term, sig)
+    assert isinstance(t, RecPathCons)
+    assert _rec_width_raw(t) == 2 and len(_bags(t)) == 3001
