@@ -671,16 +671,20 @@ def path_to_recursive(dec: PathDec, sg: SourcedGraph) -> RecPathDec:
             return REC_PATH_EMPTY
         raise DecompositionError("empty decomposition of a non-empty graph")
 
-    def peel(bags: tuple, gamma: SourcedGraph) -> RecPathDec:
-        v1 = bags[0]
-        if len(bags) == 1:
-            return RecPathCons(gamma, v1, REC_PATH_EMPTY)
-        vrest = frozenset().union(*bags[1:])
-        erest = {e for e in gamma.edges if gamma.graph.ends(e) <= vrest}
-        tail_g = SourcedGraph(gamma.graph.subgraph(vrest, erest), v1 & vrest)
-        return RecPathCons(gamma, v1, peel(bags[1:], tail_g))
-
-    result = peel(dec.bags, sg)
+    # node i > 0 decomposes node i - 1's graph cut down to the union of bags
+    # i.. and the edges inside it; its sources are bag i - 1's vertices there
+    bags = dec.bags
+    unions = [frozenset()] * len(bags)
+    for i in range(len(bags) - 1, 0, -1):
+        unions[i - 1] = unions[i] | bags[i]
+    graphs = [sg]
+    for bag, vrest in zip(bags, unions[:-1]):
+        gamma = graphs[-1].graph
+        erest = {e for e in gamma.edges if gamma.ends(e) <= vrest}
+        graphs.append(SourcedGraph(gamma.subgraph(vrest, erest), bag & vrest))
+    result = REC_PATH_EMPTY
+    for gamma, bag in zip(reversed(graphs), reversed(bags)):
+        result = RecPathCons(gamma, bag, result)
     if _rec_width_raw(result) != max(len(b) for b in dec.bags):
         raise BoundViolation("path_to_recursive changed the width")
     return result

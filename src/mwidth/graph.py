@@ -309,6 +309,20 @@ def _subset_unions(masks: list[int]) -> list[int]:
     return out
 
 
+class _Bits(dict):
+    """mask -> the positions of its set bits, ascending, as a tuple; filled
+    on first lookup.  One search keeps one table."""
+
+    def __missing__(self, mask: int) -> tuple:
+        out, rest = [], mask
+        while rest:
+            low = rest & -rest
+            out.append(low.bit_length() - 1)
+            rest ^= low
+        self[mask] = out = tuple(out)
+        return out
+
+
 def is_subcubic_tree(g: Graph) -> bool:
     """True iff g is a tree in which every vertex has at most three neighbours."""
     if not g.is_tree():

@@ -2,11 +2,12 @@
 
 The tree and path oracles search the recursive decomposition forms
 directly (bag choice + outside-component grouping), memoized on the
-(subgraph, sources) state, so they exercise the same inductive
-definitions the validators check.  The branch oracle computes the width
-by a dynamic program over edge subsets, then takes as witness the first
-leaf-labelled cubic tree that attains it.  Everything here is desk scale
-only.
+(vertices, edges, sources) state held as bit masks, so they exercise the
+same inductive definitions the validators check; only the witness's
+nodes are built as graphs.  The branch oracle computes the width by a
+dynamic program over edge subsets, then takes as witness the first
+leaf-labelled cubic tree that attains it, cutting every partial tree
+already wider than that.  Everything here is desk scale only.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Optional
+from itertools import combinations, permutations
+from typing import Callable, Iterable, Optional
 
 from .decomp import (
     BranchDec,
@@ -27,19 +28,11 @@ from .decomp import (
     REC_PATH_EMPTY,
     REC_TREE_EMPTY,
     TreeDec,
-    _branch_width,
     branch_dec_width,
     path_from_recursive,
     tree_from_recursive,
 )
-from .graph import (
-    Graph,
-    SourcedGraph,
-    _subset_unions,
-    canonical_key,
-    components,
-    ends_of_edge_set,
-)
+from .graph import Graph, SourcedGraph, _Bits, _subset_unions, canonical_key
 
 
 class OracleError(ValueError):
@@ -49,115 +42,146 @@ class OracleError(ValueError):
 _INF = math.inf
 
 
-def _subsets(items: Iterable) -> Iterable[frozenset]:
-    items = sorted(items)
-    for r in range(len(items) + 1):
-        for combo in combinations(items, r):
-            yield frozenset(combo)
+def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
+    """Minimum-width recursive decomposition by exhaustive search over bags.
 
+    A state is a (vertices, edges, sources) triple of bit masks, bit i
+    standing for the i-th smallest vertex or edge id of `sg`.  A node's bag
+    is the state's sources plus a subset of its other vertices, tried by
+    size, then lexicographically.  The vertices outside the bag split into
+    components, each with the edges that touch it and those edges' ends in
+    the bag, found by least outside vertex and then stably sorted by least
+    vertex.  A tree node (`what == "tree"`) groups the components into two
+    children in every way; a path node keeps them as one child, which must
+    differ from the state.  A child's sources are its vertices in the bag.
 
-def _outside_components(g: Graph, vs: frozenset, es: frozenset,
-                        bag: frozenset) -> list[tuple[frozenset, frozenset]]:
-    """Components of the part not handled by the bag.
-
-    An edge is outside when its endpoints are not all inside the bag; a
-    vertex is outside when it is not in the bag.  Each component comes
-    with its bag anchors included (vertices shared with the bag); they are
-    sorted by smallest vertex, then by smallest outside vertex.
+    Each state's best (width, bag, child states) is memoized; a state met
+    again while it is being searched counts as infinitely wide and is not
+    memoized.  At the end `make(graph, bag, *children)` builds the
+    witness's nodes, and only those.
     """
-    outside = {e: g.ends(e) - bag for e in es if not g.ends(e) <= bag}
-    comps = [(cv | ends_of_edge_set(g, ce), ce) for cv, ce in components(vs - bag, outside)]
-    comps.sort(key=lambda c: min(c[0]))
-    return comps
-
-
-def _grouped(comps: list, mask: int) -> tuple[frozenset, frozenset]:
-    vs: set = set()
-    es: set = set()
-    for i, (cv, ce) in enumerate(comps):
-        if mask & (1 << i):
-            vs |= cv
-            es |= ce
-    return frozenset(vs), frozenset(es)
-
-
-def _tree_parts(sub: Graph, vs: frozenset, es: frozenset, bag: frozenset):
-    """Children of a tree node: the outside components split into two groups."""
-    comps = _outside_components(sub, vs, es, bag)
-    k = len(comps)
-    for mask in range(1 << max(k - 1, 0)):
-        yield _grouped(comps, mask), _grouped(comps, ((1 << k) - 1) ^ mask)
-
-
-def _path_parts(sub: Graph, vs: frozenset, es: frozenset, bag: frozenset):
-    """The one child of a path node: the minimal suffix, which keeps exactly
-    the edges not inside the bag, and only the vertices they still need
-    plus the uncovered ones."""
-    rest_es = frozenset(e for e in es if not sub.ends(e) <= bag)
-    rest_vs = (vs - bag) | ends_of_edge_set(sub, rest_es)
-    if (rest_vs, rest_es) != (vs, es):
-        yield ((rest_vs, rest_es),)
-
-
-def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make, parts):
-    """Minimum-width recursive decomposition by exhaustive search over bags,
-    memoized on the (vertices, edges, sources) state.  `parts` yields the
-    candidate child states for a bag, and `make(graph, bag, *children)`
-    builds the node."""
     g = sg.graph
     if len(g.vertices) > max_vertices:
         raise OracleError(
             f"refusing {what}-width search on {len(g.vertices)} > {max_vertices} vertices")
+    vids, eids = sorted(g.vertices), sorted(g.edges)
+    bit = {v: 1 << i for i, v in enumerate(vids)}
+    ends = [sum(bit[v] for v in g.ends(e)) for e in eids]
+    incident = [sum(1 << j for j, m in enumerate(ends) if m & b) for b in bit.values()]
+    tree = what == "tree"
+    bits = _Bits()
     memo: dict = {}
     active: set = set()
+    bags_of: dict = {}
 
-    def best(vs: frozenset, es: frozenset, xs: frozenset) -> tuple:
+    def bags(free: int) -> list[int]:
+        if free not in bags_of:
+            bs = [1 << i for i in bits[free]]
+            bags_of[free] = [sum(c) for r in range(len(bs) + 1) for c in combinations(bs, r)]
+        return bags_of[free]
+
+    def parts(vs: int, es: int, bag: int, touch: dict, reach: dict):
+        """Candidate child states, as tuples, for `bag`; `touch[i]` and
+        `reach[i]` are the state edges at vertex i and their ends."""
+        out = vs & ~bag
+        if not tree:
+            rest_v, rest_e = out, 0
+            for i in bits[out]:
+                rest_v |= reach[i]
+                rest_e |= touch[i]
+            if (rest_v, rest_e) != (vs, es):
+                yield ((rest_v, rest_e, rest_v & bag),)
+            return
+        comps = []
+        while out:
+            comp, grow = 0, out & -out
+            while grow:
+                comp |= grow
+                near = 0
+                for i in bits[grow]:
+                    near |= reach[i]
+                grow = near & out & ~comp
+            out ^= comp
+            cv, ce = comp, 0
+            for i in bits[comp]:
+                cv |= reach[i]
+                ce |= touch[i]
+            comps.append((cv, ce))
+        comps.sort(key=lambda c: c[0] & -c[0])
+        vs_of = _subset_unions([cv for cv, _ in comps])
+        es_of = _subset_unions([ce for _, ce in comps])
+        full = len(vs_of) - 1
+        for m in range(max(len(vs_of) // 2, 1)):
+            yield ((vs_of[m], es_of[m], vs_of[m] & bag),
+                   (vs_of[full ^ m], es_of[full ^ m], vs_of[full ^ m] & bag))
+
+    def best(key: tuple) -> float:
+        vs, es, xs = key
         if not vs and not es:
-            return 0, empty
-        key = (vs, es, xs)
+            return 0
         if key in memo:
-            return memo[key]
+            return memo[key][0]
         if key in active:
-            return _INF, None
+            return _INF
         active.add(key)
-        best_w, best_t = _INF, None
-        sub = g.subgraph(vs, es)
-        for extra in _subsets(vs - xs):
+        touch, reach = {}, {}
+        for i in bits[vs]:
+            touch[i] = es & incident[i]
+            reach[i] = 0
+            for j in bits[touch[i]]:
+                reach[i] |= ends[j]
+        best_w, found = _INF, None
+        for extra in bags(vs & ~xs):
             bag = xs | extra
-            if len(bag) >= best_w:
-                continue
-            for children in parts(sub, vs, es, bag):
+            if bag.bit_count() >= best_w:
+                break  # bags come by size
+            for children in parts(vs, es, bag, touch, reach):
                 # children in order, stopping once they cannot beat the best
-                w, kids = len(bag), []
-                for cv, ce in children:
-                    cw, ct = best(cv, ce, cv & bag)
-                    w = max(w, cw)
+                w = bag.bit_count()
+                for child in children:
+                    w = max(w, best(child))
                     if w >= best_w:
                         break
-                    kids.append(ct)
                 else:
-                    best_w, best_t = w, make(SourcedGraph(sub, xs), bag, *kids)
+                    best_w, found = w, (bag, children)
         active.discard(key)
-        if best_t is not None:
-            memo[key] = (best_w, best_t)
-        return best_w, best_t
+        if found is not None:
+            memo[key] = (best_w, *found)
+        return best_w
 
-    w, t = best(g.vertices, g.edges, sg.sources)
-    if t is None:
+    def ids(table: list, mask: int) -> list:
+        return [table[i] for i in bits[mask]]
+
+    built: dict = {}
+
+    def build(key: tuple):
+        if key not in built:
+            vs, es, xs = key
+            if not vs and not es:
+                built[key] = empty
+            else:
+                _, bag, children = memo[key]
+                sub = SourcedGraph(g.subgraph(ids(vids, vs), ids(eids, es)), ids(vids, xs))
+                built[key] = make(sub, ids(vids, bag), *map(build, children))
+        return built[key]
+
+    root = (2 ** len(vids) - 1, 2 ** len(eids) - 1, sum(bit[v] for v in sg.sources))
+    w = best(root)
+    if w == _INF:
         raise OracleError(f"no recursive {what} decomposition found")
-    return w, t
+    return w, build(root)
 
 
 def optimal_rec_tree_dec(sg: SourcedGraph,
                          max_vertices: int = 8) -> tuple[int, RecTreeDec]:
     """Minimum-width recursive tree decomposition by exhaustive search."""
-    return _optimal_rec(sg, max_vertices, "tree", REC_TREE_EMPTY, RecTreeNode, _tree_parts)
+    return _optimal_rec(sg, max_vertices, "tree", REC_TREE_EMPTY, RecTreeNode)
 
 
 def optimal_rec_path_dec(sg: SourcedGraph,
                          max_vertices: int = 8) -> tuple[int, RecPathDec]:
     """Minimum-width recursive path decomposition by exhaustive search."""
-    return _optimal_rec(sg, max_vertices, "path", REC_PATH_EMPTY, RecPathCons, _path_parts)
+    return _optimal_rec(sg, max_vertices, "path", REC_PATH_EMPTY, RecPathCons)
 
 
 def exact_treewidth(g: Graph, max_vertices: int = 8) -> tuple[int, TreeDec]:
@@ -172,45 +196,53 @@ def exact_pathwidth(g: Graph, max_vertices: int = 8) -> tuple[int, PathDec]:
     return w, path_from_recursive(t)
 
 
-def _leaf_trees(k: int) -> Iterable[tuple[Graph, dict]]:
+def _leaf_trees(k: int, cut: Optional[Callable[[list, int], bool]] = None
+                ) -> Iterable[tuple[Graph, dict]]:
     """All leaf-labelled cubic trees with k labelled leaves 0..k-1.
 
     Built by the standard edge-subdivision recursion, which enumerates
-    each tree exactly once (no symmetry duplicates).
+    each tree exactly once (no symmetry duplicates): leaf j subdivides
+    each edge of a tree on leaves 0..j-1 in turn, in edge-id order.  With
+    a `cut`, each tree so grown is first passed as `cut(sides, placed)`:
+    `sides[v]` is the mask of the leaf labels at or below tree vertex v,
+    seen from leaf 0 (vertex 0), and `placed` the mask of every label
+    placed so far.  When it returns true, the walk skips that tree and all
+    its completions.
     """
     if k == 0:
         return
     if k == 1:
         yield Graph.discrete([0]), {0: 0}
         return
-    if k == 2:
-        yield Graph.from_edge_pairs([0, 1], [(0, 1)]), {0: 0, 1: 1}
-        return
 
-    def grow(tree: Graph, table: dict, next_leaf: int):
-        if next_leaf == k:
-            yield tree, table
+    def grow(ends: list, sides: list, table: dict):
+        j = len(table)
+        if j == k:
+            yield Graph(range(len(sides)), dict(enumerate(ends))), table
             return
-        fresh = max(tree.vertices) + 1
-        for e in sorted(tree.edges):
-            pts = sorted(tree.ends(e))
-            u, w = pts[0], pts[-1]
-            mid, leaf = fresh, fresh + 1
-            ends = {i: tree.ends(i) for i in tree.edges if i != e}
-            nid = max(tree.edges) + 1
-            ends[e] = {u, mid}
-            ends[nid] = {mid, w}
-            ends[nid + 1] = {mid, leaf}
-            bigger = Graph(tree.vertices | {mid, leaf}, ends)
-            yield from grow(bigger, {**table, leaf: next_leaf}, next_leaf + 1)
+        label, mid, leaf = 1 << j, len(sides), len(sides) + 1
+        for e, (u, w) in enumerate(ends):
+            # `low` is the end of e farther from vertex 0: the new leaf
+            # lands below every vertex above it and below `mid`, not below it
+            low = w if sides[w] | sides[u] == sides[u] else u
+            below = sides[low]
+            grown = [s | label if s & below == below else s for s in sides]
+            grown[low] = below
+            grown += [below | label, label]
+            if cut is not None and cut(grown, (label << 1) - 1):
+                continue
+            bigger = ends[:]
+            bigger[e] = (u, mid)
+            bigger += [(w, mid), (mid, leaf)]
+            yield from grow(bigger, grown, {**table, leaf: j})
 
-    base = Graph.from_edge_pairs([0, 1], [(0, 1)])
-    yield from grow(base, {0: 0, 1: 1}, 2)
+    yield from grow([(0, 1)], [0b11, 0b10], {0: 0, 1: 1})
 
 
-def _branchwidth_value(g: Graph, edges: list) -> int:
+def _branchwidth_value(g: Graph, edges: list) -> tuple[int, list[int]]:
     """Branch width of `g` (at least one edge) by a dynamic program over the
-    subsets X of `edges`, held as bit masks, in O(3**m).
+    subsets X of `edges`, held as bit masks, in O(3**m); also the table of
+    the vertex mask `ends[X]` that the edges of every X touch.
 
     f(X) is the least width of a rooted binary tree with leaves X, counting
     the order of every tree edge below the root: 0 for a single edge, else
@@ -236,7 +268,7 @@ def _branchwidth_value(g: Graph, edges: list) -> int:
             a = low | sub
             best = min(best, max(mid[a], mid[x ^ a], f[a], f[x ^ a]))
         f[x] = best
-    return f[full]
+    return f[full], ends
 
 
 def exact_branchwidth(g: Graph, max_edges: int = 7) -> tuple[int, BranchDec]:
@@ -244,9 +276,13 @@ def exact_branchwidth(g: Graph, max_edges: int = 7) -> tuple[int, BranchDec]:
 
     The width comes from `_branchwidth_value`; the witness is the first tree
     of `_leaf_trees` that attains it, which is the first least-width tree of
-    the full enumeration.  Only that tree is validated.  Edgeless graphs
-    have width 0 with the empty decomposition; a single edge sits on a
-    one-vertex tree with no tree edges, hence width 0.
+    the full enumeration.  The walk cuts every partial tree wider than that
+    over the edges placed so far: each later leaf joins one side of every
+    tree edge, and the vertices shared by the two sides can only grow, so
+    no completion of such a tree attains the width.  Only the witness is
+    validated.  Edgeless graphs have width 0 with the empty decomposition;
+    a single edge sits on a one-vertex tree with no tree edges, hence
+    width 0.
     """
     edges = sorted(g.edges)
     if len(edges) > max_edges:
@@ -254,10 +290,13 @@ def exact_branchwidth(g: Graph, max_edges: int = 7) -> tuple[int, BranchDec]:
             f"refusing branch-width search on {len(edges)} > {max_edges} edges")
     if not edges:
         return 0, BranchDec(Graph.empty(), {})
-    width = _branchwidth_value(g, edges)
-    decs = (BranchDec(tree, {leaf: edges[i] for leaf, i in table.items()})
-            for tree, table in _leaf_trees(len(edges)))
-    dec = next(d for d in decs if _branch_width(d, g) == width)
+    width, ends = _branchwidth_value(g, edges)
+
+    def wider(sides: list, placed: int) -> bool:
+        return any((ends[s] & ends[placed ^ s]).bit_count() > width for s in sides)
+
+    tree, table = next(_leaf_trees(len(edges), wider))
+    dec = BranchDec(tree, {leaf: edges[i] for leaf, i in table.items()})
     return branch_dec_width(dec, g), dec
 
 
@@ -267,22 +306,30 @@ def exact_branchwidth(g: Graph, max_edges: int = 7) -> tuple[int, BranchDec]:
 
 def enumerate_graphs(max_v: int, max_e: Optional[int] = None) -> list[Graph]:
     """All simple nonempty graphs with at most max_v vertices and max_e
-    edges, one per isomorphism class, in a deterministic order."""
+    edges, one per isomorphism class, in a deterministic order: by vertex
+    count, then edge count, then the lexicographic order of the chosen
+    vertex pairs, keeping the first graph met in each class.
+
+    An edge set on n vertices is a bit mask over the n(n-1)/2 vertex pairs.
+    On meeting a new class, the masks of all n! relabellings of it join the
+    set of masks already classified, so a candidate is new exactly when
+    its mask is not in that set."""
     if max_v > 6:
         raise OracleError(f"refusing to enumerate graphs on {max_v} > 6 vertices")
     out = []
-    seen: set = set()
     for n in range(1, max_v + 1):
         all_pairs = list(combinations(range(n), 2))
+        index = {p: i for i, p in enumerate(all_pairs)}
+        images = [[1 << index[tuple(sorted((p[a], p[b])))] for a, b in all_pairs]
+                  for p in permutations(range(n))]
+        seen: set = set()
         limit = len(all_pairs) if max_e is None else min(max_e, len(all_pairs))
         for m in range(limit + 1):
-            for chosen in combinations(all_pairs, m):
-                g = Graph.from_edge_pairs(range(n), chosen)
-                key = canonical_key(g)
-                if key in seen:
+            for chosen in combinations(range(len(all_pairs)), m):
+                if sum(1 << i for i in chosen) in seen:
                     continue
-                seen.add(key)
-                out.append(g)
+                seen.update(sum(image[i] for i in chosen) for image in images)
+                out.append(Graph.from_edge_pairs(range(n), [all_pairs[i] for i in chosen]))
     return out
 
 

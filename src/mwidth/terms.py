@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 from . import cospan as cs
 from .cospan import Cospan
 from .decomp import DecompositionError
-from .graph import Graph, SourcedGraph, UnionFind, _subset_unions
+from .graph import Graph, SourcedGraph, UnionFind, _Bits, _subset_unions
 from .oracles import OracleError
 
 
@@ -474,20 +474,6 @@ class SearchResult:
     signature: Signature
     width: int
     exact: bool
-
-
-class _Bits(dict):
-    """mask -> the positions of its set bits, ascending, as a tuple; filled
-    on first lookup.  One search keeps one table."""
-
-    def __missing__(self, mask: int) -> tuple:
-        out, rest = [], mask
-        while rest:
-            low = rest & -rest
-            out.append(low.bit_length() - 1)
-            rest ^= low
-        self[mask] = out = tuple(out)
-        return out
 
 
 def _prefix_in(ports: tuple, mask: int) -> int:

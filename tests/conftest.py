@@ -3,6 +3,7 @@ cospans, and exhaustive small-decomposition enumerators.  Also collects
 acceptance-criterion verdicts and prints one line per criterion at the
 end of the run."""
 
+import math
 import random
 from itertools import combinations, permutations, product
 
@@ -13,7 +14,10 @@ from mwidth import (
     Cospan,
     Graph,
     PathDec,
+    RecPathCons,
+    RecTreeNode,
     Signature,
+    SourcedGraph,
     SymbolicSignature,
     TermError,
     TreeDec,
@@ -21,6 +25,8 @@ from mwidth import (
     canonical_key,
 )
 from mwidth import cospan as cs
+from mwidth.decomp import REC_PATH_EMPTY, REC_TREE_EMPTY
+from mwidth.graph import components, ends_of_edge_set
 from mwidth.oracles import _leaf_trees
 from mwidth.terms import Compose, DecompTree, Leaf, Tensor
 
@@ -104,6 +110,105 @@ def reference_branchwidth(g: Graph) -> tuple:
         if best is None or w < best[0]:
             best = w, dec
     return best
+
+
+def _ref_subsets(items):
+    items = sorted(items)
+    for r in range(len(items) + 1):
+        for combo in combinations(items, r):
+            yield frozenset(combo)
+
+
+def _ref_outside_components(g: Graph, vs: frozenset, es: frozenset, bag: frozenset):
+    outside = {e: g.ends(e) - bag for e in es if not g.ends(e) <= bag}
+    comps = [(cv | ends_of_edge_set(g, ce), ce) for cv, ce in components(vs - bag, outside)]
+    comps.sort(key=lambda c: min(c[0]))
+    return comps
+
+
+def _ref_grouped(comps: list, mask: int) -> tuple:
+    vs: set = set()
+    es: set = set()
+    for i, (cv, ce) in enumerate(comps):
+        if mask & (1 << i):
+            vs |= cv
+            es |= ce
+    return frozenset(vs), frozenset(es)
+
+
+def _ref_tree_parts(sub: Graph, vs: frozenset, es: frozenset, bag: frozenset):
+    comps = _ref_outside_components(sub, vs, es, bag)
+    k = len(comps)
+    for mask in range(1 << max(k - 1, 0)):
+        yield _ref_grouped(comps, mask), _ref_grouped(comps, ((1 << k) - 1) ^ mask)
+
+
+def _ref_path_parts(sub: Graph, vs: frozenset, es: frozenset, bag: frozenset):
+    rest_es = frozenset(e for e in es if not sub.ends(e) <= bag)
+    rest_vs = (vs - bag) | ends_of_edge_set(sub, rest_es)
+    if (rest_vs, rest_es) != (vs, es):
+        yield ((rest_vs, rest_es),)
+
+
+def reference_optimal_rec(sg: SourcedGraph, what: str) -> tuple:
+    """The frozenset search: a `g.subgraph` and a built node for every
+    state's best bag, memoized on (vertices, edges, sources) frozensets.
+    Reference for `optimal_rec_tree_dec` (`what == "tree"`) and
+    `optimal_rec_path_dec` (`what == "path"`), witnesses included."""
+    empty, make, parts = {"tree": (REC_TREE_EMPTY, RecTreeNode, _ref_tree_parts),
+                          "path": (REC_PATH_EMPTY, RecPathCons, _ref_path_parts)}[what]
+    g = sg.graph
+    memo: dict = {}
+    active: set = set()
+
+    def best(vs: frozenset, es: frozenset, xs: frozenset) -> tuple:
+        if not vs and not es:
+            return 0, empty
+        key = (vs, es, xs)
+        if key in memo:
+            return memo[key]
+        if key in active:
+            return math.inf, None
+        active.add(key)
+        best_w, best_t = math.inf, None
+        sub = g.subgraph(vs, es)
+        for extra in _ref_subsets(vs - xs):
+            bag = xs | extra
+            if len(bag) >= best_w:
+                continue
+            for children in parts(sub, vs, es, bag):
+                w, kids = len(bag), []
+                for cv, ce in children:
+                    cw, ct = best(cv, ce, cv & bag)
+                    w = max(w, cw)
+                    if w >= best_w:
+                        break
+                    kids.append(ct)
+                else:
+                    best_w, best_t = w, make(SourcedGraph(sub, xs), bag, *kids)
+        active.discard(key)
+        if best_t is not None:
+            memo[key] = (best_w, best_t)
+        return best_w, best_t
+
+    return best(g.vertices, g.edges, sg.sources)
+
+
+def reference_enumerate_graphs(max_v: int, max_e: int = None) -> list:
+    """One graph per class, keyed by `canonical_key`, in the order of
+    `enumerate_graphs`.  Reference for the orbit enumeration."""
+    out, seen = [], set()
+    for n in range(1, max_v + 1):
+        all_pairs = list(combinations(range(n), 2))
+        limit = len(all_pairs) if max_e is None else min(max_e, len(all_pairs))
+        for m in range(limit + 1):
+            for chosen in combinations(all_pairs, m):
+                g = Graph.from_edge_pairs(range(n), chosen)
+                key = canonical_key(g)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(g)
+    return out
 
 
 def reference_evaluate(d: DecompTree, sig: Signature, path: str = "") -> Cospan:

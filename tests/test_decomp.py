@@ -44,7 +44,7 @@ from mwidth import (
     validate_rec_tree_dec,
     validate_tree_dec,
 )
-from mwidth.decomp import rec_branch_subtree
+from mwidth.decomp import _rec_width_raw, rec_branch_subtree
 from mwidth.oracles import _leaf_trees, exact_branchwidth
 
 
@@ -557,3 +557,19 @@ def test_tree_to_recursive_golden_three_children():
         '"left": ' + leaf % ('{"v": [3, 4], "e": [[3, 3, 4]], "s": [3]}', "[3, 4]")
         + ', "right": ' + empty + '}, "right": '
         + leaf % ('{"v": [0, 1], "e": [[0, 0, 1]], "s": [0]}', "[0, 1]") + '}}')
+
+
+def test_path_to_recursive_of_a_long_path_needs_no_recursion():
+    # 1,500 bags of P_1500 give a chain 1,500 nodes deep, past the default
+    # recursion limit; the width is read without the (recursive) validator
+    n = 1500
+    g = path_graph(n)
+    dec = PathDec([{i, i + 1} for i in range(n - 1)] + [{n - 1}])
+    t = path_to_recursive(dec, SourcedGraph(g))
+    chain, node = 0, t
+    while isinstance(node, RecPathCons):
+        chain += 1
+        node = node.tail
+    assert chain == n and node is REC_PATH_EMPTY
+    assert _rec_width_raw(t) == 2
+    assert path_from_recursive(t) == dec

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mwidth.decomp as decomp_mod
+import mwidth.oracles as oracles_mod
 from conftest import cycle_graph, k, path_graph, random_graph, reference_key
-from conftest import reference_branchwidth
+from conftest import reference_branchwidth, reference_enumerate_graphs, reference_optimal_rec
 from mwidth import (
     Graph,
     PathDec,
@@ -30,7 +31,8 @@ from mwidth import (
     validate_rec_tree_dec,
     validate_tree_dec,
 )
-from mwidth.oracles import OracleError
+from mwidth.decomp import RecTreeNode
+from mwidth.oracles import OracleError, _leaf_trees
 
 
 SPOT_VALUES = [
@@ -273,3 +275,92 @@ def test_branchwidth_validates_only_its_witness(monkeypatch):
         w, dec = exact_branchwidth(g)
         assert checked == [dec]
         checked.clear()
+
+
+def test_branchwidth_walk_cuts_wide_partial_trees(monkeypatch):
+    # every tree the walk grows is passed to the cut; the full enumeration
+    # yields 105 trees on 6 leaves and 945 on 7
+    real = oracles_mod._leaf_trees
+    grown = []
+
+    def counting(n, cut=None):
+        def counted(sides, placed):
+            grown.append(placed)
+            return cut(sides, placed)
+        return real(n, counted)
+    monkeypatch.setattr(oracles_mod, "_leaf_trees", counting)
+    for g, full, pinned in ((k(4), 105, 5), (cycle_graph(7), 945, 5)):
+        assert sum(1 for _ in real(len(g.edges))) == full
+        grown.clear()
+        assert exact_branchwidth(g) == reference_branchwidth(g)
+        assert len(grown) == pinned < full
+
+
+# ---------------------------------------------------------------------------
+# Tree and path width: the mask search against the frozenset search.
+
+
+def test_tree_and_path_search_match_the_reference_on_the_6_vertex_catalog():
+    graphs = enumerate_graphs(6)
+    assert len(graphs) == 208
+    for g in graphs:
+        sg = SourcedGraph(g)
+        assert optimal_rec_tree_dec(sg) == reference_optimal_rec(sg, "tree"), g
+        assert optimal_rec_path_dec(sg) == reference_optimal_rec(sg, "path"), g
+
+
+@st.composite
+def sourced_multigraphs(draw):
+    """A multigraph of `multigraphs()` with a random set of sources."""
+    g = draw(multigraphs())
+    return SourcedGraph(g, draw(st.sets(st.sampled_from(sorted(g.vertices)))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(sourced_multigraphs())
+def test_tree_and_path_search_match_the_reference_on_sourced_multigraphs(sg):
+    assert optimal_rec_tree_dec(sg) == reference_optimal_rec(sg, "tree")
+    assert optimal_rec_path_dec(sg) == reference_optimal_rec(sg, "path")
+
+
+def test_tree_search_builds_graphs_only_for_its_witness(monkeypatch):
+    built = []
+    init = Graph.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+    for g in (cycle_graph(5), k(4)):
+        sg = SourcedGraph(g)
+        built.clear()
+        monkeypatch.setattr(Graph, "__init__", counted)
+        w, t = optimal_rec_tree_dec(sg)
+        monkeypatch.undo()
+        nodes, stack = 0, [t]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, RecTreeNode):
+                nodes += 1
+                stack += [node.left, node.right]
+        assert len(built) <= nodes + 1
+
+
+# ---------------------------------------------------------------------------
+# The catalog: labelled orbits against canonical keys.
+
+
+@pytest.mark.parametrize("args", [(5, 7), (6, 7), (6,)])
+def test_catalog_matches_the_canonical_key_reference(args):
+    assert enumerate_graphs(*args) == reference_enumerate_graphs(*args)
+
+
+def test_catalog_computes_no_canonical_key(monkeypatch):
+    calls = []
+    real = oracles_mod.canonical_key
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+    monkeypatch.setattr(oracles_mod, "canonical_key", counted)
+    assert len(enumerate_graphs(5, 7)) == 48
+    assert calls == []
