@@ -6,7 +6,8 @@ decompositions and terms travel as JSON.  Exit codes: 0 success;
 1 validation or theorem failure, an exact oracle refusing an input
 beyond its size cap, or a decomposition that does not fit the graph
 (such as marked sources outside its root or first bag); 2 usage or
-parse error, including a malformed decomposition, term or width-cache file.
+parse error, including a malformed decomposition, term or width-cache file,
+and JSON nested too deeply to read or to write.
 """
 
 from __future__ import annotations
@@ -75,11 +76,18 @@ def _kind_of(dec) -> tuple[str, _Kind, bool]:
                 if isinstance(dec, (kind.classic, kind.rec)))
 
 
+def _dumps(data, **options) -> str:
+    """`json.dumps`; a result nested too deeply for the encoder, which
+    recurses once per level, is a usage error like one too deep to read."""
+    try:
+        return json.dumps(data, **options)
+    except RecursionError as exc:
+        raise CliError(f"result nested too deeply to write as JSON "
+                       f"(recursion limit {sys.getrecursionlimit()})") from exc
+
+
 def _emit(data, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(data, indent=1, sort_keys=True))
-    else:
-        print(text)
+    print(_dumps(data, indent=1, sort_keys=True) if as_json else text)
 
 
 def cmd_widths(args) -> int:
@@ -173,7 +181,7 @@ def cmd_translate(args) -> int:
     payload = _translate(getattr(args, "from"), args.to, args.graph)
     shown = payload["result"] if "result" in payload else payload["term"]
     _emit(payload, args.json,
-          f"width {payload['from_width']} -> {payload['to_width']}\n" + json.dumps(shown))
+          f"width {payload['from_width']} -> {payload['to_width']}\n" + _dumps(shown))
     return 0
 
 

@@ -12,9 +12,10 @@ node has a `graph`, the graph with sources it decomposes (the empty one
 for the tree and path empty nodes); `_children` gives its children in
 walk order, `_cost` what it adds to the width (bag size for tree and path
 nodes, source count for branch nodes, 0 for empty nodes), and `_LAYOUT`
-its JSON kind and fields.  Width, validation, JSON and DOT are each one
-walker over that protocol; validation takes the local clauses of a
-family from one function per family.
+its JSON kind and fields.  Every walker over that protocol is a loop, so
+a chain of any depth goes through: width, bags, validation (with the local
+clauses of a family from one function per family) and JSON read one node
+order, `_pre_order`, forwards or, to see children before parents, reversed.
 
 Each classic decomposition tree is walked once per question (`_walk`):
 the tree validator's walk both tells whether the shape is a tree and
@@ -22,7 +23,8 @@ gives the parents for clause 3 (the bags holding a vertex are connected),
 which is one linear per-vertex test against the parent bag for trees and
 paths alike;
 `tree_to_recursive` reads children and subtree bags from one walk, and
-`branch_dec_width` the leaf edges below every node from one rooted walk.
+`branch_dec_width` and `branch_to_recursive` the leaf edges below every
+node from one rooted walk.
 """
 
 from __future__ import annotations
@@ -233,21 +235,22 @@ def edge_order(dec: BranchDec, g: Graph, e: int) -> int:
 def branch_dec_width(dec: BranchDec, g: Graph) -> int:
     """Largest edge order of a validated branch decomposition."""
     _require(validate_branch_dec(dec, g), "branch")
-    return _branch_width(dec, g)
+    _, below = _edges_below(dec)
+    every = set(dec.leaf_table().values())
+    return max((len(ends_of_edge_set(g, side) & ends_of_edge_set(g, every - side))
+                for side in below.values()), default=0)
 
 
-def _branch_width(dec: BranchDec, g: Graph) -> int:
-    """Largest edge order, without validating `dec`; a node's side of its
-    parent edge is the leaves below it."""
+def _edges_below(dec: BranchDec) -> tuple[dict, dict]:
+    """The parents of one walk of the tree from its least vertex, and the graph
+    edges at the leaves below each tree vertex, its side of its parent edge."""
     shape, table = dec.shape, dec.leaf_table()
     parent = _walk(shape, min(shape.vertices)) if shape.vertices else {}
     below = {v: {table[v]} if v in table else set() for v in parent}
     for v in reversed(parent):
         if parent[v] is not None:
             below[parent[v]] |= below[v]
-    every = set(table.values())
-    return max((len(ends_of_edge_set(g, side) & ends_of_edge_set(g, every - side))
-                for side in below.values()), default=0)
+    return parent, below
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +377,21 @@ def _is_subgraph(sub: Graph, sup: Graph) -> bool:
     return all(sub.ends(e) == sup.ends(e) for e in sub.edges)
 
 
+def _pre_order(t: _RecDec) -> list:
+    """Every node of `t`, empty nodes included, each before its children and
+    left before right; reversed, every node comes after its children."""
+    order, stack = [], [t]
+    while stack:
+        order.append(stack.pop())
+        stack += reversed(_children(order[-1]))
+    return order
+
+
 def _validate_rec(t: _RecDec, sg: SourcedGraph, clauses) -> Check:
-    """Check the local `clauses` of a family at every node, pre-order with
-    left before right; each child is checked against the graph it records."""
-    check = clauses(t, sg)
-    if not check:
-        return check
-    for child in _children(t):
-        check = _validate_rec(child, child.graph, clauses)
+    """The first failure of the local `clauses` of a family in pre-order,
+    checking the root against `sg` and every other node against its graph."""
+    for i, node in enumerate(_pre_order(t)):
+        check = clauses(node, node.graph if i else sg)
         if not check:
             return check
     return _OK
@@ -493,23 +503,12 @@ def validate_rec_branch_dec(t: RecBranchDec, sg: SourcedGraph) -> Check:
 
 def _bags(t: Union[RecTreeDec, RecPathDec]) -> list:
     """Bags of a recursive tree or path decomposition, pre-order."""
-    bags, stack = [], [t]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, _EMPTY_NODES):
-            bags.append(node.bag)
-            stack.extend(reversed(_children(node)))
-    return bags
+    return [node.bag for node in _pre_order(t) if not isinstance(node, _EMPTY_NODES)]
 
 
 def _rec_width_raw(t: _RecDec) -> int:
     """Largest node cost of a recursive decomposition, without validation."""
-    width, stack = 0, [t]
-    while stack:
-        node = stack.pop()
-        width = max(width, _cost(node))
-        stack += _children(node)
-    return width
+    return max(map(_cost, _pre_order(t)))
 
 
 def _checked_rec_width(t: _RecDec, sg: Optional[SourcedGraph], validate,
@@ -634,21 +633,19 @@ def tree_to_recursive(dec: TreeDec, sg: SourcedGraph, root: int) -> RecTreeDec:
 def _number(t: _RecDec, on_node, on_edge) -> None:
     """Number the non-empty nodes of `t` in pre-order: `on_node(i, node)` on
     entering node i, `on_edge(i, j)` once the subtree of its child j is done."""
-    counter = [0]
-
-    def walk(node: _RecDec) -> Optional[int]:
-        if isinstance(node, _EMPTY_NODES):
-            return None
-        i = counter[0]
-        counter[0] += 1
-        on_node(i, node)
-        for child in _children(node):
-            j = walk(child)
-            if j is not None:
-                on_edge(i, j)
-        return i
-
-    walk(t)
+    # (parent's number, node) still to enter, or (i, j) for an edge, which
+    # sits under the entries of j's subtree until they are all done
+    count, stack = 0, [(None, t)]
+    while stack:
+        i, node = stack.pop()
+        if isinstance(node, int):
+            on_edge(i, node)
+        elif not isinstance(node, _EMPTY_NODES):
+            on_node(count, node)
+            if i is not None:
+                stack.append((i, count))
+            stack += ((count, child) for child in reversed(_children(node)))
+            count += 1
 
 
 def tree_from_recursive(t: RecTreeDec) -> TreeDec:
@@ -713,8 +710,12 @@ def branch_to_recursive(dec: BranchDec, sg: SourcedGraph) -> RecBranchDec:
     if len(g.edges) == 1:
         return RecBranchLeaf(sg)
 
-    def edges_below(v: int, parent: int) -> frozenset:
-        return frozenset(table[leaf] for leaf in _walk(shape, v, parent) if leaf in table)
+    up, below = _edges_below(dec)
+    every = set(table.values())
+
+    def edges_below(v: int, p: int) -> set:
+        """The graph edges on v's side of the tree edge to its neighbour p."""
+        return below[v] if up[v] == p else every - below[p]
 
     def down(v: int, parent: Optional[int], gamma: SourcedGraph) -> RecBranchDec:
         if v in table:
@@ -760,30 +761,25 @@ def branch_from_recursive(t: RecBranchDec) -> BranchDec:
     vertices: list[int] = []  # numbered 0, 1, ... in the order they are added
     edges: list[tuple[int, int]] = []
     table: dict[int, int] = {}
-
-    def walk(node: RecBranchDec) -> Optional[int]:
-        if isinstance(node, RecBranchEmpty):
-            return None
+    order, stack = [], [t]
+    while stack:  # pre-order with right before left; reversed, a left-first post-order
+        order.append(stack.pop())
+        stack += _children(order[-1])
+    done: list = []  # tree vertex of each finished subtree, None when it has none
+    for node in reversed(order):
+        popped = [done.pop() for _ in _children(node)]  # the right child's first
+        kids = [k for k in reversed(popped) if k is not None]
         if isinstance(node, RecBranchLeaf):
-            i = len(vertices)
-            vertices.append(i)
-            table[i] = min(node.graph.edges)
-            return i
-        kids = [walk(node.left), walk(node.right)]
-        kids = [k for k in kids if k is not None]
-        if not kids:
-            return None
-        if len(kids) == 1:
-            # a unary node adds nothing to the tree; splice it out
-            return kids[0]
-        i = len(vertices)
-        vertices.append(i)
-        for k in kids:
-            edges.append((i, k))
-        return i
-
-    root = walk(t)
-    if root is None:
+            table[len(vertices)] = min(node.graph.edges)
+        elif len(kids) == 2:
+            edges += ((len(vertices), k) for k in kids)
+        else:
+            # no tree vertex for an empty node; a unary one adds nothing: splice it out
+            done.append(kids[0] if kids else None)
+            continue
+        done.append(len(vertices))
+        vertices.append(len(vertices))
+    if done == [None]:
         return BranchDec(Graph.empty(), {})
     dec = BranchDec(Graph.from_edge_pairs(vertices, edges), table)
     got = branch_dec_width(dec, t.graph.graph)
@@ -836,16 +832,20 @@ _REC_FIELD_READERS = {"graph": sourced_graph_from_json, "bag": lambda b: set(_in
 
 
 def _rec_to_json(t: _RecDec) -> dict:
-    kind, flag, fields = _LAYOUT[type(t)]
-    out = {"kind": kind}
-    if flag:
-        out[flag] = True
-    for name in fields:
-        value = getattr(t, name)
-        # an empty node records its graph only when it has one
-        if flag != "empty" or not value.is_empty():
-            out[name] = _REC_FIELD_WRITERS.get(name, _rec_to_json)(value)
-    return out
+    done: list = []  # JSON of the finished subtrees, the leftmost last
+    for node in reversed(_pre_order(t)):
+        kind, flag, fields = _LAYOUT[type(node)]
+        out = {"kind": kind}
+        if flag:
+            out[flag] = True
+        for name in fields:
+            if name not in _REC_FIELD_WRITERS:
+                out[name] = done.pop()
+            # an empty node records its graph only when it has one
+            elif flag != "empty" or not node.graph.is_empty():
+                out[name] = _REC_FIELD_WRITERS[name](getattr(node, name))
+        done.append(out)
+    return done[0]
 
 
 def decomposition_from_json(data: dict):

@@ -447,28 +447,31 @@ def find_isomorphism(g1: Graph, g2: Graph,
 
     order = sorted(g1.vertices - set(assign), key=lambda v: (inv1[v], v))
 
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in sorted(g2.vertices - used):
-            if inv1[v] != inv2[w]:
-                continue
-            if not compatible(v, w):
-                continue
-            assign[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del assign[v]
-            used.discard(w)
-        return False
+    def targets(v: int):
+        # the vertices free when v's turn comes, in id order, each checked
+        # against the assignment of the vertices before v when it is tried
+        return (w for w in sorted(g2.vertices - used)
+                if inv1[v] == inv2[w] and compatible(v, w))
 
     for v, w in list(assign.items()):
         if not compatible(v, w):
             return None
-    if not extend(0):
-        return None
+    # depth first: order[:i] is assigned, tries[k] yields order[k]'s untried targets
+    i, tries = 0, []
+    while i < len(order):
+        if i == len(tries):
+            tries.append(targets(order[i]))
+        w = next(tries[i], None)
+        if w is not None:
+            assign[order[i]] = w
+            used.add(w)
+            i += 1
+            continue
+        tries.pop()  # no target left for order[i]: try the next one for order[i - 1]
+        if i == 0:
+            return None
+        i -= 1
+        used.discard(assign.pop(order[i]))
 
     emap: dict[int, int] = {}
     pool: dict[frozenset, list[int]] = {}

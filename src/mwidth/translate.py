@@ -71,6 +71,7 @@ from .decomp import (
     _bags,
     _branch_split,
     _children,
+    _pre_order,
     _rec_width_raw,
     _require,
     _source_root,
@@ -168,11 +169,15 @@ def _push(t, vmap: dict, emap: dict, target: Graph):
     """Rebuild a recursive tree or path decomposition over `target` through
     the vertex and edge maps: each node decomposes the image of its own
     graph, a subgraph of `target`, with the image of its bag and sources."""
-    if isinstance(t, _EMPTY_NODES):
-        return t
-    g = t.graph
-    return _image(type(t), vmap, emap, target, g.vertices, g.edges, g.sources, t.bag,
-                  *(_push(child, vmap, emap, target) for child in _children(t)))
+    done: list = []  # the images of the finished subtrees, the leftmost last
+    for node in reversed(_pre_order(t)):
+        if not isinstance(node, _EMPTY_NODES):
+            g = node.graph
+            kids = [done.pop() for _ in _children(node)]
+            node = _image(type(node), vmap, emap, target, g.vertices, g.edges, g.sources,
+                          node.bag, *kids)
+        done.append(node)
+    return done[0]
 
 
 def _image(node: type, vmap, emap, target: Graph, vs, es, sources, bag, *kids):
@@ -388,16 +393,20 @@ def p_to_mdec(t: RecPathDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]:
 
 
 def _p2m(t: RecPathDec, sg: SourcedGraph, sig: Signature) -> DecompTree:
-    if isinstance(t, RecPathEmpty):
-        return sig.leaf(cs.identity(0))
-    g, x = sg.graph, sg.sources
-    if isinstance(t.tail, RecPathEmpty):
-        return sig.leaf(cs.from_sourced(sg))
-    gp = t.tail.graph
-    xp = gp.sources
-    g1 = g.subgraph(t.bag, g.edges - gp.edges)
-    head = sig.leaf(Cospan(g1, tuple(sorted(x)), tuple(sorted(xp))))
-    return Compose(head, len(xp), _p2m(t.tail, gp, sig))
+    """One leaf per node, in chain order, composed from the last back."""
+    heads: list = []  # (leaf, cut) of every node with a non-empty tail
+    while not isinstance(t, RecPathEmpty) and not isinstance(t.tail, RecPathEmpty):
+        g, x = sg.graph, sg.sources
+        gp = t.tail.graph
+        xp = gp.sources
+        g1 = g.subgraph(t.bag, g.edges - gp.edges)
+        heads.append((sig.leaf(Cospan(g1, tuple(sorted(x)), tuple(sorted(xp)))), len(xp)))
+        t, sg = t.tail, gp
+    last = cs.identity(0) if isinstance(t, RecPathEmpty) else cs.from_sourced(sg)
+    term = sig.leaf(last)
+    for head, cut in reversed(heads):
+        term = Compose(head, cut, term)
+    return term
 
 
 def m_to_pdec(d: DecompTree, sig: Signature) -> RecPathDec:
@@ -551,12 +560,15 @@ def m_to_bdec(d: DecompTree, sig: Signature,
 def _left_comb_branch(sg: SourcedGraph) -> RecBranchDec:
     """Any valid recursive branch decomposition: split edges off one at a
     time in ascending id order; isolated vertices stay with the tail."""
-    if not sg.edges:
-        return RecBranchEmpty(sg)
-    if len(sg.edges) == 1:
-        return RecBranchLeaf(sg)
-    g1, g2 = _branch_split(sg, frozenset({min(sg.edges)}))
-    return RecBranchNode(sg, RecBranchLeaf(g1), _left_comb_branch(g2))
+    splits: list = []  # (graph, its first edge's part) down the comb
+    while len(sg.edges) > 1:
+        g1, g2 = _branch_split(sg, frozenset({min(sg.edges)}))
+        splits.append((sg, g1))
+        sg = g2
+    t = RecBranchLeaf(sg) if sg.edges else RecBranchEmpty(sg)
+    for whole, first in reversed(splits):
+        t = RecBranchNode(whole, RecBranchLeaf(first), t)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -704,9 +716,10 @@ def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
     # path equality: mpwd == pw
     searched_p = tm.bounded_mwd_search(closed, shape="path", budget=budget,
                                        seed_translations=False)
-    mpwd = min(tm.width(term_p, sig_p), searched_p.width)
+    width_p = tm.width(term_p, sig_p)
+    mpwd = min(width_p, searched_p.width)
     witnesses["path_term"] = tm.tree_to_json(term_p)
-    best_p = (term_p, sig_p) if tm.width(term_p, sig_p) <= searched_p.width \
+    best_p = (term_p, sig_p) if width_p <= searched_p.width \
         else (searched_p.tree, searched_p.signature)
     cert_p = m_to_pdec(*best_p)
     checks.append(TheoremCheck(
@@ -728,7 +741,7 @@ def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
         best = searched
     # the certificate decomposes the evaluated apex, an isomorphic copy of g
     cert_b = m_to_bdec(best.tree, best.signature)
-    cert_graph = tm.evaluate(best.tree, best.signature).apex
+    cert_graph = cert_b.graph.graph
     cert_classic = branch_from_recursive(cert_b)
     cert_width = branch_dec_width(cert_classic, cert_graph)
     upper_detail = f"mwd_upper={mwd_upper} vs bw+1={bw + 1}"

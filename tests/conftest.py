@@ -25,7 +25,7 @@ from mwidth import (
     canonical_key,
 )
 from mwidth import cospan as cs
-from mwidth.decomp import REC_PATH_EMPTY, REC_TREE_EMPTY
+from mwidth.decomp import REC_PATH_EMPTY, REC_TREE_EMPTY, path_to_recursive
 from mwidth.graph import components, ends_of_edge_set
 from mwidth.oracles import _leaf_trees
 from mwidth.terms import Compose, DecompTree, Leaf, Tensor
@@ -60,6 +60,28 @@ def path_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     return Graph.from_edge_pairs(range(n), [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.fixture(scope="session")
+def long_path_chain():
+    """P_1500, its 1,500-bag path decomposition and that decomposition's
+    recursive form: a chain 1,500 nodes deep, past the default recursion
+    limit, built once for every test that walks it."""
+    n = 1500
+    sg = SourcedGraph(path_graph(n))
+    dec = PathDec([{i, i + 1} for i in range(n - 1)] + [{n - 1}])
+    return sg, dec, path_to_recursive(dec, sg)
+
+
+def deep_right_tree_term(depth: int) -> tuple:
+    """`depth` edges composed one by one and closed: a path term, and so a
+    right-tree one, whose decompositions are chains `depth` nodes deep."""
+    sig = Signature()
+    edge, close = sig.leaf(cs.edge()), sig.leaf(cs.delete(1))
+    term = close
+    for _ in range(depth):
+        term = Compose(edge, 1, term)
+    return term, sig
 
 
 @pytest.fixture

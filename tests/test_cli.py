@@ -11,6 +11,7 @@ from mwidth import (
     TreeDec,
     branch_to_recursive,
     decomposition_to_json,
+    format_graph_text,
     p_to_mdec,
     path_to_recursive,
     signature_to_json,
@@ -353,6 +354,27 @@ def test_decoded_but_too_deep_to_parse_exits_two(p3_file, tmp_path, capsys,
     err = capsys.readouterr().err
     _assert_one_error_line(err, str(deep))
     assert "nested too deeply" in err
+
+
+def test_result_too_deep_to_write_exits_two(tmp_path, capsys):
+    # a path of twice the recursion limit made recursive is a chain as deep:
+    # every walker gets through it, but the stdlib JSON encoders recurse
+    # once per level.  The limit is lowered to keep the chain small
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        n = 2 * sys.getrecursionlimit()
+        graph, dec = tmp_path / "path.g", tmp_path / "path.json"
+        graph.write_text(format_graph_text(SourcedGraph(path_graph(n))))
+        dec.write_text(json.dumps(decomposition_to_json(
+            PathDec([{i, i + 1} for i in range(n - 1)] + [{n - 1}]))))
+        code = main(["translate", "--from", str(dec), "--to", "rec-path",
+                     "--graph", str(graph), "--json"])
+    finally:
+        sys.setrecursionlimit(limit)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: result nested too deeply to write as JSON (recursion limit 300)\n"
 
 
 def test_decompose_monoidal_json_holds_only_the_term_atoms(tmp_path, capsys):

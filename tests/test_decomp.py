@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import all_tree_decs, k, path_graph, random_graph
+from conftest import all_tree_decs, deep_right_tree_term, k, path_graph, random_graph
 from mwidth import (
     BranchDec,
     Check,
@@ -18,6 +18,7 @@ from mwidth import (
     REC_BRANCH_EMPTY,
     REC_PATH_EMPTY,
     REC_TREE_EMPTY,
+    Signature,
     SourcedGraph,
     TreeDec,
     boundary_global,
@@ -28,6 +29,8 @@ from mwidth import (
     decomposition_to_dot,
     decomposition_to_json,
     edge_order,
+    m_to_bdec,
+    m_to_tdec,
     path_dec_width,
     path_from_recursive,
     path_to_recursive,
@@ -44,8 +47,10 @@ from mwidth import (
     validate_rec_tree_dec,
     validate_tree_dec,
 )
+from mwidth import cospan as cs
 from mwidth.decomp import _rec_width_raw, rec_branch_subtree
 from mwidth.oracles import _leaf_trees, exact_branchwidth
+from mwidth.terms import Tensor
 
 
 def fig_style_graph_and_dec():
@@ -573,3 +578,64 @@ def test_path_to_recursive_of_a_long_path_needs_no_recursion():
     assert chain == n and node is REC_PATH_EMPTY
     assert _rec_width_raw(t) == 2
     assert path_from_recursive(t) == dec
+
+
+def test_branch_from_recursive_numbers_tree_vertices_in_post_order():
+    # P4's comb beside an isolated vertex: the leaves of edges 0, 1 and 2
+    # become vertices 0, 1, 2, then the inner join 3 and the comb's root 4,
+    # each join's edge to its left child first; the root has an empty
+    # right child, so it adds nothing and is spliced out
+    sig = Signature()
+    t = m_to_bdec(Tensor(sig.leaf(cs.of_graph(path_graph(4))),
+                         sig.leaf(cs.of_graph(Graph.discrete([0])))), sig)
+    assert isinstance(t, RecBranchNode) and isinstance(t.right, RecBranchEmpty)
+    assert json.dumps(decomposition_to_json(branch_from_recursive(t))) == (
+        '{"kind": "branch", "shape": {"v": [0, 1, 2, 3, 4], "e": [[0, 1, 3], [1, 2, 3], '
+        '[2, 0, 4], [3, 3, 4]]}, "leaf_map": {"0": 0, "1": 1, "2": 2}}')
+
+
+def test_walkers_over_a_1500_deep_path_chain(long_path_chain):
+    # validation, width, bags, JSON and DOT each walk the whole chain in a loop
+    sg, dec, t = long_path_chain
+    assert rec_path_width(t, sg) == 2
+    assert path_from_recursive(t) == dec
+    depth, data = 0, decomposition_to_json(t)
+    while "tail" in data:
+        assert data["bag"] == sorted(dec.bags[depth])
+        depth, data = depth + 1, data["tail"]
+    assert depth == 1500 and data == {"kind": "rec-path", "empty": True}
+    # node lines on entry, each edge once the subtree below it is done
+    dot = decomposition_to_dot(t).splitlines()
+    assert len(dot) == 2 + 1500 + 1499 + 1
+    assert dot[2] == '  n0 [label="{0,1}"];' and dot[1501] == '  n1499 [label="{1499}"];'
+    assert dot[1502] == "  n1498 -- n1499;" and dot[-2] == "  n0 -- n1;"
+
+
+def test_first_failing_node_of_a_1500_deep_path_chain(long_path_chain):
+    # nodes 1,200 (a source left out of its bag, clause i) and 1,400 (a
+    # non-vertex in its bag, clause shape) both fail; pre-order reports 1,200
+    sg, _, t = long_path_chain
+    nodes = []
+    while isinstance(t, RecPathCons):
+        nodes.append(t)
+        t = t.tail
+    bad = REC_PATH_EMPTY
+    for i in reversed(range(len(nodes))):
+        node = nodes[i]
+        bag = {1200: node.bag - node.graph.sources, 1400: node.bag | {-1}}.get(i, node.bag)
+        bad = RecPathCons(node.graph, bag, bad)
+    assert validate_rec_path_dec(bad, sg) == Check(
+        False, "i", "sources [1200] missing from the first bag")
+
+
+def test_walkers_over_a_1500_deep_tree_chain():
+    # the tree decomposition of a 1,500-deep path term: each composition
+    # puts its edge on the left and the rest of the chain on the right
+    term, sig = deep_right_tree_term(1500)
+    t = m_to_tdec(term, sig)
+    assert rec_tree_width(t) == 2
+    classic = tree_from_recursive(t)
+    assert len(classic.bags) == 3001 and len(classic.shape.edges) == 3000
+    assert max(len(b) for _, b in classic.bags) == 2
+    dot = decomposition_to_dot(t).splitlines()
+    assert len(dot) == 2 + 3001 + 3000 + 1 and dot[-2] == "  n0 -- n2;"

@@ -319,3 +319,11 @@ def test_parse_errors_carry_line_numbers(text, lineno):
 def test_graph_json_round_trip():
     for g in enumerate_graphs(3, 3):
         assert graph_from_json(graph_to_json(g)) == g
+
+
+def test_find_isomorphism_of_a_long_path_needs_no_recursion():
+    # the search goes one vertex deeper per assignment, 1,500 deep here; the
+    # first isomorphism in id order is the identity
+    g = path_graph(1500)
+    m = find_isomorphism(g, g)
+    assert m.vmap == {v: v for v in g.vertices} and m.emap == {e: e for e in g.edges}

@@ -21,6 +21,7 @@ from mwidth import (
     TranslationError,
     TreeDec,
     b_to_mdec,
+    branch_from_recursive,
     branch_to_recursive,
     check_glueing,
     check_theorems,
@@ -56,7 +57,7 @@ from mwidth import cospan as cs
 from mwidth import graph as graph_module
 from mwidth import terms as tm
 from mwidth.decomp import (
-    RecBranchLeaf, RecBranchEmpty, RecPathCons, RecTreeNode, REC_TREE_EMPTY, _bags,
+    RecBranchLeaf, RecBranchEmpty, RecBranchNode, RecPathCons, RecTreeNode, REC_TREE_EMPTY, _bags,
     _rec_width_raw,
 )
 from mwidth.oracles import optimal_rec_path_dec, optimal_rec_tree_dec
@@ -690,3 +691,47 @@ def test_m_to_pdec_of_a_deep_path_term_needs_no_recursion():
     t = m_to_pdec(term, sig)
     assert isinstance(t, RecPathCons)
     assert _rec_width_raw(t) == 2 and len(_bags(t)) == 3001
+
+
+def test_p_to_mdec_of_a_1500_deep_chain_keeps_its_atoms(long_path_chain):
+    # one atom per node, named in chain order, each holding its node's bag,
+    # and the last holding the last node's whole graph
+    sg, dec, t = long_path_chain
+    term, sig = p_to_mdec(t, sg)
+    assert width(term, sig) == 2 and is_path(term)
+    atoms = []
+    while isinstance(term, Compose):
+        assert term.cut == 1
+        atoms.append(term.left.atom)
+        term = term.right
+    atoms.append(term.atom)
+    assert atoms == [f"a{i}" for i in range(1500)]
+    assert all(sig.atom(a).cospan.apex.vertices == b for a, b in zip(atoms, dec.bags))
+
+
+def test_epi_to_dec_path_of_a_1500_deep_chain(long_path_chain):
+    # identify the ends of the first edge: it becomes a loop at vertex 0
+    sg, _, t = long_path_chain
+    g = sg.graph
+    vmap = {v: 0 if v == 1 else v for v in g.vertices}
+    h = Graph(g.vertices - {1}, {e: {vmap[v] for v in g.ends(e)} for e in g.edges})
+    out = epi_to_dec_path(GraphMorphism(g, h, vmap, {e: e for e in g.edges}), t)
+    assert rec_path_width(out, SourcedGraph(h)) == 2
+    assert _bags(out) == [{vmap[v] for v in b} for b in _bags(t)]
+
+
+def test_m_to_bdec_of_one_leaf_holding_a_long_path():
+    # the left comb splits the 1,499 edges off in id order, one per level;
+    # its classic form keeps every leaf and every binary node
+    g = path_graph(1500)
+    sig = Signature()
+    t = m_to_bdec(sig.leaf(cs.Cospan(g, (), ())), sig)
+    classic = branch_from_recursive(t)
+    assert len(classic.shape.vertices) == 2 * 1499 - 1
+    assert sorted(classic.leaf_table().values()) == sorted(g.edges)
+    firsts = []
+    while isinstance(t, RecBranchNode):
+        assert isinstance(t.left, RecBranchLeaf)
+        firsts.append(min(t.left.graph.edges))
+        t = t.right
+    assert isinstance(t, RecBranchLeaf) and firsts + [min(t.graph.edges)] == sorted(g.edges)
