@@ -18,6 +18,7 @@ from .graph import (
     Graph,
     GraphMorphism,
     SourcedGraph,
+    _numbered,
     find_isomorphism,
     graph_coproduct,
     graph_pushout,
@@ -73,11 +74,9 @@ def boundary_weight(arity: int) -> int:
 
 def _renumber(c: Cospan) -> Cospan:
     """Renumber apex ids order-preserving so constructions are reproducible."""
-    vmap = {v: i for i, v in enumerate(sorted(c.apex.vertices))}
-    emap = {e: i for i, e in enumerate(sorted(c.apex.edges))}
-    apex = Graph(vmap.values(), {emap[e]: {vmap[v] for v in c.apex.ends(e)}
-                                 for e in c.apex.edges})
-    return Cospan(apex, tuple(vmap[v] for v in c.left), tuple(vmap[v] for v in c.right))
+    rank, _, ends = _numbered(c.apex)
+    apex = Graph(range(len(rank)), dict(enumerate(ends)))
+    return Cospan(apex, tuple(rank[v] for v in c.left), tuple(rank[v] for v in c.right))
 
 
 def compose_with_maps(g1: Cospan, g2: Cospan) -> tuple[Cospan, GraphMorphism, GraphMorphism]:

@@ -17,18 +17,22 @@ a chain of any depth goes through: width, bags, validation (with the local
 clauses of a family from one function per family) and JSON read one node
 order, `_pre_order`, forwards or, to see children before parents, reversed.
 
-Each classic decomposition tree is walked once per question (`_walk`):
-the tree validator's walk both tells whether the shape is a tree and
-gives the parents for clause 3 (the bags holding a vertex are connected),
-which is one linear per-vertex test against the parent bag for trees and
-paths alike;
-`tree_to_recursive` reads children and subtree bags from one walk, and
-`branch_dec_width` and `branch_to_recursive` the leaf edges below every
-node from one rooted walk.
+Each classic decomposition tree is walked once per question (`_walk`), and
+every question is linear in the tree's size.  The tree and branch
+validators share one walk that tells whether the shape is a tree
+(`_tree_parents`); the tree validator reads from it the parents for clause
+3 (the bags holding a vertex are connected), which is one per-vertex test
+against the parent bag for trees and paths alike, and the branch
+validator the degrees and leaves.  `tree_to_recursive` reads children and
+subtree bags from one walk; `branch_dec_width` holds the ends of the edges
+below and outside every node as vertex bit masks, from one pass up the
+tree and one down; `branch_to_recursive` reads the leaf edges below every
+node from one rooted walk and converts over an explicit stack.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -39,10 +43,8 @@ from .graph import (
     ends_of_edge_set,
     graph_from_json,
     graph_to_json,
-    is_subcubic_tree,
     sourced_graph_from_json,
     sourced_graph_to_json,
-    tree_leaves,
 )
 
 
@@ -137,6 +139,17 @@ def _walk(shape: Graph, root: int, cut: Optional[int] = None) -> dict:
     return parent
 
 
+def _tree_parents(shape: Graph) -> Optional[dict]:
+    """The parents of one walk of `shape` from its least node if `shape` is
+    a tree, else None.  The walk reaches every node and |E| = |V| - 1, which
+    leaves no room for a loop or a parallel edge; the empty shape fails the
+    edge count."""
+    parent = _walk(shape, min(shape.vertices)) if shape.vertices else {}
+    if len(parent) != len(shape.vertices) or len(shape.edges) != len(shape.vertices) - 1:
+        return None
+    return parent
+
+
 def _bags_connected(pairs: Iterable) -> Check:
     """Clause 3 over the (bag, parent bag) pairs of a rooted tree, the root's
     parent bag empty: the bags holding a vertex are connected exactly when
@@ -153,10 +166,8 @@ def _bags_connected(pairs: Iterable) -> Check:
 def validate_tree_dec(dec: TreeDec, g: Graph) -> Check:
     bags = dec.bag_map()
     shape = dec.shape
-    # a tree: one walk reaches every node and |E| = |V| - 1, which leaves no
-    # room for a loop; the empty shape fails the edge count
-    parent = _walk(shape, min(shape.vertices)) if shape.vertices else {}
-    if len(parent) != len(shape.vertices) or len(shape.edges) != len(shape.vertices) - 1:
+    parent = _tree_parents(shape)
+    if parent is None:
         return _fail("shape", "decomposition shape is not a tree")
     if frozenset(bags) != shape.vertices:
         return _fail("shape", "bag map is not total on the tree vertices")
@@ -192,10 +203,13 @@ def validate_branch_dec(dec: BranchDec, g: Graph) -> Check:
         if dec.shape.vertices or table:
             return _fail("shape", "an edgeless graph admits only the empty decomposition")
         return _OK
-    if not is_subcubic_tree(dec.shape):
+    # a tree node's degree is its child count, plus one below the root
+    parent = _tree_parents(dec.shape) or {}
+    children = Counter(parent.values())
+    degree = {v: children[v] + (p is not None) for v, p in parent.items()}
+    if not degree or max(degree.values()) > 3:
         return _fail("shape", "decomposition shape is not a subcubic tree")
-    leaves = tree_leaves(dec.shape)
-    if frozenset(table) != leaves:
+    if frozenset(table) != frozenset(v for v, d in degree.items() if d <= 1):
         return _fail("bijection", "leaf map domain differs from the tree leaves")
     values = sorted(table.values())
     if values != sorted(g.edges):
@@ -233,19 +247,37 @@ def edge_order(dec: BranchDec, g: Graph, e: int) -> int:
 
 
 def branch_dec_width(dec: BranchDec, g: Graph) -> int:
-    """Largest edge order of a validated branch decomposition."""
+    """Largest edge order of a validated branch decomposition.
+
+    The ends of the graph edges at the leaves below each tree node, and at
+    those outside its subtree, are vertex bit masks from one pass up the
+    tree and one down; the order of the edge to a node's parent is the size
+    of their intersection."""
     _require(validate_branch_dec(dec, g), "branch")
-    _, below = _edges_below(dec)
-    every = set(dec.leaf_table().values())
-    return max((len(ends_of_edge_set(g, side) & ends_of_edge_set(g, every - side))
-                for side in below.values()), default=0)
+    table = dec.leaf_table()
+    parent = _tree_parents(dec.shape) or {}
+    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+    own = {v: sum(bit[u] for u in g.ends(table[v])) if v in table else 0 for v in parent}
+    below = dict(own)
+    children: dict = {v: [] for v in parent}
+    for v in reversed(parent):
+        if parent[v] is not None:
+            below[parent[v]] |= below[v]
+            children[parent[v]].append(v)
+    outside = {}
+    for v, p in parent.items():  # each node after its parent
+        outside[v] = 0 if p is None else outside[p] | own[p]
+        for sibling in children.get(p, ()):
+            if sibling != v:
+                outside[v] |= below[sibling]
+    return max(((below[v] & outside[v]).bit_count() for v in parent), default=0)
 
 
 def _edges_below(dec: BranchDec) -> tuple[dict, dict]:
     """The parents of one walk of the tree from its least vertex, and the graph
     edges at the leaves below each tree vertex, its side of its parent edge."""
-    shape, table = dec.shape, dec.leaf_table()
-    parent = _walk(shape, min(shape.vertices)) if shape.vertices else {}
+    table = dec.leaf_table()
+    parent = _tree_parents(dec.shape) or {}
     below = {v: {table[v]} if v in table else set() for v in parent}
     for v in reversed(parent):
         if parent[v] is not None:
@@ -703,11 +735,9 @@ def branch_to_recursive(dec: BranchDec, sg: SourcedGraph) -> RecBranchDec:
     classic_width = branch_dec_width(dec, sg.graph)  # raises on an invalid decomposition
     shape = dec.shape
     table = dec.leaf_table()
-    g, x = sg.graph, sg.sources
-
-    if not g.edges:
+    if not sg.graph.edges:
         return REC_BRANCH_EMPTY
-    if len(g.edges) == 1:
+    if len(sg.graph.edges) == 1:
         return RecBranchLeaf(sg)
 
     up, below = _edges_below(dec)
@@ -717,16 +747,6 @@ def branch_to_recursive(dec: BranchDec, sg: SourcedGraph) -> RecBranchDec:
         """The graph edges on v's side of the tree edge to its neighbour p."""
         return below[v] if up[v] == p else every - below[p]
 
-    def down(v: int, parent: Optional[int], gamma: SourcedGraph) -> RecBranchDec:
-        if v in table:
-            return RecBranchLeaf(gamma)
-        kids = [w for w in sorted(shape.neighbours(v)) if w != parent]
-        if len(kids) == 1:
-            return down(kids[0], v, gamma)
-        e1 = edges_below(kids[0], v)
-        g1, g2 = _branch_split(gamma, e1)
-        return RecBranchNode(gamma, down(kids[0], v, g1), down(kids[1], v, g2))
-
     # the leaf map is a bijection, so a side's edge count is its leaf count
     total = len(table)
     best_e = min(sorted(shape.edges),
@@ -734,7 +754,32 @@ def branch_to_recursive(dec: BranchDec, sg: SourcedGraph) -> RecBranchDec:
                      min(shape.ends(e)), max(shape.ends(e))))), e))
     u, w = min(shape.ends(best_e)), max(shape.ends(best_e))
     g1, g2 = _branch_split(sg, edges_below(u, w))
-    result = RecBranchNode(sg, down(u, w, g1), down(w, u, g2))
+    near: dict = {v: [] for v in up}  # each tree node's neighbours
+    for v, p in up.items():
+        if p is not None:
+            near[v].append(p)
+            near[p].append(v)
+    # (tree node, the neighbour it is entered from, its graph) still to
+    # convert, or the graph of a binary node, which waits under its two
+    # children's entries until both are done; the left is converted first
+    done: list = []
+    stack: list = [sg, (w, u, g2), (u, w, g1)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, SourcedGraph):
+            right, left = done.pop(), done.pop()
+            done.append(RecBranchNode(item, left, right))
+            continue
+        v, parent, gamma = item
+        kids = sorted(n for n in near[v] if n != parent)
+        if v in table:
+            done.append(RecBranchLeaf(gamma))
+        elif len(kids) == 1:  # a unary node adds nothing: splice it out
+            stack.append((kids[0], v, gamma))
+        else:
+            h1, h2 = _branch_split(gamma, edges_below(kids[0], v))
+            stack += gamma, (kids[1], v, h2), (kids[0], v, h1)
+    (result,) = done
     got = _rec_width_raw(result)
     if got > classic_width + len(sg.sources):
         raise BoundViolation(

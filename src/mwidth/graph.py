@@ -3,7 +3,8 @@
 Vertices and edges are small non-negative integer ids.  Self-loops are
 edges whose endpoint set has one element; parallel edges are distinct ids
 with equal endpoint sets.  All constructions renumber ids deterministically
-(order-preserving on first appearance) so results are reproducible.
+(order-preserving on first appearance) so results are reproducible; each
+colimit, be it a pushout, a coproduct or a whole term's value, is `_colimit`.
 """
 
 from __future__ import annotations
@@ -335,52 +336,71 @@ def tree_leaves(g: Graph) -> frozenset:
     return frozenset(v for v in g.vertices if g.degree(v) <= 1)
 
 
-def _coproduct_numbering(g1: Graph, g2: Graph) -> tuple[dict, dict, dict, dict, dict]:
-    """Vertex and edge numberings of g1 and g2 in their disjoint union (g1's
-    ids first, each side in sorted order), and the union's endpoint table
-    in edge-id order."""
-    v1 = {v: i for i, v in enumerate(sorted(g1.vertices))}
-    v2 = {v: i + len(v1) for i, v in enumerate(sorted(g2.vertices))}
-    e1 = {e: i for i, e in enumerate(sorted(g1.edges))}
-    e2 = {e: i + len(e1) for i, e in enumerate(sorted(g2.edges))}
-    ends = {e1[e]: {v1[v] for v in g1.ends(e)} for e in e1}
-    ends.update({e2[e]: {v2[v] for v in g2.ends(e)} for e in e2})
-    return v1, v2, e1, e2, ends
+def _numbered(g: Graph) -> tuple[dict, list, list]:
+    """Each vertex's rank in sorted order, the sorted edges, and the ends of
+    each of those edges as ranks."""
+    rank = {v: i for i, v in enumerate(sorted(g.vertices))}
+    edges = sorted(g.edges)
+    return rank, edges, [tuple(rank[v] for v in g._ends[e]) for e in edges]
+
+
+def _colimit(blocks: list[tuple[int, list]],
+             pairs: Iterable[tuple[int, int]]) -> tuple[list, Graph]:
+    """Graphs laid side by side, each given as (vertex count, edge ends in
+    its ranks), with `pairs` of global vertex ids identified.  Global ids
+    run through the blocks in order.  Classes are numbered by their least
+    id and edges keep their global ids, so pushouts and coproducts, which
+    glue two blocks, nest to the colimit of all their leaves at once.
+    Returns each global vertex's class and the apex."""
+    uf = UnionFind(range(sum(n for n, _ in blocks)))
+    for a, b in pairs:
+        uf.union(a, b)
+    # a class's representative is its least id, so it is met and numbered first
+    reps: dict = {}
+    vertex = [reps.setdefault(uf.find(v), len(reps)) for v in uf.parent]
+    ends: list = []
+    v0 = 0
+    for n, block_ends in blocks:
+        ends += ({vertex[v0 + v] for v in pts} for pts in block_ends)
+        v0 += n
+    return vertex, Graph(range(len(reps)), dict(enumerate(ends)))
+
+
+def _side_by_side(g1: Graph, g2: Graph,
+                  glued: Iterable[tuple[int, int]]) -> tuple[Graph, GraphMorphism, GraphMorphism]:
+    """The colimit of g1 and g2 (g1's ids first, each side in sorted order)
+    with each (g1 vertex, g2 vertex) pair of `glued` identified, and the
+    maps of both into it."""
+    r1, es1, ends1 = _numbered(g1)
+    r2, es2, ends2 = _numbered(g2)
+    n1, m1 = len(r1), len(es1)
+    vertex, apex = _colimit([(n1, ends1), (len(r2), ends2)],
+                            [(r1[a], n1 + r2[b]) for a, b in glued])
+    return (apex,
+            GraphMorphism(g1, apex, {v: vertex[i] for v, i in r1.items()},
+                          {e: i for i, e in enumerate(es1)}),
+            GraphMorphism(g2, apex, {v: vertex[n1 + i] for v, i in r2.items()},
+                          {e: m1 + i for i, e in enumerate(es2)}))
 
 
 def graph_coproduct(g1: Graph, g2: Graph) -> tuple[Graph, GraphMorphism, GraphMorphism]:
     """Disjoint union with both injections; ids renumbered deterministically."""
-    v1, v2, e1, e2, ends = _coproduct_numbering(g1, g2)
-    g = Graph(range(len(v1) + len(v2)), ends)
-    return g, GraphMorphism(g1, g, v1, e1), GraphMorphism(g2, g, v2, e2)
+    return _side_by_side(g1, g2, ())
 
 
 def graph_pushout(g1: Graph, g2: Graph, y: Iterable, l1: FiniteMap,
                   l2: FiniteMap) -> tuple[Graph, GraphMorphism, GraphMorphism]:
     """Glue g1 and g2 along the span  V(g1) <- y -> V(g2).
 
-    The apex identifies l1(a) with l2(a) for every a in y; class
-    representatives are minimum coproduct ids, then renumbered
-    order-preserving.  Edges keep their coproduct ids.  Returns the two
-    quotient morphisms.
+    The apex identifies l1(a) with l2(a) for every a in y and is numbered
+    as `_colimit` numbers.  Returns the two quotient morphisms.
     """
     ys = frozenset(y)
     if not ys <= l1.domain or not ys <= l2.domain:
         raise GraphError("pushout legs must be total on the shared boundary")
     if not l1.image() <= g1.vertices or not l2.image() <= g2.vertices:
         raise GraphError("pushout legs must land in the graph vertices")
-    v1, v2, e1, e2, ends = _coproduct_numbering(g1, g2)
-    co_vertices = range(len(v1) + len(v2))
-    uf = UnionFind(co_vertices)
-    for a in sorted(ys):
-        uf.union(v1[l1(a)], v2[l2(a)])
-    reps = sorted({uf.find(v) for v in co_vertices})
-    renum = {r: i for i, r in enumerate(reps)}
-    q = {v: renum[uf.find(v)] for v in co_vertices}
-    apex = Graph(range(len(reps)), {e: {q[v] for v in pts} for e, pts in ends.items()})
-    return (apex,
-            GraphMorphism(g1, apex, {v: q[i] for v, i in v1.items()}, e1),
-            GraphMorphism(g2, apex, {v: q[i] for v, i in v2.items()}, e2))
+    return _side_by_side(g1, g2, [(l1(a), l2(a)) for a in sorted(ys)])
 
 
 def _multiplicities(g: Graph) -> tuple[dict, dict]:

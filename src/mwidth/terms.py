@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 from . import cospan as cs
 from .cospan import Cospan
 from .decomp import DecompositionError
-from .graph import Graph, SourcedGraph, UnionFind, _Bits, _subset_unions
+from .graph import Graph, SourcedGraph, _Bits, _colimit, _numbered as _ranked, _subset_unions
 from .oracles import OracleError
 
 
@@ -261,25 +261,21 @@ class _Glued(NamedTuple):
 def _numbered(c: Cospan) -> tuple:
     """A leaf cospan in its own sorted numbering: vertex count, edge ends
     and the two legs."""
-    rank = {v: i for i, v in enumerate(sorted(c.apex.vertices))}
-    ends = [tuple(rank[v] for v in c.apex.ends(e)) for e in sorted(c.apex.edges)]
-    return (len(rank), ends, tuple(rank[v] for v in c.left),
-            tuple(rank[v] for v in c.right))
+    rank, _, ends = _ranked(c.apex)
+    return len(rank), ends, tuple(rank[v] for v in c.left), tuple(rank[v] for v in c.right)
 
 
 def _glue(d: DecompTree, sig: Signature) -> _Glued:
     """Evaluate `d` as one colimit of its leaves.
 
     The leaves' apex vertices and edges get global ids left to right, each
-    leaf's in sorted order (the coproduct order).  Each composition unions
-    its cut ports; classes are numbered by their least global id, and the
-    edges keep their global ids.  This is the apex that nested pushouts and
-    coproducts build, since each numbers its classes by least coproduct id.
-    The arity and cut checks all run, in post-order, before any union.
+    leaf's in sorted order, and each composition identifies its cut ports
+    (`graph._colimit`).  The arity and cut checks all run, in post-order,
+    before any gluing.
     """
     nodes: list = []
     done: list = []  # _Node of the finished subterms, innermost last
-    blocks: list = []  # (first vertex id, local edge ends) of each leaf
+    blocks: list = []  # (vertex count, local edge ends) of each leaf
     pairs: list = []  # cut ports to identify
     numbered: dict = {}  # id(leaf cospan) -> _numbered of it
     n_vertices = n_edges = 0
@@ -294,7 +290,7 @@ def _glue(d: DecompTree, sig: Signature) -> _Glued:
             v0, e0 = n_vertices, n_edges
             n_vertices += n
             n_edges += len(leaf_ends)
-            blocks.append((v0, leaf_ends))
+            blocks.append((n, leaf_ends))
             out = _Node(node, range(v0, n_vertices), range(e0, n_edges),
                         tuple([v0 + v for v in left]), tuple([v0 + v for v in right]))
         elif isinstance(node, (Tensor, Compose)):
@@ -316,33 +312,18 @@ def _glue(d: DecompTree, sig: Signature) -> _Glued:
     if isinstance(d, Leaf):
         c = sig.atom(d.atom).cospan
         return _Glued(c, sorted(c.apex.vertices), sorted(c.apex.edges), nodes)
-    uf = UnionFind(range(n_vertices))
-    for a, b in pairs:
-        uf.union(a, b)
-    # a class's representative is its least id, so it is met and numbered first
-    vertex: list = []
-    n_classes = 0
-    for v in range(n_vertices):
-        r = uf.find(v)
-        if r == v:
-            vertex.append(n_classes)
-            n_classes += 1
-        else:
-            vertex.append(vertex[r])
-    ends = [{vertex[v0 + v] for v in pts} for v0, leaf_ends in blocks for pts in leaf_ends]
-    apex = Graph(range(n_classes), dict(enumerate(ends)))
+    vertex, apex = _colimit(blocks, pairs)
     (root,) = done
     return _Glued(Cospan(apex, tuple(vertex[v] for v in root.left),
                          tuple(vertex[v] for v in root.right)),
-                  vertex, range(len(ends)), nodes)
+                  vertex, range(len(apex.edges)), nodes)
 
 
 def evaluate(d: DecompTree, sig: Signature) -> Cospan:
     """Fold the term back into the category; every atom must carry a cospan.
 
-    The value is the one colimit of the leaves (`_glue`): apex vertices are
-    numbered by the least leaf-order id of their class, edges by leaf order.
-    A bare leaf evaluates to its atom's own cospan, as it is.
+    The value is the one colimit of the leaves (`_glue`).  A bare leaf
+    evaluates to its atom's own cospan, as it is.
     """
     return _glue(d, sig).value
 

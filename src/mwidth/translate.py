@@ -10,9 +10,9 @@ theorems work:
 * recursive branch dec-> term               with width <= max(input width, 1) + 1;
 * term + glue map     -> recursive branch dec with width <= 2 * max(term width, arities).
 
-The term -> decomposition directions evaluate the term once, in one
-union-find pass (`terms._glue`) that also gives every term node's image in
-the root apex.  One post-order pass over those nodes then builds each
+The term -> decomposition directions evaluate the term once, as one
+colimit of its leaves (`terms._glue`) that also gives every term node's
+image in the root apex.  One post-order pass over those nodes then builds each
 decomposition node from its term node's image, so they are linear in the
 term.
 

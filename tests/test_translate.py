@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -21,6 +22,7 @@ from mwidth import (
     TranslationError,
     TreeDec,
     b_to_mdec,
+    branch_dec_width,
     branch_from_recursive,
     branch_to_recursive,
     check_glueing,
@@ -48,6 +50,7 @@ from mwidth import (
     rec_tree_width,
     t_to_mdec,
     tree_to_recursive,
+    validate_branch_dec,
     validate_rec_branch_dec,
     validate_rec_path_dec,
     validate_rec_tree_dec,
@@ -539,6 +542,33 @@ def _caterpillar(m: int) -> BranchDec:
     edges += [(a, b) for a, b in zip(spine, spine[1:])]
     edges += [(spine[j], j + 1) for j in range(1, m - 2)]
     return BranchDec(Graph.from_edge_pairs(range(2 * m - 2), edges), {i: i for i in range(m)})
+
+
+def test_branch_walkers_over_a_deep_caterpillar():
+    # P_n's caterpillar is rooted at its middle edge, so each half of its
+    # spine becomes a chain of nodes about n / 2 deep.  The recursion limit
+    # is lowered to keep n small
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        n = 4 * sys.getrecursionlimit()
+        sg = SourcedGraph(path_graph(n))
+        dec = _caterpillar(n - 1)
+        assert validate_branch_dec(dec, sg.graph)
+        assert branch_dec_width(dec, sg.graph) == 2
+        rec = branch_to_recursive(dec, sg)
+        assert rec_branch_width(rec, sg) == 2
+        back = branch_from_recursive(rec)
+    finally:
+        sys.setrecursionlimit(limit)
+    deepest, stack = 0, [(rec, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, RecBranchNode):
+            stack += (node.left, depth + 1), (node.right, depth + 1)
+    assert deepest > n // 2 - 5
+    assert len(back.leaf_map) == n - 1 and branch_dec_width(back, sg.graph) == 2
 
 
 def _graphs_built(monkeypatch, fn, *args) -> int:

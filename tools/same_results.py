@@ -1,0 +1,456 @@
+"""The library's results on a fixed corpus, one record per line, and the
+comparison of two revisions on that corpus.
+
+    python tools/same_results.py                # this tree's records, then their sha256
+    python tools/same_results.py --against REV  # this tree against git revision REV
+
+A record is `name<TAB>value`, the value as compact key-sorted JSON; a call
+that raises records the error's type and message instead.  The corpus:
+
+- `graph_pushout`, `graph_coproduct`, `compose`, `tensor` and `evaluate` on
+  seeded random graphs, cospans and terms;
+- JSON and DOT of the classic and recursive decompositions of the
+  `roundtrip` benchmark inputs of seeds 1-3, of the terms made of the
+  recursive ones, and of what `m_to_*dec` makes of those terms;
+- the witness of each exact oracle, or its error, on `enumerate_graphs(6)`;
+- `check_theorems(g).to_json()` on the `theorems` benchmark inputs of
+  seeds 1-3;
+- `bounded_mwd_search` in each shape at budgets 4000 and 50;
+- (ok, clause, message) of every validator on corrupted decompositions;
+- stdout, stderr and exit code of `mwidth.cli.main` on a few files.
+
+The benchmark inputs come from this tree's `perfbench/gen.py` and
+`perfbench/workloads.py`, which are only read.  With `--against`, REV is
+exported with `git archive` into a temporary directory, each library
+writes its records in a process of its own, and the first records that
+differ are printed; the exit code is then 1 when any record differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import zipfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+SEEDS = (1, 2, 3)
+SHOWN = 10  # differing records printed with --against
+CLIPPED = 300  # characters of a differing value printed
+
+
+def _steps(prefix: str, steps):
+    """The (name, value) records of a generator of (suffix, value) pairs;
+    a step that raises ends the generator, and its error is the last record."""
+    try:
+        for suffix, value in steps:
+            yield f"{prefix}/{suffix}", value
+    except Exception as exc:  # recorded, so a revision that raises here differs
+        yield f"{prefix}/raised", [type(exc).__name__, str(exc)]
+
+
+def _cospan(mw, c) -> dict:
+    return {"apex": mw.graph.graph_to_json(c.apex), "left": list(c.left), "right": list(c.right)}
+
+
+def _morphism(m) -> list:
+    """Both maps of a graph morphism, in their dict order."""
+    return [[list(p) for p in m.vmap.items()], [list(p) for p in m.emap.items()]]
+
+
+def _dec(mw, dec) -> dict:
+    return {"json": mw.decomposition_to_json(dec), "dot": mw.decomposition_to_dot(dec)}
+
+
+def _check(c) -> list:
+    return [c.ok, c.clause, c.message]
+
+
+# ---------------------------------------------------------------------------
+# Colimits: random graphs with sparse vertex and edge ids, loops and
+# parallel edges, random legs, and random well-typed terms.
+
+
+def _random_graph(mw, rng, at_least: int = 0):
+    n = rng.randint(at_least, 5)
+    vs = sorted(rng.sample(range(15), n))
+    pairs = [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(0, 6))] if vs else []
+    return mw.Graph(vs, {e: set(p) for e, p in zip(rng.sample(range(20), len(pairs)), pairs)})
+
+
+def _random_cospan(mw, rng, dom: int, cod: int):
+    g = _random_graph(mw, rng, 1 if dom + cod else 0)
+    vs = sorted(g.vertices)
+    return mw.Cospan(g, tuple(rng.choice(vs) for _ in range(dom)),
+                     tuple(rng.choice(vs) for _ in range(cod)))
+
+
+def _random_term(mw, rng, sig, dom: int, depth: int) -> tuple:
+    """A random term of domain arity `dom` and its codomain arity; some
+    leaves reuse an atom already in `sig`."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        same = sorted(name for name, a in sig.atoms.items() if a.dom == dom)
+        if same and rng.random() < 0.3:
+            name = rng.choice(same)
+            return mw.Leaf(name), sig.atoms[name].cod
+        cod = rng.randint(0, 3)
+        return sig.leaf(_random_cospan(mw, rng, dom, cod)), cod
+    if roll < 0.65:
+        d1 = rng.randint(0, dom)
+        t1, c1 = _random_term(mw, rng, sig, d1, depth - 1)
+        t2, c2 = _random_term(mw, rng, sig, dom - d1, depth - 1)
+        return mw.Tensor(t1, t2), c1 + c2
+    t1, c1 = _random_term(mw, rng, sig, dom, depth - 1)
+    t2, c2 = _random_term(mw, rng, sig, c1, depth - 1)
+    return mw.Compose(t1, c1, t2), c2
+
+
+def _colimit_steps(mw, rng):
+    g1, g2 = _random_graph(mw, rng), _random_graph(mw, rng)
+    apex, i1, i2 = mw.graph_coproduct(g1, g2)
+    yield "graph_coproduct", [mw.graph.graph_to_json(apex), _morphism(i1), _morphism(i2)]
+    y = range(rng.randint(0, 3) if g1.vertices and g2.vertices else 0)
+    l1 = mw.FiniteMap({a: rng.choice(sorted(g1.vertices)) for a in y}, g1.vertices)
+    l2 = mw.FiniteMap({a: rng.choice(sorted(g2.vertices)) for a in y}, g2.vertices)
+    apex, m1, m2 = mw.graph_pushout(g1, g2, y, l1, l2)
+    yield "graph_pushout", [mw.graph.graph_to_json(apex), _morphism(m1), _morphism(m2)]
+    a, b, c = (rng.randint(0, 3) for _ in range(3))
+    c1, c2 = _random_cospan(mw, rng, a, b), _random_cospan(mw, rng, b, c)
+    yield "compose", _cospan(mw, mw.compose(c1, c2))
+    yield "tensor", _cospan(mw, mw.tensor(c1, c2))
+    sig = mw.Signature()
+    term, _ = _random_term(mw, rng, sig, rng.randint(0, 2), 4)
+    yield "evaluate", _cospan(mw, mw.evaluate(term, sig))
+
+
+def colimit_records(mw, gen):
+    rng = gen.stream(0, "same_results colimits")
+    for i in range(300):
+        yield from _steps(f"colimit/{i}", _colimit_steps(mw, rng))
+
+
+# ---------------------------------------------------------------------------
+# The roundtrip inputs: classic -> recursive -> term -> recursive.
+
+
+def _roundtrip_steps(mw, workloads, item, kind: str):
+    _, to_rec, _, from_rec, to_term, from_term = (getattr(mw, s) for s in workloads.STEPS[kind])
+    d = item.decs[kind]
+    sg = mw.SourcedGraph(item.graph, d.sources)
+    yield "classic", _dec(mw, d.dec)
+    rec = to_rec(d.dec, sg, *d.extra)
+    yield "recursive", _dec(mw, rec)
+    yield "from_recursive", _dec(mw, from_rec(rec))
+    term, sig = to_term(rec, sg)
+    yield "term", [mw.tree_to_json(term), mw.signature_to_json(sig)]
+    yield "from_term", _dec(mw, from_term(term, sig))
+
+
+def roundtrip_records(mw, workloads, table):
+    for seed in SEEDS:
+        w = workloads.Roundtrip()
+        w.build(mw, seed, table)
+        for v, inputs in enumerate(w.variants):
+            for i, item in enumerate(inputs):
+                for kind in workloads.STEPS:
+                    yield from _steps(f"roundtrip/{seed}/{v}/{i}/{kind}",
+                                      _roundtrip_steps(mw, workloads, item, kind))
+
+
+# ---------------------------------------------------------------------------
+# Oracles, theorem reports and the bounded search.
+
+
+def _oracle_steps(mw, g):
+    for name in ("exact_treewidth", "exact_pathwidth", "exact_branchwidth"):
+        try:
+            w, dec = getattr(mw, name)(g)
+        except mw.OracleError as exc:
+            yield name, ["OracleError", str(exc)]
+        else:
+            yield name, [w, mw.decomposition_to_json(dec)]
+
+
+def oracle_records(mw):
+    for i, g in enumerate(mw.enumerate_graphs(6)):
+        yield from _steps(f"oracle/{i}", _oracle_steps(mw, g))
+
+
+def _theorem_steps(mw, g):
+    yield "report", mw.check_theorems(g).to_json()
+
+
+def theorem_records(mw, workloads, table):
+    for seed in SEEDS:
+        w = workloads.Theorems()
+        w.build(mw, seed, table)
+        for v, inputs in enumerate(w.variants):
+            for i, (_, g) in enumerate(inputs):
+                yield from _steps(f"theorems/{seed}/{v}/{i}", _theorem_steps(mw, g))
+
+
+def _search_steps(mw, c):
+    for budget in (4000, 50):
+        for shape in ("any", "right-tree", "path"):
+            r = mw.bounded_mwd_search(c, shape=shape, budget=budget)
+            yield f"{budget}/{shape}", [mw.tree_to_json(r.tree), r.width, r.exact,
+                                        mw.signature_to_json(r.signature)]
+
+
+def search_records(mw, gen, table):
+    for i, row in enumerate(table["theorems"]):
+        g = mw.Graph.from_edge_pairs(range(row["n"]), row["edges"])
+        for sources in ((), (0,), (0, row["n"] - 1)):
+            c = mw.from_sourced(mw.SourcedGraph(g, sources))
+            yield from _steps(f"search/theorems/{i}/{len(sources)}", _search_steps(mw, c))
+    rng = gen.stream(0, "same_results search")
+    for i in range(30):
+        c = _random_cospan(mw, rng, rng.randint(0, 2), rng.randint(0, 2))
+        yield from _steps(f"search/random/{i}", _search_steps(mw, c))
+
+
+# ---------------------------------------------------------------------------
+# Validators on corrupted decompositions of the seed-1 roundtrip inputs.
+
+
+def _corrupt_classic(mw, rng, kind: str, dec):
+    """One random corruption of a classic decomposition."""
+    if kind == "path":
+        bags = [set(b) for b in dec.bags]
+        i, how = rng.randrange(len(bags)), rng.randrange(3)
+        if how == 0 and bags[i]:
+            bags[i].discard(rng.choice(sorted(bags[i])))
+        elif how == 1:
+            bags[i].add(-1)
+        else:
+            del bags[i]
+        return mw.PathDec(bags)
+    shape = dec.shape
+    nodes, edges = sorted(shape.vertices), sorted(shape.edges)
+    ends = {e: set(shape.ends(e)) for e in edges}
+    fresh, how = max(nodes) + 1, rng.randrange(4)
+    if how == 0 and edges:  # two trees
+        del ends[rng.choice(edges)]
+    elif how == 1:  # a cycle or a loop
+        ends[max(edges, default=-1) + 1] = {rng.choice(nodes), rng.choice(nodes)}
+    elif how == 2:  # still a tree, with a new leaf
+        ends[max(edges, default=-1) + 1] = {rng.choice(nodes), fresh}
+        nodes.append(fresh)
+    new_shape = mw.Graph(nodes, ends)
+    if kind == "tree":
+        bags = {i: set(b) for i, b in dec.bags}
+        bags[fresh] = set()
+        i = rng.choice(nodes)
+        if how == 3 and bags[i]:
+            bags[i].discard(rng.choice(sorted(bags[i])))
+        elif how == 3:
+            bags[i].add(-1)
+        return mw.TreeDec(new_shape, {i: b for i, b in bags.items() if i in nodes})
+    table = dec.leaf_table()
+    if how == 3:
+        leaf = rng.choice(sorted(table))
+        table[leaf] = rng.choice([*table.values(), -1])
+    return mw.BranchDec(new_shape, table)
+
+
+def _corrupt_recursive(mw, rng, rec) -> dict:
+    """The JSON of one random corruption of a recursive decomposition."""
+    data = mw.decomposition_to_json(rec)
+    nodes, stack = [], [data]
+    while stack:
+        node = stack.pop()
+        if "graph" in node:
+            nodes.append(node)
+        stack += (x for x in node.values() if isinstance(x, dict) and "kind" in x)
+    node = rng.choice(nodes)
+    how = rng.randrange(4)
+    if how == 0 and node.get("bag"):
+        node["bag"].remove(rng.choice(node["bag"]))
+    elif how == 1 and "bag" in node:
+        node["bag"].append(-1)
+    elif how == 2 and node["graph"]["e"]:
+        node["graph"]["e"].pop(rng.randrange(len(node["graph"]["e"])))
+    elif node["graph"]["v"]:
+        node["graph"]["s"] = sorted(set(node["graph"]["s"]) | {rng.choice(node["graph"]["v"])})
+    return data
+
+
+def _validator_steps(mw, workloads, rng, item, kind: str):
+    validate = getattr(mw, f"validate_{kind}_dec")
+    validate_rec = getattr(mw, f"validate_rec_{kind}_dec")
+    d = item.decs[kind]
+    sg = mw.SourcedGraph(item.graph, d.sources)
+    rec = getattr(mw, workloads.STEPS[kind][1])(d.dec, sg, *d.extra)
+    # every corruption is drawn before any is checked, so one that raises
+    # leaves the draws for the next input as they are
+    classic = [_corrupt_classic(mw, rng, kind, d.dec) for _ in range(4)]
+    recursive = [_corrupt_recursive(mw, rng, rec) for _ in range(4)]
+    yield "classic", _check(validate(d.dec, item.graph))
+    yield "recursive", _check(validate_rec(rec, sg))
+    for j, dec in enumerate(classic):
+        yield f"classic/{j}", _check(validate(dec, item.graph))
+    for j, data in enumerate(recursive):
+        yield f"recursive/{j}", _check(validate_rec(mw.decomposition_from_json(data), sg))
+
+
+def validator_records(mw, gen, workloads, table):
+    w = workloads.Roundtrip()
+    w.build(mw, 1, table)
+    rng = gen.stream(1, "same_results corruptions")
+    for i, item in enumerate(w.variants[0]):
+        for kind in workloads.STEPS:
+            yield from _steps(f"validate/{i}/{kind}",
+                              _validator_steps(mw, workloads, rng, item, kind))
+
+
+# ---------------------------------------------------------------------------
+# The command line on a few files.
+
+FILES = {
+    "k3.g": "v 0\nv 1\nv 2\ne 0 1\ne 1 2\ne 0 2\n",
+    "p4.g": "v 0\nv 1\nv 2\nv 3\ne 0 1\ne 1 2\ne 2 3\ns 0\n",
+    "bad.g": "v 0\ne 0 1\n",
+    "tree.json": json.dumps({"kind": "tree", "shape": {"v": [0, 1, 2], "e": [[0, 0, 1], [1, 1, 2]]},
+                             "bags": {"0": [0, 1], "1": [1, 2], "2": [2, 3]}}),
+    "gap.json": json.dumps({"kind": "tree", "shape": {"v": [0, 1, 2], "e": [[0, 0, 1], [1, 1, 2]]},
+                            "bags": {"0": [0, 1], "1": [1], "2": [2, 3]}}),
+    "bad.json": "{\"kind\": ",
+}
+
+# each argv names its files relative to the directory holding them; the
+# output of a command whose name is given first is written to that file
+COMMANDS = [
+    (None, ["widths", "k3.g"]),
+    (None, ["widths", "p4.g", "--json"]),
+    (None, ["check-theorems", "k3.g"]),
+    (None, ["check-theorems", "p4.g", "--json", "--budget", "50"]),
+    (None, ["decompose", "k3.g", "--kind", "tree"]),
+    (None, ["decompose", "p4.g", "--kind", "path", "--recursive", "--json"]),
+    (None, ["decompose", "k3.g", "--kind", "branch", "--recursive", "--dot"]),
+    ("term.json", ["decompose", "p4.g", "--kind", "monoidal", "--json"]),
+    (None, ["decompose", "k3.g", "--kind", "monoidal", "--shape", "path"]),
+    (None, ["validate", "p4.g", "--dec", "tree.json"]),
+    (None, ["validate", "p4.g", "--dec", "gap.json"]),
+    (None, ["validate", "p4.g", "--dec", "bad.json"]),
+    (None, ["translate", "--from", "tree.json", "--to", "rec-tree", "--graph", "p4.g", "--json"]),
+    (None, ["translate", "--from", "term.json", "--to", "rec-path", "--json"]),
+    (None, ["translate", "--from", "term.json", "--to", "branch"]),
+    (None, ["translate", "--from", "term.json", "--to", "monoidal"]),
+    (None, ["catalog", "--max-v", "3"]),
+    (None, ["catalog", "--max-v", "3", "--max-e", "2", "--json"]),
+    (None, ["widths", "bad.g"]),
+    (None, ["widths", "missing.g"]),
+    (None, ["decompose", "k3.g"]),
+]
+
+
+def cli_records(mw):
+    from mwidth.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in FILES.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for i, (keep, argv) in enumerate(COMMANDS):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([os.path.join(tmp, a) if a.endswith((".g", ".json")) else a
+                             for a in argv])
+            if keep:
+                with open(os.path.join(tmp, keep), "w", encoding="utf-8") as fh:
+                    fh.write(out.getvalue())
+            yield (f"{i}/{' '.join(argv)}",
+                   [code, out.getvalue().replace(tmp, "<dir>"), err.getvalue().replace(tmp, "<dir>")])
+
+
+# ---------------------------------------------------------------------------
+
+
+def records(mw):
+    """Every (name, value) record, in a fixed order."""
+    sys.path.insert(0, PERFBENCH)
+    import gen
+    import workloads
+
+    table = workloads.load_table()
+    yield from colimit_records(mw, gen)
+    yield from roundtrip_records(mw, workloads, table)
+    yield from oracle_records(mw)
+    yield from theorem_records(mw, workloads, table)
+    yield from search_records(mw, gen, table)
+    yield from validator_records(mw, gen, workloads, table)
+    yield from _steps("cli", cli_records(mw))
+
+
+def write_records(src: str, out) -> None:
+    """Write the records of the library under `src`, then their sha256."""
+    sys.path.insert(0, src)
+    import mwidth
+
+    digest, count = hashlib.sha256(), 0
+    for name, value in records(mwidth):
+        line = f"{name}\t{json.dumps(value, sort_keys=True, separators=(',', ':'))}\n"
+        out.write(line)
+        digest.update(line.encode())
+        count += 1
+    out.write(f"sha256 {digest.hexdigest()} of {count} records\n")
+
+
+def _read(path: str) -> tuple[dict, str]:
+    """The records of a file `write_records` wrote, by name, and its last line."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    return dict(line.split("\t", 1) for line in lines[:-1]), lines[-1]
+
+
+def compare(rev: str) -> int:
+    """Print the records that differ between this tree and `rev`; 1 if any does."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=zip", rev],
+                                 check=True, capture_output=True).stdout
+        other = os.path.join(tmp, "tree")
+        with zipfile.ZipFile(io.BytesIO(archive)) as zf:
+            zf.extractall(other)
+        runs = {}
+        for label, src in (("here", os.path.join(ROOT, "src")), (rev, os.path.join(other, "src"))):
+            path = os.path.join(tmp, f"{len(runs)}.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                runs[label] = (path, subprocess.Popen([sys.executable, os.path.abspath(__file__),
+                                                       "--src", src], stdout=fh))
+        for label, (_, proc) in runs.items():
+            if proc.wait():
+                print(f"the records of {label} failed (exit {proc.returncode})")
+                return 1
+        (mine, mine_sum), (theirs, their_sum) = (_read(path) for path, _ in runs.values())
+    differ = [name for name in {**mine, **theirs} if mine.get(name) != theirs.get(name)]
+    print(f"here: {mine_sum}\n{rev}: {their_sum}")
+    print(f"{len(differ)} of {len(mine)} records differ")
+    for name in differ[:SHOWN]:
+        print(name)
+        for label, table in (("here", mine), (rev, theirs)):
+            print(f"  {label}: {table.get(name, '(no such record)')[:CLIPPED]}")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--against", metavar="REV", help="git revision to compare this tree with")
+    p.add_argument("--src", default=os.path.join(ROOT, "src"),
+                   help="directory holding the mwidth package to run (default: this tree's)")
+    args = p.parse_args(argv)
+    if args.against:
+        return compare(args.against)
+    write_records(os.path.abspath(args.src), sys.stdout)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
