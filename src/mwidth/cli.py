@@ -58,15 +58,36 @@ def _load_json(path: str, parse):
         raise CliError(f"{path}: {exc}") from exc
     except RecursionError as exc:
         # from the decoder where it counts nesting against sys's limit
-        # (Python 3.10, 3.11), else from the parsers, which recurse per level
+        # (Python 3.10, 3.11), else from the parsers
         raise CliError(f"{path}: JSON nested too deeply to read "
                        f"(recursion limit {sys.getrecursionlimit()})") from exc
 
 
+def _term_depth(d: tm.DecompTree) -> int:
+    """The number of nodes on the longest root-to-leaf path of `d`."""
+    deepest, stack = 0, [(d, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if not isinstance(node, tm.Leaf):
+            stack += (node.left, depth + 1), (node.right, depth + 1)
+    return deepest
+
+
 def _decomposition_or_term(data):
-    """A decomposition, or a (term, signature) pair, from its JSON form."""
+    """A decomposition, or a (term, signature) pair, from its JSON form.
+
+    The decomposition parser recurses once per level.  The term parser
+    loops, so a term deeper than the recursion limit raises RecursionError
+    here: a file nested past the limit is refused when it is read, whichever
+    decoder reads it (those of Python 3.10 and 3.11 already refuse a term
+    about half as deep, two JSON levels to a node).
+    """
     if isinstance(data, dict) and "term" in data:
-        return tm.tree_from_json(data["term"]), tm.signature_from_json(data.get("signature"))
+        term = tm.tree_from_json(data["term"])
+        if _term_depth(term) > sys.getrecursionlimit():
+            raise RecursionError("term nested deeper than the recursion limit")
+        return term, tm.signature_from_json(data.get("signature"))
     return decomposition_from_json(data)
 
 

@@ -622,11 +622,6 @@ def tree_to_recursive(dec: TreeDec, sg: SourcedGraph, root: int) -> RecTreeDec:
             kids[p].append(i)
             held[p] = held[p] | held[i]
 
-    def convert(r: int, gamma: SourcedGraph) -> RecTreeDec:
-        vp = bags[r]
-        t1, t2 = split(sorted(kids[r]), gamma, vp)
-        return RecTreeNode(gamma, vp, t1, t2)
-
     def group_graph(nodes: list, gamma: SourcedGraph, used_edges: set,
                     vp: frozenset) -> SourcedGraph:
         vs = frozenset().union(*(held[i] for i in nodes))
@@ -635,26 +630,47 @@ def tree_to_recursive(dec: TreeDec, sg: SourcedGraph, root: int) -> RecTreeDec:
         used_edges.update(es)
         return SourcedGraph(gamma.graph.subgraph(vs, es), vs & vp)
 
-    def split(nodes: list, gamma: SourcedGraph,
-              vp: frozenset) -> tuple[RecTreeDec, RecTreeDec]:
-        # first subtree becomes the left child, the rest are chained on the right
-        if not nodes:
-            return REC_TREE_EMPTY, REC_TREE_EMPTY
-        used: set = set()
-        first = group_graph(nodes[:1], gamma, used, vp)
-        rest = group_graph(nodes[1:], gamma, used, vp)
-        return convert(nodes[0], first), chain(nodes[1:], rest, vp)
-
-    def chain(nodes: list, gamma: SourcedGraph, vp: frozenset) -> RecTreeDec:
-        if not nodes:
-            return REC_TREE_EMPTY
-        if len(nodes) == 1:
-            return convert(nodes[0], gamma)
-        return RecTreeNode(gamma, gamma.sources, *split(nodes, gamma, vp))
+    def vertex_task(r: int, gamma: SourcedGraph) -> tuple:
+        """The task of the node of tree vertex `r` over `gamma`."""
+        return sorted(kids[r]), gamma, bags[r], bags[r]
 
     if sg.is_empty():
         return REC_TREE_EMPTY
-    result = convert(root, sg)
+    # Tasks on an explicit stack build the nodes in the order of the
+    # recursive definition.  A task (nodes, gamma, vp, bag) is one node over
+    # `gamma` with `bag`: its left child is the node of tree vertex
+    # nodes[0] over the part of `gamma` that subtree holds, and its right
+    # child chains the rest of `nodes` over what remains; both take their
+    # sources from `vp`.  Tree vertex r gives the task (its children,
+    # gamma, bags[r], bags[r]), a chain link has the sources of its part as
+    # `bag`, a task (gamma, bag) joins the two finished children, and None
+    # is an empty chain.
+    done: list = []  # finished subtrees, innermost last
+    todo: list = [vertex_task(root, sg)]
+    while todo:
+        task = todo.pop()
+        if task is None:
+            done.append(REC_TREE_EMPTY)
+        elif len(task) == 2:
+            t2, t1 = done.pop(), done.pop()
+            done.append(RecTreeNode(*task, t1, t2))
+        else:
+            nodes, gamma, vp, bag = task
+            if not nodes:
+                done.append(RecTreeNode(gamma, bag, REC_TREE_EMPTY, REC_TREE_EMPTY))
+                continue
+            used: set = set()
+            first = group_graph(nodes[:1], gamma, used, vp)
+            rest = group_graph(nodes[1:], gamma, used, vp)
+            todo.append((gamma, bag))
+            if len(nodes) == 1:
+                todo.append(None)
+            elif len(nodes) == 2:
+                todo.append(vertex_task(nodes[1], rest))
+            else:
+                todo.append((nodes[1:], rest, vp, rest.sources))
+            todo.append(vertex_task(nodes[0], first))
+    (result,) = done
     got = _rec_width_raw(result)
     want = max((len(b) for b in bags.values()), default=0)
     if got != want:

@@ -39,6 +39,13 @@ class OracleError(ValueError):
     """Input outside the configured size bounds."""
 
 
+# Default caps of the exact oracles: vertices for the tree and path
+# searches, edges for branch width.  `terms.bounded_mwd_search` seeds its
+# search with a translation only for inputs within both.
+MAX_VERTICES = 8
+MAX_EDGES = 7
+
+
 _INF = math.inf
 
 
@@ -173,24 +180,24 @@ def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
 
 
 def optimal_rec_tree_dec(sg: SourcedGraph,
-                         max_vertices: int = 8) -> tuple[int, RecTreeDec]:
+                         max_vertices: int = MAX_VERTICES) -> tuple[int, RecTreeDec]:
     """Minimum-width recursive tree decomposition by exhaustive search."""
     return _optimal_rec(sg, max_vertices, "tree", REC_TREE_EMPTY, RecTreeNode)
 
 
 def optimal_rec_path_dec(sg: SourcedGraph,
-                         max_vertices: int = 8) -> tuple[int, RecPathDec]:
+                         max_vertices: int = MAX_VERTICES) -> tuple[int, RecPathDec]:
     """Minimum-width recursive path decomposition by exhaustive search."""
     return _optimal_rec(sg, max_vertices, "path", REC_PATH_EMPTY, RecPathCons)
 
 
-def exact_treewidth(g: Graph, max_vertices: int = 8) -> tuple[int, TreeDec]:
+def exact_treewidth(g: Graph, max_vertices: int = MAX_VERTICES) -> tuple[int, TreeDec]:
     """Exact tree width (max-bag-size convention) with a classic witness."""
     w, t = optimal_rec_tree_dec(SourcedGraph(g), max_vertices)
     return w, tree_from_recursive(t)
 
 
-def exact_pathwidth(g: Graph, max_vertices: int = 8) -> tuple[int, PathDec]:
+def exact_pathwidth(g: Graph, max_vertices: int = MAX_VERTICES) -> tuple[int, PathDec]:
     """Exact path width (max-bag-size convention) with a classic witness."""
     w, t = optimal_rec_path_dec(SourcedGraph(g), max_vertices)
     return w, path_from_recursive(t)
@@ -271,7 +278,7 @@ def _branchwidth_value(g: Graph, edges: list) -> tuple[int, list[int]]:
     return f[full], ends
 
 
-def exact_branchwidth(g: Graph, max_edges: int = 7) -> tuple[int, BranchDec]:
+def exact_branchwidth(g: Graph, max_edges: int = MAX_EDGES) -> tuple[int, BranchDec]:
     """Exact branch width with a classic witness.
 
     The width comes from `_branchwidth_value`; the witness is the first tree

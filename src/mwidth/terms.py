@@ -13,13 +13,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import cospan as cs
 from .cospan import Cospan
 from .decomp import DecompositionError
 from .graph import Graph, SourcedGraph, _Bits, _colimit, _numbered as _ranked, _subset_unions
-from .oracles import OracleError
+from .oracles import MAX_EDGES, MAX_VERTICES, OracleError
 
 
 class TermError(TypeError):
@@ -333,32 +333,74 @@ def evaluate(d: DecompTree, sig: Signature) -> Cospan:
 
 
 def tree_to_json(d: DecompTree) -> dict:
-    if isinstance(d, Leaf):
-        return {"op": "leaf", "atom": d.atom}
-    if isinstance(d, Tensor):
-        return {"op": "tensor", "children": [tree_to_json(d.left), tree_to_json(d.right)]}
-    return {"op": "compose", "cut": d.cut,
-            "children": [tree_to_json(d.left), tree_to_json(d.right)]}
+    """`d` as nested dicts, in one walk down the left spines: each dict is
+    appended to its parent's children as its node is reached, so a left
+    child goes in before its right sibling."""
+    out: list = []
+    todo = [(d, out)]  # right children still to walk, each with its siblings
+    while todo:
+        node, siblings = todo.pop()
+        while not isinstance(node, Leaf):
+            children: list = []
+            siblings.append({"op": "tensor", "children": children} if isinstance(node, Tensor)
+                            else {"op": "compose", "cut": node.cut, "children": children})
+            todo.append((node.right, children))
+            node, siblings = node.left, children
+        siblings.append({"op": "leaf", "atom": node.atom})
+    return out[0]
+
+
+def _parse_error(outer: list, message: str) -> TermError:
+    """A parse error inside the open nodes of ops `outer`, outermost first."""
+    return TermError("".join(f"malformed {op} node: " for op in outer) + message)
 
 
 def tree_from_json(data: dict) -> DecompTree:
-    op = data.get("op") if isinstance(data, dict) else None
-    try:
-        if op == "leaf":
-            if not isinstance(data["atom"], str):
-                raise TypeError(f"atom {data['atom']!r} is not a name")
-            return Leaf(data["atom"])
-        if op == "tensor":
-            a, b = data["children"]
-            return Tensor(tree_from_json(a), tree_from_json(b))
-        if op == "compose":
-            a, b = data["children"]
-            return Compose(tree_from_json(a), int(data["cut"]), tree_from_json(b))
-    except KeyError as exc:
-        raise TermError(f"{op} node lacks field {exc}") from exc
-    except (TypeError, ValueError) as exc:  # a TermError below is a TypeError too
-        raise TermError(f"malformed {op} node: {exc}") from exc
-    raise TermError(f"unknown term op {op!r}")
+    """The term of `data`, parsed over an explicit stack.
+
+    Parts are read in the order of a recursive descent: a node's op and
+    children, its left subterm, a composition's cut, its right subterm.  The
+    first bad part raises TermError; each enclosing tensor or compose node
+    prefixes the message with "malformed <op> node: ".
+    """
+    done: list = []  # finished subterms and cuts, innermost last
+    ops: list = []  # the op of each open tensor or compose node, outermost first
+    todo: list = [("term", data)]  # ("term", JSON), ("cut", JSON) or ("close", None)
+    while todo:
+        step, item = todo.pop()
+        if step == "close":
+            right = done.pop()
+            if ops.pop() == "tensor":
+                done.append(Tensor(done.pop(), right))
+            else:
+                cut = done.pop()
+                done.append(Compose(done.pop(), cut, right))
+            continue
+        if step == "cut":  # a part of the innermost open node
+            op, depth = ops[-1], len(ops) - 1
+        else:
+            op, depth = item.get("op") if isinstance(item, dict) else None, len(ops)
+            if op not in ("leaf", "tensor", "compose"):
+                raise _parse_error(ops[:depth], f"unknown term op {op!r}")
+        try:
+            if step == "cut":
+                done.append(int(item["cut"]))
+            elif op == "leaf":
+                if not isinstance(item["atom"], str):
+                    raise TypeError(f"atom {item['atom']!r} is not a name")
+                done.append(Leaf(item["atom"]))
+            else:
+                a, b = item["children"]
+                ops.append(op)
+                todo += ("close", None), ("term", b)
+                if op == "compose":
+                    todo.append(("cut", item))
+                todo.append(("term", a))
+        except KeyError as exc:
+            raise _parse_error(ops[:depth], f"{op} node lacks field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise _parse_error(ops[:depth], f"malformed {op} node: {exc}") from exc
+    return done[0]
 
 
 def signature_to_json(sig: Signature) -> dict:
@@ -457,85 +499,26 @@ class SearchResult:
     exact: bool
 
 
-def _prefix_in(ports: tuple, mask: int) -> int:
-    """How many leading `ports` lie in `mask`; -1 if a later port does too."""
-    n = 0
-    while n < len(ports) and mask >> ports[n] & 1:
-        n += 1
-    return -1 if any(mask >> v & 1 for v in ports[n:]) else n
+class _PortCuts(dict):
+    """ports -> (their mask, the places a boundary prefix can end): the
+    mask of `ports[:n]` -> n for each n at which no port of `ports[n:]` is
+    also in `ports[:n]`.  A vertex mask X takes a prefix of `ports`, the
+    rest lying outside X, exactly when the mask of the ports in X is one
+    of those keys; its value is the prefix's length.  Filled on first
+    lookup; one search keeps one table."""
 
-
-def _tensor_split_states(state: tuple, ends_mask: list,
-                         bits: _Bits) -> Iterable[tuple[tuple, tuple]]:
-    """Tensor splits of a search state along unions of its components,
-    ordered by minimum vertex; the first factor takes a boundary prefix."""
-    vmask, emask, left, right = state
-    es = bits[emask]
-    comps = []
-    rest = vmask
-    while rest:
-        comp = rest & -rest
-        grown = True
-        while grown:
-            grown = False
-            for e in es:
-                if ends_mask[e] & comp and ends_mask[e] & ~comp:
-                    comp |= ends_mask[e]
-                    grown = True
-        comps.append((comp, sum(1 << e for e in es if ends_mask[e] & comp)))
-        rest &= ~comp
-    for mask in range(1, (1 << len(comps)) - 1):
-        vs1 = es1 = 0
-        for i, (vs, e1) in enumerate(comps):
-            if mask >> i & 1:
-                vs1 |= vs
-                es1 |= e1
-        nl, nr = _prefix_in(left, vs1), _prefix_in(right, vs1)
-        if nl >= 0 and nr >= 0:
-            yield ((vs1, es1, left[:nl], right[:nr]),
-                   (vmask & ~vs1, emask & ~es1, left[nl:], right[nr:]))
-
-
-def _compose_split_states(state: tuple, ends_mask: list,
-                          bits: _Bits) -> Iterable[tuple[tuple, int, tuple]]:
-    """Composition splits of a search state, one per proper edge bipartition
-    in counting order; the cut is the shared vertices, ascending."""
-    vmask, emask, left, right = state
-    es = bits[emask]
-    if len(es) < 2:
-        return
-    full = (1 << len(es)) - 1
-    # endpoint and edge masks of every subset of `es`
-    union = _subset_unions([ends_mask[e] for e in es])
-    edges = _subset_unions([1 << e for e in es])
-    lmask = sum(1 << v for v in set(left))
-    rmask = sum(1 << v for v in set(right))
-    free = vmask & ~(lmask | rmask | union[full])
-    for s in range(1, full):
-        vs1 = union[s] | lmask | free
-        vs2 = union[full ^ s] | rmask
-        cut = bits[vs1 & vs2]
-        yield (vs1, edges[s], left, cut), len(cut), (vs2, edges[full ^ s], cut, right)
-
-
-class _Incumbent:
-    """The best (width, node count, tree) triple offered: lower width, then
-    fewer nodes, then the smaller `tree_serial`.  Serials are read only on
-    a tie of the first two, from `serials`, the `_serial` cache that one
-    search shares among all its incumbents."""
-
-    def __init__(self, first: tuple, serials: dict):
-        self.best, self.serials = first, serials
-
-    def offer(self, cand: tuple) -> bool:
-        """Take `cand` if it ranks strictly before the incumbent."""
-        if cand[:2] == self.best[:2]:
-            if _serial(cand[2], self.serials) >= _serial(self.best[2], self.serials):
-                return False
-        elif cand[:2] > self.best[:2]:
-            return False
-        self.best = cand
-        return True
+    def __missing__(self, ports: tuple) -> tuple[int, dict]:
+        prefix = [0]
+        for v in ports:
+            prefix.append(prefix[-1] | 1 << v)
+        cuts, suffix = {}, 0
+        for n in range(len(ports), -1, -1):
+            if not prefix[n] & suffix:
+                cuts[prefix[n]] = n
+            if n:
+                suffix |= 1 << ports[n - 1]
+        self[ports] = out = (prefix[-1], cuts)
+        return out
 
 
 def _leaf_atoms(d: DecompTree) -> set:
@@ -555,41 +538,57 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
     A search state is a sub-cospan of the renumbered input, held as
     (vertex mask, edge mask, left ports, right ports) over its apex.  The
     memo key is the state's cospan renumbered order-preservingly, read
-    straight off the masks, so states that renumber alike share one entry.
-    The search builds no graph or cospan for a state: a memo miss (and, for
-    right trees, each atomic left factor) gets a fresh atom `a0`, `a1`, ...
-    recorded against its state, and only the atoms of the returned term get
-    their cospans, at the end.  The set bits of each mask, the ranks within
-    each vertex mask and the tie-break serial of each term node are kept in
+    straight off the masks: its ports as ranks within the vertex mask, and
+    an interned edge part, its vertex count n and the sorted codes
+    rank * (n + 1) + rank of its edges' ends (a loop's twice), which
+    depends on the two masks alone.  States that renumber alike share one
+    entry.  The search builds no graph or cospan for a state: a memo miss
+    (and, for right trees, each atomic left factor) gets a fresh atom `a0`,
+    `a1`, ... recorded against its state, and only the atoms of the
+    returned term get their cospans, at the end.
+
+    A memo miss runs one loop per split kind.  Tensor splits take unions
+    of the state's components, grown from incident-edge masks and ordered
+    by least vertex, and keep those whose ports form a boundary prefix
+    (`_PortCuts`); composition splits take the proper edge bipartitions
+    in counting order, the cut being the shared vertices, ascending.  A
+    candidate is ranked by (width, node count) as plain ints, then by the
+    smaller `tree_serial`, and its `Tensor` or `Compose` node is built
+    only when it wins or ties; a tie goes to the serials.  The set bits of
+    each mask, the ranks within each vertex mask, the edge part of each
+    mask pair, the prefix cuts of each port tuple, the subset unions of
+    each edge mask and the serial of each compared node are kept in
     tables local to the call.
     """
     if shape not in ("any", "right-tree", "path"):
         raise TermError(f"unknown search shape {shape!r}")
+    tensors, right_tree = shape != "path", shape == "right-tree"
     memo: dict[tuple, tuple[int, int, DecompTree]] = {}
-    seen: dict[tuple, tuple] = {}  # raw state -> memo entry, each key computed once
-    atom_states: dict[str, tuple] = {}  # atom name -> its state, in naming order
+    seen: dict[tuple, tuple] = {}  # state -> memo entry, each key computed once
+    states: list = []  # the state of atom a<i>, at index i
     bits = _Bits()
     ranks: dict[int, dict] = {}  # vertex mask -> vertex -> rank within the mask
-    serials: dict = {}  # the `_serial` cache of every incumbent
+    edge_parts: dict[tuple, tuple] = {}  # (vertex mask, edge mask) -> (ranks, edge part)
+    interned: dict[tuple, int] = {}  # (vertex count, sorted edge codes) -> edge part
+    port_cuts = _PortCuts()
+    subsets: dict[int, tuple] = {}  # edge mask -> endpoint and edge masks of its subsets
+    serials: dict = {}  # the `_serial` cache of every tie
     visited = 0
     root = cs._renumber(g)
-    # root edge ids are 0..m-1: their sorted ends and their endpoint masks
-    ends = [tuple(sorted(root.apex.ends(e))) for e in range(len(root.apex.edges))]
-    ends_mask = [sum(1 << v for v in pts) for pts in ends]
+    # root edge ids are 0..m-1: their ends, least first (a loop's twice),
+    # and their endpoint masks; and each vertex's incident edges
+    ends = [(min(pts), max(pts)) for pts in map(root.apex.ends, range(len(root.apex.edges)))]
+    ends_mask = [1 << a | 1 << b for a, b in ends]
+    incident = [0] * len(root.apex.vertices)
+    for e, (a, b) in enumerate(ends):
+        incident[a] |= 1 << e
+        incident[b] |= 1 << e
 
     def rank_in(vmask: int) -> dict:
         rank = ranks.get(vmask)
         if rank is None:
             rank = ranks[vmask] = {v: i for i, v in enumerate(bits[vmask])}
         return rank
-
-    def key_of(state: tuple) -> tuple:
-        """What `_renumber` makes of the state: its ports, vertex count and
-        sorted edge ends, in ranks within the vertex mask."""
-        vmask, emask, left, right = state
-        rank = rank_in(vmask)
-        es = sorted(tuple(rank[v] for v in ends[e]) for e in bits[emask])
-        return tuple(rank[v] for v in left), tuple(rank[v] for v in right), len(rank), tuple(es)
 
     def cospan_of(state: tuple) -> Cospan:
         """The state's sub-cospan, renumbered order-preservingly."""
@@ -599,42 +598,106 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
                                         for i, e in enumerate(bits[emask])})
         return Cospan(apex, tuple(rank[v] for v in left), tuple(rank[v] for v in right))
 
-    def leaf(state: tuple) -> Leaf:
-        """A fresh atom for `state`, named as `Signature.add_cospan` names."""
-        name = f"a{len(atom_states)}"
-        atom_states[name] = state
-        return Leaf(name)
-
     def best(state: tuple) -> tuple[int, int, DecompTree]:
+        """The (width, node count, tree) of a state not yet in `seen`."""
         nonlocal visited
-        out = seen.get(state)
-        if out is not None:
-            return out
-        key = key_of(state)
+        vmask, emask, left, right = state
+        part = edge_parts.get((vmask, emask))
+        if part is None:
+            rank = rank_in(vmask)
+            base = len(rank) + 1
+            codes = sorted([rank[ends[e][0]] * base + rank[ends[e][1]] for e in bits[emask]])
+            part = edge_parts[vmask, emask] = (
+                rank, interned.setdefault((len(rank), tuple(codes)), len(interned)))
+        rank, edge_part = part
+        key = (edge_part, tuple([rank[v] for v in left]), tuple([rank[v] for v in right]))
         out = memo.get(key)
         if out is None:
-            result = _Incumbent((state[0].bit_count(), 1, leaf(state)), serials)
+            atom = len(states)
+            states.append(state)
+            # the incumbent; a tree of None is the leaf of `atom`, built on demand
+            bw, bn, bt = vmask.bit_count(), 1, None
             visited += 1
             if visited <= budget:
-                if shape != "path":
-                    for s1, s2 in _tensor_split_states(state, ends_mask, bits):
-                        (w1, n1, t1), (w2, n2, t2) = best(s1), best(s2)
-                        result.offer((max(w1, w2), n1 + n2 + 1, Tensor(t1, t2)))
-                for s1, cut, s2 in _compose_split_states(state, ends_mask, bits):
-                    if shape == "right-tree":
-                        w1, n1, t1 = s1[0].bit_count(), 1, leaf(s1)
-                    else:
-                        w1, n1, t1 = best(s1)
-                    w2, n2, t2 = best(s2)
-                    result.offer((max(w1, cut, w2), n1 + n2 + 1, Compose(t1, cut, t2)))
-            out = memo[key] = result.best
+                lmask, lcuts = port_cuts[left]
+                rmask, rcuts = port_cuts[right]
+                es = bits[emask]
+                if tensors:
+                    comp_vs, comp_es, rest = [], [], vmask
+                    while rest:
+                        comp = grow = rest & -rest
+                        ces = 0
+                        while grow:
+                            near = 0
+                            for v in bits[grow]:
+                                for e in bits[incident[v] & emask & ~ces]:
+                                    near |= ends_mask[e]
+                                    ces |= 1 << e
+                            grow = near & ~comp
+                            comp |= grow
+                        comp_vs.append(comp)
+                        comp_es.append(ces)
+                        rest &= ~comp
+                    vs_of = _subset_unions(comp_vs) if len(comp_vs) > 1 else ()
+                    es_of = _subset_unions(comp_es) if vs_of else ()
+                    for s in range(1, len(vs_of) - 1):
+                        vs1 = vs_of[s]
+                        nl, nr = lcuts.get(lmask & vs1), rcuts.get(rmask & vs1)
+                        if nl is None or nr is None:
+                            continue
+                        s1 = (vs1, es_of[s], left[:nl], right[:nr])
+                        s2 = (vmask ^ vs1, emask ^ es_of[s], left[nl:], right[nr:])
+                        w1, n1, t1 = seen.get(s1) or best(s1)
+                        w2, n2, t2 = seen.get(s2) or best(s2)
+                        w, n = w1 if w1 > w2 else w2, n1 + n2 + 1
+                        if w < bw or w == bw and n <= bn:
+                            node = Tensor(t1, t2)
+                            if w == bw and n == bn:
+                                bt = bt or Leaf(f"a{atom}")
+                                if _serial(node, serials) >= _serial(bt, serials):
+                                    continue
+                            bw, bn, bt = w, n, node
+                if len(es) >= 2:
+                    full = (1 << len(es)) - 1
+                    split = subsets.get(emask)
+                    if split is None:  # endpoint and edge masks of every subset of `es`
+                        split = subsets[emask] = (_subset_unions([ends_mask[e] for e in es]),
+                                                  _subset_unions([1 << e for e in es]))
+                    union, edges = split
+                    lfree = lmask | vmask & ~(lmask | rmask | union[full])
+                    for s in range(1, full):
+                        vs1 = union[s] | lfree
+                        vs2 = union[full ^ s] | rmask
+                        cut = bits[vs1 & vs2]
+                        if right_tree:
+                            atom1 = len(states)
+                            states.append((vs1, edges[s], left, cut))
+                            w1, n1 = vs1.bit_count(), 1
+                        else:
+                            s1 = (vs1, edges[s], left, cut)
+                            w1, n1, t1 = seen.get(s1) or best(s1)
+                        s2 = (vs2, edges[full ^ s], cut, right)
+                        w2, n2, t2 = seen.get(s2) or best(s2)
+                        k = len(cut)
+                        w, n = w1 if w1 > w2 else w2, n1 + n2 + 1
+                        if k > w:
+                            w = k
+                        if w < bw or w == bw and n <= bn:
+                            node = Compose(Leaf(f"a{atom1}") if right_tree else t1, k, t2)
+                            if w == bw and n == bn:
+                                bt = bt or Leaf(f"a{atom}")
+                                if _serial(node, serials) >= _serial(bt, serials):
+                                    continue
+                            bw, bn, bt = w, n, node
+            out = memo[key] = (bw, bn, bt or Leaf(f"a{atom}"))
         seen[state] = out
         return out
 
-    found, seed_sig = best(((1 << len(root.apex.vertices)) - 1, (1 << len(ends)) - 1,
-                            root.left, root.right)), None
+    found = best(((1 << len(root.apex.vertices)) - 1, (1 << len(ends)) - 1,
+                  root.left, root.right))
+    seed_sig = None
     closed = (g.right_arity == 0 and g.left == tuple(sorted(set(g.left)))
-              and len(g.apex.vertices) <= 8 and len(g.apex.edges) <= 7)
+              and len(g.apex.vertices) <= MAX_VERTICES and len(g.apex.edges) <= MAX_EDGES)
     if seed_translations and closed:
         from .translate import _optimal_term
         kind = {"any": "branch", "right-tree": "tree", "path": "path"}[shape]
@@ -643,17 +706,17 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
         except (DecompositionError, OracleError):
             pass
         else:
-            cand = (width(tree2, sig2), node_count(tree2), tree2)
-            if _Incumbent(found, serials).offer(cand):
-                found, seed_sig = cand, sig2
+            cand = (width(tree2, sig2), node_count(tree2))
+            if cand < found[:2] or cand == found[:2] and (
+                    _serial(tree2, serials) < _serial(found[2], serials)):
+                found, seed_sig = (*cand, tree2), sig2
 
     w, _, tree = found
     used = _leaf_atoms(tree)
     trimmed = Signature()
     if seed_sig is None:
-        for name, state in atom_states.items():
-            if name in used:
-                trimmed.add_cospan(cospan_of(state), name)
+        for i in sorted(int(name[1:]) for name in used):
+            trimmed.add_cospan(cospan_of(states[i]), f"a{i}")
     else:
         trimmed.atoms = {name: a for name, a in seed_sig.atoms.items() if name in used}
     return SearchResult(tree, trimmed, w, visited <= budget)

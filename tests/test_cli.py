@@ -6,6 +6,7 @@ import pytest
 
 from mwidth import (
     BranchDec,
+    Graph,
     PathDec,
     SourcedGraph,
     TreeDec,
@@ -375,6 +376,23 @@ def test_result_too_deep_to_write_exits_two(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == "error: result nested too deeply to write as JSON (recursion limit 300)\n"
+
+
+def test_rec_tree_of_a_deep_chain_exits_two(tmp_path, capsys):
+    # P_1200 and its 1,199-bag chain tree decomposition: the conversion to
+    # a recursive form walks an explicit stack, so only the stdlib JSON
+    # encoder gives up on the result
+    n = 1200
+    graph, dec = tmp_path / "path.g", tmp_path / "tree.json"
+    graph.write_text(format_graph_text(SourcedGraph(path_graph(n))))
+    shape = Graph(range(n - 1), {i: {i, i + 1} for i in range(n - 2)})
+    dec.write_text(json.dumps(decomposition_to_json(
+        TreeDec(shape, {i: {i, i + 1} for i in range(n - 1)}))))
+    code = main(["translate", "--from", str(dec), "--to", "rec-tree", "--graph", str(graph)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("error: result nested too deeply to write as JSON "
+                   f"(recursion limit {sys.getrecursionlimit()})\n")
 
 
 def test_decompose_monoidal_json_holds_only_the_term_atoms(tmp_path, capsys):

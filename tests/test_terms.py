@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,55 @@ def test_json_round_trip_and_golden_serial():
         '{"atom":"g","op":"leaf"}],"cut":2,"op":"compose"}],"cut":2,"op":"compose"}')
 
 
+_LEAF = {"op": "leaf", "atom": "a"}
+# (JSON, TermError message) of malformed terms, as the recursive-descent
+# parser worded them: an enclosing node prefixes "malformed <op> node: "
+TERM_JSON_FAULTS = [
+    (None, "unknown term op None"),
+    ([], "unknown term op None"),
+    ({"op": "loop"}, "unknown term op 'loop'"),
+    ({"atom": "a"}, "unknown term op None"),
+    ({"op": "leaf"}, "leaf node lacks field 'atom'"),
+    ({"op": "leaf", "atom": 3}, "malformed leaf node: atom 3 is not a name"),
+    ({"op": "tensor"}, "tensor node lacks field 'children'"),
+    ({"op": "compose", "children": [_LEAF, _LEAF]}, "compose node lacks field 'cut'"),
+    ({"op": "compose", "cut": 1, "children": [{"op": "leaf"}, {"op": "loop"}]},
+     "malformed compose node: leaf node lacks field 'atom'"),
+    ({"op": "compose", "children": [_LEAF, {"op": "loop"}]}, "compose node lacks field 'cut'"),
+    ({"op": "compose", "cut": 1, "children": [_LEAF, {"op": "tensor", "children": [
+        {"op": "loop"}, _LEAF]}]},
+     "malformed compose node: malformed tensor node: unknown term op 'loop'"),
+    ({"op": "tensor", "children": [_LEAF, {"op": "compose", "cut": 1, "children": [
+        {"op": "tensor", "children": [_LEAF, {"op": "leaf", "atom": None}]}, _LEAF]}]},
+     "malformed tensor node: malformed compose node: malformed tensor node: "
+     "malformed leaf node: atom None is not a name"),
+]
+
+
+@pytest.mark.parametrize("data,message", TERM_JSON_FAULTS)
+def test_tree_from_json_fault_messages(data, message):
+    with pytest.raises(TermError) as info:
+        tree_from_json(data)
+    assert str(info.value) == message
+
+
+def test_term_json_beyond_the_recursion_limit():
+    # a zigzag of compositions and tensors twice the recursion limit deep
+    depth = 2 * sys.getrecursionlimit()
+    t = Leaf("a0")
+    for i in range(1, depth + 1):
+        t = Compose(t, 1, Leaf(f"a{i}")) if i % 2 else Tensor(Leaf(f"a{i}"), t)
+    back = tree_from_json(tree_to_json(t))
+    assert tree_serial(back) == tree_serial(t)
+    bad: object = {"op": "leaf", "atom": 3}
+    for _ in range(depth):
+        bad = {"op": "tensor", "children": [_LEAF, bad]}
+    with pytest.raises(TermError) as info:
+        tree_from_json(bad)
+    assert str(info.value) == (
+        "malformed tensor node: " * depth + "malformed leaf node: atom 3 is not a name")
+
+
 def test_search_edge_is_leaf():
     res = bounded_mwd_search(cs.edge(), seed_translations=False)
     assert res.width == 2 and res.exact
@@ -277,6 +328,65 @@ def test_search_golden_pins(name, shape, budget, seeds, w, exact, nodes, serial)
                              seed_translations=seeds)
     assert (res.width, res.exact, node_count(res.tree), tree_serial(res.tree)) == (
         w, exact, nodes, serial)
+
+
+# The unseeded search `check_theorems` runs, on a multigraph of the
+# benchmark's (5, 6) stratum: a self-loop, a parallel pair and a second
+# looped component, so tensor splits, loops and repeated edges all reach
+# the memo.  Budget 25 stops every shape mid-search.  Each pin is (shape,
+# budget, width, exact, node count, tree_serial, sha256 of the key-sorted
+# signature JSON).
+LOOPED_MULTIGRAPH = cs.of_graph(Graph.from_edge_pairs(
+    range(5), [(0, 0), (0, 1), (1, 2), (1, 2), (2, 3), (4, 4)]))
+MULTIGRAPH_PINS = [
+    ('any', 4000, 2, True, 7,
+     '{"children":[{"atom":"a126","op":"leaf"},{"children":[{"atom":"a16","op":"lea'
+     'f"},{"children":[{"atom":"a48","op":"leaf"},{"atom":"a87","op":"leaf"}],"cut"'
+     ':1,"op":"compose"}],"cut":1,"op":"compose"}],"cut":0,"op":"compose"}',
+     '1b1da96a1ab590907ef480155b2299c5'
+     'e9e48900922c3f6ea3a3613ec193b062'),
+    ('right-tree', 4000, 2, True, 7,
+     '{"children":[{"atom":"a165","op":"leaf"},{"children":[{"atom":"a131","op":"le'
+     'af"},{"children":[{"atom":"a98","op":"leaf"},{"atom":"a9","op":"leaf"}],"op":'
+     '"tensor"}],"cut":2,"op":"compose"}],"op":"tensor"}',
+     'fe72cbc79f6389756edfa592594cfc8e'
+     'a70fcff477029ffa26ebf8b9b498d964'),
+    ('path', 4000, 2, True, 7,
+     '{"children":[{"atom":"a10","op":"leaf"},{"children":[{"atom":"a135","op":"lea'
+     'f"},{"children":[{"atom":"a19","op":"leaf"},{"atom":"a9","op":"leaf"}],"cut":'
+     '1,"op":"compose"}],"cut":1,"op":"compose"}],"cut":0,"op":"compose"}',
+     '7f15def08c2039a576cfdcd84af460f7'
+     'a907591cd488f1a5f011fe39b7fd5f2b'),
+    ('any', 25, 2, False, 7,
+     '{"children":[{"atom":"a68","op":"leaf"},{"children":[{"atom":"a40","op":"leaf'
+     '"},{"children":[{"atom":"a14","op":"leaf"},{"atom":"a9","op":"leaf"}],"cut":1'
+     ',"op":"compose"}],"cut":1,"op":"compose"}],"cut":0,"op":"compose"}',
+     '3fad7082c5c0fd5cab82e19625fa0c13'
+     'a470b9f4d0605fc556e9c270cf860735'),
+    ('right-tree', 25, 2, False, 7,
+     '{"children":[{"atom":"a165","op":"leaf"},{"children":[{"atom":"a131","op":"le'
+     'af"},{"children":[{"atom":"a98","op":"leaf"},{"atom":"a9","op":"leaf"}],"op":'
+     '"tensor"}],"cut":2,"op":"compose"}],"op":"tensor"}',
+     'fe72cbc79f6389756edfa592594cfc8e'
+     'a70fcff477029ffa26ebf8b9b498d964'),
+    ('path', 25, 2, False, 7,
+     '{"children":[{"atom":"a59","op":"leaf"},{"children":[{"atom":"a19","op":"leaf'
+     '"},{"children":[{"atom":"a11","op":"leaf"},{"atom":"a9","op":"leaf"}],"cut":1'
+     ',"op":"compose"}],"cut":1,"op":"compose"}],"cut":1,"op":"compose"}',
+     'b48df451f898baac1c9d2666570c1f5f'
+     '3b5b2a1f0114e3f97c1240009563840d'),
+]
+
+
+@pytest.mark.parametrize("shape,budget,w,exact,nodes,serial,sig_sha", MULTIGRAPH_PINS,
+                         ids=[f"{p[0]}-{p[1]}" for p in MULTIGRAPH_PINS])
+def test_search_multigraph_pins(shape, budget, w, exact, nodes, serial, sig_sha):
+    res = bounded_mwd_search(LOOPED_MULTIGRAPH, shape=shape, budget=budget,
+                             seed_translations=False)
+    assert (res.width, res.exact, node_count(res.tree), tree_serial(res.tree)) == (
+        w, exact, nodes, serial)
+    sig = json.dumps(signature_to_json(res.signature), sort_keys=True)
+    assert hashlib.sha256(sig.encode()).hexdigest() == sig_sha
 
 
 def _leaf_names(d) -> set:

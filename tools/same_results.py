@@ -15,7 +15,8 @@ that raises records the error's type and message instead.  The corpus:
 - the witness of each exact oracle, or its error, on `enumerate_graphs(6)`;
 - `check_theorems(g).to_json()` on the `theorems` benchmark inputs of
   seeds 1-3;
-- `bounded_mwd_search` in each shape at budgets 4000 and 50;
+- `bounded_mwd_search` in each shape at budgets 4000 and 50, with and
+  without `seed_translations`;
 - (ok, clause, message) of every validator on corrupted decompositions;
 - stdout, stderr and exit code of `mwidth.cli.main` on a few files.
 
@@ -198,11 +199,15 @@ def theorem_records(mw, workloads, table):
 
 
 def _search_steps(mw, c):
+    """Each shape at both budgets, seeded with a translation (the default)
+    and unseeded (what `check_theorems` runs)."""
     for budget in (4000, 50):
         for shape in ("any", "right-tree", "path"):
-            r = mw.bounded_mwd_search(c, shape=shape, budget=budget)
-            yield f"{budget}/{shape}", [mw.tree_to_json(r.tree), r.width, r.exact,
-                                        mw.signature_to_json(r.signature)]
+            for seeded, suffix in ((True, ""), (False, "/unseeded")):
+                r = mw.bounded_mwd_search(c, shape=shape, budget=budget,
+                                          seed_translations=seeded)
+                yield f"{budget}/{shape}{suffix}", [mw.tree_to_json(r.tree), r.width, r.exact,
+                                                    mw.signature_to_json(r.signature)]
 
 
 def search_records(mw, gen, table):
