@@ -18,6 +18,10 @@ that raises records the error's type and message instead.  The corpus:
 - `bounded_mwd_search` in each shape at budgets 4000 and 50, with and
   without `seed_translations`;
 - (ok, clause, message) of every validator on corrupted decompositions;
+- the error's type and message, or the parsed value, of each parser on
+  fault inputs: graph text, decomposition JSON of all six kinds (missing
+  and ill-typed fields at the root and one to three child fields deep),
+  term JSON and signature JSON;
 - stdout, stderr and exit code of `mwidth.cli.main` on a few files.
 
 The benchmark inputs come from this tree's `perfbench/gen.py` and
@@ -317,6 +321,186 @@ def validator_records(mw, gen, workloads, table):
 
 
 # ---------------------------------------------------------------------------
+# Fault inputs of every parser: graph text, decomposition JSON of all six
+# kinds, term JSON and signature JSON.  A record holds the error's type and
+# message, or what the input parses to.
+
+_G = {"v": [0, 1], "e": [[0, 0, 1]], "s": [0]}  # a sourced graph that reads
+_EMPTY_G = {"v": [], "e": [], "s": []}
+_REC_EMPTY = {"rec-tree": {"kind": "rec-tree", "empty": True},
+              "rec-path": {"kind": "rec-path", "empty": True},
+              "rec-branch": {"kind": "rec-branch", "empty": True}}
+_REC_NODE = {  # a node of each family that reads, its children empty
+    "rec-tree": {"kind": "rec-tree", "graph": _G, "bag": [0, 1],
+                 "left": _REC_EMPTY["rec-tree"], "right": _REC_EMPTY["rec-tree"]},
+    "rec-path": {"kind": "rec-path", "graph": _G, "bag": [0, 1], "tail": _REC_EMPTY["rec-path"]},
+    "rec-branch": {"kind": "rec-branch", "graph": _G,
+                   "left": _REC_EMPTY["rec-branch"], "right": _REC_EMPTY["rec-branch"]},
+}
+_CLASSIC = {
+    "tree": {"kind": "tree", "shape": {"v": [0, 1], "e": [[0, 0, 1]]},
+             "bags": {"0": [0, 1], "1": [1]}},
+    "path": {"kind": "path", "bags": [[0, 1], [1]]},
+    "branch": {"kind": "branch", "shape": {"v": [0], "e": []}, "leaf_map": {"0": 0}},
+}
+_ILL = {  # per field: ill-typed values
+    "graph": (3, [], {"v": [0], "e": [[0, 0, 5]]}, {"v": [0], "s": [7]}, {"v": ["a"]},
+              {"v": [0], "e": [[]]}),  # the last raises IndexError, which no field wraps
+    "bag": (3, ["x"], [[0]], None),
+    "shape": ("s", {"v": [0], "e": [[0, 0, 9]]}),
+    "bags": (3, [], {"a": [0]}, {"0": ["x"]}, [["x"]], [3]),
+    "leaf_map": ([], {"0": "x"}, {"x": 0}),
+    "child": ([], "x", None, {"kind": "nope"}, {}),
+}
+_CHILDREN = {"rec-tree": ("left", "right"), "rec-path": ("tail",), "rec-branch": ("left", "right")}
+
+
+def _parsed(mw, parse, data, show) -> list:
+    try:
+        value = parse(data)
+    except Exception as exc:  # recorded, so a revision that differs here differs
+        return [type(exc).__name__, str(exc)]
+    return ["parsed", show(value)]
+
+
+def _faulty_nodes(kind: str):
+    """(name, JSON) of every fault of one node of `kind`: each field missing
+    and each field ill-typed in turn."""
+    base = _CLASSIC.get(kind) or _REC_NODE[kind]
+    for name in base:
+        if name == "kind":
+            continue
+        yield f"missing-{name}", {k: v for k, v in base.items() if k != name}
+        field = "child" if name in _CHILDREN.get(kind, ()) else name
+        for j, bad in enumerate(_ILL[field]):
+            yield f"ill-{name}/{j}", {**base, name: bad}
+
+
+def _nested(kind: str, inner: dict, path: tuple) -> dict:
+    """`inner` under the child fields `path` of valid `kind` nodes, outermost first."""
+    for name in reversed(path):
+        inner = {**_REC_NODE[kind], name: inner}
+    return inner
+
+
+def _decomposition_faults():
+    yield "non-object/list", []
+    yield "non-object/str", "tree"
+    yield "non-object/null", None
+    yield "unknown/none", {}
+    yield "unknown/name", {"kind": "graph"}
+    yield "unknown/int", {"kind": 3}
+    for kind in _CLASSIC:
+        yield f"{kind}/valid", _CLASSIC[kind]
+        for name, data in _faulty_nodes(kind):
+            yield f"{kind}/{name}", data
+    for kind, children in _CHILDREN.items():
+        yield f"{kind}/valid", _REC_NODE[kind]
+        faults = list(_faulty_nodes(kind))
+        for depth in range(4):
+            for child in children:
+                path = (children[0],) * (depth - 1) + (child,) if depth else ()
+                if not depth and child != children[0]:
+                    continue
+                for name, data in faults:
+                    yield f"{kind}/{'.'.join(path) or 'root'}/{name}", _nested(kind, data, path)
+        # a faulty first child followed by a missing sibling: the child's
+        # error comes first; with a valid first child, the missing sibling
+        for depth in range(3 if len(children) > 1 else 0):
+            path = (children[0],) * depth
+            for label, first in (("faulty", {**_REC_NODE[kind], "graph": 3}),
+                                 ("valid", _REC_NODE[kind])):
+                node = {**_REC_NODE[kind], children[0]: first}
+                del node[children[1]]
+                yield (f"{kind}/{'.'.join(path) or 'root'}/{label}-then-missing-{children[1]}",
+                       _nested(kind, node, path))
+        # a classic form nested as a child still reads
+        for classic in _CLASSIC:
+            yield f"{kind}/child-{classic}", {**_REC_NODE[kind], children[0]: _CLASSIC[classic]}
+    # the flags: an empty rec-branch node with and without its graph
+    yield "rec-branch/empty-with-graph", {"kind": "rec-branch", "empty": True, "graph": _G}
+    yield "rec-branch/empty-with-empty-graph", {"kind": "rec-branch", "empty": True,
+                                                "graph": _EMPTY_G}
+    yield "rec-branch/empty-ill-graph", {"kind": "rec-branch", "empty": True, "graph": 3}
+    yield "rec-branch/empty-and-leaf", {"kind": "rec-branch", "empty": True, "leaf": True,
+                                        "graph": _G}
+    yield "rec-branch/leaf", {"kind": "rec-branch", "leaf": True, "graph": _G}
+    yield "rec-branch/leaf-missing-graph", {"kind": "rec-branch", "leaf": True}
+    yield "rec-branch/flag-false", {"kind": "rec-branch", "empty": False, "graph": _G}
+    yield "rec-tree/empty-extra", {"kind": "rec-tree", "empty": 1, "graph": 3, "bag": "x"}
+    yield "rec-path/flag-zero", {"kind": "rec-path", "empty": 0, "graph": _G, "bag": [0, 1],
+                                 "tail": _REC_EMPTY["rec-path"]}
+
+
+_LEAF = {"op": "leaf", "atom": "a"}
+
+
+def _term_faults():
+    nodes = {
+        "non-object": 3, "no-op": {}, "unknown-op": {"op": "swap"},
+        "leaf-no-atom": {"op": "leaf"}, "leaf-int-atom": {"op": "leaf", "atom": 3},
+        "tensor-no-children": {"op": "tensor"},
+        "tensor-one-child": {"op": "tensor", "children": [_LEAF]},
+        "tensor-int-children": {"op": "tensor", "children": 3},
+        "compose-no-cut": {"op": "compose", "children": [_LEAF, _LEAF]},
+        "compose-bad-cut": {"op": "compose", "cut": "x", "children": [_LEAF, _LEAF]},
+        "compose-null-cut": {"op": "compose", "cut": None, "children": [_LEAF, _LEAF]},
+    }
+    for name, node in nodes.items():
+        for depth in range(4):
+            data = node
+            for i in range(depth):
+                data = ({"op": "tensor", "children": [data, _LEAF]} if i % 2 else
+                        {"op": "compose", "cut": 1, "children": [_LEAF, data]})
+            yield f"{name}/{depth}", data
+
+
+_ATOM = {"dom": 1, "cod": 1, "weight": 2,
+         "cospan": {"apex": {"v": [0, 1], "e": [[0, 1]]}, "left": [0], "right": [0],
+                    "legL": {"0": 0}, "legR": {"0": 1}}}
+
+
+def _signature_faults():
+    yield "non-object", []
+    yield "empty", {}
+    yield "atom-not-object", {"a": 3}
+    yield "valid", {"a": _ATOM}
+    yield "no-cospan", {"a": {**_ATOM, "cospan": None}}
+    for k in ("dom", "cod", "weight"):
+        yield f"missing-{k}", {"a": {key: v for key, v in _ATOM.items() if key != k}}
+        yield f"ill-{k}", {"a": {**_ATOM, k: "x"}}
+    yield "arity-mismatch", {"a": {**_ATOM, "dom": 2}}
+    yield "cospan-no-apex", {"a": {**_ATOM, "cospan": {"left": [], "right": []}}}
+    yield "cospan-bad-leg", {"a": {**_ATOM, "cospan": {**_ATOM["cospan"], "legL": {}}}}
+    yield "cospan-bad-vertex", {"a": {**_ATOM, "cospan": {**_ATOM["cospan"],
+                                                          "legR": {"0": 7}}}}
+
+
+_GRAPH_TEXTS = {
+    "empty": "", "comment": "# nothing\n\n", "valid": "v 0\nv 1\ne 0 1\ns 1\n",
+    "non-integer": "v x\n", "v-two-ids": "v 0 1\n", "v-no-id": "v\n",
+    "e-one-id": "v 0\ne 0\n", "e-undeclared": "v 0\ne 0 1\n", "e-three-ids": "v 0\ne 0 0 0\n",
+    "s-undeclared": "v 0\ns 1\n", "s-two-ids": "v 0\ns 0 0\n", "unknown": "v 0\nw 0\n",
+    "late-fault": "v 0\nv 1\ne 0 1\n\n# c\nx\n", "loop": "v 0\ne 0 0\n",
+}
+
+
+def fault_records(mw):
+    for name, text in _GRAPH_TEXTS.items():
+        yield f"fault/graph-text/{name}", _parsed(
+            mw, mw.parse_graph_text, text,
+            lambda sg: [mw.graph.sourced_graph_to_json(sg), repr(sg)])
+    for name, data in _decomposition_faults():
+        yield f"fault/decomposition/{name}", _parsed(
+            mw, mw.decomposition_from_json, data, repr)
+    for name, data in _term_faults():
+        yield f"fault/term/{name}", _parsed(mw, mw.tree_from_json, data, mw.tree_to_json)
+    for name, data in _signature_faults():
+        yield f"fault/signature/{name}", _parsed(mw, mw.signature_from_json, data,
+                                                 mw.signature_to_json)
+
+
+# ---------------------------------------------------------------------------
 # The command line on a few files.
 
 FILES = {
@@ -392,6 +576,7 @@ def records(mw):
     yield from theorem_records(mw, workloads, table)
     yield from search_records(mw, gen, table)
     yield from validator_records(mw, gen, workloads, table)
+    yield from fault_records(mw)
     yield from _steps("cli", cli_records(mw))
 
 
