@@ -4,10 +4,12 @@ Subcommands: widths, decompose, validate, translate, check-theorems,
 catalog.  Graphs come from the text format (`v`/`e`/`s` lines);
 decompositions and terms travel as JSON.  Exit codes: 0 success;
 1 validation or theorem failure, an exact oracle refusing an input
-beyond its size cap, or a decomposition that does not fit the graph
-(such as marked sources outside its root or first bag); 2 usage or
-parse error, including a malformed decomposition, term or width-cache file,
-and JSON nested too deeply to read or to write.
+beyond its size cap, the monoidal-width search refusing a cospan past
+its caps, or a decomposition that does not fit the graph (such as
+marked sources outside its root or first bag); 2 usage or parse error,
+including a malformed decomposition, term or width-cache file, a JSON
+file nested deeper than the recursion limit, and a result nested too
+deeply to write.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from . import oracles
 from . import terms as tm
 from . import translate as tr
 from .decomp import (
+    _LAYOUT,
     DecompositionError,
     decomposition_from_json,
     decomposition_to_dot,
@@ -46,55 +49,48 @@ def _load_graph(path: str) -> SourcedGraph:
     return parse_graph_text(_read_text(path))
 
 
+def _nesting(data) -> int:
+    """How many levels the values of decoded JSON nest below its top value."""
+    depth, level = 0, [data]
+    while level := [y for x in level if isinstance(x, (dict, list))
+                    for y in (x.values() if isinstance(x, dict) else x)]:
+        depth += 1
+    return depth
+
+
 def _load_json(path: str, parse):
-    """`parse` applied to a JSON file; a malformed file, or one nested too
-    deeply to decode or parse, is a usage error."""
+    """`parse` applied to a JSON file; a malformed file, or one nested deeper
+    than the recursion limit (one rule, whatever the decoder follows), is a
+    usage error."""
     text = _read_text(path)
+    too_deep = CliError(f"{path}: JSON nested too deeply to read "
+                        f"(recursion limit {sys.getrecursionlimit()})")
     try:
-        return parse(json.loads(text))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # a decoder that counts nesting against the limit
+        raise too_deep from exc
+    if _nesting(data) > sys.getrecursionlimit():
+        raise too_deep
+    try:
+        return parse(data)
     except (DecompositionError, tm.TermError) as exc:
         raise CliError(f"{path}: {exc}") from exc
-    except RecursionError as exc:
-        # from the decoder where it counts nesting against sys's limit
-        # (Python 3.10, 3.11), else from the parsers
-        raise CliError(f"{path}: JSON nested too deeply to read "
-                       f"(recursion limit {sys.getrecursionlimit()})") from exc
-
-
-def _term_depth(d: tm.DecompTree) -> int:
-    """The number of nodes on the longest root-to-leaf path of `d`."""
-    deepest, stack = 0, [(d, 1)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        if not isinstance(node, tm.Leaf):
-            stack += (node.left, depth + 1), (node.right, depth + 1)
-    return deepest
 
 
 def _decomposition_or_term(data):
-    """A decomposition, or a (term, signature) pair, from its JSON form.
-
-    The decomposition parser recurses once per level.  The term parser
-    loops, so a term deeper than the recursion limit raises RecursionError
-    here: a file nested past the limit is refused when it is read, whichever
-    decoder reads it (those of Python 3.10 and 3.11 already refuse a term
-    about half as deep, two JSON levels to a node).
-    """
+    """A decomposition, or a (term, signature) pair, from its JSON form."""
     if isinstance(data, dict) and "term" in data:
-        term = tm.tree_from_json(data["term"])
-        if _term_depth(term) > sys.getrecursionlimit():
-            raise RecursionError("term nested deeper than the recursion limit")
-        return term, tm.signature_from_json(data.get("signature"))
+        return tm.tree_from_json(data["term"]), tm.signature_from_json(data.get("signature"))
     return decomposition_from_json(data)
 
 
 def _kind_of(dec) -> tuple[str, _Kind, bool]:
     """Kind name and table row of a decomposition, and whether it is recursive."""
-    return next((name, kind, isinstance(dec, kind.rec)) for name, kind in _KINDS.items()
-                if isinstance(dec, (kind.classic, kind.rec)))
+    kind = _LAYOUT[type(dec)][0]
+    name = kind.removeprefix("rec-")
+    return name, _KINDS[name], kind != name
 
 
 def _dumps(data, **options) -> str:

@@ -12,10 +12,11 @@ node has a `graph`, the graph with sources it decomposes (the empty one
 for the tree and path empty nodes); `_children` gives its children in
 walk order, `_cost` what it adds to the width (bag size for tree and path
 nodes, source count for branch nodes, 0 for empty nodes), and `_LAYOUT`
-its JSON kind and fields.  Every walker over that protocol is a loop, so
+the JSON of all six formats.  Every walker over that protocol is a loop, so
 a chain of any depth goes through: width, bags, validation (with the local
-clauses of a family from one function per family) and JSON read one node
-order, `_pre_order`, forwards or, to see children before parents, reversed.
+clauses of a family from one function per family), JSON, equality, hash and
+repr read one node order, `_pre_order`, forwards or, to see children before
+parents, reversed, or keep the nodes they have open on an explicit stack.
 
 Each classic decomposition tree is walked once per question (`_walk`), and
 every question is linear in the tree's size.  The tree and branch
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .graph import (
     Graph,
@@ -294,18 +295,64 @@ def _edges_below(dec: BranchDec) -> tuple[dict, dict]:
 _EMPTY_SOURCED = SourcedGraph(Graph.empty())
 
 
-class RecTreeDec:
+class _Node:
+    """Equality, hash and repr of the recursive node classes.  Equality and
+    repr loop over the nodes and their `_LAYOUT` fields, so a chain of any
+    depth goes through, and mean what the generated dataclass methods mean;
+    the hash reads the root alone."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if isinstance(a, _Node) and b.__class__ is a.__class__:
+                for name, codec in _LAYOUT[type(a)][2].items():
+                    x, y = getattr(a, name), getattr(b, name)
+                    if codec is _CHILD:
+                        pairs.append((x, y))
+                    elif x != y:
+                        return False
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self):
+        return hash((type(self), self.graph))  # equal nodes have equal graphs
+
+    def __repr__(self):
+        parts, todo = [], [self]  # text still to write, or a node to expand
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            pieces = [f"{type(item).__qualname__}("]
+            for i, name in enumerate(_LAYOUT[type(item)][2]):
+                value = getattr(item, name)
+                pieces += f"{', ' if i else ''}{name}=", (
+                    value if isinstance(value, _Node) else repr(value))
+            todo += reversed((*pieces, ")"))
+        return "".join(parts)
+
+
+class RecTreeDec(_Node):
     """Base class; instances are RecTreeEmpty or RecTreeNode."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RecTreeEmpty(RecTreeDec):
     graph = _EMPTY_SOURCED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RecTreeNode(RecTreeDec):
     graph: SourcedGraph
     bag: frozenset
@@ -319,16 +366,16 @@ class RecTreeNode(RecTreeDec):
 REC_TREE_EMPTY = RecTreeEmpty()
 
 
-class RecPathDec:
+class RecPathDec(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RecPathEmpty(RecPathDec):
     graph = _EMPTY_SOURCED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RecPathCons(RecPathDec):
     graph: SourcedGraph
     bag: frozenset
@@ -341,11 +388,11 @@ class RecPathCons(RecPathDec):
 REC_PATH_EMPTY = RecPathEmpty()
 
 
-class RecBranchDec:
+class RecBranchDec(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RecBranchEmpty(RecBranchDec):
     """Decomposition of an edgeless graph.
 
@@ -357,12 +404,12 @@ class RecBranchEmpty(RecBranchDec):
     graph: SourcedGraph = _EMPTY_SOURCED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RecBranchLeaf(RecBranchDec):
     graph: SourcedGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RecBranchNode(RecBranchDec):
     graph: SourcedGraph
     left: RecBranchDec
@@ -371,20 +418,35 @@ class RecBranchNode(RecBranchDec):
 
 REC_BRANCH_EMPTY = RecBranchEmpty()
 
-_RecDec = Union[RecTreeDec, RecPathDec, RecBranchDec]
+# a `types.UnionType`: `typing.Union` would cache the classes, and so keep
+# every imported copy of this module alive through `_Node`'s methods
+_RecDec = RecTreeDec | RecPathDec | RecBranchDec
 
-# The node protocol of the three recursive families.  Per node class: its
-# JSON kind, the flag marking the class within that kind, and its fields
-# in output order; fields other than "graph" and "bag" hold the children.
+# The layout of all six formats.  Per class: its JSON kind, the flag marking
+# the class within that kind, and its fields in output order, each with its
+# (writer, reader), or _CHILD for a child; a classic form has no children.
 # Reading JSON tries the classes in this order, flagged classes first.
+_CHILD = None
+_GRAPH = sourced_graph_to_json, sourced_graph_from_json
+_SHAPE = graph_to_json, graph_from_json
+_BAG = sorted, lambda b: set(_ints(b))
 _LAYOUT = {
-    RecTreeEmpty: ("rec-tree", "empty", ()),
-    RecTreeNode: ("rec-tree", "", ("graph", "bag", "left", "right")),
-    RecPathEmpty: ("rec-path", "empty", ()),
-    RecPathCons: ("rec-path", "", ("graph", "bag", "tail")),
-    RecBranchEmpty: ("rec-branch", "empty", ("graph",)),
-    RecBranchLeaf: ("rec-branch", "leaf", ("graph",)),
-    RecBranchNode: ("rec-branch", "", ("graph", "left", "right")),
+    TreeDec: ("tree", "", {"shape": _SHAPE, "bags": (
+        lambda bags: {str(i): sorted(b) for i, b in bags},
+        lambda bags: {int(i): set(_ints(b)) for i, b in bags.items()})}),
+    PathDec: ("path", "", {"bags": (lambda bags: [sorted(b) for b in bags],
+                                    lambda bags: [set(_ints(b)) for b in bags])}),
+    BranchDec: ("branch", "", {"shape": _SHAPE, "leaf_map": (
+        lambda table: {str(l): e for l, e in table},
+        lambda table: dict(zip(map(int, table), _ints(table.values()))))}),
+    RecTreeEmpty: ("rec-tree", "empty", {}),
+    RecTreeNode: ("rec-tree", "", {"graph": _GRAPH, "bag": _BAG, "left": _CHILD,
+                                   "right": _CHILD}),
+    RecPathEmpty: ("rec-path", "empty", {}),
+    RecPathCons: ("rec-path", "", {"graph": _GRAPH, "bag": _BAG, "tail": _CHILD}),
+    RecBranchEmpty: ("rec-branch", "empty", {"graph": _GRAPH}),
+    RecBranchLeaf: ("rec-branch", "leaf", {"graph": _GRAPH}),
+    RecBranchNode: ("rec-branch", "", {"graph": _GRAPH, "left": _CHILD, "right": _CHILD}),
 }
 _EMPTY_NODES = (RecTreeEmpty, RecPathEmpty, RecBranchEmpty)
 
@@ -533,7 +595,7 @@ def validate_rec_branch_dec(t: RecBranchDec, sg: SourcedGraph) -> Check:
     return _validate_rec(t, sg, _branch_clauses)
 
 
-def _bags(t: Union[RecTreeDec, RecPathDec]) -> list:
+def _bags(t: RecTreeDec | RecPathDec) -> list:
     """Bags of a recursive tree or path decomposition, pre-order."""
     return [node.bag for node in _pre_order(t) if not isinstance(node, _EMPTY_NODES)]
 
@@ -855,20 +917,6 @@ def branch_from_recursive(t: RecBranchDec) -> BranchDec:
 # Serialization.
 
 
-def tree_dec_to_json(dec: TreeDec) -> dict:
-    return {"kind": "tree", "shape": graph_to_json(dec.shape),
-            "bags": {str(i): sorted(b) for i, b in dec.bags}}
-
-
-def path_dec_to_json(dec: PathDec) -> dict:
-    return {"kind": "path", "bags": [sorted(b) for b in dec.bags]}
-
-
-def branch_dec_to_json(dec: BranchDec) -> dict:
-    return {"kind": "branch", "shape": graph_to_json(dec.shape),
-            "leaf_map": {str(l): e for l, e in dec.leaf_map}}
-
-
 def _ints(items) -> list:
     items = list(items)
     if not all(isinstance(i, int) for i in items):
@@ -887,60 +935,67 @@ def _field(data: dict, name: str, read):
         raise DecompositionError(f"decomposition field {name!r}: {exc}") from exc
 
 
-# writers and readers of the recursive node fields; the others hold children
-_REC_FIELD_WRITERS = {"graph": sourced_graph_to_json, "bag": sorted}
-_REC_FIELD_READERS = {"graph": sourced_graph_from_json, "bag": lambda b: set(_ints(b))}
-
-
-def _rec_to_json(t: _RecDec) -> dict:
-    done: list = []  # JSON of the finished subtrees, the leftmost last
-    for node in reversed(_pre_order(t)):
-        kind, flag, fields = _LAYOUT[type(node)]
-        out = {"kind": kind}
-        if flag:
-            out[flag] = True
-        for name in fields:
-            if name not in _REC_FIELD_WRITERS:
-                out[name] = done.pop()
-            # an empty node records its graph only when it has one
-            elif flag != "empty" or not node.graph.is_empty():
-                out[name] = _REC_FIELD_WRITERS[name](getattr(node, name))
-        done.append(out)
-    return done[0]
-
-
-def decomposition_from_json(data: dict):
+def _opened(data) -> tuple:
+    """(class, JSON object, fields left to read, values read) of a node."""
     if not isinstance(data, dict):
         raise DecompositionError(
             f"a decomposition is a JSON object, not {type(data).__name__}")
     kind = data.get("kind")
-    if kind == "tree":
-        return TreeDec(_field(data, "shape", graph_from_json),
-                       _field(data, "bags", lambda bags: {
-                           int(i): set(_ints(b)) for i, b in bags.items()}))
-    if kind == "path":
-        return PathDec(_field(data, "bags", lambda bags: [set(_ints(b)) for b in bags]))
-    if kind == "branch":
-        return BranchDec(_field(data, "shape", graph_from_json),
-                         _field(data, "leaf_map", lambda table: dict(
-                             zip(map(int, table), _ints(table.values())))))
     for cls, (cls_kind, flag, fields) in _LAYOUT.items():
         if cls_kind == kind and (not flag or data.get(flag)):
-            return cls(*(_field(data, name, _REC_FIELD_READERS.get(name, decomposition_from_json))
-                         for name in fields if flag != "empty" or name in data))
+            # an empty node reads its graph only when it has one
+            return cls, data, iter([(name, codec) for name, codec in fields.items()
+                                    if flag != "empty" or name in data]), []
     raise DecompositionError(f"unknown decomposition kind {kind!r}")
 
 
+def decomposition_from_json(data):
+    """A decomposition read in the order of a recursive descent, a node's
+    fields in layout order and a child's subtree before the next field, over
+    an explicit stack of the open nodes.  An error inside a child gets the
+    prefix "decomposition field '<name>': " per enclosing child field."""
+    path: list = []  # the child field each open node below the root was read from
+    try:
+        stack = [_opened(data)]
+        while True:
+            cls, data, fields, values = stack[-1]
+            for name, codec in fields:
+                if codec is _CHILD:
+                    stack.append(_field(data, name, _opened))
+                    path.append(name)
+                    break
+                values.append(_field(data, name, codec[1]))
+            else:
+                node = cls(*values)
+                stack.pop()
+                if not stack:
+                    return node
+                path.pop()
+                stack[-1][3].append(node)
+    except (TypeError, ValueError, AttributeError) as exc:
+        if not path:
+            raise
+        raise DecompositionError("".join(f"decomposition field {name!r}: " for name in path)
+                                 + str(exc)) from exc
+
+
 def decomposition_to_json(dec) -> dict:
-    if isinstance(dec, TreeDec):
-        return tree_dec_to_json(dec)
-    if isinstance(dec, PathDec):
-        return path_dec_to_json(dec)
-    if isinstance(dec, BranchDec):
-        return branch_dec_to_json(dec)
-    if type(dec) in _LAYOUT:
-        return _rec_to_json(dec)
-    raise DecompositionError(f"not a decomposition: {dec!r}")
+    if type(dec) not in _LAYOUT:
+        raise DecompositionError(f"not a decomposition: {dec!r}")
+    done: list = []  # JSON of the finished subtrees, the leftmost last
+    for node in reversed(_pre_order(dec)):
+        kind, flag, fields = _LAYOUT[type(node)]
+        out = {"kind": kind}
+        if flag:
+            out[flag] = True
+        for name, codec in fields.items():
+            if codec is _CHILD:
+                out[name] = done.pop()
+            # an empty node writes its graph only when it has one
+            elif flag != "empty" or not node.graph.is_empty():
+                out[name] = codec[0](getattr(node, name))
+        done.append(out)
+    return done[0]
 
 
 def decomposition_to_dot(dec) -> str:

@@ -44,6 +44,12 @@ class OracleError(ValueError):
 # search with a translation only for inputs within both.
 MAX_VERTICES = 8
 MAX_EDGES = 7
+# Caps of `terms.bounded_mwd_search`, on apex vertices and edges.  Whatever
+# its budget, the search walks every composition split (2^edges) and tensor
+# split (2^components) of each state it expands, so past these its time
+# and memory grow about 3-4x for every two more edges or vertices.
+MAX_SEARCH_VERTICES = 16
+MAX_SEARCH_EDGES = 16
 
 
 _INF = math.inf

@@ -19,7 +19,7 @@ from . import cospan as cs
 from .cospan import Cospan
 from .decomp import DecompositionError
 from .graph import Graph, SourcedGraph, _Bits, _colimit, _numbered as _ranked, _subset_unions
-from .oracles import MAX_EDGES, MAX_VERTICES, OracleError
+from .oracles import MAX_EDGES, MAX_SEARCH_EDGES, MAX_SEARCH_VERTICES, MAX_VERTICES, OracleError
 
 
 class TermError(TypeError):
@@ -533,7 +533,9 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
     parts, composition splits induced by edge bipartitions (cut = shared
     vertices), and, for closed-enough cospans, the `translate._optimal_term`
     of the shape's kind.  The result is an upper bound witness; `exact` says
-    whether the space was exhausted within the budget.
+    whether the space was exhausted within the budget.  A cospan with more
+    than `oracles.MAX_SEARCH_VERTICES` apex vertices or
+    `oracles.MAX_SEARCH_EDGES` edges is refused with OracleError.
 
     A search state is a sub-cospan of the renumbered input, held as
     (vertex mask, edge mask, left ports, right ports) over its apex.  The
@@ -562,6 +564,12 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
     """
     if shape not in ("any", "right-tree", "path"):
         raise TermError(f"unknown search shape {shape!r}")
+    if len(g.apex.vertices) > MAX_SEARCH_VERTICES:
+        raise OracleError(f"refusing monoidal-width search on {len(g.apex.vertices)} > "
+                          f"{MAX_SEARCH_VERTICES} vertices")
+    if len(g.apex.edges) > MAX_SEARCH_EDGES:
+        raise OracleError(f"refusing monoidal-width search on {len(g.apex.edges)} > "
+                          f"{MAX_SEARCH_EDGES} edges")
     tensors, right_tree = shape != "path", shape == "right-tree"
     memo: dict[tuple, tuple[int, int, DecompTree]] = {}
     seen: dict[tuple, tuple] = {}  # state -> memo entry, each key computed once

@@ -34,8 +34,6 @@ from . import terms as tm
 from .cospan import Cospan
 from .decomp import (
     BoundViolation,
-    BranchDec,
-    PathDec,
     RecBranchDec,
     RecBranchEmpty,
     RecBranchLeaf,
@@ -48,7 +46,6 @@ from .decomp import (
     RecTreeNode,
     REC_PATH_EMPTY,
     REC_TREE_EMPTY,
-    TreeDec,
     branch_dec_width,
     branch_from_recursive,
     branch_to_recursive,
@@ -296,25 +293,37 @@ def t_to_mdec(t: RecTreeDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]:
 
 
 def _t2m(t: RecTreeDec, sg: SourcedGraph, sig: Signature) -> DecompTree:
-    if isinstance(t, RecTreeEmpty):
-        return sig.leaf(cs.identity(0))
-    g, x = sg.graph, sg.sources
-    if isinstance(t.left, RecTreeEmpty) and isinstance(t.right, RecTreeEmpty):
-        return sig.leaf(cs.from_sourced(sg))
-    g1, g2 = t.left.graph, t.right.graph
-    x1, x2 = g1.sources, g2.sources
-    covered = g.edges - (g1.edges | g2.edges)
-    hub = g.subgraph(t.bag, covered)
-    # boundary blocks in ascending id order: only-left, shared, only-right
-    blocks = sorted(x1 - x2) + sorted(x1 & x2) + sorted(x2 - x1)
-    h = sig.leaf(Cospan(hub, tuple(sorted(x)), tuple(blocks)))
-    b_right = [(0, v) for v in sorted(x1)] + [(1, v) for v in sorted(x2)]
-    apex = Graph.discrete(blocks)
-    b = sig.leaf(Cospan(apex, tuple(blocks), tuple(v for _, v in b_right)))
-    d1 = _t2m(t.left, g1, sig)
-    d2 = _t2m(t.right, g2, sig)
-    return Compose(h, len(blocks),
-                   Compose(b, len(x1) + len(x2), Tensor(d1, d2)))
+    """The term of `t` over `sg`, in one loop over an explicit stack: a
+    node's atoms are made before its children's, the left subtree's first."""
+    done: list = []  # terms of the finished subtrees, the rightmost last
+    todo: list = [(t, sg)]  # (node, its graph) to enter, or (h, cut, b, cut) to join
+    while todo:
+        task = todo.pop()
+        if len(task) == 4:  # both children are done: join them under h and b
+            h, cut_h, b, cut_b = task
+            d2, d1 = done.pop(), done.pop()
+            done.append(Compose(h, cut_h, Compose(b, cut_b, Tensor(d1, d2))))
+            continue
+        t, sg = task
+        if isinstance(t, RecTreeEmpty):
+            done.append(sig.leaf(cs.identity(0)))
+            continue
+        g, x = sg.graph, sg.sources
+        if isinstance(t.left, RecTreeEmpty) and isinstance(t.right, RecTreeEmpty):
+            done.append(sig.leaf(cs.from_sourced(sg)))
+            continue
+        g1, g2 = t.left.graph, t.right.graph
+        x1, x2 = g1.sources, g2.sources
+        covered = g.edges - (g1.edges | g2.edges)
+        hub = g.subgraph(t.bag, covered)
+        # boundary blocks in ascending id order: only-left, shared, only-right
+        blocks = sorted(x1 - x2) + sorted(x1 & x2) + sorted(x2 - x1)
+        h = sig.leaf(Cospan(hub, tuple(sorted(x)), tuple(blocks)))
+        b_right = [(0, v) for v in sorted(x1)] + [(1, v) for v in sorted(x2)]
+        apex = Graph.discrete(blocks)
+        b = sig.leaf(Cospan(apex, tuple(blocks), tuple(v for _, v in b_right)))
+        todo += (h, len(blocks), b, len(x1) + len(x2)), (t.right, g2), (t.left, g1)
+    return done[0]
 
 
 _NO_KIDS = REC_TREE_EMPTY, REC_TREE_EMPTY
@@ -453,49 +462,57 @@ def b_to_mdec(t: RecBranchDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]
 
 
 def _b2m(t: RecBranchDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree, list]:
-    """Term plus its actual domain port order (a permutation of the sources)."""
-    g, x = sg.graph, sg.sources
-    if isinstance(t, RecBranchEmpty):
-        vs = sorted(g.vertices)
-        if not vs:
-            return sig.leaf(cs.identity(0)), []
-        return _tensor_comb([_vertex_factor(sig, v, x) for v in vs])
-    if isinstance(t, RecBranchLeaf):
-        e = min(g.edges)
-        epart = g.subgraph(g.ends(e), {e})
-        esources = sorted(x & epart.vertices)
-        factors = [(sig.leaf(Cospan(epart, tuple(esources), ())), esources)]
-        for v in sorted(g.vertices - epart.vertices):
-            factors.append(_vertex_factor(sig, v, x))
-        factors.sort(key=lambda f: min(f[1], default=math.inf))
-        return _tensor_comb(factors)
-
-    g1, g2 = t.left.graph, t.right.graph
-    x1, x2 = g1.sources, g2.sources
-    d1, ports1 = _b2m(t.left, g1, sig)
-    d2, ports2 = _b2m(t.right, g2, sig)
-    y_block = sorted(x1 - x2)
-    shared = sorted(x1 & x2)
-    z_block = sorted(x2 - x1)
-    # gamma chain: feed x1 into the left term while copying the shared
-    # wires; created wires (shared but not a source) start at a spider
-    inner = _perm_into(sig, y_block + shared, ports1, d1)
-    existing = [v in x for v in shared]
-    for k in range(1, len(shared) + 1):
-        a_k = len(y_block) + sum(existing[:k - 1])
-        zk = len(shared) - k
-        head = sig.leaf_copy(1) if existing[k - 1] else sig.leaf_spider(0, 2)
-        peel = _peel(sig, head, 1, zk)
-        layer = Tensor(sig.leaf_identity(a_k), peel) if a_k else peel
-        inner = Compose(layer, a_k + 2 + zk, Tensor(inner, sig.leaf_identity(1)))
-    gamma_ports = y_block + [v for v, ex in zip(shared, existing) if ex]
-    if z_block:
-        assembled = Tensor(inner, sig.leaf_identity(len(z_block)))
-    else:
-        assembled = inner
-    d2w = _perm_into(sig, shared + z_block, ports2, d2)
-    whole = Compose(assembled, len(x2), d2w)
-    return whole, gamma_ports + z_block
+    """Term plus its actual domain port order (a permutation of the sources),
+    in one loop over an explicit stack: a binary node's atoms are made after
+    both children's, the left subtree's first."""
+    done: list = []  # (term, ports) of the finished subtrees, the rightmost last
+    todo: list = [(t, sg, False)]  # (node, its graph, whether its children are done)
+    while todo:
+        t, sg, joined = todo.pop()
+        g, x = sg.graph, sg.sources
+        if isinstance(t, RecBranchEmpty):
+            vs = sorted(g.vertices)
+            done.append(_tensor_comb([_vertex_factor(sig, v, x) for v in vs]) if vs
+                        else (sig.leaf(cs.identity(0)), []))
+            continue
+        if isinstance(t, RecBranchLeaf):
+            e = min(g.edges)
+            epart = g.subgraph(g.ends(e), {e})
+            esources = sorted(x & epart.vertices)
+            factors = [(sig.leaf(Cospan(epart, tuple(esources), ())), esources)]
+            for v in sorted(g.vertices - epart.vertices):
+                factors.append(_vertex_factor(sig, v, x))
+            factors.sort(key=lambda f: min(f[1], default=math.inf))
+            done.append(_tensor_comb(factors))
+            continue
+        g1, g2 = t.left.graph, t.right.graph
+        if not joined:
+            todo += (t, sg, True), (t.right, g2, False), (t.left, g1, False)
+            continue
+        x1, x2 = g1.sources, g2.sources
+        (d2, ports2), (d1, ports1) = done.pop(), done.pop()
+        y_block = sorted(x1 - x2)
+        shared = sorted(x1 & x2)
+        z_block = sorted(x2 - x1)
+        # gamma chain: feed x1 into the left term while copying the shared
+        # wires; created wires (shared but not a source) start at a spider
+        inner = _perm_into(sig, y_block + shared, ports1, d1)
+        existing = [v in x for v in shared]
+        for k in range(1, len(shared) + 1):
+            a_k = len(y_block) + sum(existing[:k - 1])
+            zk = len(shared) - k
+            head = sig.leaf_copy(1) if existing[k - 1] else sig.leaf_spider(0, 2)
+            peel = _peel(sig, head, 1, zk)
+            layer = Tensor(sig.leaf_identity(a_k), peel) if a_k else peel
+            inner = Compose(layer, a_k + 2 + zk, Tensor(inner, sig.leaf_identity(1)))
+        gamma_ports = y_block + [v for v, ex in zip(shared, existing) if ex]
+        if z_block:
+            assembled = Tensor(inner, sig.leaf_identity(len(z_block)))
+        else:
+            assembled = inner
+        d2w = _perm_into(sig, shared + z_block, ports2, d2)
+        done.append((Compose(assembled, len(x2), d2w), gamma_ports + z_block))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +595,6 @@ def _left_comb_branch(sg: SourcedGraph) -> RecBranchDec:
 class _Kind(NamedTuple):
     """What the CLI, theorem checks and search seeds use of one kind."""
 
-    classic: type
-    rec: type
     validate: Callable  # (classic, graph) -> Check
     rec_validate: Callable  # (recursive, graph with sources) -> Check
     width: Callable  # (classic, graph) -> int
@@ -592,15 +607,14 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    "tree": _Kind(TreeDec, RecTreeDec, validate_tree_dec, validate_rec_tree_dec,
-                  tree_dec_width, rec_tree_width,
+    "tree": _Kind(validate_tree_dec, validate_rec_tree_dec, tree_dec_width, rec_tree_width,
                   lambda dec, sg: tree_to_recursive(dec, sg, _source_root(dec, sg)),
                   tree_from_recursive, t_to_mdec, m_to_tdec, oracles.exact_treewidth),
-    "path": _Kind(PathDec, RecPathDec, validate_path_dec, validate_rec_path_dec,
-                  path_dec_width, rec_path_width, path_to_recursive, path_from_recursive,
+    "path": _Kind(validate_path_dec, validate_rec_path_dec, path_dec_width, rec_path_width,
+                  path_to_recursive, path_from_recursive,
                   p_to_mdec, m_to_pdec, oracles.exact_pathwidth),
-    "branch": _Kind(BranchDec, RecBranchDec, validate_branch_dec, validate_rec_branch_dec,
-                    branch_dec_width, rec_branch_width, branch_to_recursive,
+    "branch": _Kind(validate_branch_dec, validate_rec_branch_dec, branch_dec_width,
+                    rec_branch_width, branch_to_recursive,
                     branch_from_recursive, b_to_mdec, m_to_bdec,
                     oracles.exact_branchwidth),
 }

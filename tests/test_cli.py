@@ -450,3 +450,44 @@ def test_signature_atom_with_other_arities_than_its_cospan_exits_two(tmp_path, c
     err = capsys.readouterr().err
     _assert_one_error_line(err, str(term))
     assert "'x' is declared 2 -> 1 but its cospan is 1 -> 1" in err
+
+
+def _p600_rec_path(sources=()) -> tuple:
+    """P_600 with `sources` and the JSON of its 600-node recursive path form."""
+    n = 600
+    sg = SourcedGraph(path_graph(n), sources)
+    t = path_to_recursive(PathDec([{i, i + 1} for i in range(n - 1)] + [{n - 1}]), sg)
+    return sg, decomposition_to_json(t)
+
+
+def test_validate_reads_the_recursive_form_of_p600(tmp_path, capsys):
+    sg, data = _p600_rec_path()
+    graph, dec = tmp_path / "path.g", tmp_path / "rec.json"
+    graph.write_text(format_graph_text(sg))
+    dec.write_text(json.dumps(data))
+    assert main(["validate", str(graph), "--dec", str(dec)]) == 0
+    assert capsys.readouterr() == ("valid, width=2\n", "")
+
+
+def test_validate_a_rec_tree_holding_a_deep_rec_path_exits_one(tmp_path, capsys):
+    # the root passes its clauses; its left child is a 600-node rec-path,
+    # which the tree validator rejects by type, printing the whole child
+    sg, child = _p600_rec_path({0})
+    graph, dec = tmp_path / "path.g", tmp_path / "mixed.json"
+    graph.write_text(format_graph_text(SourcedGraph(sg.graph)))
+    dec.write_text(json.dumps({
+        "kind": "rec-tree", "graph": {**child["graph"], "s": []}, "bag": [0],
+        "left": child, "right": {"kind": "rec-tree", "empty": True}}))
+    assert main(["validate", str(graph), "--dec", str(dec)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("invalid (clause type): not a recursive tree decomposition: "
+                          "RecPathCons(graph=SourcedGraph(")
+    assert out.endswith("tail=RecPathEmpty()" + ")" * 600 + "\n") and err == ""
+
+
+def test_decompose_monoidal_refuses_a_path_past_the_search_caps(tmp_path, capsys):
+    graph = tmp_path / "p18.g"
+    graph.write_text(format_graph_text(SourcedGraph(path_graph(18))))
+    assert main(["decompose", str(graph), "--kind", "monoidal"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: refusing monoidal-width search on 18 > 16 vertices\n"

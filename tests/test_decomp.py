@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -12,8 +13,11 @@ from mwidth import (
     PathDec,
     RecBranchEmpty,
     RecBranchLeaf,
+    RecBranchDec,
     RecBranchNode,
     RecPathCons,
+    RecPathDec,
+    RecTreeDec,
     RecTreeNode,
     REC_BRANCH_EMPTY,
     REC_PATH_EMPTY,
@@ -639,3 +643,115 @@ def test_walkers_over_a_1500_deep_tree_chain():
     assert max(len(b) for _, b in classic.bags) == 2
     dot = decomposition_to_dot(t).splitlines()
     assert len(dot) == 2 + 3001 + 3000 + 1 and dot[-2] == "  n0 -- n2;"
+
+
+# ---------------------------------------------------------------------------
+# One layout for the six formats: the JSON reader loops, and the recursive
+# nodes compare, hash and print in loops.
+
+
+def test_recursive_form_of_p600_round_trips_through_json():
+    # 600 levels of "tail": too deep for a reader that recursed per level
+    n = 600
+    sg = SourcedGraph(path_graph(n))
+    t = path_to_recursive(PathDec([{i, i + 1} for i in range(n - 1)] + [{n - 1}]), sg)
+    back = decomposition_from_json(json.loads(json.dumps(decomposition_to_json(t))))
+    assert back == t and hash(back) == hash(t)
+    assert rec_path_width(back, sg) == 2
+
+
+_EMPTY_GRAPH_JSON = {"v": [], "e": [], "s": []}
+_CHAIN_LINK = {  # a node of each family with its chained child at "@"
+    "rec-tree": ({"kind": "rec-tree", "empty": True},
+                 lambda inner: {"kind": "rec-tree", "graph": _EMPTY_GRAPH_JSON, "bag": [],
+                                "left": inner, "right": {"kind": "rec-tree", "empty": True}}),
+    "rec-path": ({"kind": "rec-path", "empty": True},
+                 lambda inner: {"kind": "rec-path", "graph": _EMPTY_GRAPH_JSON, "bag": [],
+                                "tail": inner}),
+    "rec-branch": ({"kind": "rec-branch", "empty": True},
+                   lambda inner: {"kind": "rec-branch", "graph": _EMPTY_GRAPH_JSON,
+                                  "left": inner, "right": {"kind": "rec-branch",
+                                                           "empty": True}}),
+}
+_EMPTY_SG = "SourcedGraph(graph=Graph(v=[], e={}), sources=frozenset())"
+_CHAIN_REPR = {  # (innermost node, node before its chained child, after it)
+    "rec-tree": ("RecTreeEmpty()", f"RecTreeNode(graph={_EMPTY_SG}, bag=frozenset(), left=",
+                 ", right=RecTreeEmpty())"),
+    "rec-path": ("RecPathEmpty()", f"RecPathCons(graph={_EMPTY_SG}, bag=frozenset(), tail=",
+                 ")"),
+    "rec-branch": (f"RecBranchEmpty(graph={_EMPTY_SG})", f"RecBranchNode(graph={_EMPTY_SG}, left=",
+                   f", right=RecBranchEmpty(graph={_EMPTY_SG}))"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CHAIN_LINK))
+def test_1500_deep_forms_read_back_compare_and_print(kind):
+    depth = 1500
+    data, link = _CHAIN_LINK[kind]
+    for _ in range(depth):
+        data = link(data)
+    t, again = decomposition_from_json(data), decomposition_from_json(data)
+    assert t is not again and t == again and hash(t) == hash(again)
+    assert decomposition_from_json(decomposition_to_json(t)) == t
+    innermost, before, after = _CHAIN_REPR[kind]
+    assert repr(t) == before * depth + innermost + after * depth
+    # a change at the far end is seen
+    node, inner = data, link(dict(_CHAIN_LINK[kind][0]))
+    for _ in range(depth - 1):
+        node = node["left" if "left" in node else "tail"]
+    node["left" if "left" in node else "tail"] = inner
+    other = decomposition_from_json(data)
+    assert other != t and not other == t
+
+
+def _generated_repr(node) -> str:
+    """What the dataclass-generated repr would print, recursing."""
+    if not dataclasses.is_dataclass(node) or not isinstance(
+            node, (RecTreeDec, RecPathDec, RecBranchDec)):
+        return repr(node)
+    return f"{type(node).__qualname__}(" + ", ".join(
+        f"{f.name}={_generated_repr(getattr(node, f.name))}"
+        for f in dataclasses.fields(node)) + ")"
+
+
+def test_node_equality_hash_and_repr_mean_what_the_generated_ones_mean():
+    g = Graph.from_edge_pairs(range(5), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 4)])
+    forms = []
+    for sources in ((), (0,), (0, 2)):
+        sg = SourcedGraph(g, sources)
+        tree = TreeDec(path_graph(3), {0: {0, 1, 2}, 1: {2, 3}, 2: {3, 4}})
+        forms.append(tree_to_recursive(tree, sg, 0))
+        forms.append(path_to_recursive(PathDec([{0, 1, 2}, {2, 3}, {3, 4}]), sg))
+        _, branch = exact_branchwidth(g)
+        forms.append(branch_to_recursive(branch, sg))
+    forms += [REC_TREE_EMPTY, REC_PATH_EMPTY, REC_BRANCH_EMPTY,
+              RecBranchEmpty(SourcedGraph(Graph.discrete([0]))),
+              RecTreeNode(SourcedGraph(g), {0}, PathDec([{0}]), REC_TREE_EMPTY)]
+    for a in forms:
+        assert repr(a) == _generated_repr(a)
+        copy = decomposition_from_json(decomposition_to_json(a))
+        assert copy == a and hash(copy) == hash(a) and not copy != a
+        for b in forms:
+            assert (a == b) == (a is b)
+    assert RecTreeNode(SourcedGraph(g), {0}, REC_TREE_EMPTY, REC_TREE_EMPTY) != 0
+    assert REC_PATH_EMPTY != REC_TREE_EMPTY
+
+
+def test_reader_errors_come_in_recursive_descent_order():
+    node = {"kind": "rec-tree", "graph": {"v": [0], "e": [], "s": []}, "bag": [0],
+            "left": {"kind": "rec-tree", "empty": True}}
+    # the missing right child is reported only once the left subtree reads
+    bad_left = {**node, "left": {**node, "bag": ["x"]}}
+    with pytest.raises(DecompositionError) as info:
+        decomposition_from_json({**node, "right": bad_left})
+    assert str(info.value) == ("decomposition field 'right': decomposition field 'left': "
+                               "decomposition field 'bag': expected integers, got ['x']")
+    with pytest.raises(DecompositionError) as info:
+        decomposition_from_json({**node, "left": node})
+    assert str(info.value) == "decomposition field 'left': decomposition field 'right' is missing"
+    with pytest.raises(DecompositionError) as info:
+        decomposition_from_json(node)
+    assert str(info.value) == "decomposition field 'right' is missing"
+    # errors of other types are not wrapped
+    with pytest.raises(IndexError):
+        decomposition_from_json({**node, "right": {**node, "graph": {"e": [[]]}}})

@@ -651,3 +651,14 @@ def test_search_builds_graphs_only_for_the_returned_atoms(monkeypatch, name, sha
     got = {atom: cs.cospan_to_json(a.cospan) for atom, a in res.signature.atoms.items()}
     assert got == SEARCH_ATOM_COSPANS[name, shape]
     assert list(got) == sorted(got, key=lambda atom: int(atom[1:]))  # naming order
+
+
+def test_search_refuses_cospans_past_its_caps():
+    from mwidth.oracles import MAX_SEARCH_EDGES, MAX_SEARCH_VERTICES, OracleError
+
+    scattered = cs.of_graph(Graph.discrete(range(MAX_SEARCH_VERTICES + 1)))
+    with pytest.raises(OracleError, match=r"on 17 > 16 vertices"):
+        bounded_mwd_search(scattered)
+    bundle = cs.of_graph(Graph([0, 1], {e: {0, 1} for e in range(MAX_SEARCH_EDGES + 1)}))
+    with pytest.raises(OracleError, match=r"on 17 > 16 edges"):
+        bounded_mwd_search(bundle, shape="path", budget=1)

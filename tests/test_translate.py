@@ -765,3 +765,29 @@ def test_m_to_bdec_of_one_leaf_holding_a_long_path():
         firsts.append(min(t.left.graph.edges))
         t = t.right
     assert isinstance(t, RecBranchLeaf) and firsts + [min(t.graph.edges)] == sorted(g.edges)
+
+
+def test_t_to_mdec_of_the_p1200_chain():
+    # the chain tree decomposition of P_1200 rooted at bag 0 is 1,199 nodes
+    # deep; the root's atoms come first, so a0 holds the root bag
+    n = 1200
+    sg = SourcedGraph(path_graph(n))
+    shape = Graph(range(n - 1), {i: {i, i + 1} for i in range(n - 2)})
+    t = tree_to_recursive(TreeDec(shape, {i: {i, i + 1} for i in range(n - 1)}), sg, 0)
+    term, sig = t_to_mdec(t, sg)
+    assert is_right_tree(term) and width(term, sig) <= 2 * 2
+    first = term
+    while isinstance(first, Compose):
+        first = first.left
+    assert first.atom == "a0" and sig.atom("a0").cospan.apex.vertices == {0, 1}
+
+
+def test_b_to_mdec_of_the_p1200_comb():
+    # `_left_comb_branch` of P_1200 splits one edge off per level: 1,199 deep
+    from mwidth.translate import _left_comb_branch
+
+    sg = SourcedGraph(path_graph(1200))
+    t = _left_comb_branch(sg)
+    term, sig = b_to_mdec(t, sg)
+    assert width(term, sig) <= max(rec_branch_width(t, sg), 1) + 1
+    assert cospan_iso_eq(evaluate(term, sig), from_sourced(sg))
