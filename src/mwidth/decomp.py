@@ -17,6 +17,9 @@ a chain of any depth goes through: width, bags, validation (with the local
 clauses of a family from one function per family), JSON, equality, hash and
 repr read one node order, `_pre_order`, forwards or, to see children before
 parents, reversed, or keep the nodes they have open on an explicit stack.
+Validation yields the width from its own walk.  The conversions build every
+node's graph as a part of its parent's (`Graph._part`), so the nodes of one
+form share the end sets of the graph it decomposes.
 
 Each classic decomposition tree is walked once per question (`_walk`), and
 every question is linear in the tree's size.  The tree and branch
@@ -466,9 +469,7 @@ def _cost(t: _RecDec) -> int:
 
 
 def _is_subgraph(sub: Graph, sup: Graph) -> bool:
-    if not sub.vertices <= sup.vertices or not sub.edges <= sup.edges:
-        return False
-    return all(sub.ends(e) == sup.ends(e) for e in sub.edges)
+    return sub.vertices <= sup.vertices and sub._ends.items() <= sup._ends.items()
 
 
 def _pre_order(t: _RecDec) -> list:
@@ -481,14 +482,16 @@ def _pre_order(t: _RecDec) -> list:
     return order
 
 
-def _validate_rec(t: _RecDec, sg: SourcedGraph, clauses) -> Check:
+def _validate_rec(t: _RecDec, sg: SourcedGraph, clauses) -> tuple[Check, int]:
     """The first failure of the local `clauses` of a family in pre-order,
-    checking the root against `sg` and every other node against its graph."""
-    for i, node in enumerate(_pre_order(t)):
+    checking the root against `sg` and every other node against its graph;
+    or, when every node passes, `_OK` and the width."""
+    order = _pre_order(t)
+    for i, node in enumerate(order):
         check = clauses(node, node.graph if i else sg)
         if not check:
-            return check
-    return _OK
+            return check, 0
+    return _OK, max(map(_cost, order))
 
 
 def _tree_clauses(t: RecTreeDec, sg: SourcedGraph) -> Check:
@@ -584,15 +587,15 @@ def _branch_clauses(t: RecBranchDec, sg: SourcedGraph) -> Check:
 
 
 def validate_rec_tree_dec(t: RecTreeDec, sg: SourcedGraph) -> Check:
-    return _validate_rec(t, sg, _tree_clauses)
+    return _validate_rec(t, sg, _tree_clauses)[0]
 
 
 def validate_rec_path_dec(t: RecPathDec, sg: SourcedGraph) -> Check:
-    return _validate_rec(t, sg, _path_clauses)
+    return _validate_rec(t, sg, _path_clauses)[0]
 
 
 def validate_rec_branch_dec(t: RecBranchDec, sg: SourcedGraph) -> Check:
-    return _validate_rec(t, sg, _branch_clauses)
+    return _validate_rec(t, sg, _branch_clauses)[0]
 
 
 def _bags(t: RecTreeDec | RecPathDec) -> list:
@@ -605,27 +608,33 @@ def _rec_width_raw(t: _RecDec) -> int:
     return max(map(_cost, _pre_order(t)))
 
 
-def _checked_rec_width(t: _RecDec, sg: Optional[SourcedGraph], validate,
+def _checked_rec_width(t: _RecDec, sg: Optional[SourcedGraph], clauses,
                        empty: type, what: str) -> int:
     """Width after validating against `sg`, by default the graph the root
     records; an empty root with no `sg` given is not validated."""
-    if sg is None and not isinstance(t, empty):
-        sg = t.graph
-    if sg is not None:
-        _require(validate(t, sg), f"recursive {what}")
-    return _rec_width_raw(t)
+    if sg is None and isinstance(t, empty):
+        return 0
+    return _valid_width(t, t.graph if sg is None else sg, clauses, what)
+
+
+def _valid_width(t: _RecDec, sg: SourcedGraph, clauses, what: str) -> int:
+    """Width of `t` after validating it against `sg` by a family's `clauses`;
+    DecompositionError names the first failed clause."""
+    check, width = _validate_rec(t, sg, clauses)
+    _require(check, f"recursive {what}")
+    return width
 
 
 def rec_tree_width(t: RecTreeDec, sg: Optional[SourcedGraph] = None) -> int:
-    return _checked_rec_width(t, sg, validate_rec_tree_dec, RecTreeEmpty, "tree")
+    return _checked_rec_width(t, sg, _tree_clauses, RecTreeEmpty, "tree")
 
 
 def rec_path_width(t: RecPathDec, sg: Optional[SourcedGraph] = None) -> int:
-    return _checked_rec_width(t, sg, validate_rec_path_dec, RecPathEmpty, "path")
+    return _checked_rec_width(t, sg, _path_clauses, RecPathEmpty, "path")
 
 
 def rec_branch_width(t: RecBranchDec, sg: Optional[SourcedGraph] = None) -> int:
-    return _checked_rec_width(t, sg, validate_rec_branch_dec, RecBranchEmpty, "branch")
+    return _checked_rec_width(t, sg, _branch_clauses, RecBranchEmpty, "branch")
 
 
 def rec_branch_subtree(t: RecBranchDec, path: Iterable[int]) -> RecBranchDec:
@@ -687,10 +696,10 @@ def tree_to_recursive(dec: TreeDec, sg: SourcedGraph, root: int) -> RecTreeDec:
     def group_graph(nodes: list, gamma: SourcedGraph, used_edges: set,
                     vp: frozenset) -> SourcedGraph:
         vs = frozenset().union(*(held[i] for i in nodes))
-        es = {e for e in gamma.edges - frozenset(used_edges)
-              if gamma.graph.ends(e) <= vs}
+        ends = gamma.graph._ends
+        es = [e for e in gamma.edges - used_edges if ends[e] <= vs]
         used_edges.update(es)
-        return SourcedGraph(gamma.graph.subgraph(vs, es), vs & vp)
+        return SourcedGraph(gamma.graph._part(vs, es), vs & vp)
 
     def vertex_task(r: int, gamma: SourcedGraph) -> tuple:
         """The task of the node of tree vertex `r` over `gamma`."""
@@ -787,8 +796,8 @@ def path_to_recursive(dec: PathDec, sg: SourcedGraph) -> RecPathDec:
     graphs = [sg]
     for bag, vrest in zip(bags, unions[:-1]):
         gamma = graphs[-1].graph
-        erest = {e for e in gamma.edges if gamma.ends(e) <= vrest}
-        graphs.append(SourcedGraph(gamma.subgraph(vrest, erest), bag & vrest))
+        erest = [e for e, pts in gamma._ends.items() if pts <= vrest]
+        graphs.append(SourcedGraph(gamma._part(vrest, erest), bag & vrest))
     result = REC_PATH_EMPTY
     for gamma, bag in zip(reversed(graphs), reversed(bags)):
         result = RecPathCons(gamma, bag, result)
@@ -874,8 +883,8 @@ def _branch_split(gamma: SourcedGraph, e1: frozenset) -> tuple[SourcedGraph, Sou
     v1 = ends_of_edge_set(g, e1)
     v2 = ends_of_edge_set(g, e2) | (g.vertices - v1)
     shared = v1 & v2
-    return (SourcedGraph(g.subgraph(v1, e1), shared | (x & v1)),
-            SourcedGraph(g.subgraph(v2, e2), shared | (x & v2)))
+    return (SourcedGraph(g._part(v1, e1), shared | (x & v1)),
+            SourcedGraph(g._part(v2, e2), shared | (x & v2)))
 
 
 def branch_from_recursive(t: RecBranchDec) -> BranchDec:

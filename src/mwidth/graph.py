@@ -5,6 +5,14 @@ edges whose endpoint set has one element; parallel edges are distinct ids
 with equal endpoint sets.  All constructions renumber ids deterministically
 (order-preserving on first appearance) so results are reproducible; each
 colimit, be it a pushout, a coproduct or a whole term's value, is `_colimit`.
+
+A part of a graph, as `Graph.subgraph` and the recursive decompositions
+make them, is built by `Graph._part`: it shares its parent's end sets,
+which were checked when the parent was built, and checks only that they
+lie within its own vertices.  So the parts of one graph, however many and
+however nested, hold one frozenset per edge between them.  Every graph
+hashes on first use, to the value of its vertices and its (edge, ends)
+pairs, so a part that is never hashed never pays for it.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ class GraphParseError(GraphError):
 
 
 class Graph:
-    """Finite undirected multigraph with explicit edge ids."""
+    """Finite undirected multigraph with explicit edge ids; hashed on first use."""
 
     __slots__ = ("vertices", "edges", "_ends", "_hash")
 
@@ -42,7 +50,7 @@ class Graph:
             table[e] = pts
         self._ends = table
         self.edges = frozenset(table)
-        self._hash = hash((self.vertices, frozenset(table.items())))
+        self._hash = None
 
     @staticmethod
     def discrete(vertices: Iterable[int]) -> "Graph":
@@ -94,7 +102,23 @@ class Graph:
             raise GraphError("subgraph vertices not contained in the graph")
         if not es <= self.edges:
             raise GraphError("subgraph edges not contained in the graph")
-        return Graph(vs, {e: self._ends[e] for e in es})
+        return self._part(vs, es)
+
+    def _part(self, vertices: frozenset, edges: Iterable[int]) -> "Graph":
+        """The graph on `vertices` with `edges`, which must be edges of this
+        graph, sharing their end sets with it.  Only that those ends lie
+        within `vertices` is checked, with `Graph`'s error."""
+        part = Graph.__new__(Graph)
+        ends = self._ends
+        part._ends = table = {e: ends[e] for e in edges}
+        if not all(map(vertices.issuperset, table.values())):
+            for e, pts in table.items():
+                if not pts <= vertices:
+                    raise GraphError(f"edge {e} has endpoints {sorted(pts)} outside the vertex set")
+        part.vertices = vertices
+        part.edges = frozenset(table)
+        part._hash = None
+        return part
 
     def connected_components(self) -> list[tuple[frozenset, frozenset]]:
         """Components as (vertex set, edge set) pairs, sorted by minimum vertex."""
@@ -119,6 +143,8 @@ class Graph:
         return self.vertices == other.vertices and self._ends == other._ends
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.vertices, frozenset(self._ends.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -294,10 +320,7 @@ def components(vertices: Iterable[int],
 
 def ends_of_edge_set(g: Graph, es: Iterable[int]) -> frozenset:
     """Union of the endpoint sets of the given edges."""
-    out: set = set()
-    for e in es:
-        out |= g.ends(e)
-    return frozenset(out)
+    return frozenset().union(*map(g.ends, es))
 
 
 def _subset_unions(masks: list[int]) -> list[int]:
@@ -659,7 +682,10 @@ def graph_to_json(g: Graph) -> dict:
 def graph_from_json(data: dict) -> Graph:
     ends = {}
     for item in data.get("e", []):
-        e, pts = item[0], item[1:]
+        try:
+            e, pts = item[0], item[1:]
+        except LookupError:  # an empty list or string, or an object
+            raise GraphError(f"edge entry {item!r} has no id") from None
         ends[e] = set(pts)
     return Graph(data.get("v", []), ends)
 

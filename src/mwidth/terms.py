@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from . import cospan as cs
 from .cospan import Cospan
@@ -44,7 +44,9 @@ class Compose:
     right: "DecompTree"
 
 
-DecompTree = Union[Leaf, Tensor, Compose]
+# a `types.UnionType`: `typing.Union` would cache the classes, and so keep
+# every imported copy of this module alive through their generated methods
+DecompTree = Leaf | Tensor | Compose
 
 
 @dataclass(frozen=True)
@@ -256,6 +258,7 @@ class _Glued(NamedTuple):
     vertex: list  # global vertex id -> apex vertex of `value`
     edge: Sequence  # global edge id -> apex edge of `value`
     nodes: list  # the _Node of every term node, in post-order
+    width: int  # the term's width, as `width` gives it
 
 
 def _numbered(c: Cospan) -> tuple:
@@ -271,7 +274,8 @@ def _glue(d: DecompTree, sig: Signature) -> _Glued:
     The leaves' apex vertices and edges get global ids left to right, each
     leaf's in sorted order, and each composition identifies its cut ports
     (`graph._colimit`).  The arity and cut checks all run, in post-order,
-    before any gluing.
+    before any gluing; the same walk takes the term's width, the largest
+    atom weight or cut.
     """
     nodes: list = []
     done: list = []  # _Node of the finished subterms, innermost last
@@ -279,11 +283,15 @@ def _glue(d: DecompTree, sig: Signature) -> _Glued:
     pairs: list = []  # cut ports to identify
     numbered: dict = {}  # id(leaf cospan) -> _numbered of it
     n_vertices = n_edges = 0
+    widest = None  # the width so far; every term has a leaf
     for node in _post_order(d):
         if isinstance(node, Leaf):
-            c = sig.atom(node.atom).cospan
+            atom = sig.atom(node.atom)
+            c = atom.cospan
             if c is None:
                 raise TermError(f"atom {node.atom!r} at {_path(d, node)} has no cospan binding")
+            if widest is None or atom.weight > widest:
+                widest = atom.weight
             if id(c) not in numbered:
                 numbered[id(c)] = _numbered(c)
             n, leaf_ends, left, right = numbered[id(c)]
@@ -305,18 +313,20 @@ def _glue(d: DecompTree, sig: Signature) -> _Glued:
             else:
                 pairs += zip(n1.right, n2.left)
                 out = _Node(node, vs, es, n1.left, n2.right)
+                if node.cut > widest:
+                    widest = node.cut
         else:
             raise TermError(f"not a decomposition tree node: {node!r}")
         nodes.append(out)
         done.append(out)
     if isinstance(d, Leaf):
         c = sig.atom(d.atom).cospan
-        return _Glued(c, sorted(c.apex.vertices), sorted(c.apex.edges), nodes)
+        return _Glued(c, sorted(c.apex.vertices), sorted(c.apex.edges), nodes, widest)
     vertex, apex = _colimit(blocks, pairs)
     (root,) = done
     return _Glued(Cospan(apex, tuple(vertex[v] for v in root.left),
                          tuple(vertex[v] for v in root.right)),
-                  vertex, range(len(apex.edges)), nodes)
+                  vertex, range(len(apex.edges)), nodes, widest)
 
 
 def evaluate(d: DecompTree, sig: Signature) -> Cospan:

@@ -13,8 +13,9 @@ theorems work:
 The term -> decomposition directions evaluate the term once, as one
 colimit of its leaves (`terms._glue`) that also gives every term node's
 image in the root apex.  One post-order pass over those nodes then builds each
-decomposition node from its term node's image, so they are linear in the
-term.
+decomposition node from its term node's image, a part of that apex, so they
+are linear in the term.  The bounds are checked against widths taken on the
+way, never by walking a result again.
 
 The bounds are hard postconditions (BoundViolation on failure).  The
 branch upper bound carries a floor of one because a term for a graph with
@@ -66,12 +67,16 @@ from .decomp import (
     validate_tree_dec,
     _EMPTY_NODES,
     _bags,
+    _branch_clauses,
     _branch_split,
     _children,
+    _path_clauses,
     _pre_order,
     _rec_width_raw,
-    _require,
     _source_root,
+    _tree_clauses,
+    _valid_width,
+    _validate_rec,
 )
 from .graph import (
     FiniteMap,
@@ -180,8 +185,8 @@ def _push(t, vmap: dict, emap: dict, target: Graph):
 def _image(node: type, vmap, emap, target: Graph, vs, es, sources, bag, *kids):
     """`node` over the image in `target` of the part (`vs`, `es`) of a graph,
     with the images of `sources` and `bag`; `vmap` and `emap` are indexed
-    by id (dicts, or the lists of `terms._glue`)."""
-    image = target.subgraph({vmap[v] for v in vs}, {emap[e] for e in es})
+    by id (dicts, or the lists of `terms._glue`) and respect edge ends."""
+    image = target._part(frozenset([vmap[v] for v in vs]), [emap[e] for e in es])
     return node(SourcedGraph(image, {vmap[v] for v in sources}), {vmap[v] for v in bag}, *kids)
 
 
@@ -280,11 +285,10 @@ def t_to_mdec(t: RecTreeDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]:
 
     The term width is at most twice the decomposition width.
     """
-    _require(validate_rec_tree_dec(t, sg), "recursive tree")
+    bound = 2 * _valid_width(t, sg, _tree_clauses, "tree")
     sig = Signature()
     tree = _t2m(t, sg, sig)
     got = tm.width(tree, sig)
-    bound = 2 * _rec_width_raw(t)
     if got > bound:
         raise BoundViolation(f"tree-to-term width {got} exceeds 2*{bound // 2}")
     if not tm.is_right_tree(tree):
@@ -314,8 +318,7 @@ def _t2m(t: RecTreeDec, sg: SourcedGraph, sig: Signature) -> DecompTree:
             continue
         g1, g2 = t.left.graph, t.right.graph
         x1, x2 = g1.sources, g2.sources
-        covered = g.edges - (g1.edges | g2.edges)
-        hub = g.subgraph(t.bag, covered)
+        hub = g._part(t.bag, g.edges - (g1.edges | g2.edges))
         # boundary blocks in ascending id order: only-left, shared, only-right
         blocks = sorted(x1 - x2) + sorted(x1 & x2) + sorted(x2 - x1)
         h = sig.leaf(Cospan(hub, tuple(sorted(x)), tuple(blocks)))
@@ -324,9 +327,6 @@ def _t2m(t: RecTreeDec, sg: SourcedGraph, sig: Signature) -> DecompTree:
         b = sig.leaf(Cospan(apex, tuple(blocks), tuple(v for _, v in b_right)))
         todo += (h, len(blocks), b, len(x1) + len(x2)), (t.right, g2), (t.left, g1)
     return done[0]
-
-
-_NO_KIDS = REC_TREE_EMPTY, REC_TREE_EMPTY
 
 
 def m_to_tdec(d: DecompTree, sig: Signature) -> RecTreeDec:
@@ -339,6 +339,24 @@ def m_to_tdec(d: DecompTree, sig: Signature) -> RecTreeDec:
     """
     glued = _glue_closed(d, sig, tm.is_right_tree, "right-tree")
     at = glued.vertex, glued.edge, glued.value.apex  # global ids -> the apex
+    widest = 0  # the largest bag built
+
+    def node(vs, es, sources, bag, *kids) -> RecTreeDec:
+        """The node over the image of the part (`vs`, `es`); a one-bag node
+        holding all of `vs` when `kids` are not given, empty for no vertices."""
+        nonlocal widest
+        if not kids:
+            if not vs:
+                return REC_TREE_EMPTY
+            kids = REC_TREE_EMPTY, REC_TREE_EMPTY
+        t = _image(RecTreeNode, *at, vs, es, sources, bag, *kids)
+        widest = max(widest, len(t.bag))
+        return t
+
+    def placed(n: tm._Node, t: Optional[RecTreeDec]) -> RecTreeDec:
+        """`t`, or for a leaf `n` (None) its one-bag node, built at its parent."""
+        return node(n.vertices, n.edges, n.left, n.vertices) if t is None else t
+
     done: list = []  # (node, its decomposition; None for a leaf), innermost last
     for n in glued.nodes:
         if isinstance(n.term, Leaf):
@@ -350,33 +368,18 @@ def m_to_tdec(d: DecompTree, sig: Signature) -> RecTreeDec:
             # the atom's image is the left child; the bag adds the cut, which
             # is all the two factors share
             bag = n.left + n1.right
-            kids = (_one_bag(RecTreeNode, *at, n1.vertices, n1.edges, bag, *_NO_KIDS),
-                    _placed(n2, t2, at))
+            kids = node(n1.vertices, n1.edges, bag, n1.vertices), placed(n2, t2)
         else:  # tensor: join both parts under the boundary image
             bag = n.left
-            kids = _placed(n1, t1, at), _placed(n2, t2, at)
-        done.append((n, _image(RecTreeNode, *at, n.vertices, n.edges, n.left, bag, *kids)))
-    t = _placed(*done[0], at)
-    return _within(t, max(tm.width(d, sig), len(glued.value.left_image())), "tree")
+            kids = placed(n1, t1), placed(n2, t2)
+        done.append((n, node(n.vertices, n.edges, n.left, bag, *kids)))
+    t = placed(*done[0])
+    return _within(t, widest, max(glued.width, len(glued.value.left_image())), "tree")
 
 
-def _one_bag(node: type, vmap, emap, target: Graph, vs, es, sources, *empties):
-    """`_image` of a one-bag node holding all of `vs`; empty for no vertices."""
-    if not vs:
-        return empties[0]
-    return _image(node, vmap, emap, target, vs, es, sources, vs, *empties)
-
-
-def _placed(n: tm._Node, t: Optional[RecTreeDec], at: tuple) -> RecTreeDec:
-    """`t`, or for a leaf `n` (None) its one-bag node, built at its parent."""
-    if t is not None:
-        return t
-    return _one_bag(RecTreeNode, *at, n.vertices, n.edges, n.left, *_NO_KIDS)
-
-
-def _within(t, bound: int, what: str):
-    """`t`, a term's decomposition, after checking its width against `bound`."""
-    got = _rec_width_raw(t)
+def _within(t, got: int, bound: int, what: str):
+    """`t`, a term's decomposition of width `got`, after checking that
+    against `bound`."""
     if got > bound:
         raise BoundViolation(f"term-to-{what} width {got} exceeds {bound}")
     return t
@@ -389,11 +392,10 @@ def _within(t, bound: int, what: str):
 def p_to_mdec(t: RecPathDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]:
     """Path term for the cospan of a recursive path decomposition; the
     width is preserved exactly."""
-    _require(validate_rec_path_dec(t, sg), "recursive path")
+    want = _valid_width(t, sg, _path_clauses, "path")
     sig = Signature()
     tree = _p2m(t, sg, sig)
     got = tm.width(tree, sig)
-    want = _rec_width_raw(t)
     if got != want:
         raise BoundViolation(f"path-to-term width {got} differs from {want}")
     if not tm.is_path(tree):
@@ -408,7 +410,7 @@ def _p2m(t: RecPathDec, sg: SourcedGraph, sig: Signature) -> DecompTree:
         g, x = sg.graph, sg.sources
         gp = t.tail.graph
         xp = gp.sources
-        g1 = g.subgraph(t.bag, g.edges - gp.edges)
+        g1 = g._part(t.bag, g.edges - gp.edges)
         heads.append((sig.leaf(Cospan(g1, tuple(sorted(x)), tuple(sorted(xp)))), len(xp)))
         t, sg = t.tail, gp
     last = cs.identity(0) if isinstance(t, RecPathEmpty) else cs.from_sourced(sg)
@@ -428,15 +430,16 @@ def m_to_pdec(d: DecompTree, sig: Signature) -> RecPathDec:
     glued = _glue_closed(d, sig, tm.is_path, "path")
     target, vertex, edge = glued.value.apex, glued.vertex, glued.edge
     leaves = [n for n in glued.nodes if isinstance(n.term, Leaf)]
-    t, vs, es = REC_PATH_EMPTY, set(), set()
+    t, vs, es, widest = REC_PATH_EMPTY, frozenset(), [], 0
     for i, n in enumerate(reversed(leaves)):
-        bag = {vertex[v] for v in n.vertices}
+        bag = frozenset([vertex[v] for v in n.vertices])
         vs |= bag
-        es.update(edge[e] for e in n.edges)
+        es += [edge[e] for e in n.edges]
         if bag or i:  # only an empty last leaf leaves the tail empty
-            t = RecPathCons(SourcedGraph(target.subgraph(vs, es), {vertex[v] for v in n.left}),
+            t = RecPathCons(SourcedGraph(target._part(vs, es), {vertex[v] for v in n.left}),
                             bag, t)
-    return _within(t, tm.width(d, sig), "path")
+            widest = max(widest, len(bag))
+    return _within(t, widest, glued.width, "path")
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +453,11 @@ def b_to_mdec(t: RecBranchDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]
     forced: any term for a graph containing a proper edge has width at
     least two, no matter how cheap the decomposition is.
     """
-    _require(validate_rec_branch_dec(t, sg), "recursive branch")
+    bound = max(_valid_width(t, sg, _branch_clauses, "branch"), 1) + 1
     sig = Signature()
     tree, ports = _b2m(t, sg, sig)
     tree = _perm_into(sig, sorted(sg.sources), ports, tree)
     got = tm.width(tree, sig)
-    bound = max(_rec_width_raw(t), 1) + 1
     if got > bound:
         raise BoundViolation(f"branch-to-term width {got} exceeds {bound}")
     return tree, sig
@@ -477,7 +479,7 @@ def _b2m(t: RecBranchDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree,
             continue
         if isinstance(t, RecBranchLeaf):
             e = min(g.edges)
-            epart = g.subgraph(g.ends(e), {e})
+            epart = g._part(g.ends(e), (e,))
             esources = sorted(x & epart.vertices)
             factors = [(sig.leaf(Cospan(epart, tuple(esources), ())), esources)]
             for v in sorted(g.vertices - epart.vertices):
@@ -525,12 +527,6 @@ def check_glueing(h: Cospan, phi: FiniteMap) -> Optional[tuple]:
     return _first_bad_pair(phi.mapping, lambda v, w: v in boundary and w in boundary)
 
 
-def _pushed(apex: Graph, phi: dict, vs, es, sources) -> SourcedGraph:
-    """The part (`vs`, `es`) of `apex`, with `sources`, through the vertex map `phi`."""
-    return SourcedGraph(Graph({phi[v] for v in vs}, {e: {phi[v] for v in apex.ends(e)} for e in es}),
-                        {phi[v] for v in sources})
-
-
 def m_to_bdec(d: DecompTree, sig: Signature,
               phi: Optional[FiniteMap] = None) -> RecBranchDec:
     """Recursive branch decomposition read off any term, through a glue map.
@@ -552,10 +548,16 @@ def m_to_bdec(d: DecompTree, sig: Signature,
     if bad is not None:
         raise TranslationError(
             f"glue map identifies {bad[0]} and {bad[1]} outside the boundary")
+    # the apex through `phi`, whose end table every node's part shares
+    pushed = phi.mapping
+    whole = Graph([pushed[v] for v in h.apex.vertices],
+                  {e: [pushed[v] for v in pts] for e, pts in h.apex._ends.items()})
+    at = [pushed[v] for v in vertex]  # global vertex id -> its image in `whole`
     done: list = []  # decompositions of the finished subterms, innermost last
     for n in glued.nodes:
-        part = _pushed(h.apex, phi.mapping, (vertex[v] for v in n.vertices),
-                       (edge[e] for e in n.edges), (vertex[v] for v in n.left + n.right))
+        part = SourcedGraph(whole._part(frozenset([at[v] for v in n.vertices]),
+                                        [edge[e] for e in n.edges]),
+                            [at[v] for v in n.left + n.right])
         if isinstance(n.term, Leaf):
             done.append(_left_comb_branch(part))
             continue
@@ -566,12 +568,12 @@ def m_to_bdec(d: DecompTree, sig: Signature,
         else:
             done.append(RecBranchNode(part, t1, t2))
     (t,) = done
-    check = validate_rec_branch_dec(t, _pushed(h.apex, phi.mapping, h.apex.vertices,
-                                               h.apex.edges, h.left + h.right))
+    check, got = _validate_rec(t, SourcedGraph(whole, [pushed[v] for v in h.left + h.right]),
+                               _branch_clauses)
     if not check:
         raise BoundViolation(f"term-to-branch output invalid "
                              f"(clause {check.clause}): {check.message}")
-    return _within(t, 2 * max(tm.width(d, sig), h.left_arity, h.right_arity), "branch")
+    return _within(t, got, 2 * max(glued.width, h.left_arity, h.right_arity), "branch")
 
 
 def _left_comb_branch(sg: SourcedGraph) -> RecBranchDec:

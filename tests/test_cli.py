@@ -264,6 +264,13 @@ MALFORMED = [
     ("dec-unknown-kind", "validate", json.dumps({"kind": "cactus"}), "'cactus'"),
     ("dec-bad-child", "translate", json.dumps(
         {"kind": "rec-path", "graph": {"v": [0], "e": []}, "bag": [0], "tail": 3}), "'tail'"),
+    ("dec-edge-entry-without-id", "validate", json.dumps(
+        {"kind": "rec-path", "graph": {"v": [0, 1], "e": [[]], "s": []}, "bag": [0, 1],
+         "tail": {"kind": "rec-path", "empty": True}}), "edge entry [] has no id"),
+    ("dec-edge-entry-an-object", "translate", json.dumps(
+        {"kind": "rec-tree", "graph": {"v": [0], "e": [{}]}, "bag": [0],
+         "left": {"kind": "rec-tree", "empty": True}, "right": {"kind": "rec-tree", "empty": True}}),
+     "'graph': edge entry {} has no id"),
     ("term-leaf-without-atom", "translate", json.dumps(
         {"term": {"op": "leaf"}, "signature": {}}), "'atom'"),
     ("term-bad-signature", "translate", json.dumps(

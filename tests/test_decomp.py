@@ -313,6 +313,16 @@ _ALL = _sg({0, 1, 2}, {0, 1})
 _X0 = _sg({0, 1, 2}, {0, 1}, {0})
 _ODD = SourcedGraph(Graph.discrete([9]))
 _ISO3 = SourcedGraph(Graph.from_edge_pairs(range(4), [(0, 1), (1, 2)]))
+# nodes read from JSON, so not parts of P3, over a graph whose edge 0 has
+# the ends of P3's edge 1
+_MOVED_EDGE = {"v": [0, 1, 2], "e": [[0, 1, 2]], "s": []}
+_MOVED_TREE = decomposition_from_json({
+    "kind": "rec-tree", "graph": _MOVED_EDGE, "bag": [0, 1, 2],
+    "left": {"kind": "rec-tree", "empty": True}, "right": {"kind": "rec-tree", "empty": True}})
+_MOVED_PATH = decomposition_from_json({"kind": "rec-path", "graph": _MOVED_EDGE, "bag": [0, 1, 2],
+                                       "tail": {"kind": "rec-path", "empty": True}})
+_MOVED_LEAF = decomposition_from_json({"kind": "rec-branch", "leaf": True, "graph": _MOVED_EDGE})
+
 
 REC_TREE_FAILURES = [
     ("empty", REC_TREE_EMPTY, _ALL, "empty decomposition of a non-empty graph"),
@@ -346,6 +356,10 @@ REC_TREE_FAILURES = [
     ("iii", _tnode(_ALL, {0, 1, 2}, _tnode(_sg({0, 1, 2}, {0, 1}, {0, 1, 2}), {0, 1, 2},
                                            _tnode(_sg({0}), {0}))), _ALL,
      "child 1 sources differ from its bag intersection"),
+    # a child reusing a parent edge id with other ends
+    ("subgraph", _tnode(_ALL, {0, 1, 2}, _MOVED_TREE), _ALL, "child 1 is not a subgraph"),
+    ("subgraph", _tnode(_ALL, {0, 1, 2}, REC_TREE_EMPTY, _MOVED_TREE), _ALL,
+     "child 2 is not a subgraph"),
 ]
 
 REC_PATH_FAILURES = [
@@ -364,6 +378,8 @@ REC_PATH_FAILURES = [
      "an edge outside the tail leaves the first bag"),
     ("ii", _pnode(_ALL, {0, 1}, _pnode(_sg({1, 2}, {1}, {1}), {1})), _ALL,
      "bag and tail do not cover the vertices"),
+    # a tail reusing a parent edge id with other ends
+    ("subgraph", _pnode(_ALL, {0, 1, 2}, _MOVED_PATH), _ALL, "tail is not a subgraph"),
 ]
 
 _E0 = _sg({0, 1}, {0}, {1})
@@ -399,6 +415,11 @@ REC_BRANCH_FAILURES = [
     ("leaf", RecBranchNode(_ALL, RecBranchEmpty(_sg({0}, (), {0})),
                            RecBranchLeaf(_sg({0, 1, 2}, {0, 1}, {0}))), _ALL,
      "leaves carry exactly one edge"),
+    # a child reusing a parent edge id with other ends
+    ("subgraph", RecBranchNode(_ALL, _MOVED_LEAF, RecBranchLeaf(_E1)), _ALL,
+     "child 1 is not a subgraph"),
+    ("subgraph", RecBranchNode(_ALL, RecBranchLeaf(_E0), _MOVED_LEAF), _ALL,
+     "child 2 is not a subgraph"),
 ]
 
 
@@ -752,6 +773,8 @@ def test_reader_errors_come_in_recursive_descent_order():
     with pytest.raises(DecompositionError) as info:
         decomposition_from_json(node)
     assert str(info.value) == "decomposition field 'right' is missing"
-    # errors of other types are not wrapped
-    with pytest.raises(IndexError):
+    # an edge entry without an id is a GraphError, wrapped like any bad field
+    with pytest.raises(DecompositionError) as info:
         decomposition_from_json({**node, "right": {**node, "graph": {"e": [[]]}}})
+    assert str(info.value) == ("decomposition field 'right': decomposition field 'graph': "
+                               "edge entry [] has no id")

@@ -327,3 +327,43 @@ def test_find_isomorphism_of_a_long_path_needs_no_recursion():
     g = path_graph(1500)
     m = find_isomorphism(g, g)
     assert m.vmap == {v: v for v in g.vertices} and m.emap == {e: e for e in g.edges}
+
+
+def test_a_subgraph_means_what_the_graph_of_its_edges_means():
+    # a part shares its parent's end sets, but equals, hashes and prints
+    # like the graph built from scratch, nested parts too
+    rng = random.Random(19)
+    for _ in range(200):
+        g = random_graph(rng, max_v=6, max_e=8)
+        vs = frozenset(v for v in g.vertices if rng.random() < 0.7)
+        es = [e for e in g.edges if g.ends(e) <= vs and rng.random() < 0.7]
+        sub = g.subgraph(vs, es)
+        fresh = Graph(vs, {e: g.ends(e) for e in es})
+        assert sub == fresh and hash(sub) == hash(fresh) and repr(sub) == repr(fresh)
+        assert graph_to_json(sub) == graph_to_json(fresh)
+        inner = sub.subgraph(vs, es[1:])
+        assert inner == Graph(vs, {e: g.ends(e) for e in es[1:]})
+        assert hash(inner) == hash(Graph(vs, {e: g.ends(e) for e in es[1:]}))
+    assert {path_graph(3).subgraph({0, 1}, {0}), Graph([0, 1], {0: {0, 1}})} == {
+        Graph([0, 1], {0: [1, 0]})}
+
+
+def test_a_subgraph_edge_leaving_its_vertices_fails_as_a_graph_does():
+    g = path_graph(3)
+    message = "edge 1 has endpoints [1, 2] outside the vertex set"
+    with pytest.raises(GraphError) as built:
+        Graph({0, 1}, {0: g.ends(0), 1: g.ends(1)})
+    with pytest.raises(GraphError) as part:
+        g.subgraph({0, 1}, {0, 1})
+    assert str(built.value) == str(part.value) == message
+    with pytest.raises(GraphError, match="subgraph vertices not contained in the graph"):
+        g.subgraph({0, 7}, {0})
+    with pytest.raises(GraphError, match="subgraph edges not contained in the graph"):
+        g.subgraph({0, 1}, {0, 5})
+
+
+@pytest.mark.parametrize("entry", [[], "", {}, {"a": 1}])
+def test_graph_from_json_refuses_an_edge_entry_without_an_id(entry):
+    with pytest.raises(GraphError) as info:
+        graph_from_json({"v": [0, 1], "e": [entry]})
+    assert str(info.value) == f"edge entry {entry!r} has no id"

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -662,3 +664,34 @@ def test_search_refuses_cospans_past_its_caps():
     bundle = cs.of_graph(Graph([0, 1], {e: {0, 1} for e in range(MAX_SEARCH_EDGES + 1)}))
     with pytest.raises(OracleError, match=r"on 17 > 16 edges"):
         bounded_mwd_search(bundle, shape="path", budget=1)
+
+
+# Run in a process of its own, so that no copy of `mwidth` the tests hold
+# is counted: import the library afresh nine times, as the benchmark's set-up
+# does, and count the live module dicts of each `mwidth` module.
+_REIMPORT = """
+import gc, importlib, json, sys
+for _ in range(9):
+    for name in [n for n in sys.modules if n == "mwidth" or n.startswith("mwidth.")]:
+        del sys.modules[name]
+    importlib.import_module("mwidth")
+    importlib.import_module("mwidth.cli")
+gc.collect()
+names = [o["__name__"] for o in gc.get_objects()
+         if type(o) is dict and str(o.get("__name__")).startswith("mwidth.")]
+print(json.dumps({name: names.count(name) for name in set(names)}))
+"""
+
+
+def test_reimporting_the_library_keeps_no_old_copy_alive():
+    # a `typing.Union` alias caches its classes, and their generated methods
+    # hold their module's globals, so each old copy of the module would live on
+    import mwidth
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mwidth.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", _REIMPORT], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    counts = json.loads(out)
+    assert {"mwidth.graph", "mwidth.terms", "mwidth.decomp", "mwidth.cli"} <= set(counts)
+    assert counts == dict.fromkeys(counts, 1)

@@ -345,7 +345,7 @@ _CLASSIC = {
 }
 _ILL = {  # per field: ill-typed values
     "graph": (3, [], {"v": [0], "e": [[0, 0, 5]]}, {"v": [0], "s": [7]}, {"v": ["a"]},
-              {"v": [0], "e": [[]]}),  # the last raises IndexError, which no field wraps
+              {"v": [0], "e": [[]]}),  # the last: an edge entry with no id
     "bag": (3, ["x"], [[0]], None),
     "shape": ("s", {"v": [0], "e": [[0, 0, 9]]}),
     "bags": (3, [], {"a": [0]}, {"0": ["x"]}, [["x"]], [3]),
