@@ -443,53 +443,80 @@ def _json_value(x) -> str:
     return json.dumps(x, sort_keys=True, separators=(",", ":"))
 
 
-def _serial(d: DecompTree, kept: Optional[dict] = None) -> str:
-    """`tree_serial(d)`, built by concatenation in one post-order walk.
+def _leaf_serial(name: str) -> str:
+    """`tree_serial` of the leaf of atom `name`."""
+    return '{"atom":' + (encode_basestring_ascii(name) if type(name) is str
+                         else _json_value(name)) + ',"op":"leaf"}'
 
-    With a `kept` dict (id(node) -> (node, serial); the node keeps its id
-    from being reused) the serial of every node walked is stored there,
-    and nodes already in it are not walked again.  Without one, a child's
-    serial is dropped once its parent has used it, so a deep term needs
-    only its root's serial at the end.
-    """
-    done = {} if kept is None else kept
+
+def _tail(node: Tensor | Compose) -> str:
+    """What follows the children in `tree_serial` of the inner node `node`."""
+    if isinstance(node, Tensor):
+        return '"op":"tensor"}'
+    cut = node.cut
+    return '"cut":' + (str(cut) if type(cut) is int else _json_value(cut)) + ',"op":"compose"}'
+
+
+def tree_serial(d: DecompTree) -> str:
+    """Deterministic serialization used for golden tests; its order breaks
+    the search's ties (`_before` reads it off the trees):
+    `json.dumps(tree_to_json(d), sort_keys=True, separators=(",", ":"))`,
+    built by concatenation in one post-order walk, without recursion.  A
+    child's serial is dropped once its parent has used it, so a deep term
+    needs only its root's serial at the end."""
+    done: dict = {}  # id(node) -> serial of the walked subterms not yet used
     stack = [d]
     while stack:
         node = stack.pop()
         if id(node) in done:
             continue
         if isinstance(node, Leaf):
-            name = node.atom
-            serial = '{"atom":' + (encode_basestring_ascii(name) if type(name) is str
-                                   else _json_value(name)) + ',"op":"leaf"}'
-        else:
-            left, right = done.get(id(node.left)), done.get(id(node.right))
-            if left is None or right is None:
-                stack.append(node)
-                if right is None:
-                    stack.append(node.right)
-                if left is None:
-                    stack.append(node.left)
-                continue
-            if kept is None:
-                done.pop(id(node.left), None)
-                done.pop(id(node.right), None)
-            children = '{"children":[' + left[1] + ',' + right[1] + '],'
-            if isinstance(node, Tensor):
-                serial = children + '"op":"tensor"}'
+            done[id(node)] = _leaf_serial(node.atom)
+            continue
+        left, right = done.get(id(node.left)), done.get(id(node.right))
+        if left is None or right is None:
+            stack.append(node)
+            if right is None:
+                stack.append(node.right)
+            if left is None:
+                stack.append(node.left)
+            continue
+        done.pop(id(node.left), None)
+        done.pop(id(node.right), None)
+        done[id(node)] = '{"children":[' + left + ',' + right + '],' + _tail(node)
+    return done[id(d)]
+
+
+def _before(a: DecompTree, b: DecompTree) -> bool:
+    """`tree_serial(a) < tree_serial(b)`, read off the two trees.
+
+    The pairs of subtrees at the same place are compared in the order
+    their serials are written, over an explicit stack; a pair that is one
+    object is equal.  No serial is a proper prefix of another, so the
+    first pair that differs decides.  A leaf (`{"atom"...`) comes before
+    an inner node (`{"children"...`), and two leaves compare their
+    serials.  Two inner nodes compare their left children, then their
+    right ones, then their `_tail`s, which are built only here: a compose
+    tail comes before a tensor tail.
+    """
+    stack = [(a, b, False)]  # (x, y, whether only their tails are left)
+    while stack:
+        x, y, tails = stack.pop()
+        if tails:
+            tx, ty = _tail(x), _tail(y)
+            if tx != ty:
+                return tx < ty
+        elif x is not y:
+            x_leaf, y_leaf = isinstance(x, Leaf), isinstance(y, Leaf)
+            if x_leaf and y_leaf:
+                sx, sy = _leaf_serial(x.atom), _leaf_serial(y.atom)
+                if sx != sy:
+                    return sx < sy
+            elif x_leaf or y_leaf:
+                return x_leaf
             else:
-                cut = node.cut
-                serial = (children + '"cut":' + (str(cut) if type(cut) is int else _json_value(cut))
-                          + ',"op":"compose"}')
-        done[id(node)] = (node, serial)
-    return done[id(d)][1]
-
-
-def tree_serial(d: DecompTree) -> str:
-    """Deterministic serialization used for golden tests and tie-breaking:
-    `json.dumps(tree_to_json(d), sort_keys=True, separators=(",", ":"))`,
-    built without recursion."""
-    return _serial(d)
+                stack += (x, y, True), (x.right, y.right, False), (x.left, y.left, False)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -566,11 +593,11 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
     in counting order, the cut being the shared vertices, ascending.  A
     candidate is ranked by (width, node count) as plain ints, then by the
     smaller `tree_serial`, and its `Tensor` or `Compose` node is built
-    only when it wins or ties; a tie goes to the serials.  The set bits of
-    each mask, the ranks within each vertex mask, the edge part of each
-    mask pair, the prefix cuts of each port tuple, the subset unions of
-    each edge mask and the serial of each compared node are kept in
-    tables local to the call.
+    only when it wins or ties; a tie is broken on the two trees
+    (`_before`), without building their serials.  The set bits of each
+    mask, the ranks within each vertex mask, the edge part of each mask
+    pair, the prefix cuts of each port tuple and the subset unions of
+    each edge mask are kept in tables local to the call.
     """
     if shape not in ("any", "right-tree", "path"):
         raise TermError(f"unknown search shape {shape!r}")
@@ -590,7 +617,6 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
     interned: dict[tuple, int] = {}  # (vertex count, sorted edge codes) -> edge part
     port_cuts = _PortCuts()
     subsets: dict[int, tuple] = {}  # edge mask -> endpoint and edge masks of its subsets
-    serials: dict = {}  # the `_serial` cache of every tie
     visited = 0
     root = cs._renumber(g)
     # root edge ids are 0..m-1: their ends, least first (a loop's twice),
@@ -633,7 +659,8 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
         if out is None:
             atom = len(states)
             states.append(state)
-            # the incumbent; a tree of None is the leaf of `atom`, built on demand
+            # the incumbent; a tree of None is the leaf of `atom`, built on
+            # demand, and no split ties it: a split has at least 3 nodes
             bw, bn, bt = vmask.bit_count(), 1, None
             visited += 1
             if visited <= budget:
@@ -670,10 +697,8 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
                         w, n = w1 if w1 > w2 else w2, n1 + n2 + 1
                         if w < bw or w == bw and n <= bn:
                             node = Tensor(t1, t2)
-                            if w == bw and n == bn:
-                                bt = bt or Leaf(f"a{atom}")
-                                if _serial(node, serials) >= _serial(bt, serials):
-                                    continue
+                            if w == bw and n == bn and not _before(node, bt):
+                                continue
                             bw, bn, bt = w, n, node
                 if len(es) >= 2:
                     full = (1 << len(es)) - 1
@@ -702,10 +727,8 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
                             w = k
                         if w < bw or w == bw and n <= bn:
                             node = Compose(Leaf(f"a{atom1}") if right_tree else t1, k, t2)
-                            if w == bw and n == bn:
-                                bt = bt or Leaf(f"a{atom}")
-                                if _serial(node, serials) >= _serial(bt, serials):
-                                    continue
+                            if w == bw and n == bn and not _before(node, bt):
+                                continue
                             bw, bn, bt = w, n, node
             out = memo[key] = (bw, bn, bt or Leaf(f"a{atom}"))
         seen[state] = out
@@ -725,8 +748,7 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
             pass
         else:
             cand = (width(tree2, sig2), node_count(tree2))
-            if cand < found[:2] or cand == found[:2] and (
-                    _serial(tree2, serials) < _serial(found[2], serials)):
+            if cand < found[:2] or cand == found[:2] and _before(tree2, found[2]):
                 found, seed_sig = (*cand, tree2), sig2
 
     w, _, tree = found

@@ -265,6 +265,13 @@ def _vertex_factor(sig: Signature, v: int, sources: frozenset) -> tuple[DecompTr
     return sig.leaf(c), ports
 
 
+def _built_width(sig: Signature, cut: int) -> int:
+    """The width of a term made by `_t2m`, `_p2m` or `_b2m` over the fresh
+    signature `sig`, whose atoms are all leaves of the term, given the
+    largest cut of its compositions."""
+    return max(cut, max(a.weight for a in sig.atoms.values()))
+
+
 def _tensor_comb(factors: list) -> tuple[DecompTree, list]:
     """Right comb of (tree, ports) factors; concatenates the port lists."""
     if not factors:
@@ -287,19 +294,22 @@ def t_to_mdec(t: RecTreeDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]:
     """
     bound = 2 * _valid_width(t, sg, _tree_clauses, "tree")
     sig = Signature()
-    tree = _t2m(t, sg, sig)
-    got = tm.width(tree, sig)
+    tree, cut, right_tree = _t2m(t, sg, sig)
+    got = _built_width(sig, cut)
     if got > bound:
         raise BoundViolation(f"tree-to-term width {got} exceeds 2*{bound // 2}")
-    if not tm.is_right_tree(tree):
+    if not right_tree:
         raise BoundViolation("tree-to-term result is not right-tree shaped")
     return tree, sig
 
 
-def _t2m(t: RecTreeDec, sg: SourcedGraph, sig: Signature) -> DecompTree:
-    """The term of `t` over `sg`, in one loop over an explicit stack: a
-    node's atoms are made before its children's, the left subtree's first."""
+def _t2m(t: RecTreeDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree, int, bool]:
+    """The term of `t` over `sg`, the largest cut of its compositions and
+    whether each of them has a leaf on its left, in one loop over an
+    explicit stack: a node's atoms are made before its children's, the
+    left subtree's first."""
     done: list = []  # terms of the finished subtrees, the rightmost last
+    widest, right_tree = 0, True  # over the compositions made so far
     todo: list = [(t, sg)]  # (node, its graph) to enter, or (h, cut, b, cut) to join
     while todo:
         task = todo.pop()
@@ -307,6 +317,8 @@ def _t2m(t: RecTreeDec, sg: SourcedGraph, sig: Signature) -> DecompTree:
             h, cut_h, b, cut_b = task
             d2, d1 = done.pop(), done.pop()
             done.append(Compose(h, cut_h, Compose(b, cut_b, Tensor(d1, d2))))
+            widest = max(widest, cut_h, cut_b)
+            right_tree = right_tree and isinstance(h, Leaf) and isinstance(b, Leaf)
             continue
         t, sg = task
         if isinstance(t, RecTreeEmpty):
@@ -326,7 +338,7 @@ def _t2m(t: RecTreeDec, sg: SourcedGraph, sig: Signature) -> DecompTree:
         apex = Graph.discrete(blocks)
         b = sig.leaf(Cospan(apex, tuple(blocks), tuple(v for _, v in b_right)))
         todo += (h, len(blocks), b, len(x1) + len(x2)), (t.right, g2), (t.left, g1)
-    return done[0]
+    return done[0], widest, right_tree
 
 
 def m_to_tdec(d: DecompTree, sig: Signature) -> RecTreeDec:
@@ -394,17 +406,18 @@ def p_to_mdec(t: RecPathDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]:
     width is preserved exactly."""
     want = _valid_width(t, sg, _path_clauses, "path")
     sig = Signature()
-    tree = _p2m(t, sg, sig)
-    got = tm.width(tree, sig)
+    tree, cut, path = _p2m(t, sg, sig)
+    got = _built_width(sig, cut)
     if got != want:
         raise BoundViolation(f"path-to-term width {got} differs from {want}")
-    if not tm.is_path(tree):
+    if not path:
         raise BoundViolation("path-to-term result is not path shaped")
     return tree, sig
 
 
-def _p2m(t: RecPathDec, sg: SourcedGraph, sig: Signature) -> DecompTree:
-    """One leaf per node, in chain order, composed from the last back."""
+def _p2m(t: RecPathDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree, int, bool]:
+    """One leaf per node, in chain order, composed from the last back; with
+    the largest cut and whether no composition has a tensor on its left."""
     heads: list = []  # (leaf, cut) of every node with a non-empty tail
     while not isinstance(t, RecPathEmpty) and not isinstance(t.tail, RecPathEmpty):
         g, x = sg.graph, sg.sources
@@ -415,9 +428,12 @@ def _p2m(t: RecPathDec, sg: SourcedGraph, sig: Signature) -> DecompTree:
         t, sg = t.tail, gp
     last = cs.identity(0) if isinstance(t, RecPathEmpty) else cs.from_sourced(sg)
     term = sig.leaf(last)
+    widest, path = 0, True
     for head, cut in reversed(heads):
         term = Compose(head, cut, term)
-    return term
+        widest = max(widest, cut)
+        path = path and not isinstance(head, Tensor)
+    return term, widest, path
 
 
 def m_to_pdec(d: DecompTree, sig: Signature) -> RecPathDec:
@@ -455,19 +471,23 @@ def b_to_mdec(t: RecBranchDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]
     """
     bound = max(_valid_width(t, sg, _branch_clauses, "branch"), 1) + 1
     sig = Signature()
-    tree, ports = _b2m(t, sg, sig)
+    tree, ports, cut = _b2m(t, sg, sig)
+    # the permutation's cut is its own atom's weight
     tree = _perm_into(sig, sorted(sg.sources), ports, tree)
-    got = tm.width(tree, sig)
+    got = _built_width(sig, cut)
     if got > bound:
         raise BoundViolation(f"branch-to-term width {got} exceeds {bound}")
     return tree, sig
 
 
-def _b2m(t: RecBranchDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree, list]:
-    """Term plus its actual domain port order (a permutation of the sources),
-    in one loop over an explicit stack: a binary node's atoms are made after
-    both children's, the left subtree's first."""
+def _b2m(t: RecBranchDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree, list, int]:
+    """Term plus its actual domain port order (a permutation of the sources)
+    and the largest cut of its compositions but those of `_perm_into`,
+    which are their own atom's weight, in one loop over an explicit stack:
+    a binary node's atoms are made after both children's, the left
+    subtree's first."""
     done: list = []  # (term, ports) of the finished subtrees, the rightmost last
+    widest = 0  # over the compositions made so far
     todo: list = [(t, sg, False)]  # (node, its graph, whether its children are done)
     while todo:
         t, sg, joined = todo.pop()
@@ -507,6 +527,7 @@ def _b2m(t: RecBranchDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree,
             peel = _peel(sig, head, 1, zk)
             layer = Tensor(sig.leaf_identity(a_k), peel) if a_k else peel
             inner = Compose(layer, a_k + 2 + zk, Tensor(inner, sig.leaf_identity(1)))
+            widest = max(widest, a_k + 2 + zk)  # the peel's cut, 2 + zk, is no larger
         gamma_ports = y_block + [v for v, ex in zip(shared, existing) if ex]
         if z_block:
             assembled = Tensor(inner, sig.leaf_identity(len(z_block)))
@@ -514,7 +535,8 @@ def _b2m(t: RecBranchDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree,
             assembled = inner
         d2w = _perm_into(sig, shared + z_block, ports2, d2)
         done.append((Compose(assembled, len(x2), d2w), gamma_ports + z_block))
-    return done[0]
+        widest = max(widest, len(x2))
+    return (*done[0], widest)
 
 
 # ---------------------------------------------------------------------------
@@ -737,12 +759,12 @@ def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
     witnesses["path_term"] = tm.tree_to_json(term_p)
     best_p = (term_p, sig_p) if width_p <= searched_p.width \
         else (searched_p.tree, searched_p.signature)
-    cert_p = m_to_pdec(*best_p)
+    cert_p_width = _rec_width_raw(m_to_pdec(*best_p))
     checks.append(TheoremCheck(
         "path-equality", mpwd == pw, f"min path-term width {mpwd} vs pw={pw}"))
     checks.append(TheoremCheck(
-        "path-lower-cert", pw <= _rec_width_raw(cert_p),
-        f"pw={pw} vs certified decomposition width {_rec_width_raw(cert_p)}"))
+        "path-lower-cert", pw <= cert_p_width,
+        f"pw={pw} vs certified decomposition width {cert_p_width}"))
 
     # branch sandwich: bw/2 <= mwd <= bw + 1.  branch-upper checks the
     # literal bw + 1, so it fails at bw = 0 with a proper edge, where the

@@ -43,7 +43,7 @@ from mwidth import (
 )
 from mwidth import cospan as cs
 from mwidth.oracles import exact_pathwidth
-from mwidth.terms import Compose, Leaf, Tensor, _serial, node_count, tree_serial
+from mwidth.terms import Compose, Leaf, Tensor, _before, node_count, tree_serial
 
 
 def test_example_fan_width_two():
@@ -564,12 +564,23 @@ def test_tree_serial_is_the_compact_sorted_json(t):
     shared = Tensor(t, Compose(t, 0, t))  # one subterm object at three places
     for d in (t, shared):
         assert tree_serial(d) == _json_serial(d)
-        kept: dict = {}
-        assert _serial(d, kept) == _json_serial(d)
-        # every kept entry holds the node of its id and that subterm's serial
-        assert all(key == id(node) and serial == _json_serial(node)
-                   for key, (node, serial) in kept.items())
-        assert _serial(d, kept) == _json_serial(d)
+
+
+def _unshared(d):
+    """An equal copy of `d` that shares no node object with it."""
+    return tree_from_json(tree_to_json(d))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_TERMS, _TERMS, st.integers(-1, 100))
+def test_before_is_the_serial_order(t, u, cut):
+    # equal pairs, pairs that share subterm objects, and pairs apart
+    pairs = [(t, t), (t, u), (Tensor(t, u), Tensor(t, t)), (Compose(t, cut, u), Tensor(t, u)),
+             (Compose(u, cut, t), Compose(u, 3, t)), (Tensor(t, u), Tensor(u, t)),
+             (Compose(t, cut, t), _unshared(Compose(t, cut, t)))]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            assert _before(x, y) == (tree_serial(x) < tree_serial(y))
 
 
 def test_tree_serial_of_a_deep_chain_needs_no_recursion():
@@ -580,6 +591,24 @@ def test_tree_serial_of_a_deep_chain_needs_no_recursion():
     assert tree_serial(term) == ('{"children":[{"atom":"e","op":"leaf"},' * 5000
                                  + '{"atom":"e","op":"leaf"}'
                                  + '],"cut":1,"op":"compose"}' * 5000)
+
+
+def _chain(bottom: str):
+    """5,000 compositions down to the leaf `bottom`, sharing no node with
+    another chain."""
+    term = Leaf(bottom)
+    for _ in range(5000):
+        term = Compose(Leaf("e"), 1, term)
+    return term
+
+
+@pytest.mark.parametrize("bottoms", [("e", "e"), ("e", "f")])
+def test_before_on_deep_chains_needs_no_recursion(bottoms):
+    a, b = map(_chain, bottoms)
+    assert a is not b
+    for x, y in ((a, b), (b, a)):
+        assert _before(x, y) == (tree_serial(x) < tree_serial(y))
+    assert _before(a, b) == (bottoms[0] < bottoms[1])
 
 
 def test_signature_add_checks_the_cospan_arities():
