@@ -94,13 +94,17 @@ def _kind_of(dec) -> tuple[str, _Kind, bool]:
 
 
 def _dumps(data, **options) -> str:
-    """`json.dumps`; a result nested too deeply for the encoder, which
-    recurses once per level, is a usage error like one too deep to read."""
+    """`json.dumps`; a result nested deeper than the recursion limit is a
+    usage error like one too deep to read, by the same rule, whatever the
+    encoder follows."""
+    too_deep = CliError(f"result nested too deeply to write as JSON "
+                        f"(recursion limit {sys.getrecursionlimit()})")
+    if _nesting(data) > sys.getrecursionlimit():
+        raise too_deep
     try:
         return json.dumps(data, **options)
-    except RecursionError as exc:
-        raise CliError(f"result nested too deeply to write as JSON "
-                       f"(recursion limit {sys.getrecursionlimit()})") from exc
+    except RecursionError as exc:  # an encoder that gives up first
+        raise too_deep from exc
 
 
 def _emit(data, as_json: bool, text: str) -> None:
@@ -170,8 +174,8 @@ def _translate(path: str, to: str, graph_path) -> dict:
     dec = source
     name, kind, rec = _kind_of(dec)
     if rec and to == "monoidal":
-        tree, sig = kind.to_term(dec, dec.graph)
-        return {"from_width": kind.rec_width(dec), "to_width": tm.width(tree, sig),
+        tree, sig, width = kind.term(dec, dec.graph)
+        return {"from_width": kind.rec_width(dec), "to_width": width,
                 "term": tm.tree_to_json(tree), "signature": tm.signature_to_json(sig)}
     if rec and to == name:
         out = kind.from_rec(dec)

@@ -4,8 +4,11 @@ The tree and path oracles search the recursive decomposition forms
 directly (bag choice + outside-component grouping), memoized on the
 (vertices, edges, sources) state held as bit masks, so they exercise the
 same inductive definitions the validators check; only the witness's
-nodes are built as graphs.  The branch oracle computes the width by a
-dynamic program over edge subsets, then takes as witness the first
+nodes are built as graphs.  Each state stops trying bags once its best
+width reaches its floor (`_floor`), a lower bound from the
+minor-min-width of its graph that proves the best optimal; the witnesses
+are those of the full search.  The branch oracle computes the width by
+a dynamic program over edge subsets, then takes as witness the first
 leaf-labelled cubic tree that attains it, cutting every partial tree
 already wider than that.  Everything here is desk scale only.
 """
@@ -55,6 +58,35 @@ MAX_SEARCH_EDGES = 16
 _INF = math.inf
 
 
+def _floor(vs: int, xs: int, reach: dict) -> int:
+    """The floor of a search state with vertices `vs` and sources `xs`,
+    whose edges at each vertex i reach the vertices `reach[i]`: 0 if vs is
+    empty, else max(|xs|, mmw(H) + 1).  H is the simple graph of those
+    edges plus a clique on xs, and mmw(H) its minor-min-width (Bodlaender
+    and Koster's lower bound on contraction degeneracy, hence on tree
+    width): while a vertex is left, take one of least degree and record
+    that degree, then delete it if isolated, or else contract it into its
+    neighbour of least degree.  Ties go to the lower bit.
+    """
+    left = [i for i in range(vs.bit_length()) if vs >> i & 1]
+    adj = [0] * vs.bit_length()
+    for i in left:
+        adj[i] = (reach[i] | (xs if xs >> i & 1 else 0)) & ~(1 << i)
+    low = -1
+    while len(left) > low + 1:  # else no degree left can exceed `low`
+        degrees = [adj[i].bit_count() for i in left]
+        low = max(low, min(degrees))
+        v = left.pop(degrees.index(min(degrees)))
+        near = adj[v]
+        if near:
+            u = min((adj[i].bit_count(), i) for i in left if near >> i & 1)[1]
+            for i in left:
+                if near >> i & 1:
+                    adj[i] = (adj[i] | 1 << u) & ~(1 << v)
+            adj[u] = (adj[u] | near) & ~(1 << u | 1 << v)
+    return max(xs.bit_count(), low + 1)
+
+
 def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
     """Minimum-width recursive decomposition by exhaustive search over bags.
 
@@ -70,8 +102,22 @@ def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
 
     Each state's best (width, bag, child states) is memoized; a state met
     again while it is being searched counts as infinitely wide and is not
-    memoized.  At the end `make(graph, bag, *children)` builds the
-    witness's nodes, and only those.
+    memoized.  A best is replaced only by a strictly narrower candidate,
+    so the first least-width candidate in this order wins.  A state stops
+    trying bags once its best width is at most its `_floor`; the witness
+    is still the one the full search finds, for three reasons:
+
+    - every decomposition of a state is a tree decomposition of the
+      floor's graph H, since the sources sit in its root bag, so its width
+      is at least tw(H) + 1 >= mmw(H) + 1, and at least |sources|;
+    - so no candidate after the stop is strictly narrower than the best;
+    - a state's memoized value does not depend on the order in which
+      states are met: from parent to child the vertices and edges can
+      only shrink, and where both stay equal the sources can only grow,
+      so the only cycle is a state meeting itself.
+
+    At the end `make(graph, bag, *children)` builds the witness's nodes,
+    and only those.
     """
     g = sg.graph
     if len(g.vertices) > max_vertices:
@@ -143,11 +189,12 @@ def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
             reach[i] = 0
             for j in bits[touch[i]]:
                 reach[i] |= ends[j]
+        floor = _floor(vs, xs, reach)
         best_w, found = _INF, None
         for extra in bags(vs & ~xs):
             bag = xs | extra
-            if bag.bit_count() >= best_w:
-                break  # bags come by size
+            if max(bag.bit_count(), floor) >= best_w:
+                break  # bags come by size, and none beats the floor
             for children in parts(vs, es, bag, touch, reach):
                 # children in order, stopping once they cannot beat the best
                 w = bag.bit_count()
@@ -157,6 +204,8 @@ def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
                         break
                 else:
                     best_w, found = w, (bag, children)
+                    if w <= floor:
+                        break
         active.discard(key)
         if found is not None:
             memo[key] = (best_w, *found)

@@ -292,6 +292,11 @@ def t_to_mdec(t: RecTreeDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]:
 
     The term width is at most twice the decomposition width.
     """
+    return _tree_term(t, sg)[:2]
+
+
+def _tree_term(t: RecTreeDec, sg: SourcedGraph) -> tuple[DecompTree, Signature, int]:
+    """`t_to_mdec`, and the width of its term."""
     bound = 2 * _valid_width(t, sg, _tree_clauses, "tree")
     sig = Signature()
     tree, cut, right_tree = _t2m(t, sg, sig)
@@ -300,7 +305,7 @@ def t_to_mdec(t: RecTreeDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]:
         raise BoundViolation(f"tree-to-term width {got} exceeds 2*{bound // 2}")
     if not right_tree:
         raise BoundViolation("tree-to-term result is not right-tree shaped")
-    return tree, sig
+    return tree, sig, got
 
 
 def _t2m(t: RecTreeDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree, int, bool]:
@@ -404,6 +409,11 @@ def _within(t, got: int, bound: int, what: str):
 def p_to_mdec(t: RecPathDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]:
     """Path term for the cospan of a recursive path decomposition; the
     width is preserved exactly."""
+    return _path_term(t, sg)[:2]
+
+
+def _path_term(t: RecPathDec, sg: SourcedGraph) -> tuple[DecompTree, Signature, int]:
+    """`p_to_mdec`, and the width of its term."""
     want = _valid_width(t, sg, _path_clauses, "path")
     sig = Signature()
     tree, cut, path = _p2m(t, sg, sig)
@@ -412,7 +422,7 @@ def p_to_mdec(t: RecPathDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]:
         raise BoundViolation(f"path-to-term width {got} differs from {want}")
     if not path:
         raise BoundViolation("path-to-term result is not path shaped")
-    return tree, sig
+    return tree, sig, got
 
 
 def _p2m(t: RecPathDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree, int, bool]:
@@ -469,6 +479,11 @@ def b_to_mdec(t: RecBranchDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]
     forced: any term for a graph containing a proper edge has width at
     least two, no matter how cheap the decomposition is.
     """
+    return _branch_term(t, sg)[:2]
+
+
+def _branch_term(t: RecBranchDec, sg: SourcedGraph) -> tuple[DecompTree, Signature, int]:
+    """`b_to_mdec`, and the width of its term."""
     bound = max(_valid_width(t, sg, _branch_clauses, "branch"), 1) + 1
     sig = Signature()
     tree, ports, cut = _b2m(t, sg, sig)
@@ -477,7 +492,7 @@ def b_to_mdec(t: RecBranchDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]
     got = _built_width(sig, cut)
     if got > bound:
         raise BoundViolation(f"branch-to-term width {got} exceeds {bound}")
-    return tree, sig
+    return tree, sig, got
 
 
 def _b2m(t: RecBranchDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree, list, int]:
@@ -625,30 +640,39 @@ class _Kind(NamedTuple):
     rec_width: Callable  # recursive -> int
     to_rec: Callable  # (classic, graph with sources) -> recursive
     from_rec: Callable  # recursive -> classic
-    to_term: Callable  # (recursive, graph with sources) -> (term, signature)
+    term: Callable  # (recursive, graph with sources) -> (term, signature, its width)
     from_term: Callable  # (term, signature) -> recursive
     oracle: Callable  # graph -> (width, classic witness)
+
+    def to_term(self, rec, sg: SourcedGraph) -> tuple[DecompTree, Signature]:
+        return self.term(rec, sg)[:2]
 
 
 _KINDS = {
     "tree": _Kind(validate_tree_dec, validate_rec_tree_dec, tree_dec_width, rec_tree_width,
                   lambda dec, sg: tree_to_recursive(dec, sg, _source_root(dec, sg)),
-                  tree_from_recursive, t_to_mdec, m_to_tdec, oracles.exact_treewidth),
+                  tree_from_recursive, _tree_term, m_to_tdec, oracles.exact_treewidth),
     "path": _Kind(validate_path_dec, validate_rec_path_dec, path_dec_width, rec_path_width,
                   path_to_recursive, path_from_recursive,
-                  p_to_mdec, m_to_pdec, oracles.exact_pathwidth),
+                  _path_term, m_to_pdec, oracles.exact_pathwidth),
     "branch": _Kind(validate_branch_dec, validate_rec_branch_dec, branch_dec_width,
                     rec_branch_width, branch_to_recursive,
-                    branch_from_recursive, b_to_mdec, m_to_bdec,
+                    branch_from_recursive, _branch_term, m_to_bdec,
                     oracles.exact_branchwidth),
 }
 
 
-def _optimal_term(kind: str, sg: SourcedGraph) -> tuple[int, DecompTree, Signature]:
-    """Exact `kind` width of `sg`'s graph and the term of its oracle's witness."""
+def _optimal(kind: str, sg: SourcedGraph) -> tuple[int, DecompTree, Signature, int]:
+    """Exact `kind` width of `sg`'s graph, the term of its oracle's witness
+    and that term's width."""
     k = _KINDS[kind]
     w, dec = k.oracle(sg.graph)
-    return (w, *k.to_term(k.to_rec(dec, sg), sg))
+    return (w, *k.term(k.to_rec(dec, sg), sg))
+
+
+def _optimal_term(kind: str, sg: SourcedGraph) -> tuple[int, DecompTree, Signature]:
+    """`_optimal` without the term's width."""
+    return _optimal(kind, sg)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +745,7 @@ class TheoremReport:
 def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
     """Verify the three width correspondences on one graph.
 
-    Widths and upper bounds come from `_optimal_term` for each kind; lower
+    Widths and upper bounds come from `_optimal` for each kind; lower
     bounds from translating the best searched terms back into
     decompositions whose validity certifies them.
 
@@ -733,15 +757,14 @@ def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
     which tells this gap from a broken sandwich.
     """
     sg = SourcedGraph(g)
-    tw, term_t, sig_t = _optimal_term("tree", sg)
-    pw, term_p, sig_p = _optimal_term("path", sg)
-    bw, term_b, sig_b = _optimal_term("branch", sg)
+    tw, term_t, sig_t, mtwd_upper = _optimal("tree", sg)
+    pw, term_p, sig_p, width_p = _optimal("path", sg)
+    bw, term_b, sig_b, mwd_upper = _optimal("branch", sg)
     closed = cs.of_graph(g)
     checks: list = []
     witnesses: dict = {}
 
     # tree sandwich: tw <= mtwd <= 2 tw
-    mtwd_upper = tm.width(term_t, sig_t)
     witnesses["tree_term"] = tm.tree_to_json(term_t)
     cert_t = m_to_tdec(term_t, sig_t)
     mtwd_lower_cert = _rec_width_raw(cert_t)
@@ -754,7 +777,6 @@ def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
     # path equality: mpwd == pw
     searched_p = tm.bounded_mwd_search(closed, shape="path", budget=budget,
                                        seed_translations=False)
-    width_p = tm.width(term_p, sig_p)
     mpwd = min(width_p, searched_p.width)
     witnesses["path_term"] = tm.tree_to_json(term_p)
     best_p = (term_p, sig_p) if width_p <= searched_p.width \
@@ -769,7 +791,6 @@ def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
     # branch sandwich: bw/2 <= mwd <= bw + 1.  branch-upper checks the
     # literal bw + 1, so it fails at bw = 0 with a proper edge, where the
     # guaranteed bound is max(bw, 1) + 1
-    mwd_upper = tm.width(term_b, sig_b)
     witnesses["branch_term"] = tm.tree_to_json(term_b)
     searched = tm.bounded_mwd_search(closed, shape="any", budget=budget,
                                      seed_translations=False)

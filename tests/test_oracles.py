@@ -364,3 +364,69 @@ def test_catalog_computes_no_canonical_key(monkeypatch):
     monkeypatch.setattr(oracles_mod, "canonical_key", counted)
     assert len(enumerate_graphs(5, 7)) == 48
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The floor that stops each tree and path search state.
+
+
+def _root_floor(sg: SourcedGraph) -> int:
+    """`oracles._floor` of the root state of `sg`'s search."""
+    bit = {v: 1 << i for i, v in enumerate(sorted(sg.graph.vertices))}
+    reach = dict.fromkeys(range(len(bit)), 0)
+    for e in sg.graph.edges:
+        ends = sum(bit[v] for v in sg.graph.ends(e))
+        for i in reach:
+            if ends >> i & 1:
+                reach[i] |= ends
+    return oracles_mod._floor(2 ** len(bit) - 1, sum(bit[v] for v in sg.sources), reach)
+
+
+@st.composite
+def sourced_edge_subsets(draw):
+    """A multigraph with loops and parallel edges on up to 7 vertices, cut
+    down to a random subset of its edges, with a random set of sources."""
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    g = Graph.from_edge_pairs(range(n), draw(st.lists(st.tuples(vertex, vertex), max_size=12)))
+    g = g.subgraph(g.vertices, draw(st.sets(st.sampled_from(sorted(g.edges))))
+                   if g.edges else ())
+    return SourcedGraph(g, draw(st.sets(st.sampled_from(sorted(g.vertices)))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(sourced_edge_subsets())
+def test_floor_never_exceeds_the_optimal_widths(sg):
+    floor = _root_floor(sg)
+    assert floor <= optimal_rec_tree_dec(sg)[0] <= optimal_rec_path_dec(sg)[0]
+    assert floor >= len(sg.sources)
+
+
+def _grid(side: int) -> Graph:
+    """The side x side grid; vertex r * side + c sits in row r, column c."""
+    right = [(v, v + 1) for v in range(side * side) if v % side < side - 1]
+    down = [(v, v + side) for v in range(side * (side - 1))]
+    return Graph.from_edge_pairs(range(side * side), right + down)
+
+
+PETERSEN = Graph.from_edge_pairs(range(10), [(i, (i + 1) % 5) for i in range(5)]
+                                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                                 + [(i, i + 5) for i in range(5)])
+
+
+# bag-size convention: tw + 1 and pw + 1 of the textbook values; the 4x4
+# grid also guards the cut, without which it takes seconds and a gigabyte
+@pytest.mark.parametrize("g,tw,pw,max_vertices", [
+    *[(k(n), n, n, 8) for n in range(1, 9)],
+    *[(cycle_graph(n), 3, 3, 8) for n in range(3, 9)],
+    *[(path_graph(n), 2, 2, 8) for n in range(2, 9)],
+    (_grid(3), 4, 4, 9),
+    (PETERSEN, 5, 6, 10),
+    (_grid(4), 5, 5, 16),
+], ids=[*(f"K{n}" for n in range(1, 9)), *(f"C{n}" for n in range(3, 9)),
+        *(f"P{n}" for n in range(2, 9)), "grid3", "petersen", "grid4"])
+def test_tree_and_path_width_closed_forms(g, tw, pw, max_vertices):
+    got_tw, tdec = exact_treewidth(g, max_vertices)
+    got_pw, pdec = exact_pathwidth(g, max_vertices)
+    assert (got_tw, got_pw) == (tw, pw)
+    assert validate_tree_dec(tdec, g) and validate_path_dec(pdec, g)
