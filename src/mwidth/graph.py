@@ -13,6 +13,13 @@ lie within its own vertices.  So the parts of one graph, however many and
 however nested, hold one frozenset per edge between them.  Every graph
 hashes on first use, to the value of its vertices and its (edge, ends)
 pairs, so a part that is never hashed never pays for it.
+
+The exact searches hold their states as bit masks over sorted vertex and
+edge ids, with three private helpers here: `_Bits` lists a mask's set
+bits, `_subset_unions` joins masks over every subset, and `_components`
+is the one component flood, which splits the outside of a bag in the
+tree-width search of `oracles` and a state into its tensor factors in
+`terms.bounded_mwd_search`.
 """
 
 from __future__ import annotations
@@ -347,16 +354,37 @@ class _Bits(dict):
         return out
 
 
+def _components(within: int, emask: int, incident: list, ends: list,
+                bits: _Bits) -> list[tuple[int, int]]:
+    """The components of the vertex mask `within` joined by the edges of
+    `emask`, in the order of their least vertex in `within`, each as the
+    pair (its vertices together with the ends of its edges, its edge
+    mask).  Bit i of a vertex mask is vertex i, whose edges are the mask
+    `incident[i]`; bit j of an edge mask is edge j, whose ends are the
+    mask `ends[j]`.  An edge of `emask` belongs to the component of any
+    end it has in `within`; its other ends join nothing."""
+    comps = []
+    while within:
+        comp = grow = within & -within
+        edges = 0
+        while grow:
+            near = 0
+            for i in bits[grow]:
+                for j in bits[incident[i] & emask & ~edges]:
+                    near |= ends[j]
+                    edges |= 1 << j
+            grow = near & within & ~comp
+            comp |= near  # the vertices grown and the ends outside `within`
+        comps.append((comp, edges))
+        within &= ~comp
+    return comps
+
+
 def is_subcubic_tree(g: Graph) -> bool:
     """True iff g is a tree in which every vertex has at most three neighbours."""
     if not g.is_tree():
         return False
     return all(len(g.neighbours(v)) <= 3 for v in g.vertices)
-
-
-def tree_leaves(g: Graph) -> frozenset:
-    """Vertices of degree at most one; the single vertex of a 1-vertex tree counts."""
-    return frozenset(v for v in g.vertices if g.degree(v) <= 1)
 
 
 def _numbered(g: Graph) -> tuple[dict, list, list]:

@@ -35,7 +35,7 @@ from .decomp import (
     path_from_recursive,
     tree_from_recursive,
 )
-from .graph import Graph, SourcedGraph, _Bits, _subset_unions, canonical_key
+from .graph import Graph, SourcedGraph, _Bits, _components, _subset_unions, canonical_key
 
 
 class OracleError(ValueError):
@@ -95,10 +95,11 @@ def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
     is the state's sources plus a subset of its other vertices, tried by
     size, then lexicographically.  The vertices outside the bag split into
     components, each with the edges that touch it and those edges' ends in
-    the bag, found by least outside vertex and then stably sorted by least
-    vertex.  A tree node (`what == "tree"`) groups the components into two
-    children in every way; a path node keeps them as one child, which must
-    differ from the state.  A child's sources are its vertices in the bag.
+    the bag, found by least outside vertex (`graph._components`) and then
+    stably sorted by least vertex.  A tree node (`what == "tree"`) groups
+    the components into two children in every way; a path node keeps them
+    as one child, which must differ from the state.  A child's sources are
+    its vertices in the bag.
 
     Each state's best (width, bag, child states) is memoized; a state met
     again while it is being searched counts as infinitely wide and is not
@@ -151,21 +152,7 @@ def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
             if (rest_v, rest_e) != (vs, es):
                 yield ((rest_v, rest_e, rest_v & bag),)
             return
-        comps = []
-        while out:
-            comp, grow = 0, out & -out
-            while grow:
-                comp |= grow
-                near = 0
-                for i in bits[grow]:
-                    near |= reach[i]
-                grow = near & out & ~comp
-            out ^= comp
-            cv, ce = comp, 0
-            for i in bits[comp]:
-                cv |= reach[i]
-                ce |= touch[i]
-            comps.append((cv, ce))
+        comps = _components(out, es, incident, ends, bits)
         comps.sort(key=lambda c: c[0] & -c[0])
         vs_of = _subset_unions([cv for cv, _ in comps])
         es_of = _subset_unions([ce for _, ce in comps])

@@ -18,7 +18,8 @@ from typing import NamedTuple, Optional, Sequence
 from . import cospan as cs
 from .cospan import Cospan
 from .decomp import DecompositionError
-from .graph import Graph, SourcedGraph, _Bits, _colimit, _numbered as _ranked, _subset_unions
+from .graph import (Graph, SourcedGraph, _Bits, _colimit, _components, _numbered as _ranked,
+                    _subset_unions)
 from .oracles import MAX_EDGES, MAX_SEARCH_EDGES, MAX_SEARCH_VERTICES, MAX_VERTICES, OracleError
 
 
@@ -568,8 +569,9 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
 
     The space covers the atomic leaf, tensor splits along disjoint apex
     parts, composition splits induced by edge bipartitions (cut = shared
-    vertices), and, for closed-enough cospans, the `translate._optimal_term`
-    of the shape's kind.  The result is an upper bound witness; `exact` says
+    vertices), and, for closed-enough cospans, the term of the shape's kind
+    that `translate._optimal` makes, ranked by the width `_optimal` returns
+    with it.  The result is an upper bound witness; `exact` says
     whether the space was exhausted within the budget.  A cospan with more
     than `oracles.MAX_SEARCH_VERTICES` apex vertices or
     `oracles.MAX_SEARCH_EDGES` edges is refused with OracleError.
@@ -587,7 +589,7 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
     returned term get their cospans, at the end.
 
     A memo miss runs one loop per split kind.  Tensor splits take unions
-    of the state's components, grown from incident-edge masks and ordered
+    of the state's components, flooded by `graph._components` and ordered
     by least vertex, and keep those whose ports form a boundary prefix
     (`_PortCuts`); composition splits take the proper edge bipartitions
     in counting order, the cut being the shared vertices, ascending.  A
@@ -668,23 +670,9 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
                 rmask, rcuts = port_cuts[right]
                 es = bits[emask]
                 if tensors:
-                    comp_vs, comp_es, rest = [], [], vmask
-                    while rest:
-                        comp = grow = rest & -rest
-                        ces = 0
-                        while grow:
-                            near = 0
-                            for v in bits[grow]:
-                                for e in bits[incident[v] & emask & ~ces]:
-                                    near |= ends_mask[e]
-                                    ces |= 1 << e
-                            grow = near & ~comp
-                            comp |= grow
-                        comp_vs.append(comp)
-                        comp_es.append(ces)
-                        rest &= ~comp
-                    vs_of = _subset_unions(comp_vs) if len(comp_vs) > 1 else ()
-                    es_of = _subset_unions(comp_es) if vs_of else ()
+                    comps = _components(vmask, emask, incident, ends_mask, bits)
+                    vs_of = _subset_unions([cv for cv, _ in comps]) if len(comps) > 1 else ()
+                    es_of = _subset_unions([ce for _, ce in comps]) if vs_of else ()
                     for s in range(1, len(vs_of) - 1):
                         vs1 = vs_of[s]
                         nl, nr = lcuts.get(lmask & vs1), rcuts.get(rmask & vs1)
@@ -740,14 +728,14 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
     closed = (g.right_arity == 0 and g.left == tuple(sorted(set(g.left)))
               and len(g.apex.vertices) <= MAX_VERTICES and len(g.apex.edges) <= MAX_EDGES)
     if seed_translations and closed:
-        from .translate import _optimal_term
+        from .translate import _optimal
         kind = {"any": "branch", "right-tree": "tree", "path": "path"}[shape]
         try:
-            _, tree2, sig2 = _optimal_term(kind, SourcedGraph(g.apex, set(g.left)))
+            _, tree2, sig2, width2 = _optimal(kind, SourcedGraph(g.apex, set(g.left)))
         except (DecompositionError, OracleError):
             pass
         else:
-            cand = (width(tree2, sig2), node_count(tree2))
+            cand = (width2, node_count(tree2))
             if cand < found[:2] or cand == found[:2] and _before(tree2, found[2]):
                 found, seed_sig = (*cand, tree2), sig2
 

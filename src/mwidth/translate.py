@@ -644,9 +644,6 @@ class _Kind(NamedTuple):
     from_term: Callable  # (term, signature) -> recursive
     oracle: Callable  # graph -> (width, classic witness)
 
-    def to_term(self, rec, sg: SourcedGraph) -> tuple[DecompTree, Signature]:
-        return self.term(rec, sg)[:2]
-
 
 _KINDS = {
     "tree": _Kind(validate_tree_dec, validate_rec_tree_dec, tree_dec_width, rec_tree_width,
@@ -668,11 +665,6 @@ def _optimal(kind: str, sg: SourcedGraph) -> tuple[int, DecompTree, Signature, i
     k = _KINDS[kind]
     w, dec = k.oracle(sg.graph)
     return (w, *k.term(k.to_rec(dec, sg), sg))
-
-
-def _optimal_term(kind: str, sg: SourcedGraph) -> tuple[int, DecompTree, Signature]:
-    """`_optimal` without the term's width."""
-    return _optimal(kind, sg)[:3]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from mwidth.graph import (
     find_isomorphism,
     graph_from_json,
     graph_to_json,
-    tree_leaves,
 )
 from mwidth.oracles import enumerate_graphs
 
@@ -195,7 +194,6 @@ def test_subcubic_tree():
     assert not is_subcubic_tree(star4)  # centre has four neighbours
     assert not is_subcubic_tree(k(3))  # cycle
     assert not is_subcubic_tree(Graph.empty())
-    assert tree_leaves(Graph.discrete([0])) == {0}
 
 
 def test_is_epimorphism():

@@ -65,7 +65,7 @@ from mwidth.decomp import (
 )
 from mwidth.oracles import optimal_rec_path_dec, optimal_rec_tree_dec
 from mwidth.terms import Compose, Leaf, Tensor, tree_from_json, tree_to_json
-from mwidth.translate import _KINDS, _optimal_term
+from mwidth.translate import _KINDS, _optimal
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +494,7 @@ NAMED = {"P4": path_graph(4), "C5": cycle_graph(5), "K4": k(4)}
 @pytest.mark.parametrize("name,sources,kind", sorted(M_TO_PINS),
                          ids=[f"{n}-{set(s) or '{}'}-{k}" for n, s, k in sorted(M_TO_PINS)])
 def test_term_to_decomposition_golden_pins(name, sources, kind):
-    _, term, sig = _optimal_term(kind, SourcedGraph(NAMED[name], sources))
+    _, term, sig, _ = _optimal(kind, SourcedGraph(NAMED[name], sources))
     out = _KINDS[kind].from_term(term, sig)
     text = json.dumps(decomposition_to_json(out), sort_keys=True, separators=(",", ":"))
     got = (hashlib.sha256(text.encode()).hexdigest()[:16], _KINDS[kind].rec_width(out))
@@ -520,7 +520,7 @@ def test_terms_translate_back_to_valid_decompositions_within_bounds(sg):
     rec_path = optimal_rec_path_dec(sg)[1]
     rec_branch = branch_to_recursive(exact_branchwidth(sg.graph)[1], sg)
     for kind, rec in (("tree", rec_tree), ("path", rec_path), ("branch", rec_branch)):
-        term, sig = _KINDS[kind].to_term(rec, sg)
+        term, sig, _ = _KINDS[kind].term(rec, sg)
         back = _KINDS[kind].from_term(term, sig)
         h = evaluate(term, sig)
         w = width(term, sig)
@@ -618,7 +618,7 @@ def test_term_to_decomposition_glues_the_term_once(monkeypatch):
     for name in ("graph_pushout", "graph_coproduct"):
         monkeypatch.setattr(cs, name, lambda *a: pushouts.append(None))
     for kind, how in (("tree", m_to_tdec), ("path", m_to_pdec), ("branch", m_to_bdec)):
-        _, term, sig = _optimal_term(kind, SourcedGraph(cycle_graph(5), {0}))
+        _, term, sig, _ = _optimal(kind, SourcedGraph(cycle_graph(5), {0}))
         calls.clear()
         how(term, sig)
         assert len(calls) == 1 and not pushouts, kind
@@ -705,7 +705,7 @@ def test_term_to_decomposition_on_a_shared_subterm():
                             ("path", m_to_pdec, lambda a, b: Compose(a, 0, b)),
                             ("branch", m_to_bdec, lambda a, b: Tensor(a, b)),
                             ("branch", m_to_bdec, lambda a, b: Compose(a, 0, b))):
-        _, x, sig = _optimal_term(kind, SourcedGraph(cycle_graph(4)))
+        _, x, sig, _ = _optimal(kind, SourcedGraph(cycle_graph(4)))
         shared = _dumped(how(join(x, x), sig))
         assert shared == _dumped(how(join(x, tree_from_json(tree_to_json(x))), sig)), kind
 

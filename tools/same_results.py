@@ -22,6 +22,15 @@ that raises records the error's type and message instead.  The corpus:
   fault inputs: graph text, decomposition JSON of all six kinds (missing
   and ill-typed fields at the root and one to three child fields deep),
   term JSON and signature JSON;
+- the public functions the above never call, on seeded random graphs,
+  cospans and terms and on the `roundtrip` inputs of seed 2: graph
+  queries, isomorphisms with and without forced vertices, `cospan_iso_eq`,
+  `epis_from_composition` and `epi_to_dec_*`, `copy_mdec` over a
+  `SymbolicSignature` and over cospans, `node_weights`, `is_left_tree`,
+  the cut-mismatch errors of `terms.arity`, `edge_order`,
+  `boundary_global`, recursive-node `==` and hash equality (as booleans,
+  since a class's hash differs between processes), `format_graph_text`,
+  and `WidthCache.save` and `load`;
 - stdout, stderr and exit code of `mwidth.cli.main` on a few files.
 
 The benchmark inputs come from this tree's `perfbench/gen.py` and
@@ -355,12 +364,17 @@ _ILL = {  # per field: ill-typed values
 _CHILDREN = {"rec-tree": ("left", "right"), "rec-path": ("tail",), "rec-branch": ("left", "right")}
 
 
-def _parsed(mw, parse, data, show) -> list:
+def _outcome(call, show=lambda value: value, label: str = "ok") -> list:
+    """[label, show(value)] of `call()`, or the type and message of its error."""
     try:
-        value = parse(data)
+        value = call()
     except Exception as exc:  # recorded, so a revision that differs here differs
         return [type(exc).__name__, str(exc)]
-    return ["parsed", show(value)]
+    return [label, show(value)]
+
+
+def _parsed(mw, parse, data, show) -> list:
+    return _outcome(lambda: parse(data), show, "parsed")
 
 
 def _faulty_nodes(kind: str):
@@ -501,6 +515,184 @@ def fault_records(mw):
 
 
 # ---------------------------------------------------------------------------
+# The public functions that the sections above never call: graph queries
+# and isomorphisms, epimorphisms of compositions, the copy lemma over a
+# symbolic signature, term weights and cut mismatches, branch edge orders
+# and boundaries, recursive-node equality, the text form of a graph, and
+# the width cache's file.  `==` and hash equality are recorded as
+# booleans: a class's hash differs from one process to the next.
+
+
+def _relabelled(mw, rng, g):
+    """A copy of g under random vertex and edge renumberings, and its vertex renumbering."""
+    vs, es = sorted(g.vertices), sorted(g.edges)
+    vnew = dict(zip(vs, rng.sample(range(20), len(vs))))
+    enew = dict(zip(es, rng.sample(range(30), len(es))))
+    return mw.Graph(vnew.values(), {enew[e]: {vnew[v] for v in g.ends(e)} for e in es}), vnew
+
+
+def _maybe_morphism(m):
+    return None if m is None else _morphism(m)
+
+
+def _graph_api_steps(mw, rng):
+    g = _random_graph(mw, rng)
+    vs = sorted(g.vertices)
+    yield "queries", [[v, g.degree(v), sorted(g.neighbours(v)), sorted(g.incident_edges(v))]
+                      for v in vs]
+    yield "unknown-vertex", [_outcome(lambda: g.degree(99)), _outcome(lambda: g.neighbours(99))]
+    yield "components", [[sorted(c), sorted(e)] for c, e in g.connected_components()]
+    n = rng.randint(1, 6)  # and a random tree, whose degrees may pass three
+    tree = mw.Graph.from_edge_pairs(range(n), [(rng.randrange(i), i) for i in range(1, n)])
+    yield "trees", [g.is_tree(), mw.is_subcubic_tree(g), tree.is_tree(), mw.is_subcubic_tree(tree)]
+    yield "text", mw.format_graph_text(mw.SourcedGraph(g, [v for v in vs if rng.random() < 0.4]))
+    h, vnew = _relabelled(mw, rng, g)
+    yield "isomorphic", _maybe_morphism(mw.graph_isomorphic(g, h))
+    yield "isomorphic/other", _maybe_morphism(mw.graph_isomorphic(g, _random_graph(mw, rng)))
+    if vs:
+        v = rng.choice(vs)
+        forced = {v: rng.choice([vnew[v], *vnew.values()])}
+        yield "forced", _maybe_morphism(mw.graph.find_isomorphism(g, h, forced))
+    c = _random_cospan(mw, rng, rng.randint(0, 2), rng.randint(0, 2))
+    h, vnew = _relabelled(mw, rng, c.apex)
+    same = mw.Cospan(h, tuple(vnew[v] for v in c.left), tuple(vnew[v] for v in c.right))
+    moved = mw.Cospan(h, tuple(vnew[v] for v in c.right), tuple(vnew[v] for v in c.left))
+    yield "cospan_iso_eq", [mw.cospan_iso_eq(c, same), mw.cospan_iso_eq(c, moved),
+                            mw.cospan_iso_eq(c, _random_cospan(mw, rng, len(c.left),
+                                                               len(c.right)))]
+
+
+def _term_api_steps(mw, rng):
+    sig = mw.Signature()
+    term, cod = _random_term(mw, rng, sig, rng.randint(0, 2), 4)
+    yield "node_weights", mw.node_weights(term, sig)
+    yield "shapes", [mw.is_left_tree(term), mw.is_right_tree(term), mw.is_path(term)]
+    yield "arity", list(mw.terms.arity(term, sig))
+    # a composition whose cut disagrees with its left side, then one whose
+    # cut disagrees with its right side, each under random tensors
+    right, _ = _random_term(mw, rng, sig, cod + 1, 2)
+    for j, bad in enumerate((mw.Compose(term, cod + 1, right), mw.Compose(term, cod, right))):
+        for _ in range(rng.randint(0, 2)):
+            bad = mw.Tensor(bad, term) if rng.random() < 0.5 else mw.Tensor(term, bad)
+        yield f"cut-mismatch/{j}", _outcome(lambda: mw.terms.arity(bad, sig))
+
+
+def _copy_steps(mw, rng):
+    y, z = rng.randint(0, 2), rng.randint(0, 2)
+    xs = [rng.randint(1, 2) for _ in range(rng.randint(0, 3))]
+    dom, cod = y + sum(xs) + z, rng.randint(0, 2)
+    sym = mw.SymbolicSignature()
+    sym.add("f", dom, cod, rng.randint(0, 4))
+    yield "symbolic", _outcome(lambda: mw.copy_mdec(mw.Leaf("f"), sym, y, xs, z),
+                               lambda d: [mw.tree_to_json(d), mw.width(d, sym)])
+    wiring = [sym.leaf_spider(rng.randint(0, 2), rng.randint(0, 2)),
+              sym.leaf_permutation(tuple(rng.sample(range(3), 3)))]
+    yield "symbolic/signature", [[mw.tree_to_json(t) for t in wiring],
+                                 mw.signature_to_json(sym)]
+    sig = mw.Signature()
+    f = sig.leaf(_random_cospan(mw, rng, dom, cod))
+    yield "cospans", _outcome(lambda: mw.copy_mdec(f, sig, y, xs, z),
+                              lambda d: [mw.tree_to_json(d), mw.width(d, sig),
+                                         _cospan(mw, mw.evaluate(d, sig))])
+
+
+def _epi_steps(mw, rng):
+    a, b, c = (rng.randint(0, 3) for _ in range(3))
+    c1, c2 = _random_cospan(mw, rng, a, b), _random_cospan(mw, rng, b, c)
+    epis = mw.epis_from_composition(c1, c2)
+    yield "epis", [_cospan(mw, epis.composite), _morphism(epis.alpha1), _morphism(epis.alpha2)]
+    for side, alpha, part, inner in (("1", epis.alpha1, c1, c1.right),
+                                     ("2", epis.alpha2, c2, c2.left)):
+        for kind, optimal, push in (("tree", mw.optimal_rec_tree_dec, mw.epi_to_dec_tree),
+                                    ("path", mw.optimal_rec_path_dec, mw.epi_to_dec_path)):
+            # sources on the inner boundary put every identified pair in the
+            # root bag; without sources a pair may share no bag
+            for label, sources in (("inner", inner), ("none", ())):
+                rec = optimal(mw.SourcedGraph(part.apex, sources))[1]
+                yield f"{side}/{kind}/{label}", _outcome(lambda: push(alpha, rec),
+                                                         lambda t: _dec(mw, t))
+    rec = mw.optimal_rec_tree_dec(mw.SourcedGraph(c2.apex))[1]
+    yield "other-domain", _outcome(lambda: mw.epi_to_dec_tree(epis.alpha1, rec),
+                                   lambda t: _dec(mw, t))
+
+
+def _subtree_paths(t) -> list:
+    """The 0/1 path of every node of a recursive branch decomposition, and one past a leaf."""
+    paths, stack = [], [((), t)]
+    while stack:
+        path, node = stack.pop()
+        paths.append(path)
+        if hasattr(node, "left"):
+            stack += (path + (1,), node.right), (path + (0,), node.left)
+    return paths + [paths[-1] + (0,)]
+
+
+def _decomposition_api_steps(mw, workloads, rng, item, other):
+    d = item.decs["branch"]
+    shape = d.dec.shape
+    yield "edge_order", [[e, mw.edge_order(d.dec, item.graph, e)] for e in sorted(shape.edges)]
+    yield "edge_order/unknown", _outcome(lambda: mw.edge_order(d.dec, item.graph, -1))
+    rec = mw.branch_to_recursive(d.dec, mw.SourcedGraph(item.graph, d.sources))
+    yield "boundary_global", [[list(p), _outcome(lambda: sorted(mw.boundary_global(rec, p)))]
+                              for p in _subtree_paths(rec)]
+    for kind in workloads.STEPS:
+        to_rec = getattr(mw, workloads.STEPS[kind][1])
+        mine, theirs = (to_rec(x.decs[kind].dec, mw.SourcedGraph(x.graph, x.decs[kind].sources),
+                               *x.decs[kind].extra) for x in (item, other))
+        copy = mw.decomposition_from_json(mw.decomposition_to_json(mine))
+        changed = mw.decomposition_from_json(_corrupt_recursive(mw, rng, mine))
+        yield f"equal/{kind}", [mine == copy, hash(mine) == hash(copy), mine != copy,
+                                mine == theirs, mine == changed, hash(mine) == hash(changed),
+                                mine == item.decs[kind].dec, len({mine, copy, theirs})]
+
+
+_CACHE_FILES = {
+    "invalid": "{", "list": "[]", "empty": "{}",
+    "extra-field": '{"k": {"tw": 1, "pw": 1, "bw": 1, "x": 1}}',
+    "bool-width": '{"k": {"tw": true, "pw": 1, "bw": 1}}',
+    "valid": '{"k": {"tw": 1, "pw": 2, "bw": 3}}',
+}
+
+
+def _cache_steps(mw):
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = mw.WidthCache()
+        widths = [list(cache.widths(g)) for g in mw.enumerate_graphs(3)]
+        path = os.path.join(tmp, "widths.json")
+        cache.save(path)
+        with open(path, encoding="utf-8") as fh:
+            yield "saved", [widths, fh.read()]
+        loaded = mw.WidthCache().load(path)
+        yield "loaded", [loaded.data == cache.data,
+                         [list(loaded.widths(g)) for g in mw.enumerate_graphs(3)]]
+        yield "missing", mw.WidthCache().load(os.path.join(tmp, "missing.json")).data
+        for name, text in _CACHE_FILES.items():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            got, value = _outcome(lambda: mw.WidthCache().load(path).data)
+            yield f"file/{name}", [got, value if got == "ok" else value.replace(tmp, "<dir>")]
+
+
+def api_records(mw, gen, workloads, table):
+    rng = gen.stream(0, "same_results api")
+    for i in range(60):
+        yield from _steps(f"api/graph/{i}", _graph_api_steps(mw, rng))
+    for i in range(60):
+        yield from _steps(f"api/term/{i}", _term_api_steps(mw, rng))
+    for i in range(30):
+        yield from _steps(f"api/copy/{i}", _copy_steps(mw, rng))
+    for i in range(30):
+        yield from _steps(f"api/epi/{i}", _epi_steps(mw, rng))
+    w = workloads.Roundtrip()
+    w.build(mw, 2, table)
+    items = w.variants[0]
+    for i, item in enumerate(items[:12]):
+        yield from _steps(f"api/decomposition/{i}", _decomposition_api_steps(
+            mw, workloads, rng, item, items[i + 1]))
+    yield from _steps("api/cache", _cache_steps(mw))
+
+
+# ---------------------------------------------------------------------------
 # The command line on a few files.
 
 FILES = {
@@ -577,6 +769,7 @@ def records(mw):
     yield from search_records(mw, gen, table)
     yield from validator_records(mw, gen, workloads, table)
     yield from fault_records(mw)
+    yield from api_records(mw, gen, workloads, table)
     yield from _steps("cli", cli_records(mw))
 
 
