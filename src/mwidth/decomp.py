@@ -19,7 +19,9 @@ repr read one node order, `_pre_order`, forwards or, to see children before
 parents, reversed, or keep the nodes they have open on an explicit stack.
 Validation yields the width from its own walk.  The conversions build every
 node's graph as a part of its parent's (`Graph._part`), so the nodes of one
-form share the end sets of the graph it decomposes.
+form share the end sets of the graph it decomposes, and `*_to_recursive`
+track the largest bag or boundary as they build, so no width postcondition
+walks its result again.
 
 Each classic decomposition tree is walked once per question (`_walk`), and
 every question is linear in the tree's size.  The tree and branch
@@ -430,18 +432,21 @@ _RecDec = RecTreeDec | RecPathDec | RecBranchDec
 # (writer, reader), or _CHILD for a child; a classic form has no children.
 # Reading JSON tries the classes in this order, flagged classes first.
 _CHILD = None
-_GRAPH = sourced_graph_to_json, sourced_graph_from_json
-_SHAPE = graph_to_json, graph_from_json
-_BAG = sorted, lambda b: set(_ints(b))
+_GRAPH = sourced_graph_to_json, lambda g: sourced_graph_from_json(_json(g, dict, "a graph"))
+_SHAPE = graph_to_json, lambda g: graph_from_json(_json(g, dict, "a graph"))
+_BAG = sorted, lambda b: set(_ints(_json(b, list, "a bag")))
 _LAYOUT = {
     TreeDec: ("tree", "", {"shape": _SHAPE, "bags": (
         lambda bags: {str(i): sorted(b) for i, b in bags},
-        lambda bags: {int(i): set(_ints(b)) for i, b in bags.items()})}),
-    PathDec: ("path", "", {"bags": (lambda bags: [sorted(b) for b in bags],
-                                    lambda bags: [set(_ints(b)) for b in bags])}),
+        lambda bags: {int(i): _BAG[1](b)
+                      for i, b in _json(bags, dict, "a bag table").items()})}),
+    PathDec: ("path", "", {"bags": (
+        lambda bags: [sorted(b) for b in bags],
+        lambda bags: [_BAG[1](b) for b in _json(bags, list, "a bag list")])}),
     BranchDec: ("branch", "", {"shape": _SHAPE, "leaf_map": (
         lambda table: {str(l): e for l, e in table},
-        lambda table: dict(zip(map(int, table), _ints(table.values()))))}),
+        lambda table: dict(zip(map(int, _json(table, dict, "a leaf map")),
+                               _ints(table.values()))))}),
     RecTreeEmpty: ("rec-tree", "empty", {}),
     RecTreeNode: ("rec-tree", "", {"graph": _GRAPH, "bag": _BAG, "left": _CHILD,
                                    "right": _CHILD}),
@@ -717,6 +722,7 @@ def tree_to_recursive(dec: TreeDec, sg: SourcedGraph, root: int) -> RecTreeDec:
     # `bag`, a task (gamma, bag) joins the two finished children, and None
     # is an empty chain.
     done: list = []  # finished subtrees, innermost last
+    got = 0  # the largest bag of a node built so far
     todo: list = [vertex_task(root, sg)]
     while todo:
         task = todo.pop()
@@ -725,10 +731,12 @@ def tree_to_recursive(dec: TreeDec, sg: SourcedGraph, root: int) -> RecTreeDec:
         elif len(task) == 2:
             t2, t1 = done.pop(), done.pop()
             done.append(RecTreeNode(*task, t1, t2))
+            got = max(got, len(task[1]))
         else:
             nodes, gamma, vp, bag = task
             if not nodes:
                 done.append(RecTreeNode(gamma, bag, REC_TREE_EMPTY, REC_TREE_EMPTY))
+                got = max(got, len(bag))
                 continue
             used: set = set()
             first = group_graph(nodes[:1], gamma, used, vp)
@@ -742,7 +750,6 @@ def tree_to_recursive(dec: TreeDec, sg: SourcedGraph, root: int) -> RecTreeDec:
                 todo.append((nodes[1:], rest, vp, rest.sources))
             todo.append(vertex_task(nodes[0], first))
     (result,) = done
-    got = _rec_width_raw(result)
     want = max((len(b) for b in bags.values()), default=0)
     if got != want:
         raise BoundViolation(f"tree_to_recursive changed the width: {got} != {want}")
@@ -798,10 +805,10 @@ def path_to_recursive(dec: PathDec, sg: SourcedGraph) -> RecPathDec:
         gamma = graphs[-1].graph
         erest = [e for e, pts in gamma._ends.items() if pts <= vrest]
         graphs.append(SourcedGraph(gamma._part(vrest, erest), bag & vrest))
-    result = REC_PATH_EMPTY
+    result, got = REC_PATH_EMPTY, 0
     for gamma, bag in zip(reversed(graphs), reversed(bags)):
-        result = RecPathCons(gamma, bag, result)
-    if _rec_width_raw(result) != max(len(b) for b in dec.bags):
+        result, got = RecPathCons(gamma, bag, result), max(got, len(bag))
+    if got != max(len(b) for b in dec.bags):
         raise BoundViolation("path_to_recursive changed the width")
     return result
 
@@ -850,24 +857,26 @@ def branch_to_recursive(dec: BranchDec, sg: SourcedGraph) -> RecBranchDec:
     # convert, or the graph of a binary node, which waits under its two
     # children's entries until both are done; the left is converted first
     done: list = []
+    got = 0  # the largest boundary of a node built so far
     stack: list = [sg, (w, u, g2), (u, w, g1)]
     while stack:
         item = stack.pop()
         if isinstance(item, SourcedGraph):
             right, left = done.pop(), done.pop()
             done.append(RecBranchNode(item, left, right))
+            got = max(got, len(item.sources))
             continue
         v, parent, gamma = item
         kids = sorted(n for n in near[v] if n != parent)
         if v in table:
             done.append(RecBranchLeaf(gamma))
+            got = max(got, len(gamma.sources))
         elif len(kids) == 1:  # a unary node adds nothing: splice it out
             stack.append((kids[0], v, gamma))
         else:
             h1, h2 = _branch_split(gamma, edges_below(kids[0], v))
             stack += gamma, (kids[1], v, h2), (kids[0], v, h1)
     (result,) = done
-    got = _rec_width_raw(result)
     if got > classic_width + len(sg.sources):
         raise BoundViolation(
             f"branch_to_recursive exceeded the bound: {got} > "
@@ -931,6 +940,15 @@ def _ints(items) -> list:
     if not all(isinstance(i, int) for i in items):
         raise TypeError(f"expected integers, got {items!r}")
     return items
+
+
+def _json(data, cls: type, what: str):
+    """`data`, if it is a JSON object (`cls` dict) or array (list); else
+    TypeError naming `what` and the expected type."""
+    if not isinstance(data, cls):
+        raise TypeError(f"{what} is a JSON {'object' if cls is dict else 'array'}, "
+                        f"not {type(data).__name__}")
+    return data
 
 
 def _field(data: dict, name: str, read):

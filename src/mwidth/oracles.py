@@ -215,10 +215,13 @@ def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
         return built[key]
 
     root = (2 ** len(vids) - 1, 2 ** len(eids) - 1, sum(bit[v] for v in sg.sources))
-    w = best(root)
-    if w == _INF:
-        raise OracleError(f"no recursive {what} decomposition found")
-    return w, build(root)
+    try:
+        w = best(root)
+        if w == _INF:
+            raise OracleError(f"no recursive {what} decomposition found")
+        return w, build(root)
+    finally:  # `best` and `build` reach themselves: break the cycle to free the tables
+        del best, build
 
 
 def optimal_rec_tree_dec(sg: SourcedGraph,
@@ -285,7 +288,10 @@ def _leaf_trees(k: int, cut: Optional[Callable[[list, int], bool]] = None
             bigger += [(w, mid), (mid, leaf)]
             yield from grow(bigger, grown, {**table, leaf: j})
 
-    yield from grow([(0, 1)], [0b11, 0b10], {0: 0, 1: 1})
+    try:
+        yield from grow([(0, 1)], [0b11, 0b10], {0: 0, 1: 1})
+    finally:  # `grow` reaches itself: closing the walk breaks the cycle and frees `cut`
+        del grow
 
 
 def _branchwidth_value(g: Graph, edges: list) -> tuple[int, list[int]]:

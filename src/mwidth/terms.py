@@ -430,13 +430,31 @@ def signature_from_json(data: dict) -> Signature:
         raise TermError(f"a signature is a JSON object, not {type(data).__name__}")
     sig = Signature()
     for name, rec in data.items():
+        if not isinstance(rec, dict):
+            raise TermError(f"malformed atom {name!r}: an atom is a JSON object, "
+                            f"not {type(rec).__name__}")
         try:
             c = cs.cospan_from_json(rec["cospan"]) if rec.get("cospan") else None
-            dom, cod, weight = (int(rec[k]) for k in ("dom", "cod", "weight"))
+            arities = [rec[k] for k in _ARITIES]
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise TermError(f"malformed atom {name!r}: {exc!r}") from exc
-        sig.add(name, dom, cod, weight, c)
+        sig.add(name, *(_atom_int(name, k, a) for k, a in zip(_ARITIES, arities)), c)
     return sig
+
+
+_ARITIES = ("dom", "cod", "weight")
+
+
+def _atom_int(name: str, field: str, value) -> int:
+    """`int(value)` for the field `field` of atom `name`; else TermError,
+    which names the expected type when `int` refuses the type of `value`."""
+    try:
+        return int(value)
+    except TypeError:
+        raise TermError(f"malformed atom {name!r}: field {field!r} is an integer, "
+                        f"not {type(value).__name__}") from None
+    except (ValueError, OverflowError) as exc:
+        raise TermError(f"malformed atom {name!r}: {exc!r}") from exc
 
 
 def _json_value(x) -> str:
@@ -722,8 +740,11 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
         seen[state] = out
         return out
 
-    found = best(((1 << len(root.apex.vertices)) - 1, (1 << len(ends)) - 1,
-                  root.left, root.right))
+    try:
+        found = best(((1 << len(root.apex.vertices)) - 1, (1 << len(ends)) - 1,
+                      root.left, root.right))
+    finally:  # `best` reaches itself: break the cycle to free the tables
+        del best
     seed_sig = None
     closed = (g.right_arity == 0 and g.left == tuple(sorted(set(g.left)))
               and len(g.apex.vertices) <= MAX_VERTICES and len(g.apex.edges) <= MAX_EDGES)

@@ -498,3 +498,59 @@ def test_decompose_monoidal_refuses_a_path_past_the_search_caps(tmp_path, capsys
     assert main(["decompose", str(graph), "--kind", "monoidal"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "error: refusing monoidal-width search on 18 > 16 vertices\n"
+
+
+_EMPTY_REC_TREE = {"kind": "rec-tree", "empty": True}
+_ATOM = {"dom": 0, "cod": 0, "weight": 1}
+
+# (file JSON, --to, the end of the one error line): a JSON value of the
+# wrong type is named with the type the reader expects
+ILL_TYPED_JSON = {
+    "graph-a-string": ({"kind": "rec-tree", "graph": "g", "bag": [0], "left": _EMPTY_REC_TREE,
+                        "right": _EMPTY_REC_TREE},
+                       "tree", "decomposition field 'graph': a graph is a JSON object, not str"),
+    "child-graph-a-list": ({"kind": "rec-path", "graph": {"v": [0], "e": [], "s": []},
+                            "bag": [0], "tail": {"kind": "rec-path", "graph": [], "bag": [],
+                                                 "tail": {"kind": "rec-path", "empty": True}}},
+                           "path", "decomposition field 'tail': decomposition field 'graph': "
+                                   "a graph is a JSON object, not list"),
+    "shape-a-string": ({"kind": "branch", "shape": "s", "leaf_map": {}},
+                       "rec-branch", "decomposition field 'shape': a graph is a JSON object, "
+                                     "not str"),
+    "bag-null": ({"kind": "rec-path", "graph": {"v": [0], "e": [], "s": []}, "bag": None,
+                  "tail": {"kind": "rec-path", "empty": True}},
+                 "path", "decomposition field 'bag': a bag is a JSON array, not NoneType"),
+    "bag-table-a-list": ({"kind": "tree", "shape": {"v": [0], "e": []}, "bags": [[0]]},
+                         "rec-tree", "decomposition field 'bags': a bag table is a JSON object, "
+                                     "not list"),
+    "leaf-map-a-list": ({"kind": "branch", "shape": {"v": [0], "e": []}, "leaf_map": [0]},
+                        "rec-branch", "decomposition field 'leaf_map': a leaf map is a JSON "
+                                      "object, not list"),
+    "atom-null": ({"term": {"op": "leaf", "atom": "a"}, "signature": {"a": None}},
+                  "rec-tree", "malformed atom 'a': an atom is a JSON object, not NoneType"),
+    "dom-a-list": ({"term": {"op": "leaf", "atom": "a"}, "signature": {"a": {**_ATOM, "dom": [0]}}},
+                   "rec-tree", "malformed atom 'a': field 'dom' is an integer, not list"),
+    "weight-an-object": ({"term": {"op": "leaf", "atom": "a"},
+                          "signature": {"a": {**_ATOM, "weight": {}}}},
+                         "rec-tree", "malformed atom 'a': field 'weight' is an integer, not dict"),
+}
+
+
+@pytest.mark.parametrize("name", ILL_TYPED_JSON)
+def test_ill_typed_json_names_the_expected_type(tmp_path, capsys, name):
+    data, to, message = ILL_TYPED_JSON[name]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["translate", "--from", str(bad), "--to", to]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {bad}: {message}\n"
+
+
+def test_an_infinite_atom_arity_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"term": {"op": "leaf", "atom": "a"}, '
+                   '"signature": {"a": {"dom": Infinity, "cod": 0, "weight": 1}}}')
+    assert main(["translate", "--from", str(bad), "--to", "rec-tree"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: malformed atom 'a': "
+        "OverflowError('cannot convert float infinity to integer')\n")
