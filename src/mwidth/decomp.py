@@ -46,6 +46,8 @@ from .graph import (
     Graph,
     GraphError,
     SourcedGraph,
+    _tree_parents,
+    _walk,
     ends_of_edge_set,
     graph_from_json,
     graph_to_json,
@@ -124,36 +126,6 @@ class BranchDec:
 
     def leaf_table(self) -> dict:
         return dict(self.leaf_map)
-
-
-def _walk(shape: Graph, root: int, cut: Optional[int] = None) -> dict:
-    """Parent of every node reachable from `root` without passing `cut`
-    (None for the root), each node listed after its parent."""
-    adjacent: dict = {v: [] for v in shape.vertices}
-    for e in shape.edges:
-        u, *others = shape.ends(e)  # a loop has one end and no other
-        for w in others:
-            adjacent[u].append(w)
-            adjacent[w].append(u)
-    parent = {root: None}
-    order = [root]
-    for v in order:
-        for w in adjacent[v]:
-            if w != cut and w not in parent:
-                parent[w] = v
-                order.append(w)
-    return parent
-
-
-def _tree_parents(shape: Graph) -> Optional[dict]:
-    """The parents of one walk of `shape` from its least node if `shape` is
-    a tree, else None.  The walk reaches every node and |E| = |V| - 1, which
-    leaves no room for a loop or a parallel edge; the empty shape fails the
-    edge count."""
-    parent = _walk(shape, min(shape.vertices)) if shape.vertices else {}
-    if len(parent) != len(shape.vertices) or len(shape.edges) != len(shape.vertices) - 1:
-        return None
-    return parent
 
 
 def _bags_connected(pairs: Iterable) -> Check:
@@ -613,33 +585,29 @@ def _rec_width_raw(t: _RecDec) -> int:
     return max(map(_cost, _pre_order(t)))
 
 
-def _checked_rec_width(t: _RecDec, sg: Optional[SourcedGraph], clauses,
-                       empty: type, what: str) -> int:
-    """Width after validating against `sg`, by default the graph the root
-    records; an empty root with no `sg` given is not validated."""
+def _rec_width(t: _RecDec, sg: Optional[SourcedGraph], clauses, empty: type,
+               what: str) -> int:
+    """Width of `t` after validating it by a family's `clauses` against
+    `sg`, by default the graph the root records; an empty root with no `sg`
+    given is not validated.  DecompositionError names the first failed
+    clause."""
     if sg is None and isinstance(t, empty):
         return 0
-    return _valid_width(t, t.graph if sg is None else sg, clauses, what)
-
-
-def _valid_width(t: _RecDec, sg: SourcedGraph, clauses, what: str) -> int:
-    """Width of `t` after validating it against `sg` by a family's `clauses`;
-    DecompositionError names the first failed clause."""
-    check, width = _validate_rec(t, sg, clauses)
+    check, width = _validate_rec(t, t.graph if sg is None else sg, clauses)
     _require(check, f"recursive {what}")
     return width
 
 
 def rec_tree_width(t: RecTreeDec, sg: Optional[SourcedGraph] = None) -> int:
-    return _checked_rec_width(t, sg, _tree_clauses, RecTreeEmpty, "tree")
+    return _rec_width(t, sg, _tree_clauses, RecTreeEmpty, "tree")
 
 
 def rec_path_width(t: RecPathDec, sg: Optional[SourcedGraph] = None) -> int:
-    return _checked_rec_width(t, sg, _path_clauses, RecPathEmpty, "path")
+    return _rec_width(t, sg, _path_clauses, RecPathEmpty, "path")
 
 
 def rec_branch_width(t: RecBranchDec, sg: Optional[SourcedGraph] = None) -> int:
-    return _checked_rec_width(t, sg, _branch_clauses, RecBranchEmpty, "branch")
+    return _rec_width(t, sg, _branch_clauses, RecBranchEmpty, "branch")
 
 
 def rec_branch_subtree(t: RecBranchDec, path: Iterable[int]) -> RecBranchDec:
@@ -740,14 +708,13 @@ def tree_to_recursive(dec: TreeDec, sg: SourcedGraph, root: int) -> RecTreeDec:
                 continue
             used: set = set()
             first = group_graph(nodes[:1], gamma, used, vp)
-            rest = group_graph(nodes[1:], gamma, used, vp)
             todo.append((gamma, bag))
             if len(nodes) == 1:
                 todo.append(None)
-            elif len(nodes) == 2:
-                todo.append(vertex_task(nodes[1], rest))
             else:
-                todo.append((nodes[1:], rest, vp, rest.sources))
+                rest = group_graph(nodes[1:], gamma, used, vp)
+                todo.append(vertex_task(nodes[1], rest) if len(nodes) == 2
+                            else (nodes[1:], rest, vp, rest.sources))
             todo.append(vertex_task(nodes[0], first))
     (result,) = done
     want = max((len(b) for b in bags.values()), default=0)
@@ -923,11 +890,10 @@ def branch_from_recursive(t: RecBranchDec) -> BranchDec:
     if done == [None]:
         return BranchDec(Graph.empty(), {})
     dec = BranchDec(Graph.from_edge_pairs(vertices, edges), table)
-    got = branch_dec_width(dec, t.graph.graph)
-    if got > _rec_width_raw(t):
+    got, bound = branch_dec_width(dec, t.graph.graph), max(map(_cost, order))
+    if got > bound:
         raise BoundViolation(
-            f"branch_from_recursive exceeded the recursive width: "
-            f"{got} > {_rec_width_raw(t)}")
+            f"branch_from_recursive exceeded the recursive width: {got} > {bound}")
     return dec
 
 

@@ -138,11 +138,7 @@ class Graph:
 
     def is_tree(self) -> bool:
         """Connected and acyclic; the empty graph is not a tree."""
-        if not self.is_connected():
-            return False
-        if any(len(pts) == 1 for pts in self._ends.values()):
-            return False
-        return len(self.edges) == len(self.vertices) - 1
+        return _tree_parents(self) is not None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -258,9 +254,6 @@ class GraphMorphism:
             expected = frozenset(self.vmap[v] for v in domain.ends(e))
             if codomain.ends(self.emap[e]) != expected:
                 raise GraphError(f"morphism does not respect endpoints of edge {e}")
-
-    def apply_vertices(self, vs: Iterable[int]) -> frozenset:
-        return frozenset(self.vmap[v] for v in vs)
 
     def then(self, other: "GraphMorphism") -> "GraphMorphism":
         if self.codomain != other.domain:
@@ -378,6 +371,36 @@ def _components(within: int, emask: int, incident: list, ends: list,
         comps.append((comp, edges))
         within &= ~comp
     return comps
+
+
+def _walk(shape: Graph, root: int, cut: Optional[int] = None) -> dict:
+    """Parent of every node reachable from `root` without passing `cut`
+    (None for the root), each node listed after its parent."""
+    adjacent: dict = {v: [] for v in shape.vertices}
+    for e in shape.edges:
+        u, *others = shape.ends(e)  # a loop has one end and no other
+        for w in others:
+            adjacent[u].append(w)
+            adjacent[w].append(u)
+    parent = {root: None}
+    order = [root]
+    for v in order:
+        for w in adjacent[v]:
+            if w != cut and w not in parent:
+                parent[w] = v
+                order.append(w)
+    return parent
+
+
+def _tree_parents(shape: Graph) -> Optional[dict]:
+    """The parents of one walk of `shape` from its least node if `shape` is
+    a tree, else None.  The walk reaches every node and |E| = |V| - 1, which
+    leaves no room for a loop or a parallel edge; the empty shape fails the
+    edge count."""
+    parent = _walk(shape, min(shape.vertices)) if shape.vertices else {}
+    if len(parent) != len(shape.vertices) or len(shape.edges) != len(shape.vertices) - 1:
+        return None
+    return parent
 
 
 def is_subcubic_tree(g: Graph) -> bool:

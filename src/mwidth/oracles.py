@@ -132,13 +132,6 @@ def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
     bits = _Bits()
     memo: dict = {}
     active: set = set()
-    bags_of: dict = {}
-
-    def bags(free: int) -> list[int]:
-        if free not in bags_of:
-            bs = [1 << i for i in bits[free]]
-            bags_of[free] = [sum(c) for r in range(len(bs) + 1) for c in combinations(bs, r)]
-        return bags_of[free]
 
     def parts(vs: int, es: int, bag: int, touch: dict, reach: dict):
         """Candidate child states, as tuples, for `bag`; `touch[i]` and
@@ -178,7 +171,8 @@ def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
                 reach[i] |= ends[j]
         floor = _floor(vs, xs, reach)
         best_w, found = _INF, None
-        for extra in bags(vs & ~xs):
+        free = [1 << i for i in bits[vs & ~xs]]
+        for extra in (sum(c) for r in range(len(free) + 1) for c in combinations(free, r)):
             bag = xs | extra
             if max(bag.bit_count(), floor) >= best_w:
                 break  # bags come by size, and none beats the floor

@@ -70,12 +70,9 @@ from .decomp import (
     _branch_clauses,
     _branch_split,
     _children,
-    _path_clauses,
     _pre_order,
     _rec_width_raw,
     _source_root,
-    _tree_clauses,
-    _valid_width,
     _validate_rec,
 )
 from .graph import (
@@ -266,9 +263,9 @@ def _vertex_factor(sig: Signature, v: int, sources: frozenset) -> tuple[DecompTr
 
 
 def _built_width(sig: Signature, cut: int) -> int:
-    """The width of a term made by `_t2m`, `_p2m` or `_b2m` over the fresh
-    signature `sig`, whose atoms are all leaves of the term, given the
-    largest cut of its compositions."""
+    """The width of a term made by `_tree_term`, `_path_term` or
+    `_branch_term` over the fresh signature `sig`, whose atoms are all
+    leaves of the term, given the largest cut of its compositions."""
     return max(cut, max(a.weight for a in sig.atoms.values()))
 
 
@@ -296,23 +293,11 @@ def t_to_mdec(t: RecTreeDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]:
 
 
 def _tree_term(t: RecTreeDec, sg: SourcedGraph) -> tuple[DecompTree, Signature, int]:
-    """`t_to_mdec`, and the width of its term."""
-    bound = 2 * _valid_width(t, sg, _tree_clauses, "tree")
-    sig = Signature()
-    tree, cut, right_tree = _t2m(t, sg, sig)
-    got = _built_width(sig, cut)
-    if got > bound:
-        raise BoundViolation(f"tree-to-term width {got} exceeds 2*{bound // 2}")
-    if not right_tree:
-        raise BoundViolation("tree-to-term result is not right-tree shaped")
-    return tree, sig, got
-
-
-def _t2m(t: RecTreeDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree, int, bool]:
-    """The term of `t` over `sg`, the largest cut of its compositions and
-    whether each of them has a leaf on its left, in one loop over an
+    """`t_to_mdec`, and the width of its term, built in one loop over an
     explicit stack: a node's atoms are made before its children's, the
     left subtree's first."""
+    bound = 2 * rec_tree_width(t, sg)
+    sig = Signature()
     done: list = []  # terms of the finished subtrees, the rightmost last
     widest, right_tree = 0, True  # over the compositions made so far
     todo: list = [(t, sg)]  # (node, its graph) to enter, or (h, cut, b, cut) to join
@@ -343,7 +328,12 @@ def _t2m(t: RecTreeDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree, i
         apex = Graph.discrete(blocks)
         b = sig.leaf(Cospan(apex, tuple(blocks), tuple(v for _, v in b_right)))
         todo += (h, len(blocks), b, len(x1) + len(x2)), (t.right, g2), (t.left, g1)
-    return done[0], widest, right_tree
+    got = _built_width(sig, widest)
+    if got > bound:
+        raise BoundViolation(f"tree-to-term width {got} exceeds 2*{bound // 2}")
+    if not right_tree:
+        raise BoundViolation("tree-to-term result is not right-tree shaped")
+    return done[0], sig, got
 
 
 def m_to_tdec(d: DecompTree, sig: Signature) -> RecTreeDec:
@@ -413,21 +403,10 @@ def p_to_mdec(t: RecPathDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]:
 
 
 def _path_term(t: RecPathDec, sg: SourcedGraph) -> tuple[DecompTree, Signature, int]:
-    """`p_to_mdec`, and the width of its term."""
-    want = _valid_width(t, sg, _path_clauses, "path")
+    """`p_to_mdec`, and the width of its term: one leaf per node, in chain
+    order, composed from the last back."""
+    want = rec_path_width(t, sg)
     sig = Signature()
-    tree, cut, path = _p2m(t, sg, sig)
-    got = _built_width(sig, cut)
-    if got != want:
-        raise BoundViolation(f"path-to-term width {got} differs from {want}")
-    if not path:
-        raise BoundViolation("path-to-term result is not path shaped")
-    return tree, sig, got
-
-
-def _p2m(t: RecPathDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree, int, bool]:
-    """One leaf per node, in chain order, composed from the last back; with
-    the largest cut and whether no composition has a tensor on its left."""
     heads: list = []  # (leaf, cut) of every node with a non-empty tail
     while not isinstance(t, RecPathEmpty) and not isinstance(t.tail, RecPathEmpty):
         g, x = sg.graph, sg.sources
@@ -443,7 +422,12 @@ def _p2m(t: RecPathDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree, i
         term = Compose(head, cut, term)
         widest = max(widest, cut)
         path = path and not isinstance(head, Tensor)
-    return term, widest, path
+    got = _built_width(sig, widest)
+    if got != want:
+        raise BoundViolation(f"path-to-term width {got} differs from {want}")
+    if not path:
+        raise BoundViolation("path-to-term result is not path shaped")
+    return term, sig, got
 
 
 def m_to_pdec(d: DecompTree, sig: Signature) -> RecPathDec:
@@ -483,26 +467,16 @@ def b_to_mdec(t: RecBranchDec, sg: SourcedGraph) -> tuple[DecompTree, Signature]
 
 
 def _branch_term(t: RecBranchDec, sg: SourcedGraph) -> tuple[DecompTree, Signature, int]:
-    """`b_to_mdec`, and the width of its term."""
-    bound = max(_valid_width(t, sg, _branch_clauses, "branch"), 1) + 1
-    sig = Signature()
-    tree, ports, cut = _b2m(t, sg, sig)
-    # the permutation's cut is its own atom's weight
-    tree = _perm_into(sig, sorted(sg.sources), ports, tree)
-    got = _built_width(sig, cut)
-    if got > bound:
-        raise BoundViolation(f"branch-to-term width {got} exceeds {bound}")
-    return tree, sig, got
-
-
-def _b2m(t: RecBranchDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree, list, int]:
-    """Term plus its actual domain port order (a permutation of the sources)
-    and the largest cut of its compositions but those of `_perm_into`,
-    which are their own atom's weight, in one loop over an explicit stack:
-    a binary node's atoms are made after both children's, the left
-    subtree's first."""
+    """`b_to_mdec`, and the width of its term, built in one loop over an
+    explicit stack: a binary node's atoms are made after both children's,
+    the left subtree's first.  Each subterm comes with its domain port
+    order, a permutation of its sources."""
+    bound = max(rec_branch_width(t, sg), 1) + 1
+    sig, sources = Signature(), sorted(sg.sources)
     done: list = []  # (term, ports) of the finished subtrees, the rightmost last
-    widest = 0  # over the compositions made so far
+    # the largest cut of the compositions made so far but those of
+    # `_perm_into`, which are their own atom's weight
+    widest = 0
     todo: list = [(t, sg, False)]  # (node, its graph, whether its children are done)
     while todo:
         t, sg, joined = todo.pop()
@@ -551,7 +525,12 @@ def _b2m(t: RecBranchDec, sg: SourcedGraph, sig: Signature) -> tuple[DecompTree,
         d2w = _perm_into(sig, shared + z_block, ports2, d2)
         done.append((Compose(assembled, len(x2), d2w), gamma_ports + z_block))
         widest = max(widest, len(x2))
-    return (*done[0], widest)
+    (tree, ports), = done
+    tree = _perm_into(sig, sources, ports, tree)
+    got = _built_width(sig, widest)
+    if got > bound:
+        raise BoundViolation(f"branch-to-term width {got} exceeds {bound}")
+    return tree, sig, got
 
 
 # ---------------------------------------------------------------------------
