@@ -16,8 +16,11 @@ from typing import Iterable, Optional
 from .graph import (
     FiniteMap,
     Graph,
+    GraphError,
     GraphMorphism,
     SourcedGraph,
+    _ints,
+    _json,
     _numbered,
     find_isomorphism,
     graph_coproduct,
@@ -223,11 +226,16 @@ def cospan_to_json(c: Cospan) -> dict:
 
 
 def cospan_from_json(data: dict) -> Cospan:
+    """The cospan of `cospan_to_json`'s form; CospanError names a missing
+    field or the expected type of an ill-typed value."""
     try:
-        apex = Graph(data["apex"]["v"],
-                     {i: set(pair) for i, pair in enumerate(data["apex"]["e"])})
-        left = tuple(data["legL"][str(i)] for i in data["left"])
-        right = tuple(data["legR"][str(i)] for i in data["right"])
-    except (KeyError, TypeError) as exc:
+        apex = _json(_json(data, dict, "a cospan")["apex"], dict, "an apex")
+        vertices = _ints(_json(apex["v"], list, "a vertex list"))
+        ends = {i: _ints(_json(pair, list, "an edge"))
+                for i, pair in enumerate(_json(apex["e"], list, "an edge list"))}
+        left, right = (tuple(_ints(_json(data[leg], dict, "a leg")[str(i)]
+                                   for i in _json(data[ports], list, "a port list")))
+                       for ports, leg in (("left", "legL"), ("right", "legR")))
+    except (KeyError, GraphError) as exc:
         raise CospanError(f"malformed cospan JSON: {exc}") from exc
-    return Cospan(apex, left, right)
+    return Cospan(Graph(vertices, ends), left, right)

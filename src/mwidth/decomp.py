@@ -23,13 +23,14 @@ form share the end sets of the graph it decomposes, and `*_to_recursive`
 track the largest bag or boundary as they build, so no width postcondition
 walks its result again.
 
-Each classic decomposition tree is walked once per question (`_walk`), and
-every question is linear in the tree's size.  The tree and branch
-validators share one walk that tells whether the shape is a tree
-(`_tree_parents`); the tree validator reads from it the parents for clause
-3 (the bags holding a vertex are connected), which is one per-vertex test
-against the parent bag for trees and paths alike, and the branch
-validator the degrees and leaves.  `tree_to_recursive` reads children and
+Each classic decomposition tree is walked once per question
+(`graph._walk`), and every question is linear in the tree's size.  The
+tree and branch validators share one walk that tells whether the shape is
+a tree (`graph._tree_parents`, which `Graph.is_tree` also reads); the
+tree validator reads from it the parents for clause 3 (the bags holding a
+vertex are connected), which is one per-vertex test against the parent
+bag for trees and paths alike, and the branch validator the degrees and
+leaves.  `tree_to_recursive` reads children and
 subtree bags from one walk; `branch_dec_width` holds the ends of the edges
 below and outside every node as vertex bit masks, from one pass up the
 tree and one down; `branch_to_recursive` reads the leaf edges below every
@@ -46,6 +47,8 @@ from .graph import (
     Graph,
     GraphError,
     SourcedGraph,
+    _ints,
+    _json,
     _tree_parents,
     _walk,
     ends_of_edge_set,
@@ -404,8 +407,8 @@ _RecDec = RecTreeDec | RecPathDec | RecBranchDec
 # (writer, reader), or _CHILD for a child; a classic form has no children.
 # Reading JSON tries the classes in this order, flagged classes first.
 _CHILD = None
-_GRAPH = sourced_graph_to_json, lambda g: sourced_graph_from_json(_json(g, dict, "a graph"))
-_SHAPE = graph_to_json, lambda g: graph_from_json(_json(g, dict, "a graph"))
+_GRAPH = sourced_graph_to_json, sourced_graph_from_json
+_SHAPE = graph_to_json, graph_from_json
 _BAG = sorted, lambda b: set(_ints(_json(b, list, "a bag")))
 _LAYOUT = {
     TreeDec: ("tree", "", {"shape": _SHAPE, "bags": (
@@ -899,22 +902,6 @@ def branch_from_recursive(t: RecBranchDec) -> BranchDec:
 
 # ---------------------------------------------------------------------------
 # Serialization.
-
-
-def _ints(items) -> list:
-    items = list(items)
-    if not all(isinstance(i, int) for i in items):
-        raise TypeError(f"expected integers, got {items!r}")
-    return items
-
-
-def _json(data, cls: type, what: str):
-    """`data`, if it is a JSON object (`cls` dict) or array (list); else
-    TypeError naming `what` and the expected type."""
-    if not isinstance(data, cls):
-        raise TypeError(f"{what} is a JSON {'object' if cls is dict else 'array'}, "
-                        f"not {type(data).__name__}")
-    return data
 
 
 def _field(data: dict, name: str, read):

@@ -20,6 +20,12 @@ bits, `_subset_unions` joins masks over every subset, and `_components`
 is the one component flood, which splits the outside of a bag in the
 tree-width search of `oracles` and a state into its tensor factors in
 `terms.bounded_mwd_search`.
+
+`_walk` is the one walk of a decomposition tree, and `_tree_parents` the
+one test of whether a graph is a tree, which `Graph.is_tree` and the
+decomposition validators read.  The JSON readers check each value's type
+with `_json` and `_ints`, which the decomposition and cospan readers
+share, so an ill-typed value is named with the type it should have.
 """
 
 from __future__ import annotations
@@ -730,15 +736,32 @@ def graph_to_json(g: Graph) -> dict:
     }
 
 
+def _json(data, cls: type, what: str):
+    """`data`, if it is a JSON object (`cls` dict) or array (list); else
+    GraphError naming `what` and the expected type."""
+    if not isinstance(data, cls):
+        raise GraphError(f"{what} is a JSON {'object' if cls is dict else 'array'}, "
+                         f"not {type(data).__name__}")
+    return data
+
+
+def _ints(items) -> list:
+    items = list(items)
+    if not all(isinstance(i, int) for i in items):
+        raise GraphError(f"expected integers, got {items!r}")
+    return items
+
+
 def graph_from_json(data: dict) -> Graph:
+    """The graph of `graph_to_json`'s form; GraphError names an ill-typed
+    value, or an edge entry with no id."""
     ends = {}
-    for item in data.get("e", []):
-        try:
-            e, pts = item[0], item[1:]
-        except LookupError:  # an empty list or string, or an object
-            raise GraphError(f"edge entry {item!r} has no id") from None
-        ends[e] = set(pts)
-    return Graph(data.get("v", []), ends)
+    for item in _json(_json(data, dict, "a graph").get("e", []), list, "an edge list"):
+        if isinstance(item, (str, dict)) or item == []:  # nothing at index 0
+            raise GraphError(f"edge entry {item!r} has no id")
+        e, *pts = _ints(_json(item, list, "an edge entry"))
+        ends[e] = pts
+    return Graph(_ints(_json(data.get("v", []), list, "a vertex list")), ends)
 
 
 def sourced_graph_to_json(sg: SourcedGraph) -> dict:
@@ -748,4 +771,5 @@ def sourced_graph_to_json(sg: SourcedGraph) -> dict:
 
 
 def sourced_graph_from_json(data: dict) -> SourcedGraph:
-    return SourcedGraph(graph_from_json(data), data.get("s", []))
+    return SourcedGraph(graph_from_json(data),
+                        _ints(_json(data.get("s", []), list, "a source list")))

@@ -718,7 +718,9 @@ def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
 
     Widths and upper bounds come from `_optimal` for each kind; lower
     bounds from translating the best searched terms back into
-    decompositions whose validity certifies them.
+    decompositions.  Only the branch certificate is validated (by
+    `m_to_bdec`); the tree and path certificates' widths are read with
+    `_rec_width_raw`, without validation.
 
     ``branch-upper`` tests the literal ``mwd_upper <= bw + 1``.  It
     therefore fails on graphs of branch width 0 that have a proper

@@ -546,6 +546,48 @@ def test_ill_typed_json_names_the_expected_type(tmp_path, capsys, name):
     assert out == "" and err == f"error: {bad}: {message}\n"
 
 
+def _rec_tree_over(graph) -> dict:
+    return {"kind": "rec-tree", "graph": graph, "bag": [0], "left": _EMPTY_REC_TREE,
+            "right": _EMPTY_REC_TREE}
+
+
+def _atom_over(cospan: dict) -> dict:
+    return {"term": {"op": "leaf", "atom": "a"}, "signature": {"a": {**_ATOM, "cospan": cospan}}}
+
+
+_COSPAN = {"apex": {"v": [], "e": []}, "left": [], "right": [], "legL": {}, "legR": {}}
+ILL_TYPED_GRAPH_JSON = {
+    "vertices-an-int": (_rec_tree_over({"v": 5}), "decomposition field 'graph': "
+                                                  "a vertex list is a JSON array, not int"),
+    "edges-an-int": (_rec_tree_over({"e": 3}), "decomposition field 'graph': "
+                                               "an edge list is a JSON array, not int"),
+    "sources-an-int": (_rec_tree_over({"s": 3}), "decomposition field 'graph': "
+                                                 "a source list is a JSON array, not int"),
+    "edge-end-an-object": (_rec_tree_over({"v": [0], "e": [[0, {}]]}),
+                           "decomposition field 'graph': expected integers, got [0, {}]"),
+    "apex-vertices-an-int": (_atom_over({**_COSPAN, "apex": {"v": 5, "e": []}}),
+                             "malformed atom 'a': CospanError('malformed cospan JSON: "
+                             "a vertex list is a JSON array, not int')"),
+    "left-ports-an-int": (_atom_over({**_COSPAN, "left": 3}),
+                          "malformed atom 'a': CospanError('malformed cospan JSON: "
+                          "a port list is a JSON array, not int')"),
+    "leg-vertex-a-list": (_atom_over({**_COSPAN, "apex": {"v": [0], "e": []}, "left": [0],
+                                      "legL": {"0": [0]}}),
+                          "malformed atom 'a': CospanError('malformed cospan JSON: "
+                          "expected integers, got [[0]]')"),
+}
+
+
+@pytest.mark.parametrize("name", ILL_TYPED_GRAPH_JSON)
+def test_ill_typed_graph_and_cospan_json_names_the_expected_type(tmp_path, capsys, name):
+    data, message = ILL_TYPED_GRAPH_JSON[name]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["translate", "--from", str(bad), "--to", "tree"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {bad}: {message}\n"
+
+
 def test_an_infinite_atom_arity_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"term": {"op": "leaf", "atom": "a"}, '

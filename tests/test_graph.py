@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import k, path_graph, random_graph
 from mwidth import (
@@ -27,6 +29,7 @@ from mwidth.graph import (
     find_isomorphism,
     graph_from_json,
     graph_to_json,
+    sourced_graph_from_json,
 )
 from mwidth.oracles import enumerate_graphs
 
@@ -365,3 +368,43 @@ def test_graph_from_json_refuses_an_edge_entry_without_an_id(entry):
     with pytest.raises(GraphError) as info:
         graph_from_json({"v": [0, 1], "e": [entry]})
     assert str(info.value) == f"edge entry {entry!r} has no id"
+
+
+@pytest.mark.parametrize("read,data,message", [
+    (graph_from_json, "x", "a graph is a JSON object, not str"),
+    (graph_from_json, {"v": 5, "e": []}, "a vertex list is a JSON array, not int"),
+    (graph_from_json, {"v": [0], "e": [[0, {}]]}, "expected integers, got [0, {}]"),
+    (sourced_graph_from_json, {"v": [0], "s": 3}, "a source list is a JSON array, not int"),
+])
+def test_graph_json_readers_name_the_expected_type(read, data, message):
+    with pytest.raises(GraphError) as info:
+        read(data)
+    assert str(info.value) == message
+
+
+def _is_tree_reference(g: Graph) -> bool:
+    """The definition `Graph.is_tree` had before it read the decomposition
+    walk: connected, no loop, and one edge fewer than vertices."""
+    return (g.is_connected() and not any(g.is_loop(e) for e in g.edges)
+            and len(g.edges) == len(g.vertices) - 1)
+
+
+@st.composite
+def near_trees(draw):
+    """A multigraph on up to 7 of the ids 0..9, the empty graph included:
+    a random tree, less some of its edges (leaving isolated vertices or
+    several components), plus loops, parallel edges and other edges."""
+    ids = draw(st.permutations(range(10)))[:draw(st.integers(0, 7))]
+    tree = [(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, len(ids))]
+    kept = [pair for pair in tree if draw(st.integers(0, 3))]  # drawing 0 drops the edge
+    vertex = st.sampled_from(ids or [0])
+    extra = draw(st.lists(st.tuples(vertex, vertex), max_size=2)) if ids else []
+    return Graph.from_edge_pairs(ids, kept + extra)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(near_trees())
+def test_is_tree_matches_the_reference_on_multigraphs(g):
+    assert g.is_tree() == _is_tree_reference(g)
+    assert is_subcubic_tree(g) == (
+        _is_tree_reference(g) and all(len(g.neighbours(v)) <= 3 for v in g.vertices))
