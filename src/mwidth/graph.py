@@ -31,6 +31,7 @@ share, so an ill-typed value is named with the type it should have.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Optional
 
 
@@ -755,13 +756,18 @@ def _ints(items) -> list:
 def graph_from_json(data: dict) -> Graph:
     """The graph of `graph_to_json`'s form; GraphError names an ill-typed
     value, or an edge entry with no id."""
-    ends = {}
-    for item in _json(_json(data, dict, "a graph").get("e", []), list, "an edge list"):
-        if isinstance(item, (str, dict)) or item == []:  # nothing at index 0
-            raise GraphError(f"edge entry {item!r} has no id")
-        e, *pts = _ints(_json(item, list, "an edge entry"))
-        ends[e] = pts
-    return Graph(_ints(_json(data.get("v", []), list, "a vertex list")), ends)
+    items = _json(_json(data, dict, "a graph").get("e", []), list, "an edge list")
+    for item in items:
+        if type(item) is not list or not item:  # only these can lack an id or be no array
+            if isinstance(item, (str, dict)) or item == []:  # nothing at index 0
+                raise GraphError(f"edge entry {item!r} has no id")
+            _json(item, list, "an edge entry")
+    # one pass over every id; `_ints` of each entry only to name a bad one
+    if not all(isinstance(i, int) for i in chain.from_iterable(items)):
+        for item in items:
+            _ints(item)
+    return Graph(_ints(_json(data.get("v", []), list, "a vertex list")),
+                 {item[0]: item[1:] for item in items})
 
 
 def sourced_graph_to_json(sg: SourcedGraph) -> dict:
