@@ -12,6 +12,9 @@ that raises records the error's type and message instead.  The corpus:
 - JSON and DOT of the classic and recursive decompositions of the
   `roundtrip` benchmark inputs of seeds 1-3, of the terms made of the
   recursive ones, and of what `m_to_*dec` makes of those terms;
+- JSON and DOT of what `m_to_bdec` makes, through a glue map that
+  identifies boundary vertices at random, of seeded random terms and of
+  the terms of the seed-1 `roundtrip` inputs;
 - the witness of each exact oracle, or its error, on `enumerate_graphs(6)`;
 - `check_theorems(g).to_json()` on the `theorems` benchmark inputs of
   seeds 1-3;
@@ -177,6 +180,40 @@ def roundtrip_records(mw, workloads, table):
                 for kind in workloads.STEPS:
                     yield from _steps(f"roundtrip/{seed}/{v}/{i}/{kind}",
                                       _roundtrip_steps(mw, workloads, item, kind))
+
+
+def _glue_map(mw, rng, h):
+    """A glue map on the apex of `h` that sends each boundary vertex to one
+    of at most half of them, drawn at random, and every other vertex to
+    itself, so it identifies only boundary vertices."""
+    boundary = sorted(h.left_image() | h.right_image())
+    pool = rng.sample(boundary, (len(boundary) + 1) // 2)
+    mapping = {v: v for v in h.apex.vertices}
+    mapping.update((v, rng.choice(pool)) for v in boundary)
+    return mw.FiniteMap(mapping, mapping.values())
+
+
+def _glued_steps(mw, rng, term, sig):
+    phi = _glue_map(mw, rng, mw.evaluate(term, sig))
+    yield "phi", sorted(phi.mapping.items())
+    yield "m_to_bdec", _dec(mw, mw.m_to_bdec(term, sig, phi))
+
+
+def glue_records(mw, gen, workloads, table):
+    rng = gen.stream(0, "same_results glue")
+    for i in range(300):
+        sig = mw.Signature()
+        term, _ = _random_term(mw, rng, sig, rng.randint(0, 2), 4)
+        yield from _steps(f"glue/random/{i}", _glued_steps(mw, rng, term, sig))
+    w = workloads.Roundtrip()
+    w.build(mw, 1, table)
+    for i, item in enumerate(w.variants[0]):
+        for kind in workloads.STEPS:
+            _, to_rec, _, _, to_term, _ = (getattr(mw, s) for s in workloads.STEPS[kind])
+            d = item.decs[kind]
+            sg = mw.SourcedGraph(item.graph, d.sources)
+            term, sig = to_term(to_rec(d.dec, sg, *d.extra), sg)
+            yield from _steps(f"glue/roundtrip/{i}/{kind}", _glued_steps(mw, rng, term, sig))
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +801,7 @@ def records(mw):
     table = workloads.load_table()
     yield from colimit_records(mw, gen)
     yield from roundtrip_records(mw, workloads, table)
+    yield from glue_records(mw, gen, workloads, table)
     yield from oracle_records(mw)
     yield from theorem_records(mw, workloads, table)
     yield from search_records(mw, gen, table)
