@@ -420,9 +420,10 @@ def is_subcubic_tree(g: Graph) -> bool:
 def _numbered(g: Graph) -> tuple[dict, list, list]:
     """Each vertex's rank in sorted order, the sorted edges, and the ends of
     each of those edges as ranks."""
-    rank = {v: i for i, v in enumerate(sorted(g.vertices))}
+    rank = dict(zip(sorted(g.vertices), range(len(g.vertices))))
     edges = sorted(g.edges)
-    return rank, edges, [tuple(rank[v] for v in g._ends[e]) for e in edges]
+    ends = g._ends
+    return rank, edges, [tuple(map(rank.__getitem__, ends[e])) for e in edges]
 
 
 def _colimit(blocks: list[tuple[int, list]],
@@ -432,19 +433,36 @@ def _colimit(blocks: list[tuple[int, list]],
     run through the blocks in order.  Classes are numbered by their least
     id and edges keep their global ids, so pushouts and coproducts, which
     glue two blocks, nest to the colimit of all their leaves at once.
-    Returns each global vertex's class and the apex."""
-    uf = UnionFind(range(sum(n for n, _ in blocks)))
+    Returns each global vertex's class and the apex.
+
+    The classes come from a union-find on one list of parents with path
+    halving, whose roots are least ids: every parent is then at most its
+    child, so one pass up the list numbers each root as it is met and
+    gives every other id its parent's class."""
+    parent = list(range(sum(n for n, _ in blocks)))
     for a, b in pairs:
-        uf.union(a, b)
-    # a class's representative is its least id, so it is met and numbered first
-    reps: dict = {}
-    vertex = [reps.setdefault(uf.find(v), len(reps)) for v in uf.parent]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    vertex: list = []
+    count = 0
+    for v, p in enumerate(parent):
+        if p == v:
+            vertex.append(count)
+            count += 1
+        else:
+            vertex.append(vertex[p])
     ends: list = []
     v0 = 0
     for n, block_ends in blocks:
         ends += ({vertex[v0 + v] for v in pts} for pts in block_ends)
         v0 += n
-    return vertex, Graph(range(len(reps)), dict(enumerate(ends)))
+    return vertex, Graph(range(count), dict(enumerate(ends)))
 
 
 def _side_by_side(g1: Graph, g2: Graph,

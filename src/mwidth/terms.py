@@ -274,46 +274,52 @@ def _glue(d: DecompTree, sig: Signature) -> _Glued:
 
     The leaves' apex vertices and edges get global ids left to right, each
     leaf's in sorted order, and each composition identifies its cut ports
-    (`graph._colimit`).  The arity and cut checks all run, in post-order,
-    before any gluing; the same walk takes the term's width, the largest
-    atom weight or cut.
+    (`graph._colimit`).  Each atom is numbered once per call, at its first
+    leaf.  The arity and cut checks all run, in post-order, before any
+    gluing; the same walk takes the term's width, the largest atom weight
+    or cut.  A node's `_Node` holds only ranges and port tuples of global
+    ids; the readers of `translate` map them into the apex.
     """
+    atoms = sig.atoms
+    new = tuple.__new__
     nodes: list = []
     done: list = []  # _Node of the finished subterms, innermost last
     blocks: list = []  # (vertex count, local edge ends) of each leaf
     pairs: list = []  # cut ports to identify
-    numbered: dict = {}  # id(leaf cospan) -> _numbered of it
+    numbered: dict = {}  # atom name -> its block, edge count and ports
     n_vertices = n_edges = 0
     widest = None  # the width so far; every term has a leaf
     for node in _post_order(d):
         if isinstance(node, Leaf):
-            atom = sig.atom(node.atom)
-            c = atom.cospan
-            if c is None:
-                raise TermError(f"atom {node.atom!r} at {_path(d, node)} has no cospan binding")
-            if widest is None or atom.weight > widest:
-                widest = atom.weight
-            if id(c) not in numbered:
-                numbered[id(c)] = _numbered(c)
-            n, leaf_ends, left, right = numbered[id(c)]
+            leaf = numbered.get(node.atom)
+            if leaf is None:
+                atom = atoms.get(node.atom) or sig.atom(node.atom)
+                c = atom.cospan
+                if c is None:
+                    raise TermError(f"atom {node.atom!r} at {_path(d, node)} has no cospan binding")
+                if widest is None or atom.weight > widest:
+                    widest = atom.weight
+                n, leaf_ends, left, right = _numbered(c)
+                numbered[node.atom] = leaf = (n, leaf_ends), n, len(leaf_ends), left, right
+            block, n, m, left, right = leaf
             v0, e0 = n_vertices, n_edges
             n_vertices += n
-            n_edges += len(leaf_ends)
-            blocks.append((n, leaf_ends))
-            out = _Node(node, range(v0, n_vertices), range(e0, n_edges),
-                        tuple([v0 + v for v in left]), tuple([v0 + v for v in right]))
+            n_edges += m
+            blocks.append(block)
+            out = new(_Node, (node, range(v0, n_vertices), range(e0, n_edges),
+                              tuple([v0 + v for v in left]), tuple([v0 + v for v in right])))
         elif isinstance(node, (Tensor, Compose)):
             n2 = done.pop()
             n1 = done.pop()
             vs = range(n1.vertices.start, n2.vertices.stop)
             es = range(n1.edges.start, n2.edges.stop)
             if isinstance(node, Tensor):
-                out = _Node(node, vs, es, n1.left + n2.left, n1.right + n2.right)
+                out = new(_Node, (node, vs, es, n1.left + n2.left, n1.right + n2.right))
             elif len(n1.right) != node.cut or len(n2.left) != node.cut:
                 raise _cut_mismatch(d, node, len(n1.right), len(n2.left))
             else:
                 pairs += zip(n1.right, n2.left)
-                out = _Node(node, vs, es, n1.left, n2.right)
+                out = new(_Node, (node, vs, es, n1.left, n2.right))
                 if node.cut > widest:
                     widest = node.cut
         else:
@@ -321,7 +327,7 @@ def _glue(d: DecompTree, sig: Signature) -> _Glued:
         nodes.append(out)
         done.append(out)
     if isinstance(d, Leaf):
-        c = sig.atom(d.atom).cospan
+        c = atoms[d.atom].cospan
         return _Glued(c, sorted(c.apex.vertices), sorted(c.apex.edges), nodes, widest)
     vertex, apex = _colimit(blocks, pairs)
     (root,) = done

@@ -166,25 +166,20 @@ def _epi_to_dec(alpha: GraphMorphism, t):
 
 def _push(t, vmap: dict, emap: dict, target: Graph):
     """Rebuild a recursive tree or path decomposition over `target` through
-    the vertex and edge maps: each node decomposes the image of its own
-    graph, a subgraph of `target`, with the image of its bag and sources."""
+    the vertex and edge maps, which respect edge ends: each node decomposes
+    the image of its own graph, a part of `target`, with the images of its
+    bag and sources."""
     done: list = []  # the images of the finished subtrees, the leftmost last
     for node in reversed(_pre_order(t)):
         if not isinstance(node, _EMPTY_NODES):
             g = node.graph
             kids = [done.pop() for _ in _children(node)]
-            node = _image(type(node), vmap, emap, target, g.vertices, g.edges, g.sources,
-                          node.bag, *kids)
+            image = target._part(frozenset([vmap[v] for v in g.vertices]),
+                                 [emap[e] for e in g.edges])
+            node = type(node)(SourcedGraph(image, {vmap[v] for v in g.sources}),
+                              {vmap[v] for v in node.bag}, *kids)
         done.append(node)
     return done[0]
-
-
-def _image(node: type, vmap, emap, target: Graph, vs, es, sources, bag, *kids):
-    """`node` over the image in `target` of the part (`vs`, `es`) of a graph,
-    with the images of `sources` and `bag`; `vmap` and `emap` are indexed
-    by id (dicts, or the lists of `terms._glue`) and respect edge ends."""
-    image = target._part(frozenset([vmap[v] for v in vs]), [emap[e] for e in es])
-    return node(SourcedGraph(image, {vmap[v] for v in sources}), {vmap[v] for v in bag}, *kids)
 
 
 def _glue_closed(d: DecompTree, sig: Signature, shaped, shape: str) -> tm._Glued:
@@ -341,45 +336,51 @@ def m_to_tdec(d: DecompTree, sig: Signature) -> RecTreeDec:
 
     The term must have an empty right boundary; the result decomposes
     (apex, image of the left leg) with width <= max(term width, image size).
-    Each node decomposes its term node's image in the apex, built in one
-    post-order pass over the nodes of `terms._glue`.
+    One post-order pass over the nodes of `terms._glue` builds each node
+    over its term node's image in the apex: a leaf's image is read off its
+    global ids, an inner node's is the union of its two children's.
     """
     glued = _glue_closed(d, sig, tm.is_right_tree, "right-tree")
-    at = glued.vertex, glued.edge, glued.value.apex  # global ids -> the apex
+    vertex, edge, target = glued.vertex, glued.edge, glued.value.apex
     widest = 0  # the largest bag built
 
-    def node(vs, es, sources, bag, *kids) -> RecTreeDec:
-        """The node over the image of the part (`vs`, `es`); a one-bag node
-        holding all of `vs` when `kids` are not given, empty for no vertices."""
+    def node(part: Graph, sources, bag, *kids) -> RecTreeDec:
+        """The node over `part` with the images of the global ids `sources`
+        and `bag`; a one-bag node holding all of `part` when `kids` are not
+        given, empty for no vertices."""
         nonlocal widest
         if not kids:
-            if not vs:
+            if not part.vertices:
                 return REC_TREE_EMPTY
             kids = REC_TREE_EMPTY, REC_TREE_EMPTY
-        t = _image(RecTreeNode, *at, vs, es, sources, bag, *kids)
+        t = RecTreeNode(SourcedGraph(part, {vertex[v] for v in sources}),
+                        {vertex[v] for v in bag}, *kids)
         widest = max(widest, len(t.bag))
         return t
 
-    def placed(n: tm._Node, t: Optional[RecTreeDec]) -> RecTreeDec:
+    def placed(n: tm._Node, part: Graph, t: Optional[RecTreeDec]) -> RecTreeDec:
         """`t`, or for a leaf `n` (None) its one-bag node, built at its parent."""
-        return node(n.vertices, n.edges, n.left, n.vertices) if t is None else t
+        return node(part, n.left, n.vertices) if t is None else t
 
-    done: list = []  # (node, its decomposition; None for a leaf), innermost last
+    # (node, its image, its decomposition; None for a leaf), innermost last
+    done: list = []
     for n in glued.nodes:
         if isinstance(n.term, Leaf):
-            done.append((n, None))
+            done.append((n, target._part(frozenset([vertex[v] for v in n.vertices]),
+                                         [edge[e] for e in n.edges]), None))
             continue
-        (n1, t1), (n2, t2) = done[-2:]
+        (n1, p1, t1), (n2, p2, t2) = done[-2:]
         del done[-2:]
         if isinstance(n.term, Compose):
             # the atom's image is the left child; the bag adds the cut, which
             # is all the two factors share
             bag = n.left + n1.right
-            kids = node(n1.vertices, n1.edges, bag, n1.vertices), placed(n2, t2)
+            kids = node(p1, bag, n1.vertices), placed(n2, p2, t2)
         else:  # tensor: join both parts under the boundary image
             bag = n.left
-            kids = placed(n1, t1), placed(n2, t2)
-        done.append((n, node(n.vertices, n.edges, n.left, bag, *kids)))
+            kids = placed(n1, p1, t1), placed(n2, p2, t2)
+        part = target._part(p1.vertices | p2.vertices, p1.edges | p2.edges)
+        done.append((n, part, node(part, n.left, bag, *kids)))
     t = placed(*done[0])
     return _within(t, widest, max(glued.width, len(glued.value.left_image())), "tree")
 
@@ -434,20 +435,19 @@ def m_to_pdec(d: DecompTree, sig: Signature) -> RecPathDec:
     """Recursive path decomposition read off a composition-only term.
 
     Node i is the part of the root apex covered by leaves i, i+1, ..., with
-    leaf i's image as its bag.  The apex and each leaf's image in it do not
-    depend on how the term is associated.  Width never increases.
+    leaf i's image as its bag: its tail's part with leaf i's vertices and
+    edges added.  The apex and each leaf's image in it do not depend on how
+    the term is associated.  Width never increases.
     """
     glued = _glue_closed(d, sig, tm.is_path, "path")
     target, vertex, edge = glued.value.apex, glued.vertex, glued.edge
     leaves = [n for n in glued.nodes if isinstance(n.term, Leaf)]
-    t, vs, es, widest = REC_PATH_EMPTY, frozenset(), [], 0
+    t, part, widest = REC_PATH_EMPTY, REC_PATH_EMPTY.graph.graph, 0
     for i, n in enumerate(reversed(leaves)):
         bag = frozenset([vertex[v] for v in n.vertices])
-        vs |= bag
-        es += [edge[e] for e in n.edges]
+        part = target._part(part.vertices | bag, part.edges.union([edge[e] for e in n.edges]))
         if bag or i:  # only an empty last leaf leaves the tail empty
-            t = RecPathCons(SourcedGraph(target._part(vs, es), {vertex[v] for v in n.left}),
-                            bag, t)
+            t = RecPathCons(SourcedGraph(part, {vertex[v] for v in n.left}), bag, t)
             widest = max(widest, len(bag))
     return _within(t, widest, glued.width, "path")
 
@@ -552,7 +552,9 @@ def m_to_bdec(d: DecompTree, sig: Signature,
     property).  Width is at most twice max(term width, boundary arities).
     Each node decomposes the image through `phi` of its term node's image
     in the apex, built in one post-order pass over the nodes of
-    `terms._glue`.
+    `terms._glue`: a leaf's is read off its global ids, an inner node's is
+    the union of its two children's, as the image of a union is the union
+    of the images.
     """
     glued = tm._glue(d, sig)
     h, vertex, edge = glued.value, glued.vertex, glued.edge
@@ -571,14 +573,17 @@ def m_to_bdec(d: DecompTree, sig: Signature,
     at = [pushed[v] for v in vertex]  # global vertex id -> its image in `whole`
     done: list = []  # decompositions of the finished subterms, innermost last
     for n in glued.nodes:
-        part = SourcedGraph(whole._part(frozenset([at[v] for v in n.vertices]),
-                                        [edge[e] for e in n.edges]),
-                            [at[v] for v in n.left + n.right])
+        sources = [at[v] for v in n.left + n.right]
         if isinstance(n.term, Leaf):
-            done.append(_left_comb_branch(part))
+            done.append(_left_comb_branch(SourcedGraph(
+                whole._part(frozenset([at[v] for v in n.vertices]), [edge[e] for e in n.edges]),
+                sources)))
             continue
         t1, t2 = done[-2:]
         del done[-2:]
+        # each child's root holds the image of its term node: this one's is their union
+        g1, g2 = t1.graph.graph, t2.graph.graph
+        part = SourcedGraph(whole._part(g1.vertices | g2.vertices, g1.edges | g2.edges), sources)
         if isinstance(t1, RecBranchEmpty) and isinstance(t2, RecBranchEmpty):
             done.append(RecBranchEmpty(part))
         else:
