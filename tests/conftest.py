@@ -25,10 +25,21 @@ from mwidth import (
     canonical_key,
 )
 from mwidth import cospan as cs
-from mwidth.decomp import REC_PATH_EMPTY, REC_TREE_EMPTY, path_to_recursive
+from mwidth import terms as tm
+from mwidth.decomp import (
+    REC_PATH_EMPTY,
+    REC_TREE_EMPTY,
+    RecBranchDec,
+    RecBranchEmpty,
+    RecBranchNode,
+    RecPathDec,
+    RecTreeDec,
+    path_to_recursive,
+)
 from mwidth.graph import components, ends_of_edge_set
 from mwidth.oracles import _leaf_trees
 from mwidth.terms import Compose, DecompTree, Leaf, Tensor
+from mwidth.translate import _left_comb_branch
 
 ACCEPTANCE_RESULTS = []
 
@@ -250,6 +261,92 @@ def reference_evaluate(d: DecompTree, sig: Signature, path: str = "") -> Cospan:
         raise TermError(f"cut mismatch at node {path or 'root'}: "
                         f"{left.right_arity} -> [{d.cut}] -> {right.left_arity}")
     return cs.compose(left, right)
+
+
+def _ref_part(target: Graph, vertex, edge, n) -> Graph:
+    """The part of `target` a term node `n` of `terms._glue` covers, read
+    off its ranges of global ids through `vertex` and `edge`."""
+    return target._part(frozenset([vertex[v] for v in n.vertices]), [edge[e] for e in n.edges])
+
+
+def reference_m_to_tdec(d: DecompTree, sig: Signature) -> RecTreeDec:
+    """`m_to_tdec` of a right-tree term with an empty right boundary, each
+    node's part read off its term node's ranges.  Reference for the parts
+    and bags of `m_to_tdec`."""
+    glued = tm._glue(d, sig)
+    vertex, target = glued.vertex, glued.value.apex
+
+    def node(n, sources, bag, *kids) -> RecTreeDec:
+        if not kids:
+            if not n.vertices:
+                return REC_TREE_EMPTY
+            kids = REC_TREE_EMPTY, REC_TREE_EMPTY
+        part = _ref_part(target, vertex, glued.edge, n)
+        return RecTreeNode(SourcedGraph(part, {vertex[v] for v in sources}),
+                           {vertex[v] for v in bag}, *kids)
+
+    def placed(n, t) -> RecTreeDec:
+        return node(n, n.left, n.vertices) if t is None else t
+
+    done: list = []  # (term node, its decomposition; None for a leaf)
+    for n in glued.nodes:
+        if isinstance(n.term, Leaf):
+            done.append((n, None))
+            continue
+        (n1, t1), (n2, t2) = done[-2:]
+        del done[-2:]
+        if isinstance(n.term, Compose):
+            bag = n.left + n1.right
+            kids = node(n1, bag, n1.vertices), placed(n2, t2)
+        else:
+            bag = n.left
+            kids = placed(n1, t1), placed(n2, t2)
+        done.append((n, node(n, n.left, bag, *kids)))
+    return placed(*done[0])
+
+
+def reference_m_to_pdec(d: DecompTree, sig: Signature) -> RecPathDec:
+    """`m_to_pdec` of a path term with an empty right boundary: node i is the
+    part covered by leaves i, i+1, ..., read off their ranges.  Reference
+    for the parts and bags of `m_to_pdec`."""
+    glued = tm._glue(d, sig)
+    vertex, edge, target = glued.vertex, glued.edge, glued.value.apex
+    leaves = [n for n in glued.nodes if isinstance(n.term, Leaf)]
+    t, vs, es = REC_PATH_EMPTY, frozenset(), []
+    for i, n in enumerate(reversed(leaves)):
+        bag = frozenset([vertex[v] for v in n.vertices])
+        vs |= bag
+        es += [edge[e] for e in n.edges]
+        if bag or i:
+            t = RecPathCons(SourcedGraph(target._part(vs, es), {vertex[v] for v in n.left}),
+                            bag, t)
+    return t
+
+
+def reference_m_to_bdec(d: DecompTree, sig: Signature, phi=None) -> RecBranchDec:
+    """`m_to_bdec` of any term through the glue map `phi` (the identity when
+    None), each node's part read off its term node's ranges and pushed
+    through `phi`.  Reference for the parts of `m_to_bdec`."""
+    glued = tm._glue(d, sig)
+    apex = glued.value.apex
+    pushed = phi.mapping if phi is not None else {v: v for v in apex.vertices}
+    whole = Graph([pushed[v] for v in apex.vertices],
+                  {e: [pushed[v] for v in pts] for e, pts in apex._ends.items()})
+    at = [pushed[v] for v in glued.vertex]
+    done: list = []
+    for n in glued.nodes:
+        part = SourcedGraph(_ref_part(whole, at, glued.edge, n),
+                            [at[v] for v in n.left + n.right])
+        if isinstance(n.term, Leaf):
+            done.append(_left_comb_branch(part))
+            continue
+        t1, t2 = done[-2:]
+        del done[-2:]
+        if isinstance(t1, RecBranchEmpty) and isinstance(t2, RecBranchEmpty):
+            done.append(RecBranchEmpty(part))
+        else:
+            done.append(RecBranchNode(part, t1, t2))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_graph, k, path_graph, random_graph, reference_evaluate
+from conftest import (
+    cycle_graph,
+    deep_right_tree_term,
+    k,
+    path_graph,
+    random_cospan,
+    random_graph,
+    reference_evaluate,
+    reference_m_to_bdec,
+    reference_m_to_pdec,
+    reference_m_to_tdec,
+)
 from mwidth import (
     BranchDec,
     FiniteMap,
@@ -721,6 +732,80 @@ def test_m_to_pdec_of_a_deep_path_term_needs_no_recursion():
     t = m_to_pdec(term, sig)
     assert isinstance(t, RecPathCons)
     assert _rec_width_raw(t) == 2 and len(_bags(t)) == 3001
+
+
+def test_m_to_tdec_of_a_deep_right_tree_term_needs_no_recursion():
+    # each composition puts its edge on the left and the rest of the chain
+    # on the right: a chain of 3,000 nodes, deeper than the recursion limit
+    term, sig = deep_right_tree_term(3000)
+    t = m_to_tdec(term, sig)
+    assert isinstance(t, RecTreeNode)
+    assert _rec_width_raw(t) == 2 and len(_bags(t)) == 6001
+
+
+def test_m_to_bdec_of_a_deep_compose_chain_needs_no_recursion():
+    # one node per composition, its edge's leaf on the left
+    term, sig = deep_right_tree_term(3000)
+    t = m_to_bdec(term, sig)
+    depth = 0
+    while isinstance(t, RecBranchNode):
+        assert isinstance(t.left, RecBranchLeaf) and len(t.left.graph.edges) == 1
+        t, depth = t.right, depth + 1
+    # the closing leaf has a vertex and no edge
+    assert depth == 3000 and isinstance(t, RecBranchEmpty) and len(t.graph.vertices) == 1
+
+
+def _glue_map(rng: random.Random, h: cs.Cospan) -> FiniteMap:
+    """A glue map on the apex of `h` that sends each boundary vertex to one
+    of at most half of them, and every other vertex to itself."""
+    boundary = sorted(h.left_image() | h.right_image())
+    pool = rng.sample(boundary, (len(boundary) + 1) // 2)
+    mapping = {v: v for v in h.apex.vertices}
+    mapping.update((v, rng.choice(pool)) for v in boundary)
+    return FiniteMap(mapping, mapping.values())
+
+
+def _kind_terms(rng: random.Random):
+    """The t/p/b_to_mdec terms of seeded random multigraphs with sources,
+    each with its kind."""
+    for _ in range(25):
+        g = random_graph(rng, max_v=6, max_e=7)
+        sg = SourcedGraph(g, {v for v in g.vertices if rng.random() < 0.4})
+        yield ("tree", *t_to_mdec(optimal_rec_tree_dec(sg)[1], sg))
+        yield ("path", *p_to_mdec(optimal_rec_path_dec(sg)[1], sg))
+        yield ("branch", *b_to_mdec(branch_to_recursive(exact_branchwidth(g)[1], sg), sg))
+
+
+def _same(got, want) -> bool:
+    return got == want and _dumped(got) == _dumped(want)
+
+
+def test_term_readers_match_the_per_node_reference():
+    # a node's part built from its children's parts is the part its term
+    # node's global ids give
+    readers = {"tree": [(m_to_tdec, reference_m_to_tdec)],
+               "path": [(m_to_pdec, reference_m_to_pdec)], "branch": []}
+    for kind, term, sig in _kind_terms(random.Random(25)):
+        for how, ref in readers[kind] + [(m_to_bdec, reference_m_to_bdec)]:
+            assert _same(how(term, sig), ref(term, sig)), (kind, how.__name__)
+
+
+def test_m_to_bdec_through_a_merging_glue_map_matches_the_reference():
+    rng = random.Random(26)
+    terms = [(term, sig) for _, term, sig in _kind_terms(rng)]
+    for _ in range(60):  # open terms: random cospans tensored and composed
+        sig = Signature()
+        a, b, c = (rng.randint(0, 3) for _ in range(3))
+        x, y = sig.leaf(random_cospan(rng, a, b)), sig.leaf(random_cospan(rng, b, c))
+        z, w = (sig.leaf(random_cospan(rng, c, rng.randint(0, 2))),
+                sig.leaf(random_cospan(rng, rng.randint(0, 2), rng.randint(0, 2))))
+        terms.append((Tensor(Compose(x, b, Compose(y, c, z)), w), sig))
+    merged = 0
+    for term, sig in terms:
+        phi = _glue_map(rng, evaluate(term, sig))
+        merged += len(phi.image()) < len(phi.domain)
+        assert _same(m_to_bdec(term, sig, phi), reference_m_to_bdec(term, sig, phi))
+    assert merged >= 40, merged
 
 
 def test_p_to_mdec_of_a_1500_deep_chain_keeps_its_atoms(long_path_chain):
