@@ -26,6 +26,7 @@ width says; single-edge graphs with no sources meet that floor.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -445,7 +446,7 @@ def m_to_pdec(d: DecompTree, sig: Signature) -> RecPathDec:
     t, part, widest = REC_PATH_EMPTY, REC_PATH_EMPTY.graph.graph, 0
     for i, n in enumerate(reversed(leaves)):
         bag = frozenset([vertex[v] for v in n.vertices])
-        part = target._part(part.vertices | bag, part.edges.union([edge[e] for e in n.edges]))
+        part = target._part(part.vertices | bag, chain(part.edges, [edge[e] for e in n.edges]))
         if bag or i:  # only an empty last leaf leaves the tail empty
             t = RecPathCons(SourcedGraph(part, {vertex[v] for v in n.left}), bag, t)
             widest = max(widest, len(bag))
