@@ -145,12 +145,15 @@ def _bags_connected(pairs: Iterable) -> Check:
 
 
 def validate_tree_dec(dec: TreeDec, g: Graph) -> Check:
-    bags = dec.bag_map()
-    shape = dec.shape
-    parent = _tree_parents(shape)
+    return _tree_verdict(dec, g, dec.bag_map(), _tree_parents(dec.shape))
+
+
+def _tree_verdict(dec: TreeDec, g: Graph, bags: dict, parent: Optional[dict]) -> Check:
+    """`validate_tree_dec`, given the bag map and the parents of the walk of
+    the shape from its least vertex (None when the shape is not a tree)."""
     if parent is None:
         return _fail("shape", "decomposition shape is not a tree")
-    if frozenset(bags) != shape.vertices:
+    if frozenset(bags) != dec.shape.vertices:
         return _fail("shape", "bag map is not total on the tree vertices")
     for i, b in bags.items():
         if not b <= g.vertices:
@@ -179,13 +182,17 @@ def validate_path_dec(dec: PathDec, g: Graph) -> Check:
 
 
 def validate_branch_dec(dec: BranchDec, g: Graph) -> Check:
-    table = dec.leaf_table()
+    return _branch_verdict(dec, g, dec.leaf_table(), _tree_parents(dec.shape) or {})
+
+
+def _branch_verdict(dec: BranchDec, g: Graph, table: dict, parent: dict) -> Check:
+    """`validate_branch_dec`, given the leaf table and the parents of the
+    walk of the shape from its least vertex ({} when it is not a tree)."""
     if not g.edges:
         if dec.shape.vertices or table:
             return _fail("shape", "an edgeless graph admits only the empty decomposition")
         return _OK
     # a tree node's degree is its child count, plus one below the root
-    parent = _tree_parents(dec.shape) or {}
     children = Counter(parent.values())
     degree = {v: children[v] + (p is not None) for v, p in parent.items()}
     if not degree or max(degree.values()) > 3:
@@ -228,15 +235,17 @@ def edge_order(dec: BranchDec, g: Graph, e: int) -> int:
 
 
 def branch_dec_width(dec: BranchDec, g: Graph) -> int:
-    """Largest edge order of a validated branch decomposition.
-
-    The ends of the graph edges at the leaves below each tree node, and at
-    those outside its subtree, are vertex bit masks from one pass up the
-    tree and one down; the order of the edge to a node's parent is the size
-    of their intersection."""
+    """Largest edge order of a validated branch decomposition."""
     _require(validate_branch_dec(dec, g), "branch")
-    table = dec.leaf_table()
-    parent = _tree_parents(dec.shape) or {}
+    return _branch_width(g, dec.leaf_table(), _tree_parents(dec.shape) or {})
+
+
+def _branch_width(g: Graph, table: dict, parent: dict) -> int:
+    """`branch_dec_width` of a valid decomposition with leaf table `table`,
+    from the parents of a walk of its shape.  The ends of the graph edges
+    at the leaves below each tree node, and at those outside its subtree,
+    are vertex bit masks from one pass up the tree and one down; the order
+    of the edge to a node's parent is the size of their intersection."""
     bit = {v: 1 << i for i, v in enumerate(g.vertices)}
     own = {v: sum(bit[u] for u in g.ends(table[v])) if v in table else 0 for v in parent}
     below = dict(own)
@@ -254,16 +263,14 @@ def branch_dec_width(dec: BranchDec, g: Graph) -> int:
     return max(((below[v] & outside[v]).bit_count() for v in parent), default=0)
 
 
-def _edges_below(dec: BranchDec) -> tuple[dict, dict]:
-    """The parents of one walk of the tree from its least vertex, and the graph
-    edges at the leaves below each tree vertex, its side of its parent edge."""
-    table = dec.leaf_table()
-    parent = _tree_parents(dec.shape) or {}
+def _edges_below(table: dict, parent: dict) -> dict:
+    """The graph edges at the leaves below each tree vertex, its side of its
+    parent edge, from the leaf table and the parents of a walk."""
     below = {v: {table[v]} if v in table else set() for v in parent}
     for v in reversed(parent):
         if parent[v] is not None:
             below[parent[v]] |= below[v]
-    return parent, below
+    return below
 
 
 # ---------------------------------------------------------------------------
@@ -654,13 +661,14 @@ def _source_root(dec: TreeDec, sg: SourcedGraph) -> int:
 
 def tree_to_recursive(dec: TreeDec, sg: SourcedGraph, root: int) -> RecTreeDec:
     """Recursive form rooted at `root`; width is preserved exactly."""
-    _require(validate_tree_dec(dec, sg.graph), "tree")
     bags = dec.bag_map()
+    parent = _tree_parents(dec.shape)
+    _require(_tree_verdict(dec, sg.graph, bags, parent), "tree")
     if root not in bags:
         raise DecompositionError(f"root {root} is not a tree vertex")
     if not sg.sources <= bags[root]:
         raise DecompositionError("the sources are not contained in the root bag")
-    parent = _walk(dec.shape, root)
+    parent = _rerooted(parent, root)
     kids: dict = {i: [] for i in parent}
     held = dict(bags)  # the union of the bags in each node's subtree
     for i in reversed(parent):
@@ -724,6 +732,19 @@ def tree_to_recursive(dec: TreeDec, sg: SourcedGraph, root: int) -> RecTreeDec:
     if got != want:
         raise BoundViolation(f"tree_to_recursive changed the width: {got} != {want}")
     return result
+
+
+def _rerooted(parent: dict, root: int) -> dict:
+    """The parents of a walk of a tree, given as those of another walk of it,
+    rooted at `root` instead: the path from `root` up to the old root turns
+    over, and each node is still listed after its parent."""
+    path = [root]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    out = dict(zip(path, [None, *path]))
+    on_path = set(path)
+    out.update((v, p) for v, p in parent.items() if v not in on_path)
+    return out
 
 
 def _number(t: _RecDec, on_node, on_edge) -> None:
@@ -796,15 +817,18 @@ def branch_to_recursive(dec: BranchDec, sg: SourcedGraph) -> RecBranchDec:
     (Re-choosing split edges at deeper levels can manufacture "middle"
     edge sets whose boundary exceeds every single-edge order.)
     """
-    classic_width = branch_dec_width(dec, sg.graph)  # raises on an invalid decomposition
+    # one walk of the tree serves the validation, the width and the edges below
     shape = dec.shape
     table = dec.leaf_table()
+    up = _tree_parents(shape) or {}
+    _require(_branch_verdict(dec, sg.graph, table, up), "branch")
+    classic_width = _branch_width(sg.graph, table, up)
     if not sg.graph.edges:
         return REC_BRANCH_EMPTY
     if len(sg.graph.edges) == 1:
         return RecBranchLeaf(sg)
 
-    up, below = _edges_below(dec)
+    below = _edges_below(table, up)
     every = set(table.values())
 
     def edges_below(v: int, p: int) -> set:
