@@ -417,18 +417,33 @@ _CHILD = None
 _GRAPH = sourced_graph_to_json, sourced_graph_from_json
 _SHAPE = graph_to_json, graph_from_json
 _BAG = sorted, lambda b: set(_ints(_json(b, list, "a bag")))
+
+
+def _int_key(key, what: str) -> int:
+    """A key of the JSON object `what` read as an integer; GraphError names
+    the key when it is not one."""
+    try:
+        return int(key)
+    except (TypeError, ValueError):
+        raise GraphError(f"{what} has a key that is not an integer: {key!r}") from None
+
+
+def _leaf_map(table) -> dict:
+    """A branch decomposition's leaf map read from JSON, its edges before its leaves."""
+    edges = _ints(_json(table, dict, "a leaf map").values())
+    return dict(zip([_int_key(leaf, "a leaf map") for leaf in table], edges))
+
+
 _LAYOUT = {
     TreeDec: ("tree", "", {"shape": _SHAPE, "bags": (
         lambda bags: {str(i): sorted(b) for i, b in bags},
-        lambda bags: {int(i): _BAG[1](b)
+        lambda bags: {_int_key(i, "a bag table"): _BAG[1](b)
                       for i, b in _json(bags, dict, "a bag table").items()})}),
     PathDec: ("path", "", {"bags": (
         lambda bags: [sorted(b) for b in bags],
         lambda bags: [_BAG[1](b) for b in _json(bags, list, "a bag list")])}),
     BranchDec: ("branch", "", {"shape": _SHAPE, "leaf_map": (
-        lambda table: {str(l): e for l, e in table},
-        lambda table: dict(zip(map(int, _json(table, dict, "a leaf map")),
-                               _ints(table.values()))))}),
+        lambda table: {str(l): e for l, e in table}, _leaf_map)}),
     RecTreeEmpty: ("rec-tree", "empty", {}),
     RecTreeNode: ("rec-tree", "", {"graph": _GRAPH, "bag": _BAG, "left": _CHILD,
                                    "right": _CHILD}),

@@ -523,6 +523,14 @@ ILL_TYPED_JSON = {
     "bag-table-a-list": ({"kind": "tree", "shape": {"v": [0], "e": []}, "bags": [[0]]},
                          "rec-tree", "decomposition field 'bags': a bag table is a JSON object, "
                                      "not list"),
+    "bag-table-key-not-a-number": ({"kind": "tree", "shape": {"v": [0], "e": []},
+                                    "bags": {"x": [0]}},
+                                   "rec-tree", "decomposition field 'bags': a bag table has a "
+                                               "key that is not an integer: 'x'"),
+    "leaf-map-key-not-a-number": ({"kind": "branch", "shape": {"v": [0], "e": []},
+                                   "leaf_map": {"x": 0}},
+                                  "rec-branch", "decomposition field 'leaf_map': a leaf map has "
+                                                "a key that is not an integer: 'x'"),
     "leaf-map-a-list": ({"kind": "branch", "shape": {"v": [0], "e": []}, "leaf_map": [0]},
                         "rec-branch", "decomposition field 'leaf_map': a leaf map is a JSON "
                                       "object, not list"),

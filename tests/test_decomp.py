@@ -758,6 +758,25 @@ def test_node_equality_hash_and_repr_mean_what_the_generated_ones_mean():
     assert REC_PATH_EMPTY != REC_TREE_EMPTY
 
 
+def test_classic_readers_name_the_expected_type_of_a_key():
+    shape = {"v": [0], "e": []}
+    for data, field, what in (({"kind": "tree", "shape": shape, "bags": {"x": [0]}},
+                               "bags", "a bag table"),
+                              ({"kind": "branch", "shape": shape, "leaf_map": {"x": 0}},
+                               "leaf_map", "a leaf map")):
+        with pytest.raises(DecompositionError) as info:
+            decomposition_from_json(data)
+        assert str(info.value) == (f"decomposition field {field!r}: "
+                                   f"{what} has a key that is not an integer: 'x'")
+    # a leaf map's edges are read before its leaves, as they were
+    with pytest.raises(DecompositionError) as info:
+        decomposition_from_json({"kind": "branch", "shape": shape, "leaf_map": {"x": "e"}})
+    assert str(info.value) == "decomposition field 'leaf_map': expected integers, got ['e']"
+    # an integer key in its text form still reads
+    dec = decomposition_from_json({"kind": "branch", "shape": shape, "leaf_map": {"0": 7}})
+    assert dec.leaf_table() == {0: 7}
+
+
 def test_reader_errors_come_in_recursive_descent_order():
     node = {"kind": "rec-tree", "graph": {"v": [0], "e": [], "s": []}, "bag": [0],
             "left": {"kind": "rec-tree", "empty": True}}
