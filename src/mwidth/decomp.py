@@ -756,10 +756,8 @@ def _rerooted(parent: dict, root: int) -> dict:
     path = [root]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
-    out = dict(zip(path, [None, *path]))
-    on_path = set(path)
-    out.update((v, p) for v, p in parent.items() if v not in on_path)
-    return out
+    turned = dict(zip(path, [None, *path]))
+    return turned | {v: p for v, p in parent.items() if v not in turned}
 
 
 def _number(t: _RecDec, on_node, on_edge) -> None:

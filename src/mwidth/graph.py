@@ -445,24 +445,18 @@ def _colimit(blocks: list[tuple[int, list]],
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
             parent[b] = b = parent[parent[b]]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
+        parent[max(a, b)] = min(a, b)
     vertex: list = []
-    count = 0
+    roots = 0
     for v, p in enumerate(parent):
-        if p == v:
-            vertex.append(count)
-            count += 1
-        else:
-            vertex.append(vertex[p])
+        vertex.append(vertex[p] if p < v else roots)
+        roots += p == v
     ends: list = []
     v0 = 0
     for n, block_ends in blocks:
         ends += ({vertex[v0 + v] for v in pts} for pts in block_ends)
         v0 += n
-    return vertex, Graph(range(count), dict(enumerate(ends)))
+    return vertex, Graph(range(roots), dict(enumerate(ends)))
 
 
 def _side_by_side(g1: Graph, g2: Graph,
