@@ -23,18 +23,21 @@ form share the end sets of the graph it decomposes, and `*_to_recursive`
 track the largest bag or boundary as they build, so no width postcondition
 walks its result again.
 
-Each classic decomposition tree is walked once per question
-(`graph._walk`), and every question is linear in the tree's size.  The
-tree and branch validators share one walk that tells whether the shape is
-a tree (`graph._tree_parents`, which `Graph.is_tree` also reads); the
-tree validator reads from it the parents for clause 3 (the bags holding a
+Each classic decomposition tree is walked (`graph._walk`) at most once
+per call, and every question is linear in the tree's size.  The tree and
+branch validators share one walk that tells whether the shape is a tree
+(`graph._tree_parents`, which `Graph.is_tree` also reads); the tree
+validator reads from it the parents for clause 3 (the bags holding a
 vertex are connected), which is one per-vertex test against the parent
 bag for trees and paths alike, and the branch validator the degrees and
-leaves.  `tree_to_recursive` reads children and
-subtree bags from one walk; `branch_dec_width` holds the ends of the edges
-below and outside every node as vertex bit masks, from one pass up the
-tree and one down; `branch_to_recursive` reads the leaf edges below every
-node from one rooted walk and converts over an explicit stack.
+leaves.  `branch_dec_width` holds the ends of the edges below and outside
+every node as vertex bit masks, from one pass up the tree and one down.
+The classic -> recursive conversions validate with the bodies of the
+validators (`_tree_verdict`, `_branch_verdict`), which take the walk's
+parents, so that one walk also serves the rest: `tree_to_recursive`
+turns it over to its root (`_rerooted`) for the children and subtree
+bags, and `branch_to_recursive` reads from it the width and the leaf
+edges below every node, then converts over an explicit stack.
 """
 
 from __future__ import annotations

@@ -12,10 +12,13 @@ theorems work:
 
 The term -> decomposition directions evaluate the term once, as one
 colimit of its leaves (`terms._glue`) that also gives every term node's
-image in the root apex.  One post-order pass over those nodes then builds each
-decomposition node from its term node's image, a part of that apex, so they
-are linear in the term.  The bounds are checked against widths taken on the
-way, never by walking a result again.
+global ids and each global id's image in the root apex.  One post-order
+pass over those nodes then builds each decomposition node over its term
+node's image, a part of that apex: a leaf's part is read off its global
+ids, an inner node's is the union of its two children's parts, and a path
+suffix's is its tail's part with its leaf's vertices and edges added.  The
+bounds are checked against widths taken on the way, never by walking a
+result again.
 
 The bounds are hard postconditions (BoundViolation on failure).  The
 branch upper bound carries a floor of one because a term for a graph with
