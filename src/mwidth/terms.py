@@ -286,26 +286,25 @@ def _glue(d: DecompTree, sig: Signature) -> _Glued:
     done: list = []  # _Node of the finished subterms, innermost last
     blocks: list = []  # (vertex count, local edge ends) of each leaf
     pairs: list = []  # cut ports to identify
-    numbered: dict = {}  # atom name -> its block, edge count and ports
+    numbered: dict = {}  # atom name -> _numbered of its cospan
     n_vertices = n_edges = 0
     widest = None  # the width so far; every term has a leaf
     for node in _post_order(d):
         if isinstance(node, Leaf):
             leaf = numbered.get(node.atom)
             if leaf is None:
-                atom = atoms.get(node.atom) or sig.atom(node.atom)
+                atom = atoms.get(node.atom) or sig.atom(node.atom)  # raises if unknown
                 c = atom.cospan
                 if c is None:
                     raise TermError(f"atom {node.atom!r} at {_path(d, node)} has no cospan binding")
                 if widest is None or atom.weight > widest:
                     widest = atom.weight
-                n, leaf_ends, left, right = _numbered(c)
-                numbered[node.atom] = leaf = (n, leaf_ends), n, len(leaf_ends), left, right
-            block, n, m, left, right = leaf
+                numbered[node.atom] = leaf = _numbered(c)
+            n, leaf_ends, left, right = leaf
             v0, e0 = n_vertices, n_edges
             n_vertices += n
-            n_edges += m
-            blocks.append(block)
+            n_edges += len(leaf_ends)
+            blocks.append((n, leaf_ends))
             out = new(_Node, (node, range(v0, n_vertices), range(e0, n_edges),
                               tuple([v0 + v for v in left]), tuple([v0 + v for v in right])))
         elif isinstance(node, (Tensor, Compose)):
