@@ -29,8 +29,8 @@ width says; single-edge graphs with no sources meet that floor.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import cospan as cs
