@@ -27,13 +27,17 @@ that raises records the error's type and message instead.  The corpus:
   term JSON and signature JSON;
 - the public functions the above never call, on seeded random graphs,
   cospans and terms and on the `roundtrip` inputs of seed 2: graph
-  queries, isomorphisms with and without forced vertices, `cospan_iso_eq`,
+  queries, isomorphisms with and without forced vertices (one to three
+  pins, two vertices pinned to one target, a pin outside the vertex set),
+  components of sparse-id multigraphs, `cospan_iso_eq`,
   `epis_from_composition` and `epi_to_dec_*`, `copy_mdec` over a
   `SymbolicSignature` and over cospans, `node_weights`, `is_left_tree`,
   the cut-mismatch errors of `terms.arity`, `edge_order`,
   `boundary_global`, recursive-node `==` and hash equality (as booleans,
   since a class's hash differs between processes), `format_graph_text`,
   and `WidthCache.save` and `load`;
+- `tree_serial` beside the JSON of every term recorded, but for the
+  witness terms inside theorem reports;
 - stdout, stderr and exit code of `mwidth.cli.main` on a few files.
 
 The benchmark inputs come from this tree's `perfbench/gen.py` and
@@ -168,6 +172,7 @@ def _roundtrip_steps(mw, workloads, item, kind: str):
     yield "from_recursive", _dec(mw, from_rec(rec))
     term, sig = to_term(rec, sg)
     yield "term", [mw.tree_to_json(term), mw.signature_to_json(sig)]
+    yield "term/serial", mw.terms.tree_serial(term)
     yield "from_term", _dec(mw, from_term(term, sig))
 
 
@@ -258,6 +263,7 @@ def _search_steps(mw, c):
                                           seed_translations=seeded)
                 yield f"{budget}/{shape}{suffix}", [mw.tree_to_json(r.tree), r.width, r.exact,
                                                     mw.signature_to_json(r.signature)]
+                yield f"{budget}/{shape}{suffix}/serial", mw.terms.tree_serial(r.tree)
 
 
 def search_records(mw, gen, table):
@@ -546,6 +552,8 @@ def fault_records(mw):
             mw, mw.decomposition_from_json, data, repr)
     for name, data in _term_faults():
         yield f"fault/term/{name}", _parsed(mw, mw.tree_from_json, data, mw.tree_to_json)
+        yield f"fault/term/{name}/serial", _parsed(mw, mw.tree_from_json, data,
+                                                   mw.terms.tree_serial)
     for name, data in _signature_faults():
         yield f"fault/signature/{name}", _parsed(mw, mw.signature_from_json, data,
                                                  mw.signature_to_json)
@@ -599,6 +607,35 @@ def _graph_api_steps(mw, rng):
                                                                len(c.right)))]
 
 
+def _forced_steps(mw, rng):
+    """Isomorphisms onto a relabelled copy with two and three vertices
+    pinned, each pin to its image or at random; then two vertices pinned to
+    one target, and a pin outside the vertex set."""
+    g = _random_graph(mw, rng, 2)
+    h, vnew = _relabelled(mw, rng, g)
+    vs, targets = sorted(g.vertices), sorted(h.vertices)
+    for k in (2, 3):
+        pins = rng.sample(vs, min(k, len(vs)))
+        forced = {v: vnew[v] if rng.random() < 0.6 else rng.choice(targets) for v in pins}
+        yield f"pins/{k}", [sorted(forced.items()),
+                            _maybe_morphism(mw.graph.find_isomorphism(g, h, forced))]
+    a, b = rng.sample(vs, 2)
+    yield "non-injective", _maybe_morphism(mw.graph.find_isomorphism(g, h, {a: vnew[a],
+                                                                            b: vnew[a]}))
+    yield "outside", [_maybe_morphism(mw.graph.find_isomorphism(g, h, {max(vs) + 1: t}))
+                      for t in (targets[0], max(targets) + 1)]
+
+
+def _components_steps(mw, rng):
+    """Components of a multigraph with up to 12 vertices spread over 0..99,
+    loops, parallel edges and isolated vertices."""
+    vs = rng.sample(range(100), rng.randint(0, 12))
+    pairs = [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(0, 12))] if vs else []
+    g = mw.Graph(vs, {e: set(p) for e, p in zip(rng.sample(range(100), len(pairs)), pairs)})
+    yield "components", [[sorted(c), sorted(e)] for c, e in g.connected_components()]
+    yield "connected", g.is_connected()
+
+
 def _term_api_steps(mw, rng):
     sig = mw.Signature()
     term, cod = _random_term(mw, rng, sig, rng.randint(0, 2), 4)
@@ -620,17 +657,23 @@ def _copy_steps(mw, rng):
     dom, cod = y + sum(xs) + z, rng.randint(0, 2)
     sym = mw.SymbolicSignature()
     sym.add("f", dom, cod, rng.randint(0, 4))
+    # a repeated `copy_mdec` adds no atom: its wiring atoms are cached
     yield "symbolic", _outcome(lambda: mw.copy_mdec(mw.Leaf("f"), sym, y, xs, z),
                                lambda d: [mw.tree_to_json(d), mw.width(d, sym)])
+    yield "symbolic/serial", _outcome(lambda: mw.copy_mdec(mw.Leaf("f"), sym, y, xs, z),
+                                      mw.terms.tree_serial)
     wiring = [sym.leaf_spider(rng.randint(0, 2), rng.randint(0, 2)),
               sym.leaf_permutation(tuple(rng.sample(range(3), 3)))]
     yield "symbolic/signature", [[mw.tree_to_json(t) for t in wiring],
                                  mw.signature_to_json(sym)]
+    yield "symbolic/wiring-serial", [mw.terms.tree_serial(t) for t in wiring]
     sig = mw.Signature()
     f = sig.leaf(_random_cospan(mw, rng, dom, cod))
     yield "cospans", _outcome(lambda: mw.copy_mdec(f, sig, y, xs, z),
                               lambda d: [mw.tree_to_json(d), mw.width(d, sig),
                                          _cospan(mw, mw.evaluate(d, sig))])
+    yield "cospans/serial", _outcome(lambda: mw.copy_mdec(f, sig, y, xs, z),
+                                     mw.terms.tree_serial)
 
 
 def _epi_steps(mw, rng):
@@ -716,6 +759,12 @@ def api_records(mw, gen, workloads, table):
         yield from _steps(f"api/graph/{i}", _graph_api_steps(mw, rng))
     for i in range(60):
         yield from _steps(f"api/term/{i}", _term_api_steps(mw, rng))
+    forced_rng = gen.stream(0, "same_results forced")
+    for i in range(60):
+        yield from _steps(f"api/forced/{i}", _forced_steps(mw, forced_rng))
+    components_rng = gen.stream(0, "same_results components")
+    for i in range(60):
+        yield from _steps(f"api/components/{i}", _components_steps(mw, components_rng))
     for i in range(30):
         yield from _steps(f"api/copy/{i}", _copy_steps(mw, rng))
     for i in range(30):
