@@ -4,7 +4,8 @@ Vertices and edges are small non-negative integer ids.  Self-loops are
 edges whose endpoint set has one element; parallel edges are distinct ids
 with equal endpoint sets.  All constructions renumber ids deterministically
 (order-preserving on first appearance) so results are reproducible; each
-colimit, be it a pushout, a coproduct or a whole term's value, is `_colimit`.
+colimit, be it a pushout, a coproduct or a whole term's value, is `_colimit`,
+whose union-find is the library's one: `components` runs it too.
 
 A part of a graph, as `Graph.subgraph` and the recursive decompositions
 make them, is built by `Graph._part`: it shares its parent's end sets,
@@ -284,45 +285,22 @@ def is_epimorphism(m: GraphMorphism) -> bool:
             and frozenset(m.emap.values()) == m.codomain.edges)
 
 
-class UnionFind:
-    """Union-find with path compression; representatives are minimum ids."""
-
-    def __init__(self, items: Iterable = ()):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        # keep the smaller id as representative
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return ra
-
-
 def components(vertices: Iterable[int],
                ends: Mapping[int, frozenset]) -> list[tuple[frozenset, frozenset]]:
     """Components of the graph on `vertices` whose edges have the endpoint
-    sets `ends`, as (vertex set, edge set) pairs sorted by minimum vertex."""
-    uf = UnionFind(vertices)
-    for pts in ends.values():
-        uf.union(min(pts), max(pts))
-    groups: dict[int, tuple[set, set]] = {}
-    for v in uf.parent:
-        groups.setdefault(uf.find(v), (set(), set()))[0].add(v)
-    for e, pts in ends.items():
-        groups[uf.find(min(pts))][1].add(e)
-    return sorted(((frozenset(vs), frozenset(es)) for vs, es in groups.values()),
-                  key=lambda c: min(c[0]))
+    sets `ends`, as (vertex set, edge set) pairs sorted by minimum vertex:
+    the classes of `_colimit` on one block of the sorted vertices with the
+    ends of each edge identified, which it numbers by least vertex."""
+    vs = sorted(set(vertices))
+    rank = dict(zip(vs, range(len(vs))))
+    pairs = [(rank[min(pts)], rank[max(pts)]) for pts in ends.values()]
+    vertex, apex = _colimit([(len(vs), ())], pairs)
+    groups = [(set(), set()) for _ in apex.vertices]
+    for v, c in zip(vs, vertex):
+        groups[c][0].add(v)
+    for e, (a, _) in zip(ends, pairs):
+        groups[vertex[a]][1].add(e)
+    return [(frozenset(cv), frozenset(ce)) for cv, ce in groups]
 
 
 def ends_of_edge_set(g: Graph, es: Iterable[int]) -> frozenset:
@@ -537,16 +515,10 @@ def find_isomorphism(g1: Graph, g2: Graph,
     assign: dict[int, int] = {}
     used: set = set()
     for v, w in forced.items():
-        if v not in g1.vertices or w not in g2.vertices:
-            return None
-        if assign.get(v, w) != w:
-            return None
-        if v not in assign and w in used:
+        if v not in g1.vertices or w not in g2.vertices or w in used or inv1[v] != inv2[w]:
             return None
         assign[v] = w
         used.add(w)
-        if inv1[v] != inv2[w]:
-            return None
 
     def compatible(v: int, w: int) -> bool:
         # every already-assigned neighbour relation must carry over with

@@ -25,7 +25,6 @@ from mwidth import (
     parse_graph_text,
 )
 from mwidth.graph import (
-    UnionFind,
     find_isomorphism,
     graph_from_json,
     graph_to_json,
@@ -133,17 +132,58 @@ def test_pushout_is_the_quotient_of_the_coproduct():
         l2 = FiniteMap({a: rng.choice(sorted(g2.vertices)) for a in y}, g2.vertices)
         apex, m1, m2 = graph_pushout(g1, g2, y, l1, l2)
         co, i1, i2 = graph_coproduct(g1, g2)
-        uf = UnionFind(co.vertices)
+        parent = {v: v for v in co.vertices}  # a union-find whose roots are least ids
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
         for a in y:
-            uf.union(i1.vmap[l1(a)], i2.vmap[l2(a)])
-        reps = sorted({uf.find(v) for v in co.vertices})
-        q = {v: reps.index(uf.find(v)) for v in co.vertices}
+            ra, rb = find(i1.vmap[l1(a)]), find(i2.vmap[l2(a)])
+            parent[max(ra, rb)] = min(ra, rb)
+        reps = sorted({find(v) for v in co.vertices})
+        q = {v: reps.index(find(v)) for v in co.vertices}
         want = Graph(range(len(reps)), {e: {q[v] for v in co.ends(e)} for e in co.edges})
         qm = GraphMorphism(co, want, q, {e: e for e in co.edges})
         assert apex == want
         for got, ref in ((m1, i1.then(qm)), (m2, i2.then(qm))):
             assert list(got.vmap.items()) == list(ref.vmap.items())
             assert list(got.emap.items()) == list(ref.emap.items())
+
+
+def _bfs_components(g: Graph) -> list:
+    """Components by breadth-first search from each least unreached vertex."""
+    out, seen = [], set()
+    for root in sorted(g.vertices):
+        if root in seen:
+            continue
+        comp, es, queue = {root}, set(), [root]
+        for v in queue:
+            for e in g.incident_edges(v):
+                es.add(e)
+                for w in g.ends(e) - comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        out.append((frozenset(comp), frozenset(es)))
+    return out
+
+
+def test_connected_components_match_a_breadth_first_search():
+    assert Graph.empty().connected_components() == []
+    rng = random.Random(13)
+    shown = set()  # which of loops, parallel edges and isolated vertices occurred
+    for _ in range(200):
+        g = _sparse_ids(rng, random_graph(rng, max_v=9, max_e=10))
+        ends = [g.ends(e) for e in g.edges]
+        shown |= {"loop"} if any(len(pts) == 1 for pts in ends) else set()
+        shown |= {"parallel"} if len(set(ends)) < len(ends) else set()
+        shown |= {"isolated"} if any(not g.incident_edges(v) for v in g.vertices) else set()
+        got = g.connected_components()
+        assert got == _bfs_components(g)
+        assert g.is_connected() == (len(got) == 1)
+    assert shown == {"loop", "parallel", "isolated"}
 
 
 def _sparse_ids(rng, g: Graph) -> Graph:
@@ -277,6 +317,9 @@ def test_forced_partial_isomorphism():
     g = path_graph(3)
     assert find_isomorphism(g, g, {0: 2, 2: 0}) is not None
     assert find_isomorphism(g, g, {0: 1}) is None  # degree mismatch
+    assert find_isomorphism(g, g, {0: 0, 2: 0}) is None  # two vertices to one target
+    assert find_isomorphism(g, g, {3: 0}) is None  # a pin outside the vertex set
+    assert find_isomorphism(g, g, {0: 3}) is None  # and a target outside it
 
 
 def test_image_union_intersection():
