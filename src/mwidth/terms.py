@@ -349,21 +349,18 @@ def evaluate(d: DecompTree, sig: Signature) -> Cospan:
 
 
 def tree_to_json(d: DecompTree) -> dict:
-    """`d` as nested dicts, in one walk down the left spines: each dict is
-    appended to its parent's children as its node is reached, so a left
-    child goes in before its right sibling."""
-    out: list = []
-    todo = [(d, out)]  # right children still to walk, each with its siblings
-    while todo:
-        node, siblings = todo.pop()
-        while not isinstance(node, Leaf):
-            children: list = []
-            siblings.append({"op": "tensor", "children": children} if isinstance(node, Tensor)
-                            else {"op": "compose", "cut": node.cut, "children": children})
-            todo.append((node.right, children))
-            node, siblings = node.left, children
-        siblings.append({"op": "leaf", "atom": node.atom})
-    return out[0]
+    """`d` as nested dicts, built in one post-order walk: a node's dict
+    takes its children's, which are then dropped from the stack."""
+    done: list = []  # dicts of the finished subterms, innermost last
+    for node in _post_order(d):
+        if isinstance(node, Leaf):
+            done.append({"op": "leaf", "atom": node.atom})
+            continue
+        children = done[-2:]
+        del done[-2:]
+        done.append({"op": "tensor", "children": children} if isinstance(node, Tensor)
+                    else {"op": "compose", "cut": node.cut, "children": children})
+    return done[0]
 
 
 def _parse_error(outer: list, message: str) -> TermError:
@@ -488,27 +485,14 @@ def tree_serial(d: DecompTree) -> str:
     built by concatenation in one post-order walk, without recursion.  A
     child's serial is dropped once its parent has used it, so a deep term
     needs only its root's serial at the end."""
-    done: dict = {}  # id(node) -> serial of the walked subterms not yet used
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        if id(node) in done:
-            continue
+    done: list = []  # serials of the finished subterms, innermost last
+    for node in _post_order(d):
         if isinstance(node, Leaf):
-            done[id(node)] = _leaf_serial(node.atom)
-            continue
-        left, right = done.get(id(node.left)), done.get(id(node.right))
-        if left is None or right is None:
-            stack.append(node)
-            if right is None:
-                stack.append(node.right)
-            if left is None:
-                stack.append(node.left)
-            continue
-        done.pop(id(node.left), None)
-        done.pop(id(node.right), None)
-        done[id(node)] = '{"children":[' + left + ',' + right + '],' + _tail(node)
-    return done[id(d)]
+            done.append(_leaf_serial(node.atom))
+        else:
+            right = done.pop()
+            done[-1] = '{"children":[' + done[-1] + ',' + right + '],' + _tail(node)
+    return done[0]
 
 
 def _before(a: DecompTree, b: DecompTree) -> bool:
