@@ -608,11 +608,6 @@ def _bags(t: RecTreeDec | RecPathDec) -> list:
     return [node.bag for node in _pre_order(t) if not isinstance(node, _EMPTY_NODES)]
 
 
-def _rec_width_raw(t: _RecDec) -> int:
-    """Largest node cost of a recursive decomposition, without validation."""
-    return max(map(_cost, _pre_order(t)))
-
-
 def _rec_width(t: _RecDec, sg: Optional[SourcedGraph], clauses, empty: type,
                what: str) -> int:
     """Width of `t` after validating it by a family's `clauses` against

@@ -15,10 +15,12 @@ colimit of its leaves (`terms._glue`) that also gives every term node's
 global ids and each global id's image in the root apex.  One post-order
 pass over those nodes then builds each decomposition node over its term
 node's image, a part of that apex: a leaf's part is read off its global
-ids, an inner node's is the union of its two children's parts, and a path
-suffix's is its tail's part with its leaf's vertices and edges added.  The
-bounds are checked against widths taken on the way, never by walking a
-result again.
+ids, an inner node's is the union of its two children's parts
+(`_read_back`, for trees and branches), and a path suffix's is its tail's
+part with its leaf's vertices and edges added.  The tree and path bounds
+are checked against widths taken on the way; `m_to_bdec` validates its
+result, which gives its width.  `check_theorems` validates the tree and
+path decompositions it certifies with.
 
 The bounds are hard postconditions (BoundViolation on failure).  The
 branch upper bound carries a floor of one because a term for a graph with
@@ -75,7 +77,6 @@ from .decomp import (
     _branch_split,
     _children,
     _pre_order,
-    _rec_width_raw,
     _source_root,
     _validate_rec,
 )
@@ -195,6 +196,30 @@ def _glue_closed(d: DecompTree, sig: Signature, shaped, shape: str) -> tm._Glued
     if glued.value.right_arity != 0:
         raise TranslationError("the term's right boundary is not empty")
     return glued
+
+
+def _read_back(glued: tm._Glued, whole: Graph, at: Sequence, leaf: Callable, join: Callable):
+    """The decomposition read off a term's `terms._glue` in one post-order
+    pass over its nodes.  Each node is built over its term node's part of
+    `whole` with the images of its ports as sources, the image of global
+    vertex id v being `at[v]`: by `leaf(sg)` for a leaf, whose part is read
+    off its global ids, and by `join(term, sg, t1, t2)` over its children's
+    decompositions for an inner node, whose part is the union of theirs."""
+    edge = glued.edge
+    done: list = []  # decompositions of the finished subterms, innermost last
+    for n in glued.nodes:
+        sources = [at[v] for v in n.left + n.right]
+        if isinstance(n.term, Leaf):
+            part = whole._part(frozenset([at[v] for v in n.vertices]), [edge[e] for e in n.edges])
+            done.append(leaf(SourcedGraph(part, sources)))
+            continue
+        t1, t2 = done[-2:]
+        del done[-2:]
+        # each child's root holds its term node's part: this one's is their union
+        g1, g2 = t1.graph.graph, t2.graph.graph
+        part = whole._part(g1.vertices | g2.vertices, g1.edges | g2.edges)
+        done.append(join(n.term, SourcedGraph(part, sources), t1, t2))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,52 +365,32 @@ def m_to_tdec(d: DecompTree, sig: Signature) -> RecTreeDec:
 
     The term must have an empty right boundary; the result decomposes
     (apex, image of the left leg) with width <= max(term width, image size).
-    One post-order pass over the nodes of `terms._glue` builds each node
-    over its term node's image in the apex: a leaf's image is read off its
-    global ids, an inner node's is the union of its two children's.
+    Each node is built by `_read_back` over its term node's image in the
+    apex.  A leaf's node has one bag, its whole part; an inner node's bag
+    is the image of its left boundary, and a composition's adds the cut.
     """
     glued = _glue_closed(d, sig, tm.is_right_tree, "right-tree")
-    vertex, edge, target = glued.vertex, glued.edge, glued.value.apex
     widest = 0  # the largest bag built
 
-    def node(part: Graph, sources, bag, *kids) -> RecTreeDec:
-        """The node over `part` with the images of the global ids `sources`
-        and `bag`; a one-bag node holding all of `part` when `kids` are not
-        given, empty for no vertices."""
+    def node(sg: SourcedGraph, bag: frozenset, *kids: RecTreeDec) -> RecTreeDec:
         nonlocal widest
-        if not kids:
-            if not part.vertices:
-                return REC_TREE_EMPTY
-            kids = REC_TREE_EMPTY, REC_TREE_EMPTY
-        t = RecTreeNode(SourcedGraph(part, {vertex[v] for v in sources}),
-                        {vertex[v] for v in bag}, *kids)
-        widest = max(widest, len(t.bag))
-        return t
+        widest = max(widest, len(bag))
+        return RecTreeNode(sg, bag, *kids)
 
-    def placed(n: tm._Node, part: Graph, t: Optional[RecTreeDec]) -> RecTreeDec:
-        """`t`, or for a leaf `n` (None) its one-bag node, built at its parent."""
-        return node(part, n.left, n.vertices) if t is None else t
+    # only the left factor of a composition, a leaf, has right ports in a
+    # closed right tree: so every other node's sources are its left
+    # boundary's image, and that leaf's add the cut, which its parent's bag
+    # takes from them
+    def leaf(sg: SourcedGraph) -> RecTreeDec:
+        if not sg.vertices:
+            return REC_TREE_EMPTY
+        return node(sg, sg.vertices, REC_TREE_EMPTY, REC_TREE_EMPTY)
 
-    # (node, its image, its decomposition; None for a leaf), innermost last
-    done: list = []
-    for n in glued.nodes:
-        if isinstance(n.term, Leaf):
-            done.append((n, target._part(frozenset([vertex[v] for v in n.vertices]),
-                                         [edge[e] for e in n.edges]), None))
-            continue
-        (n1, p1, t1), (n2, p2, t2) = done[-2:]
-        del done[-2:]
-        if isinstance(n.term, Compose):
-            # the atom's image is the left child; the bag adds the cut, which
-            # is all the two factors share
-            bag = n.left + n1.right
-            kids = node(p1, bag, n1.vertices), placed(n2, p2, t2)
-        else:  # tensor: join both parts under the boundary image
-            bag = n.left
-            kids = placed(n1, p1, t1), placed(n2, p2, t2)
-        part = target._part(p1.vertices | p2.vertices, p1.edges | p2.edges)
-        done.append((n, part, node(part, n.left, bag, *kids)))
-    t = placed(*done[0])
+    def join(term, sg: SourcedGraph, t1: RecTreeDec, t2: RecTreeDec) -> RecTreeDec:
+        return node(sg, sg.sources | t1.graph.sources if isinstance(term, Compose)
+                    else sg.sources, t1, t2)
+
+    t = _read_back(glued, glued.value.apex, glued.vertex, leaf, join)
     return _within(t, widest, max(glued.width, len(glued.value.left_image())), "tree")
 
 
@@ -555,13 +560,12 @@ def m_to_bdec(d: DecompTree, sig: Signature,
     it may merge vertices only inside the boundary images (the glueing
     property).  Width is at most twice max(term width, boundary arities).
     Each node decomposes the image through `phi` of its term node's image
-    in the apex, built in one post-order pass over the nodes of
-    `terms._glue`: a leaf's is read off its global ids, an inner node's is
-    the union of its two children's, as the image of a union is the union
-    of the images.
+    in the apex, built by `_read_back`, as the image of a union is the
+    union of the images: a leaf's node is a comb of its edges.  The result
+    is validated before its width is checked.
     """
     glued = tm._glue(d, sig)
-    h, vertex, edge = glued.value, glued.vertex, glued.edge
+    h = glued.value
     if phi is None:
         phi = FiniteMap({v: v for v in h.apex.vertices}, h.apex.vertices)
     if phi.domain != h.apex.vertices:
@@ -574,25 +578,13 @@ def m_to_bdec(d: DecompTree, sig: Signature,
     pushed = phi.mapping
     whole = Graph([pushed[v] for v in h.apex.vertices],
                   {e: [pushed[v] for v in pts] for e, pts in h.apex._ends.items()})
-    at = [pushed[v] for v in vertex]  # global vertex id -> its image in `whole`
-    done: list = []  # decompositions of the finished subterms, innermost last
-    for n in glued.nodes:
-        sources = [at[v] for v in n.left + n.right]
-        if isinstance(n.term, Leaf):
-            done.append(_left_comb_branch(SourcedGraph(
-                whole._part(frozenset([at[v] for v in n.vertices]), [edge[e] for e in n.edges]),
-                sources)))
-            continue
-        t1, t2 = done[-2:]
-        del done[-2:]
-        # each child's root holds the image of its term node: this one's is their union
-        g1, g2 = t1.graph.graph, t2.graph.graph
-        part = SourcedGraph(whole._part(g1.vertices | g2.vertices, g1.edges | g2.edges), sources)
+
+    def join(term, sg: SourcedGraph, t1: RecBranchDec, t2: RecBranchDec) -> RecBranchDec:
         if isinstance(t1, RecBranchEmpty) and isinstance(t2, RecBranchEmpty):
-            done.append(RecBranchEmpty(part))
-        else:
-            done.append(RecBranchNode(part, t1, t2))
-    (t,) = done
+            return RecBranchEmpty(sg)
+        return RecBranchNode(sg, t1, t2)
+
+    t = _read_back(glued, whole, [pushed[v] for v in glued.vertex], _left_comb_branch, join)
     check, got = _validate_rec(t, SourcedGraph(whole, [pushed[v] for v in h.left + h.right]),
                                _branch_clauses)
     if not check:
@@ -727,9 +719,11 @@ def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
 
     Widths and upper bounds come from `_optimal` for each kind; lower
     bounds from translating the best searched terms back into
-    decompositions.  Only the branch certificate is validated (by
-    `m_to_bdec`); the tree and path certificates' widths are read with
-    `_rec_width_raw`, without validation.
+    decompositions, the certificates.  Each certificate is validated
+    against the graph its root records: the tree and path ones by
+    `rec_tree_width` and `rec_path_width`, which give their widths and
+    raise DecompositionError on an invalid one, the branch one by
+    `m_to_bdec`, which raises BoundViolation.
 
     ``branch-upper`` tests the literal ``mwd_upper <= bw + 1``.  It
     therefore fails on graphs of branch width 0 that have a proper
@@ -749,7 +743,7 @@ def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
     # tree sandwich: tw <= mtwd <= 2 tw
     witnesses["tree_term"] = tm.tree_to_json(term_t)
     cert_t = m_to_tdec(term_t, sig_t)
-    mtwd_lower_cert = _rec_width_raw(cert_t)
+    mtwd_lower_cert = rec_tree_width(cert_t)
     checks.append(TheoremCheck(
         "tree-upper", mtwd_upper <= 2 * tw, f"mtwd_upper={mtwd_upper} vs 2*tw={2 * tw}"))
     checks.append(TheoremCheck(
@@ -763,7 +757,7 @@ def check_theorems(g: Graph, budget: int = 4000) -> TheoremReport:
     witnesses["path_term"] = tm.tree_to_json(term_p)
     best_p = (term_p, sig_p) if width_p <= searched_p.width \
         else (searched_p.tree, searched_p.signature)
-    cert_p_width = _rec_width_raw(m_to_pdec(*best_p))
+    cert_p_width = rec_path_width(m_to_pdec(*best_p))
     checks.append(TheoremCheck(
         "path-equality", mpwd == pw, f"min path-term width {mpwd} vs pw={pw}"))
     checks.append(TheoremCheck(

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -22,6 +23,7 @@ from conftest import (
 )
 from mwidth import (
     BranchDec,
+    DecompositionError,
     FiniteMap,
     Graph,
     GraphMorphism,
@@ -70,9 +72,9 @@ from mwidth import (
 from mwidth import cospan as cs
 from mwidth import graph as graph_module
 from mwidth import terms as tm
+from mwidth import translate as translate_module
 from mwidth.decomp import (
     RecBranchLeaf, RecBranchEmpty, RecBranchNode, RecPathCons, RecTreeNode, REC_TREE_EMPTY, _bags,
-    _rec_width_raw,
 )
 from mwidth.oracles import optimal_rec_path_dec, optimal_rec_tree_dec
 from mwidth.terms import Compose, Leaf, Tensor, tree_from_json, tree_to_json
@@ -435,6 +437,23 @@ def test_check_theorems_empty_graph():
     assert rep.ok
 
 
+@pytest.mark.parametrize("reader", ["m_to_tdec", "m_to_pdec"])
+def test_check_theorems_validates_its_certificates(monkeypatch, reader):
+    # a certificate whose root graph has lost an edge no longer holds its
+    # children's edges: its width must not be read as a lower bound
+    real = getattr(translate_module, reader)
+
+    def lossy(d, sig):
+        t = real(d, sig)
+        g = t.graph.graph
+        root = g._part(g.vertices, g.edges - {min(g.edges)})
+        return dataclasses.replace(t, graph=SourcedGraph(root, t.graph.sources))
+
+    monkeypatch.setattr(translate_module, reader, lossy)
+    with pytest.raises(DecompositionError):
+        check_theorems(cycle_graph(4))
+
+
 def test_report_json_shape(k3):
     data = check_theorems(k3).to_json()
     assert data["widths"] == {"tw": 3, "pw": 3, "bw": 2}
@@ -731,7 +750,7 @@ def test_m_to_pdec_of_a_deep_path_term_needs_no_recursion():
         term = Compose(edge, 1, term)
     t = m_to_pdec(term, sig)
     assert isinstance(t, RecPathCons)
-    assert _rec_width_raw(t) == 2 and len(_bags(t)) == 3001
+    assert max(map(len, _bags(t))) == 2 and len(_bags(t)) == 3001
 
 
 def test_m_to_tdec_of_a_deep_right_tree_term_needs_no_recursion():
@@ -740,7 +759,7 @@ def test_m_to_tdec_of_a_deep_right_tree_term_needs_no_recursion():
     term, sig = deep_right_tree_term(3000)
     t = m_to_tdec(term, sig)
     assert isinstance(t, RecTreeNode)
-    assert _rec_width_raw(t) == 2 and len(_bags(t)) == 6001
+    assert max(map(len, _bags(t))) == 2 and len(_bags(t)) == 6001
 
 
 def test_m_to_bdec_of_a_deep_compose_chain_needs_no_recursion():
