@@ -16,6 +16,9 @@ that raises records the error's type and message instead.  The corpus:
   identifies boundary vertices at random, of seeded random terms and of
   the terms of the seed-1 `roundtrip` inputs;
 - the witness of each exact oracle, or its error, on `enumerate_graphs(6)`;
+- `WidthCache.widths`, or its error, on `enumerate_graphs(5, 7)` and on
+  seeded multigraphs with loops and parallel edges, each graph then again
+  under a relabelling (a cache hit);
 - `check_theorems(g).to_json()` on the `theorems` benchmark inputs of
   seeds 1-3;
 - `bounded_mwd_search` in each shape at budgets 4000 and 50, with and
@@ -238,6 +241,26 @@ def _oracle_steps(mw, g):
 def oracle_records(mw):
     for i, g in enumerate(mw.enumerate_graphs(6)):
         yield from _steps(f"oracle/{i}", _oracle_steps(mw, g))
+
+
+def _multigraph(mw, rng):
+    """Up to 9 vertices spread over 0..29 and up to 8 edges, with loops
+    and parallel edges: sometimes past an oracle's cap."""
+    vs = rng.sample(range(30), rng.randint(0, 9))
+    pairs = [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(0, 8))] if vs else []
+    return mw.Graph(vs, {e: set(p) for e, p in zip(rng.sample(range(30), len(pairs)), pairs)})
+
+
+def width_records(mw, gen):
+    rng = gen.stream(0, "same_results widths")
+    cache = mw.WidthCache()
+    graphs = {"catalog": mw.enumerate_graphs(5, 7),
+              "multigraph": [_multigraph(mw, rng) for _ in range(80)]}
+    for name, gs in graphs.items():
+        for i, g in enumerate(gs):
+            copy, _ = _relabelled(mw, rng, g)
+            yield f"widths/{name}/{i}", [_outcome(lambda: list(cache.widths(h)))
+                                         for h in (g, copy)]
 
 
 def _theorem_steps(mw, g):
@@ -852,6 +875,7 @@ def records(mw):
     yield from roundtrip_records(mw, workloads, table)
     yield from glue_records(mw, gen, workloads, table)
     yield from oracle_records(mw)
+    yield from width_records(mw, gen)
     yield from theorem_records(mw, workloads, table)
     yield from search_records(mw, gen, table)
     yield from validator_records(mw, gen, workloads, table)
