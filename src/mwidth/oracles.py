@@ -4,13 +4,15 @@ The tree and path oracles search the recursive decomposition forms
 directly (bag choice + outside-component grouping), memoized on the
 (vertices, edges, sources) state held as bit masks, so they exercise the
 same inductive definitions the validators check; only the witness's
-nodes are built as graphs.  Each state stops trying bags once its best
+nodes are built as graphs, and `WidthCache` builds none: it takes tree
+and path width from the search's value.  Each state stops trying bags once its best
 width reaches its floor (`_floor`), a lower bound from the
 minor-min-width of its graph that proves the best optimal; the witnesses
 are those of the full search.  The branch oracle computes the width by
 a dynamic program over edge subsets, then takes as witness the first
 leaf-labelled cubic tree that attains it, cutting every partial tree
-already wider than that.  Everything here is desk scale only.
+already wider than that; its width, the cache's too, is that of the
+validated witness.  Everything here is desk scale only.
 """
 
 from __future__ import annotations
@@ -118,7 +120,8 @@ def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
       so the only cycle is a state meeting itself.
 
     At the end `make(graph, bag, *children)` builds the witness's nodes,
-    and only those.
+    and only those; with `make` None the result is `(width, None)` and no
+    node is built.
     """
     g = sg.graph
     if len(g.vertices) > max_vertices:
@@ -213,7 +216,7 @@ def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
         w = best(root)
         if w == _INF:
             raise OracleError(f"no recursive {what} decomposition found")
-        return w, build(root)
+        return w, None if make is None else build(root)
     finally:  # `best` and `build` reach themselves: break the cycle to free the tables
         del best, build
 
@@ -397,6 +400,10 @@ class WidthCache:
     form (such as the least key over all vertex orderings) is therefore
     never misread: its records can only miss.  So the file carries no
     version field.
+
+    A miss takes tree and path width from the value of the memoized
+    search (`_optimal_rec`) and builds no witness; branch width is that of
+    the witness `exact_branchwidth` validates.
     """
 
     data: dict = field(default_factory=dict)
@@ -409,8 +416,8 @@ class WidthCache:
         """(tree width, path width, branch width) for the graph."""
         key = self._key(g)
         if key not in self.data:
-            tw, _ = exact_treewidth(g)
-            pw, _ = exact_pathwidth(g)
+            tw, pw = (_optimal_rec(SourcedGraph(g), MAX_VERTICES, what, None, None)[0]
+                      for what in ("tree", "path"))
             bw, _ = exact_branchwidth(g)
             self.data[key] = {"tw": tw, "pw": pw, "bw": bw}
         rec = self.data[key]

@@ -430,3 +430,56 @@ def test_tree_and_path_width_closed_forms(g, tw, pw, max_vertices):
     got_pw, pdec = exact_pathwidth(g, max_vertices)
     assert (got_tw, got_pw) == (tw, pw)
     assert validate_tree_dec(tdec, g) and validate_path_dec(pdec, g)
+
+
+# ---------------------------------------------------------------------------
+# The width cache: tree and path width from the search's value, no witness.
+
+
+def _exact_widths(g: Graph) -> tuple:
+    return exact_treewidth(g)[0], exact_pathwidth(g)[0], exact_branchwidth(g)[0]
+
+
+def test_width_cache_matches_the_exact_oracles():
+    rng = random.Random(28)
+    graphs = enumerate_graphs(5, 7)
+    assert len(graphs) == 48
+    graphs += [random_graph(rng, max_v=6, max_e=7, multigraph=True) for _ in range(40)]
+    assert any(len(g.ends(e)) == 1 for g in graphs for e in g.edges)  # a loop
+    cache = WidthCache()
+    for g in graphs:
+        assert cache.widths(g) == _exact_widths(g), g
+
+
+def test_width_cache_miss_builds_no_witness(monkeypatch):
+    calls = []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+    for name in ("tree_from_recursive", "path_from_recursive"):
+        monkeypatch.setattr(oracles_mod, name, counted(name, getattr(oracles_mod, name)))
+    monkeypatch.setattr(Graph, "subgraph", counted("subgraph", Graph.subgraph))
+    for g in (k(4), cycle_graph(6), Graph(range(3), {0: {0}, 1: {0, 1}, 2: {0, 1}, 3: {1, 2}})):
+        calls.clear()
+        WidthCache().widths(g)
+        assert calls == []
+        exact_treewidth(g)
+        exact_pathwidth(g)
+        assert {"tree_from_recursive", "path_from_recursive", "subgraph"} <= set(calls)
+
+
+def test_width_cache_refuses_as_the_tree_oracle(monkeypatch):
+    # the same text, from the search's own cap: the cache calls neither oracle
+    big = path_graph(9)
+    with pytest.raises(OracleError) as want:
+        exact_treewidth(big)
+    called = []
+    for name in ("exact_treewidth", "exact_pathwidth"):
+        monkeypatch.setattr(oracles_mod, name, lambda *args, name=name: called.append(name))
+    with pytest.raises(OracleError) as got:
+        WidthCache().widths(big)
+    assert str(got.value) == str(want.value) == "refusing tree-width search on 9 > 8 vertices"
+    assert called == []
