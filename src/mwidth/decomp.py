@@ -285,11 +285,11 @@ def _edges_below(table: dict, parent: dict) -> dict:
 _EMPTY_SOURCED = SourcedGraph(Graph.empty())
 
 
-class _Node:
-    """Equality, hash and repr of the recursive node classes.  Equality and
-    repr loop over the nodes and their `_LAYOUT` fields, so a chain of any
-    depth goes through, and mean what the generated dataclass methods mean;
-    the hash reads the root alone."""
+class _Looped:
+    """Equality and repr of a frozen dataclass tree, looping over its nodes
+    and their fields in `__match_args__` order, so a tree of any depth
+    goes through; they mean what the generated dataclass methods mean.  A
+    field holding a `_Looped` is a child.  Subclasses give the hash."""
 
     __slots__ = ()
 
@@ -301,19 +301,12 @@ class _Node:
             a, b = pairs.pop()
             if a is b:
                 continue
-            if isinstance(a, _Node) and b.__class__ is a.__class__:
-                for name, codec in _LAYOUT[type(a)][2].items():
-                    x, y = getattr(a, name), getattr(b, name)
-                    if codec is _CHILD:
-                        pairs.append((x, y))
-                    elif x != y:
-                        return False
+            if isinstance(a, _Looped) and b.__class__ is a.__class__:
+                pairs += reversed([(getattr(a, name), getattr(b, name))
+                                   for name in a.__match_args__])
             elif a != b:
                 return False
         return True
-
-    def __hash__(self):
-        return hash((type(self), self.graph))  # equal nodes have equal graphs
 
     def __repr__(self):
         parts, todo = [], [self]  # text still to write, or a node to expand
@@ -323,12 +316,21 @@ class _Node:
                 parts.append(item)
                 continue
             pieces = [f"{type(item).__qualname__}("]
-            for i, name in enumerate(_LAYOUT[type(item)][2]):
+            for i, name in enumerate(item.__match_args__):
                 value = getattr(item, name)
                 pieces += f"{', ' if i else ''}{name}=", (
-                    value if isinstance(value, _Node) else repr(value))
+                    value if isinstance(value, _Looped) else repr(value))
             todo += reversed((*pieces, ")"))
         return "".join(parts)
+
+
+class _Node(_Looped):
+    """The recursive node classes; the hash reads the root alone."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash((type(self), self.graph))  # equal nodes have equal graphs
 
 
 class RecTreeDec(_Node):
@@ -409,7 +411,7 @@ class RecBranchNode(RecBranchDec):
 REC_BRANCH_EMPTY = RecBranchEmpty()
 
 # a `types.UnionType`: `typing.Union` would cache the classes, and so keep
-# every imported copy of this module alive through `_Node`'s methods
+# every imported copy of this module alive through `_Looped`'s methods
 _RecDec = RecTreeDec | RecPathDec | RecBranchDec
 
 # The layout of all six formats.  Per class: its JSON kind, the flag marking

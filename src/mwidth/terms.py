@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import cospan as cs
 from .cospan import Cospan
-from .decomp import DecompositionError
+from .decomp import DecompositionError, _Looped
 from .graph import (Graph, SourcedGraph, _Bits, _colimit, _components, _numbered as _ranked,
                     _subset_unions)
 from .oracles import MAX_EDGES, MAX_SEARCH_EDGES, MAX_SEARCH_VERTICES, MAX_VERTICES, OracleError
@@ -27,19 +27,40 @@ class TermError(TypeError):
     """Ill-typed decomposition tree or unknown atom."""
 
 
-@dataclass(frozen=True)
-class Leaf:
+class _Term(_Looped):
+    """Equality and repr by loops (`decomp._Looped`); the hash is that of
+    the tuple of a node's fields, each child standing in by its hash,
+    computed in one post-order walk, so equal terms hash equal."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        done: list = []  # hashes of the finished subterms, innermost last
+        for node in _post_order(self):
+            if isinstance(node, Leaf):
+                done.append(hash((node.atom,)))
+            elif isinstance(node, (Tensor, Compose)):
+                right = done.pop()
+                done[-1] = hash((done[-1], right) if isinstance(node, Tensor)
+                                else (done[-1], node.cut, right))
+            else:
+                done.append(hash(node))
+        return done[0]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Leaf(_Term):
     atom: str
 
 
-@dataclass(frozen=True)
-class Tensor:
+@dataclass(frozen=True, eq=False, repr=False)
+class Tensor(_Term):
     left: "DecompTree"
     right: "DecompTree"
 
 
-@dataclass(frozen=True)
-class Compose:
+@dataclass(frozen=True, eq=False, repr=False)
+class Compose(_Term):
     left: "DecompTree"
     cut: int
     right: "DecompTree"
@@ -481,18 +502,21 @@ def _tail(node: Tensor | Compose) -> str:
 def tree_serial(d: DecompTree) -> str:
     """Deterministic serialization used for golden tests; its order breaks
     the search's ties (`_before` reads it off the trees):
-    `json.dumps(tree_to_json(d), sort_keys=True, separators=(",", ":"))`,
-    built by concatenation in one post-order walk, without recursion.  A
-    child's serial is dropped once its parent has used it, so a deep term
-    needs only its root's serial at the end."""
-    done: list = []  # serials of the finished subterms, innermost last
-    for node in _post_order(d):
-        if isinstance(node, Leaf):
-            done.append(_leaf_serial(node.atom))
+    `json.dumps(tree_to_json(d), sort_keys=True, separators=(",", ":"))`.
+    Its fragments are written in output order over an explicit stack and
+    joined once, so the time is linear in the serial's length whatever the
+    depth."""
+    parts, todo = [], [d]  # text still to write, or a subterm to expand
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Leaf):
+            parts.append(_leaf_serial(item.atom))
         else:
-            right = done.pop()
-            done[-1] = '{"children":[' + done[-1] + ',' + right + '],' + _tail(node)
-    return done[0]
+            parts.append('{"children":[')
+            todo += '],' + _tail(item), item.right, ',', item.left
+    return "".join(parts)
 
 
 def _before(a: DecompTree, b: DecompTree) -> bool:

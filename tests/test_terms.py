@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     cycle_graph,
+    deep_right_tree_term,
     doubling_balanced,
     doubling_naive,
     example_fan_term,
@@ -591,6 +592,48 @@ def test_tree_serial_of_a_deep_chain_needs_no_recursion():
     assert tree_serial(term) == ('{"children":[{"atom":"e","op":"leaf"},' * 5000
                                  + '{"atom":"e","op":"leaf"}'
                                  + '],"cut":1,"op":"compose"}' * 5000)
+
+
+def test_tree_serial_of_a_deep_term_is_its_json():
+    # json.dumps recurses once per level, too deep here, so the expected
+    # serial is put together from its serials of one level and the leaf
+    term, _ = deep_right_tree_term(6000)
+    marker = Leaf("marker")
+    head, tail = _json_serial(Compose(term.left, 1, marker)).split(_json_serial(marker))
+    bottom = term
+    while isinstance(bottom, Compose):
+        bottom = bottom.right
+    assert tree_serial(term) == head * 6000 + _json_serial(bottom) + tail * 6000
+
+
+def test_deep_terms_compare_hash_and_print_without_recursion():
+    term, _ = deep_right_tree_term(3000)
+    copy = _unshared(term)
+    assert copy is not term and copy.left is not term.left
+    assert copy == term and not copy != term and hash(copy) == hash(term)
+    data = tree_to_json(term)
+    bottom = data
+    while bottom["op"] == "compose":
+        bottom = bottom["children"][1]
+    bottom["atom"] += "'"  # the deepest leaf renamed
+    other = tree_from_json(data)
+    assert other != term and not other == term
+    assert {term: 1, copy: 2, other: 3} == {term: 2, other: 3}
+    assert repr(term) == (f"Compose(left={term.left!r}, cut=1, right=" * 3000
+                          + f"Leaf(atom={bottom['atom'][:-1]!r})" + ")" * 3000)
+
+
+@pytest.mark.parametrize("t,text", [
+    (Leaf("a"), "Leaf(atom='a')"),
+    (Tensor(Leaf("a"), Leaf('"')), """Tensor(left=Leaf(atom='a'), right=Leaf(atom='"'))"""),
+    (Compose(Tensor(Leaf("a"), Leaf("b")), 2, Leaf("c")),
+     "Compose(left=Tensor(left=Leaf(atom='a'), right=Leaf(atom='b')), cut=2, "
+     "right=Leaf(atom='c'))"),
+])
+def test_small_terms_print_as_dataclasses(t, text):
+    assert repr(t) == text
+    assert t == _unshared(t) and hash(t) == hash(_unshared(t))
+    assert t != Leaf("z") and t != text
 
 
 def _chain(bottom: str):
