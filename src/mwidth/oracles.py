@@ -5,8 +5,8 @@ directly (bag choice + outside-component grouping), memoized on the
 (vertices, edges, sources) state held as bit masks, so they exercise the
 same inductive definitions the validators check; only the witness's
 nodes are built as graphs, and `WidthCache` builds none: it takes tree
-and path width from the search's value.  Each state stops trying bags once its best
-width reaches its floor (`_floor`), a lower bound from the
+and path width from the search's value.  Each state stops trying bags
+once its best width reaches its floor (`_floor`), a lower bound from the
 minor-min-width of its graph that proves the best optimal; the witnesses
 are those of the full search.  The branch oracle computes the width by
 a dynamic program over edge subsets, then takes as witness the first

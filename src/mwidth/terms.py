@@ -39,12 +39,10 @@ class _Term(_Looped):
         for node in _post_order(self):
             if isinstance(node, Leaf):
                 done.append(hash((node.atom,)))
-            elif isinstance(node, (Tensor, Compose)):
+            else:
                 right = done.pop()
                 done[-1] = hash((done[-1], right) if isinstance(node, Tensor)
                                 else (done[-1], node.cut, right))
-            else:
-                done.append(hash(node))
         return done[0]
 
 
