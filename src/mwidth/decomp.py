@@ -302,8 +302,12 @@ class _Looped:
             if a is b:
                 continue
             if isinstance(a, _Looped) and b.__class__ is a.__class__:
-                pairs += reversed([(getattr(a, name), getattr(b, name))
-                                   for name in a.__match_args__])
+                for name in a.__match_args__:
+                    x, y = getattr(a, name), getattr(b, name)
+                    if isinstance(x, _Looped):
+                        pairs.append((x, y))
+                    elif x is not y and x != y:
+                        return False
             elif a != b:
                 return False
         return True
