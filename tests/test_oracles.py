@@ -445,7 +445,9 @@ def test_width_cache_matches_the_exact_oracles():
     graphs = enumerate_graphs(5, 7)
     assert len(graphs) == 48
     graphs += [random_graph(rng, max_v=6, max_e=7, multigraph=True) for _ in range(40)]
-    assert any(len(g.ends(e)) == 1 for g in graphs for e in g.edges)  # a loop
+    ends = [[frozenset(g.ends(e)) for e in g.edges] for g in graphs]
+    assert any(len(es) > len(set(es)) for es in ends)  # parallel edges
+    assert any(len(x) == 1 for es in ends for x in es)  # a loop
     cache = WidthCache()
     for g in graphs:
         assert cache.widths(g) == _exact_widths(g), g
