@@ -30,14 +30,18 @@ branch validators share one walk that tells whether the shape is a tree
 validator reads from it the parents for clause 3 (the bags holding a
 vertex are connected), which is one per-vertex test against the parent
 bag for trees and paths alike, and the branch validator the degrees and
-leaves.  `branch_dec_width` holds the ends of the edges below and outside
-every node as vertex bit masks, from one pass up the tree and one down.
+leaves.  The tree and path validators share one check of clauses 1 to 3
+(`_bag_clauses`).  One subtree pass (`_subtrees`) joins a value per node
+over its subtree and lists the children: the leaf edges' ends as bit
+masks for `branch_dec_width` (with one pass down for those outside), the
+leaf edges for `branch_to_recursive`, the bags for `tree_to_recursive`.
 The classic -> recursive conversions validate with the bodies of the
 validators (`_tree_verdict`, `_branch_verdict`), which take the walk's
 parents, so that one walk also serves the rest: `tree_to_recursive`
-turns it over to its root (`_rerooted`) for the children and subtree
-bags, and `branch_to_recursive` reads from it the width and the leaf
-edges below every node, then converts over an explicit stack.
+turns it over to its root (`_rerooted`) for the subtree pass, and
+`branch_to_recursive` reads from it the width and the leaf edges below
+every node, then converts over an explicit stack.  One DOT writer renders
+the classic forms from their (node, label) and edge pairs.
 """
 
 from __future__ import annotations
@@ -134,10 +138,18 @@ class BranchDec:
         return dict(self.leaf_map)
 
 
-def _bags_connected(pairs: Iterable) -> Check:
-    """Clause 3 over the (bag, parent bag) pairs of a rooted tree, the root's
-    parent bag empty: the bags holding a vertex are connected exactly when
-    only one of them has a parent bag without it."""
+def _bag_clauses(g: Graph, bags, pairs: Iterable) -> Check:
+    """Clauses 1 to 3 of a tree or path decomposition of `g`: its `bags`
+    cover the vertices and every edge's ends, and, over the (bag, parent
+    bag) `pairs` of a rooted tree, the root's parent bag empty, the bags
+    holding a vertex are connected, that is only one has a parent bag
+    without it."""
+    union = frozenset().union(*bags)
+    if union != g.vertices:
+        return _fail("1", f"vertices {sorted(g.vertices - union)} are in no bag")
+    for e in sorted(g.edges):
+        if not any(g.ends(e) <= b for b in bags):
+            return _fail("2", f"edge {e} has no bag containing both endpoints")
     tops: set = set()
     for bag, up in pairs:
         for v in bag - up:
@@ -161,13 +173,8 @@ def _tree_verdict(dec: TreeDec, g: Graph, bags: dict, parent: Optional[dict]) ->
     for i, b in bags.items():
         if not b <= g.vertices:
             return _fail("shape", f"bag {i} contains non-vertices {sorted(b - g.vertices)}")
-    union = frozenset().union(*bags.values()) if bags else frozenset()
-    if union != g.vertices:
-        return _fail("1", f"vertices {sorted(g.vertices - union)} are in no bag")
-    for e in sorted(g.edges):
-        if not any(g.ends(e) <= b for b in bags.values()):
-            return _fail("2", f"edge {e} has no bag containing both endpoints")
-    return _bags_connected((bags[i], bags.get(p, frozenset())) for i, p in parent.items())
+    return _bag_clauses(g, bags.values(),
+                        ((bags[i], bags.get(p, frozenset())) for i, p in parent.items()))
 
 
 def validate_path_dec(dec: PathDec, g: Graph) -> Check:
@@ -175,13 +182,7 @@ def validate_path_dec(dec: PathDec, g: Graph) -> Check:
     for idx, b in enumerate(bags):
         if not b <= g.vertices:
             return _fail("shape", f"bag {idx} contains non-vertices")
-    union = frozenset().union(*bags) if bags else frozenset()
-    if union != g.vertices:
-        return _fail("1", f"vertices {sorted(g.vertices - union)} are in no bag")
-    for e in sorted(g.edges):
-        if not any(g.ends(e) <= b for b in bags):
-            return _fail("2", f"edge {e} has no bag containing both endpoints")
-    return _bags_connected(zip(bags, (frozenset(),) + bags[:-1]))
+    return _bag_clauses(g, bags, zip(bags, (frozenset(),) + bags[:-1]))
 
 
 def validate_branch_dec(dec: BranchDec, g: Graph) -> Check:
@@ -246,17 +247,13 @@ def branch_dec_width(dec: BranchDec, g: Graph) -> int:
 def _branch_width(g: Graph, table: dict, parent: dict) -> int:
     """`branch_dec_width` of a valid decomposition with leaf table `table`,
     from the parents of a walk of its shape.  The ends of the graph edges
-    at the leaves below each tree node, and at those outside its subtree,
-    are vertex bit masks from one pass up the tree and one down; the order
-    of the edge to a node's parent is the size of their intersection."""
+    at the leaves below each tree node are vertex bit masks joined by the
+    subtree pass (`_subtrees`), and those at the leaves outside its subtree
+    come from one pass down the tree; the order of the edge to a node's
+    parent is the size of their intersection."""
     bit = {v: 1 << i for i, v in enumerate(g.vertices)}
     own = {v: sum(bit[u] for u in g.ends(table[v])) if v in table else 0 for v in parent}
-    below = dict(own)
-    children: dict = {v: [] for v in parent}
-    for v in reversed(parent):
-        if parent[v] is not None:
-            below[parent[v]] |= below[v]
-            children[parent[v]].append(v)
+    below, children = _subtrees(parent, own)
     outside = {}
     for v, p in parent.items():  # each node after its parent
         outside[v] = 0 if p is None else outside[p] | own[p]
@@ -266,14 +263,18 @@ def _branch_width(g: Graph, table: dict, parent: dict) -> int:
     return max(((below[v] & outside[v]).bit_count() for v in parent), default=0)
 
 
-def _edges_below(table: dict, parent: dict) -> dict:
-    """The graph edges at the leaves below each tree vertex, its side of its
-    parent edge, from the leaf table and the parents of a walk."""
-    below = {v: {table[v]} if v in table else set() for v in parent}
+def _subtrees(parent: dict, value: dict) -> tuple[dict, dict]:
+    """The join by `|` of `value` over each node's subtree, and each node's
+    children, from the parents of a walk, in one pass up the tree.  A set
+    value is joined in place, so the sets in `value` must be fresh."""
+    joined = dict(value)
+    children: dict = {v: [] for v in parent}
     for v in reversed(parent):
-        if parent[v] is not None:
-            below[parent[v]] |= below[v]
-    return below
+        p = parent[v]
+        if p is not None:
+            joined[p] |= joined[v]
+            children[p].append(v)
+    return joined, children
 
 
 # ---------------------------------------------------------------------------
@@ -687,14 +688,8 @@ def tree_to_recursive(dec: TreeDec, sg: SourcedGraph, root: int) -> RecTreeDec:
         raise DecompositionError(f"root {root} is not a tree vertex")
     if not sg.sources <= bags[root]:
         raise DecompositionError("the sources are not contained in the root bag")
-    parent = _rerooted(parent, root)
-    kids: dict = {i: [] for i in parent}
-    held = dict(bags)  # the union of the bags in each node's subtree
-    for i in reversed(parent):
-        p = parent[i]
-        if p is not None:
-            kids[p].append(i)
-            held[p] = held[p] | held[i]
+    # the union of the bags in each node's subtree, and each node's children
+    held, kids = _subtrees(_rerooted(parent, root), bags)
 
     def group_graph(nodes: list, gamma: SourcedGraph, used_edges: set,
                     vp: frozenset) -> SourcedGraph:
@@ -845,7 +840,8 @@ def branch_to_recursive(dec: BranchDec, sg: SourcedGraph) -> RecBranchDec:
     if len(sg.graph.edges) == 1:
         return RecBranchLeaf(sg)
 
-    below = _edges_below(table, up)
+    # the graph edges at the leaves below each tree node, its side of its parent edge
+    below, _ = _subtrees(up, {v: {table[v]} if v in table else set() for v in up})
     every = set(table.values())
 
     def edges_below(v: int, p: int) -> set:
@@ -1026,25 +1022,21 @@ def decomposition_to_dot(dec) -> str:
     def bag_label(b) -> str:
         return "{" + ",".join(str(v) for v in sorted(b)) + "}"
 
+    def shape_pairs(shape: Graph) -> list:
+        return [sorted(shape.ends(e)) for e in sorted(shape.edges)]
+
+    # a classic form gives its (node, label) pairs and its edges' end pairs
+    labels = pairs = ()
     if isinstance(dec, TreeDec):
-        for i, b in dec.bags:
-            lines.append(f'  n{i} [label="{bag_label(b)}"];')
-        for e in sorted(dec.shape.edges):
-            pts = sorted(dec.shape.ends(e))
-            lines.append(f"  n{pts[0]} -- n{pts[-1]};")
+        labels = [(i, bag_label(b)) for i, b in dec.bags]
+        pairs = shape_pairs(dec.shape)
     elif isinstance(dec, PathDec):
-        for i, b in enumerate(dec.bags):
-            lines.append(f'  n{i} [label="{bag_label(b)}"];')
-        for i in range(len(dec.bags) - 1):
-            lines.append(f"  n{i} -- n{i + 1};")
+        labels = list(enumerate(map(bag_label, dec.bags)))
+        pairs = [(i, i + 1) for i in range(len(dec.bags) - 1)]
     elif isinstance(dec, BranchDec):
         table = dec.leaf_table()
-        for v in sorted(dec.shape.vertices):
-            label = f"e{table[v]}" if v in table else ""
-            lines.append(f'  n{v} [label="{label}"];')
-        for e in sorted(dec.shape.edges):
-            pts = sorted(dec.shape.ends(e))
-            lines.append(f"  n{pts[0]} -- n{pts[-1]};")
+        labels = [(v, f"e{table[v]}" if v in table else "") for v in sorted(dec.shape.vertices)]
+        pairs = shape_pairs(dec.shape)
     elif type(dec) in _LAYOUT:
         def node_line(i: int, node: _RecDec) -> None:
             if isinstance(node, RecBranchLeaf):
@@ -1058,5 +1050,7 @@ def decomposition_to_dot(dec) -> str:
         _number(dec, node_line, lambda i, j: lines.append(f"  n{i} -- n{j};"))
     else:
         raise DecompositionError(f"not a decomposition: {dec!r}")
+    lines += (f'  n{i} [label="{label}"];' for i, label in labels)
+    lines += (f"  n{ends[0]} -- n{ends[-1]};" for ends in pairs)
     lines.append("}")
     return "\n".join(lines)

@@ -408,13 +408,9 @@ class WidthCache:
 
     data: dict = field(default_factory=dict)
 
-    @staticmethod
-    def _key(g: Graph) -> str:
-        return repr(canonical_key(g))
-
     def widths(self, g: Graph) -> tuple[int, int, int]:
         """(tree width, path width, branch width) for the graph."""
-        key = self._key(g)
+        key = repr(canonical_key(g))
         if key not in self.data:
             tw, pw = (_optimal_rec(SourcedGraph(g), MAX_VERTICES, what, None, None)[0]
                       for what in ("tree", "path"))

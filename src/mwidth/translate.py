@@ -114,19 +114,13 @@ def epis_from_composition(g1: Cospan, g2: Cospan) -> EpiWitness:
     image of the inner boundary leg, which is asserted.
     """
     composite, m1, m2 = cs.compose_with_maps(g1, g2)
-    _check_identified(g1, g2, m1, m2)
-    return EpiWitness(composite, *(GraphMorphism(m.domain, m.image_subgraph(), m.vmap, m.emap)
-                                   for m in (m1, m2)))
-
-
-def _check_identified(g1: Cospan, g2: Cospan, m1: GraphMorphism, m2: GraphMorphism) -> None:
-    """The quotient maps of composing `g1` with `g2` identify vertices only
-    inside the inner boundary images."""
     for m, inner in ((m1, g1.right_image()), (m2, g2.left_image())):
         bad = _first_bad_pair(m.vmap, lambda v, w: v in inner and w in inner)
         if bad is not None:
             raise BoundViolation(
                 f"composition identified {bad[0]} and {bad[1]} outside the boundary")
+    return EpiWitness(composite, *(GraphMorphism(m.domain, m.image_subgraph(), m.vmap, m.emap)
+                                   for m in (m1, m2)))
 
 
 def _first_bad_pair(mapping: dict, ok) -> Optional[tuple]:
@@ -294,9 +288,7 @@ def _built_width(sig: Signature, cut: int) -> int:
 
 
 def _tensor_comb(factors: list) -> tuple[DecompTree, list]:
-    """Right comb of (tree, ports) factors; concatenates the port lists."""
-    if not factors:
-        raise TranslationError("empty tensor comb")
+    """Right comb of one or more (tree, ports) factors; concatenates the port lists."""
     tree, ports = factors[-1]
     for t, p in reversed(factors[:-1]):
         tree = Tensor(t, tree)
