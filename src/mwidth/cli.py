@@ -9,13 +9,15 @@ its caps, or a decomposition that does not fit the graph (such as
 marked sources outside its root or first bag); 2 usage or parse error,
 including a malformed decomposition, term or width-cache file, a JSON
 file nested deeper than the recursion limit, and a result nested too
-deeply to write.
+deeply to write; 1 also when the reader of the output closes it early
+(a broken pipe), with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import cospan as cs
@@ -297,7 +299,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the rest of the output, and the flush at
+        # exit, to the null device (the SIGPIPE note of Python's `signal` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CliError, GraphParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

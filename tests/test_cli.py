@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -141,6 +143,23 @@ def test_catalog_row_order_up_to_6_vertices(capsys):
     assert len(rows) == 70
     assert hashlib.sha256(order.encode()).hexdigest() == (
         "2c460cd39a732ac1ca54816da7e1dd9cb5014855a394e36c254ffdf80deed194")
+
+
+@pytest.mark.parametrize("form", [[], ["--json"]])
+def test_catalog_into_a_closed_pipe_exits_one_quietly(form):
+    # the reader of stdout is gone before the start: exit 1, no traceback
+    import mwidth
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mwidth.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mwidth.cli", "catalog", "--max-v", "4",
+                               *form], stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_parse_error_exit_two(tmp_path, capsys):
