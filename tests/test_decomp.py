@@ -146,6 +146,20 @@ def test_branch_dec_validation_and_orders(k3):
     assert branch_dec_width(one, k2) == 0
 
 
+def test_branch_dec_shape_and_leaf_domain_clauses():
+    # an edgeless graph admits only the empty decomposition
+    lone = BranchDec(Graph.discrete([0]), {})
+    for dec in (lone, BranchDec(Graph.empty(), {0: 0})):
+        chk = validate_branch_dec(dec, Graph.discrete([0, 1]))
+        assert (chk.clause, chk.message) == (
+            "shape", "an edgeless graph admits only the empty decomposition")
+    assert validate_branch_dec(BranchDec(Graph.empty(), {}), Graph.discrete([0, 1]))
+    # the leaf map misses the tree leaf 1 of P3's two-leaf shape
+    chk = validate_branch_dec(BranchDec(path_graph(2), {0: 0}), path_graph(3))
+    assert (chk.clause, chk.message) == (
+        "bijection", "leaf map domain differs from the tree leaves")
+
+
 def test_edge_order_pendant_on_k3(k3):
     # a pendant tree edge isolating one leaf of K3: both endpoints shared
     star = Graph.from_edge_pairs(range(4), [(0, 1), (0, 2), (0, 3)])
@@ -587,6 +601,24 @@ def test_tree_to_recursive_golden_three_children():
         '"left": ' + leaf % ('{"v": [3, 4], "e": [[3, 3, 4]], "s": [3]}', "[3, 4]")
         + ', "right": ' + empty + '}, "right": '
         + leaf % ('{"v": [0, 1], "e": [[0, 0, 1]], "s": [0]}', "[0, 1]") + '}}')
+
+
+def test_tree_to_recursive_refuses_a_root_outside_the_tree(p3):
+    dec = TreeDec(path_graph(2), {0: {0, 1}, 1: {1, 2}})
+    with pytest.raises(DecompositionError, match="^root 7 is not a tree vertex$"):
+        tree_to_recursive(dec, SourcedGraph(p3), 7)
+
+
+def test_branch_to_recursive_splices_out_a_degree_two_node(p3):
+    # the shape 0 - 2 - 1 roots at its edge to leaf 0; the inner node 2 then
+    # has leaf 1 as its only child, adds nothing and is spliced out
+    dec = BranchDec(Graph.from_edge_pairs(range(3), [(0, 2), (2, 1)]), {0: 0, 1: 1})
+    sg = SourcedGraph(p3)
+    rec = branch_to_recursive(dec, sg)
+    assert isinstance(rec, RecBranchNode) and rec.graph == sg
+    assert isinstance(rec.left, RecBranchLeaf) and isinstance(rec.right, RecBranchLeaf)
+    assert (rec.left.graph.edges, rec.right.graph.edges) == ({0}, {1})
+    assert rec_branch_width(rec) == 1
 
 
 def test_path_to_recursive_of_a_long_path_needs_no_recursion():

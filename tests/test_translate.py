@@ -437,6 +437,19 @@ def test_check_theorems_empty_graph():
     assert rep.ok
 
 
+def test_check_theorems_takes_the_branch_term_over_a_wider_search():
+    # with no budget the shape="any" search of P5 stops at width 5, so the
+    # branch translation's term of width 3 is the searched term
+    p5 = path_graph(5)
+    searched = tm.bounded_mwd_search(cs.of_graph(p5), shape="any", budget=0,
+                                     seed_translations=False)
+    assert searched.width == 5 and not searched.exact
+    rep = check_theorems(p5, budget=0)
+    assert rep.mwd_search == rep.mwd_upper == 3
+    assert rep.mwd_search_exact is False
+    assert all(c.ok for c in rep.checks)
+
+
 @pytest.mark.parametrize("reader", ["m_to_tdec", "m_to_pdec"])
 def test_check_theorems_validates_its_certificates(monkeypatch, reader):
     # a certificate whose root graph has lost an edge no longer holds its
