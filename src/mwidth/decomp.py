@@ -140,10 +140,10 @@ class BranchDec:
 
 def _bag_clauses(g: Graph, bags, pairs: Iterable) -> Check:
     """Clauses 1 to 3 of a tree or path decomposition of `g`: its `bags`
-    cover the vertices and every edge's ends, and, over the (bag, parent
-    bag) `pairs` of a rooted tree, the root's parent bag empty, the bags
-    holding a vertex are connected, that is only one has a parent bag
-    without it."""
+    cover the vertices and every edge's ends, and the bags holding a vertex
+    are connected, which holds when, over the (bag, parent bag) `pairs` of
+    a rooted tree (the root's parent bag empty), only one of them has a
+    parent bag without it."""
     union = frozenset().union(*bags)
     if union != g.vertices:
         return _fail("1", f"vertices {sorted(g.vertices - union)} are in no bag")
@@ -841,7 +841,7 @@ def branch_to_recursive(dec: BranchDec, sg: SourcedGraph) -> RecBranchDec:
         return RecBranchLeaf(sg)
 
     # the graph edges at the leaves below each tree node, its side of its parent edge
-    below, _ = _subtrees(up, {v: {table[v]} if v in table else set() for v in up})
+    below, children = _subtrees(up, {v: {table[v]} if v in table else set() for v in up})
     every = set(table.values())
 
     def edges_below(v: int, p: int) -> set:
@@ -855,11 +855,6 @@ def branch_to_recursive(dec: BranchDec, sg: SourcedGraph) -> RecBranchDec:
                      min(shape.ends(e)), max(shape.ends(e))))), e))
     u, w = min(shape.ends(best_e)), max(shape.ends(best_e))
     g1, g2 = _branch_split(sg, edges_below(u, w))
-    near: dict = {v: [] for v in up}  # each tree node's neighbours
-    for v, p in up.items():
-        if p is not None:
-            near[v].append(p)
-            near[p].append(v)
     # (tree node, the neighbour it is entered from, its graph) still to
     # convert, or the graph of a binary node, which waits under its two
     # children's entries until both are done; the left is converted first
@@ -874,7 +869,8 @@ def branch_to_recursive(dec: BranchDec, sg: SourcedGraph) -> RecBranchDec:
             got = max(got, len(item.sources))
             continue
         v, parent, gamma = item
-        kids = sorted(n for n in near[v] if n != parent)
+        # its neighbours in the tree but the one it is entered from
+        kids = sorted(n for n in (up[v], *children[v]) if n not in (None, parent))
         if v in table:
             done.append(RecBranchLeaf(gamma))
             got = max(got, len(gamma.sources))
@@ -1022,21 +1018,18 @@ def decomposition_to_dot(dec) -> str:
     def bag_label(b) -> str:
         return "{" + ",".join(str(v) for v in sorted(b)) + "}"
 
-    def shape_pairs(shape: Graph) -> list:
-        return [sorted(shape.ends(e)) for e in sorted(shape.edges)]
-
     # a classic form gives its (node, label) pairs and its edges' end pairs
     labels = pairs = ()
+    if isinstance(dec, (TreeDec, BranchDec)):
+        pairs = [sorted(dec.shape.ends(e)) for e in sorted(dec.shape.edges)]
     if isinstance(dec, TreeDec):
         labels = [(i, bag_label(b)) for i, b in dec.bags]
-        pairs = shape_pairs(dec.shape)
     elif isinstance(dec, PathDec):
         labels = list(enumerate(map(bag_label, dec.bags)))
         pairs = [(i, i + 1) for i in range(len(dec.bags) - 1)]
     elif isinstance(dec, BranchDec):
         table = dec.leaf_table()
         labels = [(v, f"e{table[v]}" if v in table else "") for v in sorted(dec.shape.vertices)]
-        pairs = shape_pairs(dec.shape)
     elif type(dec) in _LAYOUT:
         def node_line(i: int, node: _RecDec) -> None:
             if isinstance(node, RecBranchLeaf):
