@@ -27,21 +27,21 @@ Each classic decomposition tree is walked (`graph._walk`) at most once
 per call, and every question is linear in the tree's size.  The tree and
 branch validators share one walk that tells whether the shape is a tree
 (`graph._tree_parents`, which `Graph.is_tree` also reads); the tree
-validator reads from it the parents for clause 3 (the bags holding a
-vertex are connected), which is one per-vertex test against the parent
-bag for trees and paths alike, and the branch validator the degrees and
+validator reads from it the parents, the branch validator the degrees and
 leaves.  The tree and path validators share one check of clauses 1 to 3
-(`_bag_clauses`).  One subtree pass (`_subtrees`) joins a value per node
-over its subtree and lists the children: the leaf edges' ends as bit
-masks for `branch_dec_width` (with one pass down for those outside), the
-leaf edges for `branch_to_recursive`, the bags for `tree_to_recursive`.
-The classic -> recursive conversions validate with the bodies of the
-validators (`_tree_verdict`, `_branch_verdict`), which take the walk's
-parents, so that one walk also serves the rest: `tree_to_recursive`
-turns it over to its root (`_rerooted`) for the subtree pass, and
-`branch_to_recursive` reads from it the width and the leaf edges below
-every node, then converts over an explicit stack.  One DOT writer renders
-the classic forms from their (node, label) and edge pairs.
+(`_bag_clauses`), where clause 3 (the bags holding a vertex are
+connected) is one per-vertex test against the parent bag.  One subtree
+pass (`_subtrees`) joins a value per node over its subtree and lists the
+children: the leaf edges' ends as bit masks for `branch_dec_width` (with
+one pass down for those outside), the leaf edges and tree neighbours for
+`branch_to_recursive`, the bags for `tree_to_recursive`.  The classic ->
+recursive conversions validate with the bodies of the validators
+(`_tree_verdict`, `_branch_verdict`), which take the walk's parents, so
+that one walk also serves the rest: `tree_to_recursive` turns it over to
+its root (`_rerooted`) for the subtree pass, and `branch_to_recursive`
+reads from it the width and the leaf edges below every node, then
+converts over an explicit stack.  One DOT writer renders the classic
+forms from their (node, label) and edge pairs.
 """
 
 from __future__ import annotations
