@@ -226,17 +226,19 @@ def cmd_catalog(args) -> int:
         except oracles.OracleError as exc:
             raise CliError(str(exc)) from exc
     rows = []
-    for g in oracles.enumerate_graphs(args.max_v, args.max_e):
-        tw, pw, bw = cache.widths(g)
-        edges = sorted(tuple(sorted(g.ends(e))) for e in g.edges)
-        rows.append({"n": len(g.vertices), "edges": edges,
-                     "tw": tw, "pw": pw, "bw": bw})
-        if not args.json:
-            print(f"n={len(g.vertices)} e={edges} tw={tw} pw={pw} bw={bw}")
-    if args.json:
-        print(json.dumps(rows, indent=1, sort_keys=True))
-    if args.cache:
-        cache.save(args.cache)
+    try:
+        for g in oracles.enumerate_graphs(args.max_v, args.max_e):
+            tw, pw, bw = cache.widths(g)
+            edges = sorted(tuple(sorted(g.ends(e))) for e in g.edges)
+            rows.append({"n": len(g.vertices), "edges": edges,
+                         "tw": tw, "pw": pw, "bw": bw})
+            if not args.json:
+                print(f"n={len(g.vertices)} e={edges} tw={tw} pw={pw} bw={bw}")
+        if args.json:
+            print(json.dumps(rows, indent=1, sort_keys=True))
+    finally:  # keep the widths computed, also when the reader closes the pipe early
+        if args.cache:
+            cache.save(args.cache)
     return 0
 
 

@@ -172,11 +172,9 @@ def generator(kind: str, n: int = 1, m: Optional[int] = None) -> Cospan:
         "merge": merge,
         "delete": delete,
         "create": create,
+        "swap": lambda n: swap(n, m if m is not None else n),
+        "edge": lambda n: edge(),
     }
-    if kind == "swap":
-        return swap(n, m if m is not None else n)
-    if kind == "edge":
-        return edge()
     if kind in table:
         return table[kind](n)
     raise CospanError(f"unknown generator kind {kind!r}")

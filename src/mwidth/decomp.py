@@ -14,14 +14,15 @@ walk order, `_cost` what it adds to the width (bag size for tree and path
 nodes, source count for branch nodes, 0 for empty nodes), and `_LAYOUT`
 the JSON of all six formats.  Every walker over that protocol is a loop, so
 a chain of any depth goes through: width, bags, validation (with the local
-clauses of a family from one function per family), JSON, equality, hash and
+clauses of a family from one function per family, the tree and path ones
+opening with the same four checks, `_bag_node`), JSON, equality, hash and
 repr read one node order, `_pre_order`, forwards or, to see children before
 parents, reversed, or keep the nodes they have open on an explicit stack.
 Validation yields the width from its own walk.  The conversions build every
 node's graph as a part of its parent's (`Graph._part`), so the nodes of one
 form share the end sets of the graph it decomposes, and `*_to_recursive`
-track the largest bag or boundary as they build, so no width postcondition
-walks its result again.
+take the largest bag or boundary from what they build, so no width
+postcondition walks its result again.
 
 Each classic decomposition tree is walked (`graph._walk`) at most once
 per call, and every question is linear in the tree's size.  The tree and
@@ -38,10 +39,11 @@ one pass down for those outside), the leaf edges and tree neighbours for
 recursive conversions validate with the bodies of the validators
 (`_tree_verdict`, `_branch_verdict`), which take the walk's parents, so
 that one walk also serves the rest: `tree_to_recursive` turns it over to
-its root (`_rerooted`) for the subtree pass, and `branch_to_recursive`
-reads from it the width and the leaf edges below every node, then
-converts over an explicit stack.  One DOT writer renders the classic
-forms from their (node, label) and edge pairs.
+its root (`_rerooted`) for the subtree pass, lists each node's graph and
+bag in pre-order and builds the nodes over that list reversed, and
+`branch_to_recursive` reads from it the width and the leaf edges below
+every node, then converts over an explicit stack.  One DOT writer renders
+the classic forms from their (node, label) and edge pairs.
 """
 
 from __future__ import annotations
@@ -506,18 +508,25 @@ def _validate_rec(t: _RecDec, sg: SourcedGraph, clauses) -> tuple[Check, int]:
     return _OK, max(map(_cost, order))
 
 
-def _tree_clauses(t: RecTreeDec, sg: SourcedGraph) -> Check:
-    if isinstance(t, RecTreeEmpty):
-        if sg.is_empty():
-            return _OK
-        return _fail("empty", "empty decomposition of a non-empty graph")
-    if not isinstance(t, RecTreeNode):
-        return _fail("type", f"not a recursive tree decomposition: {t!r}")
+def _bag_node(t, sg: SourcedGraph, empty: type, cls: type, family: str) -> Optional[Check]:
+    """The verdict of the checks that open `_tree_clauses` and `_path_clauses`
+    (an empty node, the class, the graph, the bag within its vertices), or
+    None when `t` is a `cls` node that passes them."""
+    if isinstance(t, empty):
+        return _OK if sg.is_empty() else _fail("empty", "empty decomposition of a non-empty graph")
+    if not isinstance(t, cls):
+        return _fail("type", f"not a recursive {family} decomposition: {t!r}")
     if t.graph != sg:
         return _fail("graph", "node does not decompose the expected graph with sources")
-    g, x, bag = sg.graph, sg.sources, t.bag
-    if not bag <= g.vertices:
+    if not t.bag <= sg.graph.vertices:
         return _fail("shape", "bag contains non-vertices")
+    return None
+
+
+def _tree_clauses(t: RecTreeDec, sg: SourcedGraph) -> Check:
+    if (check := _bag_node(t, sg, RecTreeEmpty, RecTreeNode, "tree")) is not None:
+        return check
+    g, x, bag = sg.graph, sg.sources, t.bag
     g1, g2 = t.left.graph, t.right.graph
     for i, gi in ((1, g1), (2, g2)):
         if not _is_subgraph(gi.graph, g):
@@ -540,17 +549,9 @@ def _tree_clauses(t: RecTreeDec, sg: SourcedGraph) -> Check:
 
 
 def _path_clauses(t: RecPathDec, sg: SourcedGraph) -> Check:
-    if isinstance(t, RecPathEmpty):
-        if sg.is_empty():
-            return _OK
-        return _fail("empty", "empty decomposition of a non-empty graph")
-    if not isinstance(t, RecPathCons):
-        return _fail("type", f"not a recursive path decomposition: {t!r}")
-    if t.graph != sg:
-        return _fail("graph", "node does not decompose the expected graph with sources")
+    if (check := _bag_node(t, sg, RecPathEmpty, RecPathCons, "path")) is not None:
+        return check
     g, x, bag = sg.graph, sg.sources, t.bag
-    if not bag <= g.vertices:
-        return _fail("shape", "bag contains non-vertices")
     gp = t.tail.graph
     if not _is_subgraph(gp.graph, g):
         return _fail("subgraph", "tail is not a subgraph")
@@ -701,51 +702,44 @@ def tree_to_recursive(dec: TreeDec, sg: SourcedGraph, root: int) -> RecTreeDec:
 
     def vertex_task(r: int, gamma: SourcedGraph) -> tuple:
         """The task of the node of tree vertex `r` over `gamma`."""
-        return sorted(kids[r]), gamma, bags[r], bags[r]
+        return gamma, bags[r], sorted(kids[r]), bags[r]
 
     if sg.is_empty():
         return REC_TREE_EMPTY
-    # Tasks on an explicit stack build the nodes in the order of the
-    # recursive definition.  A task (nodes, gamma, vp, bag) is one node over
-    # `gamma` with `bag`: its left child is the node of tree vertex
-    # nodes[0] over the part of `gamma` that subtree holds, and its right
-    # child chains the rest of `nodes` over what remains; both take their
-    # sources from `vp`.  Tree vertex r gives the task (its children,
-    # gamma, bags[r], bags[r]), a chain link has the sources of its part as
-    # `bag`, a task (gamma, bag) joins the two finished children, and None
-    # is an empty chain.
-    done: list = []  # finished subtrees, innermost last
-    got = 0  # the largest bag of a node built so far
+    # The first pass lists the nodes in the order of the recursive
+    # definition, pre-order and left first, from tasks on an explicit stack.
+    # A task (gamma, bag, nodes, vp) is one node over `gamma` with `bag`: its
+    # left child is the node of tree vertex nodes[0] over the part of `gamma`
+    # that subtree holds, and its right child chains the rest of `nodes` over
+    # what remains; both take their sources from `vp`.  Tree vertex r gives
+    # the task (gamma, bags[r], its children, bags[r]), a chain link has the
+    # sources of its part as `bag`, and None is an empty node.
+    order: list = []  # (graph, bag) of each node, None for an empty one
     todo: list = [vertex_task(root, sg)]
     while todo:
         task = todo.pop()
+        order.append(task and task[:2])
         if task is None:
-            done.append(REC_TREE_EMPTY)
-        elif len(task) == 2:
-            t2, t1 = done.pop(), done.pop()
-            done.append(RecTreeNode(*task, t1, t2))
-            got = max(got, len(task[1]))
-        else:
-            nodes, gamma, vp, bag = task
-            if not nodes:
-                done.append(RecTreeNode(gamma, bag, REC_TREE_EMPTY, REC_TREE_EMPTY))
-                got = max(got, len(bag))
-                continue
-            used: set = set()
-            first = group_graph(nodes[:1], gamma, used, vp)
-            todo.append((gamma, bag))
-            if len(nodes) == 1:
-                todo.append(None)
-            else:
-                rest = group_graph(nodes[1:], gamma, used, vp)
-                todo.append(vertex_task(nodes[1], rest) if len(nodes) == 2
-                            else (nodes[1:], rest, vp, rest.sources))
-            todo.append(vertex_task(nodes[0], first))
-    (result,) = done
+            continue
+        gamma, _, nodes, vp = task
+        used: set = set()
+        left = right = None
+        if nodes:
+            left = vertex_task(nodes[0], group_graph(nodes[:1], gamma, used, vp))
+        if len(nodes) > 1:
+            rest = group_graph(nodes[1:], gamma, used, vp)
+            right = (vertex_task(nodes[1], rest) if len(nodes) == 2
+                     else (rest, rest.sources, nodes[1:], vp))
+        todo += right, left
+    # the second pass builds each node after its children, as `_push` does
+    done: list = []  # finished subtrees, the leftmost last
+    for node in reversed(order):
+        done.append(RecTreeNode(*node, done.pop(), done.pop()) if node else REC_TREE_EMPTY)
+    got = max(len(node[1]) for node in order if node)
     want = max((len(b) for b in bags.values()), default=0)
     if got != want:
         raise BoundViolation(f"tree_to_recursive changed the width: {got} != {want}")
-    return result
+    return done[0]
 
 
 def _rerooted(parent: dict, root: int) -> dict:

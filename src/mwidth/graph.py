@@ -26,7 +26,10 @@ tree-width search of `oracles` and a state into its tensor factors in
 one test of whether a graph is a tree, which `Graph.is_tree` and the
 decomposition validators read.  The JSON readers check each value's type
 with `_json` and `_ints`, which the decomposition and cospan readers
-share, so an ill-typed value is named with the type it should have.
+share, so an ill-typed value is named with the type it should have.  The
+text reader checks every directive against one table of its id count and
+wording.  The isomorphism search checks each forced vertex pair against
+the pairs before it as it pins it.
 """
 
 from __future__ import annotations
@@ -511,14 +514,8 @@ def find_isomorphism(g1: Graph, g2: Graph,
     inv2 = _vertex_invariants(loops2, adj2)
     if sorted(inv1.values()) != sorted(inv2.values()):
         return None
-    forced = dict(forced or {})
     assign: dict[int, int] = {}
     used: set = set()
-    for v, w in forced.items():
-        if v not in g1.vertices or w not in g2.vertices or w in used or inv1[v] != inv2[w]:
-            return None
-        assign[v] = w
-        used.add(w)
 
     def compatible(v: int, w: int) -> bool:
         # every already-assigned neighbour relation must carry over with
@@ -530,6 +527,12 @@ def find_isomorphism(g1: Graph, g2: Graph,
                 return False
         return True
 
+    for v, w in dict(forced or {}).items():
+        if (v not in g1.vertices or w not in g2.vertices or w in used or inv1[v] != inv2[w]
+                or not compatible(v, w)):
+            return None
+        assign[v] = w
+        used.add(w)
     order = sorted(g1.vertices - set(assign), key=lambda v: (inv1[v], v))
 
     def targets(v: int):
@@ -538,9 +541,6 @@ def find_isomorphism(g1: Graph, g2: Graph,
         return (w for w in sorted(g2.vertices - used)
                 if inv1[v] == inv2[w] and compatible(v, w))
 
-    for v, w in list(assign.items()):
-        if not compatible(v, w):
-            return None
     # depth first: order[:i] is assigned, tries[k] yields order[k]'s untried targets
     i, tries = 0, []
     while i < len(order):
@@ -668,6 +668,11 @@ def parse_graph_text(text: str) -> SourcedGraph:
     vertices: set = set()
     pairs: list[tuple[int, int]] = []
     sources: set = set()
+    # per directive: its id count in words, what its ids name when they
+    # must be declared with 'v' first, and what takes them
+    directives = {"v": (1, "one id", "", vertices.add),
+                  "e": (2, "two ids", "edge endpoint", pairs.append),
+                  "s": (1, "one id", "source vertex", sources.add)}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -678,24 +683,14 @@ def parse_graph_text(text: str) -> SourcedGraph:
             ids = [int(a) for a in args]
         except ValueError:
             raise GraphParseError(lineno, f"non-integer id in {line!r}")
-        if tag == "v":
-            if len(ids) != 1:
-                raise GraphParseError(lineno, "'v' takes exactly one id")
-            vertices.add(ids[0])
-        elif tag == "e":
-            if len(ids) != 2:
-                raise GraphParseError(lineno, "'e' takes exactly two ids")
-            if ids[0] not in vertices or ids[1] not in vertices:
-                raise GraphParseError(lineno, "edge endpoint not declared with 'v'")
-            pairs.append((ids[0], ids[1]))
-        elif tag == "s":
-            if len(ids) != 1:
-                raise GraphParseError(lineno, "'s' takes exactly one id")
-            if ids[0] not in vertices:
-                raise GraphParseError(lineno, "source vertex not declared with 'v'")
-            sources.add(ids[0])
-        else:
+        if tag not in directives:
             raise GraphParseError(lineno, f"unknown directive {tag!r}")
+        count, words, name, take = directives[tag]
+        if len(ids) != count:
+            raise GraphParseError(lineno, f"'{tag}' takes exactly {words}")
+        if name and not vertices.issuperset(ids):
+            raise GraphParseError(lineno, f"{name} not declared with 'v'")
+        take(ids[0] if count == 1 else tuple(ids))
     return SourcedGraph(Graph.from_edge_pairs(vertices, pairs), sources)
 
 

@@ -22,6 +22,12 @@ are checked against widths taken on the way; `m_to_bdec` validates its
 result, which gives its width.  `check_theorems` validates the tree and
 path decompositions it certifies with.
 
+The decomposition -> term directions make right-tree and path terms by
+construction (each composition they make has a leaf on its left), so
+only their widths are checked.  One function pushes a recursive tree or path
+decomposition through an epimorphism (`epi_to_dec_tree`, also named
+`epi_to_dec_path`).
+
 The bounds are hard postconditions (BoundViolation on failure).  The
 branch upper bound carries a floor of one because a term for a graph with
 a real edge always contains a two-vertex apex, whatever the decomposition
@@ -136,20 +142,12 @@ def _first_bad_pair(mapping: dict, ok) -> Optional[tuple]:
     return None
 
 
-def epi_to_dec_tree(alpha: GraphMorphism, t: RecTreeDec) -> RecTreeDec:
-    """Push a recursive tree decomposition through a graph epimorphism.
+def epi_to_dec_tree(alpha: GraphMorphism, t: RecTreeDec | RecPathDec):
+    """Push a recursive tree or path decomposition through a graph
+    epimorphism; `epi_to_dec_path` is the same function.
 
     Identified vertices must share some bag; the width never increases.
     """
-    return _epi_to_dec(alpha, t)
-
-
-def epi_to_dec_path(alpha: GraphMorphism, t: RecPathDec) -> RecPathDec:
-    """Path-decomposition analogue of epi_to_dec_tree."""
-    return _epi_to_dec(alpha, t)
-
-
-def _epi_to_dec(alpha: GraphMorphism, t):
     if isinstance(t, _EMPTY_NODES):
         return t
     if alpha.domain != t.graph.graph:
@@ -161,6 +159,9 @@ def _epi_to_dec(alpha: GraphMorphism, t):
     if bad is not None:
         raise TranslationError(f"identified vertices {bad[0]} and {bad[1]} share no bag")
     return _push(t, alpha.vmap, alpha.emap, alpha.codomain)
+
+
+epi_to_dec_path = epi_to_dec_tree
 
 
 def _push(t, vmap: dict, emap: dict, target: Graph):
@@ -315,7 +316,7 @@ def _tree_term(t: RecTreeDec, sg: SourcedGraph) -> tuple[DecompTree, Signature, 
     bound = 2 * rec_tree_width(t, sg)
     sig = Signature()
     done: list = []  # terms of the finished subtrees, the rightmost last
-    widest, right_tree = 0, True  # over the compositions made so far
+    widest = 0  # the largest cut of the compositions made so far
     todo: list = [(t, sg)]  # (node, its graph) to enter, or (h, cut, b, cut) to join
     while todo:
         task = todo.pop()
@@ -324,7 +325,6 @@ def _tree_term(t: RecTreeDec, sg: SourcedGraph) -> tuple[DecompTree, Signature, 
             d2, d1 = done.pop(), done.pop()
             done.append(Compose(h, cut_h, Compose(b, cut_b, Tensor(d1, d2))))
             widest = max(widest, cut_h, cut_b)
-            right_tree = right_tree and isinstance(h, Leaf) and isinstance(b, Leaf)
             continue
         t, sg = task
         if isinstance(t, RecTreeEmpty):
@@ -347,8 +347,6 @@ def _tree_term(t: RecTreeDec, sg: SourcedGraph) -> tuple[DecompTree, Signature, 
     got = _built_width(sig, widest)
     if got > bound:
         raise BoundViolation(f"tree-to-term width {got} exceeds 2*{bound // 2}")
-    if not right_tree:
-        raise BoundViolation("tree-to-term result is not right-tree shaped")
     return done[0], sig, got
 
 
@@ -419,16 +417,13 @@ def _path_term(t: RecPathDec, sg: SourcedGraph) -> tuple[DecompTree, Signature, 
         t, sg = t.tail, gp
     last = cs.identity(0) if isinstance(t, RecPathEmpty) else cs.from_sourced(sg)
     term = sig.leaf(last)
-    widest, path = 0, True
+    widest = 0
     for head, cut in reversed(heads):
         term = Compose(head, cut, term)
         widest = max(widest, cut)
-        path = path and not isinstance(head, Tensor)
     got = _built_width(sig, widest)
     if got != want:
         raise BoundViolation(f"path-to-term width {got} differs from {want}")
-    if not path:
-        raise BoundViolation("path-to-term result is not path shaped")
     return term, sig, got
 
 

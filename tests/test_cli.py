@@ -162,6 +162,26 @@ def test_catalog_into_a_closed_pipe_exits_one_quietly(form):
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
+def test_catalog_into_a_closed_pipe_keeps_its_cache(tmp_path):
+    # the reader is gone before the start: exit 1 quietly, and the widths
+    # of all 18 classes computed on the way are still saved
+    import mwidth
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mwidth.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    cache = tmp_path / "wc.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mwidth.cli", "catalog", "--max-v", "4",
+                               "--json", "--cache", str(cache)],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    assert len(json.loads(cache.read_text())) == 18
+
+
 def test_parse_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.g"
     bad.write_text("v 0\nq 1\n")

@@ -73,6 +73,12 @@ def test_generator_table():
     e = generator("edge")
     assert weight(e) == 2 and len(e.apex.edges) == 1
     assert e.left != e.right
+    sw2 = generator("swap", 2)  # m defaults to n
+    assert sw2 == swap(2, 2) and sw2.right == (2, 3, 0, 1)
+    for kind, made in (("identity", identity), ("merge", merge), ("delete", delete)):
+        for n in range(3):
+            assert generator(kind, n) == made(n)
+    assert generator("merge", 2).left == (0, 1, 0, 1) and generator("delete", 2).right == ()
     with pytest.raises(CospanError):
         generator("nope")
 

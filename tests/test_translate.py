@@ -22,6 +22,7 @@ from conftest import (
     reference_m_to_tdec,
 )
 from mwidth import (
+    BoundViolation,
     BranchDec,
     DecompositionError,
     FiniteMap,
@@ -70,6 +71,7 @@ from mwidth import (
     width,
 )
 from mwidth import cospan as cs
+from mwidth import decomp as decomp_module
 from mwidth import graph as graph_module
 from mwidth import terms as tm
 from mwidth import translate as translate_module
@@ -908,3 +910,86 @@ def test_b_to_mdec_of_the_p1200_comb():
     term, sig = b_to_mdec(t, sg)
     assert width(term, sig) <= max(rec_branch_width(t, sg), 1) + 1
     assert cospan_iso_eq(evaluate(term, sig), from_sourced(sg))
+
+
+# ---------------------------------------------------------------------------
+# Every width bound is a hard postcondition: patch the quantity it checks
+# and it raises BoundViolation.
+
+
+def _p3(kind: str) -> tuple:
+    """(recursive form of the `kind` oracle's witness, graph) of P3 with no sources."""
+    sg = SourcedGraph(path_graph(3))
+    k = _KINDS[kind]
+    return k.to_rec(k.oracle(sg.graph)[1], sg), sg
+
+
+def _p3_term(kind: str) -> tuple:
+    """(term, signature) that `_KINDS[kind].term` makes of `_p3(kind)`."""
+    return _KINDS[kind].term(*_p3(kind))[:2]
+
+
+class _Shrunk(tuple):
+    """Path bags that read back one vertex each when reversed, as
+    `path_to_recursive` reads them to build its nodes."""
+
+    def __reversed__(self):
+        return (frozenset(sorted(b)[:1]) for b in reversed(tuple(self)))
+
+
+def _wide(mp, args):  # the width of the term a graph -> term translation built
+    mp.setattr(translate_module, "_built_width", lambda sig, cut: 99)
+
+
+def _narrow(mp, args):  # the width `terms._glue` gives of a term
+    mp.setattr(tm, "_glue", lambda d, sig, glue=tm._glue: glue(d, sig)._replace(width=0))
+
+
+def _copy_args() -> tuple:
+    sig = Signature()
+    return sig.leaf(cs.identity(2)), sig, 0, [1], 1
+
+
+BOUNDS = {  # where: (its arguments, the call, the patch that breaks the quantity it checks)
+    "t_to_mdec": (lambda: _p3("tree"), t_to_mdec, _wide),
+    "p_to_mdec": (lambda: _p3("path"), p_to_mdec, _wide),
+    "b_to_mdec": (lambda: _p3("branch"), b_to_mdec, _wide),
+    "m_to_tdec": (lambda: _p3_term("tree"), m_to_tdec, _narrow),
+    "m_to_pdec": (lambda: _p3_term("path"), m_to_pdec, _narrow),
+    "m_to_bdec": (lambda: _p3_term("branch"), m_to_bdec, _narrow),
+    "m_to_bdec-output": (lambda: _p3_term("branch"), m_to_bdec, lambda mp, args: mp.setattr(
+        translate_module, "_left_comb_branch", RecBranchEmpty)),
+    "copy_mdec": (_copy_args, copy_mdec, lambda mp, args: mp.setattr(
+        translate_module, "_copy_rec", lambda d, sig, *rest: sig.leaf(cs.identity(50)))),
+    "epis_from_composition": (lambda: (cs.identity(2), cs.merge(1)), epis_from_composition,
+                              lambda mp, args: mp.setattr(cs.Cospan, "right_image",
+                                                          lambda self: frozenset())),
+    "tree_to_recursive": (
+        lambda: (TreeDec(Graph.from_edge_pairs(range(3), [(0, 1), (0, 2)]),
+                         {0: {1}, 1: {0, 1}, 2: {1, 2}}), SourcedGraph(path_graph(3)), 0),
+        tree_to_recursive, lambda mp, args: mp.setattr(
+            decomp_module, "_subtrees",
+            lambda parent, value, f=decomp_module._subtrees: (f(parent, value)[0],
+                                                              {v: [] for v in parent}))),
+    "path_to_recursive": (lambda: (PathDec([{0, 1}, {1, 2}]), SourcedGraph(path_graph(3))),
+                          path_to_recursive,
+                          lambda mp, args: mp.setitem(vars(args[0]), "bags",
+                                                      _Shrunk(args[0].bags))),
+    "branch_to_recursive": (lambda: (exact_branchwidth(path_graph(3))[1],
+                                     SourcedGraph(path_graph(3))), branch_to_recursive,
+                            lambda mp, args: mp.setattr(decomp_module, "_branch_width",
+                                                        lambda *a: -1)),
+    "branch_from_recursive": (lambda: _p3("branch")[:1], branch_from_recursive,
+                              lambda mp, args: mp.setattr(decomp_module, "branch_dec_width",
+                                                          lambda dec, g: 99)),
+}
+
+
+@pytest.mark.parametrize("where", sorted(BOUNDS))
+def test_each_width_bound_raises_when_its_quantity_is_broken(where, monkeypatch):
+    make_args, call, break_it = BOUNDS[where]
+    args = make_args()
+    call(*args)  # the bound holds on the real quantity
+    break_it(monkeypatch, args)
+    with pytest.raises(BoundViolation):
+        call(*args)

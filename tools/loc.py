@@ -3,6 +3,9 @@
     python tools/loc.py            # src/mwidth/*.py of this tree
     python tools/loc.py FILE...    # the named files
 
+It exits 1, with nothing on stderr, when the reader of its output closes
+the pipe early (`python tools/loc.py | head -3`).
+
 A docstring line is a line spanned by the docstring of a module, class or
 function (found with `ast`).  A code line is any other line that holds a
 token other than a comment, an indent or a line break (found with
@@ -60,4 +63,12 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: exit 1 quietly, as the `mwidth` command does,
+        # with the flush at exit sent to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
