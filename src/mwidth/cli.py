@@ -61,8 +61,11 @@ def _nesting(data) -> int:
 
 
 def _load_json(path: str, parse):
-    """`parse` applied to a JSON file; a malformed file, or one nested deeper
-    than the recursion limit (one rule, whatever the decoder follows), is a
+    """`parse` applied to a JSON file, or to the decomposition or term of a
+    `decompose --json` payload (its `decomposition`) or a `translate
+    --json` one (its `result`); a malformed file, one nested deeper than
+    the recursion limit (one rule, whatever the decoder follows), or an
+    object with none of those keys and neither `kind` nor `term`, is a
     usage error."""
     text = _read_text(path)
     too_deep = CliError(f"{path}: JSON nested too deeply to read "
@@ -75,6 +78,11 @@ def _load_json(path: str, parse):
         raise too_deep from exc
     if _nesting(data) > sys.getrecursionlimit():
         raise too_deep
+    if isinstance(data, dict) and "kind" not in data and "term" not in data:
+        if "decomposition" not in data and "result" not in data:
+            raise CliError(f"{path}: a JSON object with none of the keys "
+                           "'kind', 'term', 'decomposition' and 'result'")
+        data = data.get("decomposition", data.get("result"))
     try:
         return parse(data)
     except (DecompositionError, tm.TermError) as exc:

@@ -21,7 +21,6 @@ from .graph import (
     SourcedGraph,
     _ints,
     _json,
-    _numbered,
     find_isomorphism,
     graph_coproduct,
     graph_pushout,
@@ -75,11 +74,10 @@ def boundary_weight(arity: int) -> int:
     return arity
 
 
-def _renumber(c: Cospan) -> Cospan:
-    """Renumber apex ids order-preserving so constructions are reproducible."""
-    rank, _, ends = _numbered(c.apex)
-    apex = Graph(range(len(rank)), dict(enumerate(ends)))
-    return Cospan(apex, tuple(rank[v] for v in c.left), tuple(rank[v] for v in c.right))
+def _ranked_legs(c: Cospan) -> tuple:
+    """The apex's numbering (`Graph._numbering`) and the two legs as ranks in it."""
+    view = c.apex._numbering()
+    return view, tuple([view.rank[v] for v in c.left]), tuple([view.rank[v] for v in c.right])
 
 
 def compose_with_maps(g1: Cospan, g2: Cospan) -> tuple[Cospan, GraphMorphism, GraphMorphism]:
@@ -208,18 +206,15 @@ def cospan_iso_eq(g1: Cospan, g2: Cospan) -> bool:
 
 
 def cospan_to_json(c: Cospan) -> dict:
-    c = _renumber(c)
+    """The cospan with its apex written in the apex's numbering
+    (`Graph._numbering`): vertex ids are ranks, a loop's two ends equal."""
+    view, left, right = _ranked_legs(c)
     return {
         "left": list(range(c.left_arity)),
         "right": list(range(c.right_arity)),
-        "apex": {
-            "v": sorted(c.apex.vertices),
-            "e": [sorted(c.apex.ends(e)) if len(c.apex.ends(e)) == 2
-                  else [min(c.apex.ends(e)), min(c.apex.ends(e))]
-                  for e in sorted(c.apex.edges)],
-        },
-        "legL": {str(i): v for i, v in enumerate(c.left)},
-        "legR": {str(i): v for i, v in enumerate(c.right)},
+        "apex": {"v": list(range(len(view.vertices))), "e": [list(p) for p in view.ends]},
+        "legL": {str(i): v for i, v in enumerate(left)},
+        "legR": {str(i): v for i, v in enumerate(right)},
     }
 
 

@@ -33,8 +33,9 @@ leaves.  The tree and path validators share one check of clauses 1 to 3
 (`_bag_clauses`), where clause 3 (the bags holding a vertex are
 connected) is one per-vertex test against the parent bag.  One subtree
 pass (`_subtrees`) joins a value per node over its subtree and lists the
-children: the leaf edges' ends as bit masks for `branch_dec_width` (with
-one pass down for those outside), the leaf edges and tree neighbours for
+children: the leaf edges' ends as bit masks over the graph's one
+numbering (`Graph._numbering`) for `branch_dec_width` (with one pass
+down for those outside), the leaf edges and tree neighbours for
 `branch_to_recursive`, the bags for `tree_to_recursive`.  The classic ->
 recursive conversions validate with the bodies of the validators
 (`_tree_verdict`, `_branch_verdict`), which take the walk's parents, so
@@ -249,12 +250,13 @@ def branch_dec_width(dec: BranchDec, g: Graph) -> int:
 def _branch_width(g: Graph, table: dict, parent: dict) -> int:
     """`branch_dec_width` of a valid decomposition with leaf table `table`,
     from the parents of a walk of its shape.  The ends of the graph edges
-    at the leaves below each tree node are vertex bit masks joined by the
-    subtree pass (`_subtrees`), and those at the leaves outside its subtree
-    come from one pass down the tree; the order of the edge to a node's
-    parent is the size of their intersection."""
-    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
-    own = {v: sum(bit[u] for u in g.ends(table[v])) if v in table else 0 for v in parent}
+    at the leaves below each tree node are vertex bit masks over the
+    graph's numbering (`Graph._numbering`) joined by the subtree pass
+    (`_subtrees`), and those at the leaves outside its subtree come from
+    one pass down the tree; the order of the edge to a node's parent is
+    the size of their intersection."""
+    rank = g._numbering().rank
+    own = {v: sum(1 << rank[u] for u in g.ends(table[v])) if v in table else 0 for v in parent}
     below, children = _subtrees(parent, own)
     outside = {}
     for v, p in parent.items():  # each node after its parent

@@ -15,11 +15,17 @@ however nested, hold one frozenset per edge between them.  Every graph
 hashes on first use, to the value of its vertices and its (edge, ends)
 pairs, so a part that is never hashed never pays for it.
 
-The exact searches hold their states as bit masks over sorted vertex and
-edge ids, with three private helpers here: `_Bits` lists a mask's set
-bits, `_subset_unions` joins masks over every subset, and `_components`
-is the one component flood, which splits the outside of a bag in the
-tree-width search of `oracles` and a state into its tensor factors in
+Every graph numbers itself once, on first use (`Graph._numbering`): its
+sorted vertex and edge ids, each vertex's rank among them, and each
+edge's ends as ranks and as a vertex mask, with each vertex's edges as an
+edge mask (`_Numbering`).  Pushouts and coproducts lay their two graphs
+side by side in these numberings, `cospan_to_json` writes a cospan in
+its apex's, `terms` glues each atom in its apex's, `decomp` takes branch
+width over it, and the exact searches of `oracles` and `terms` hold
+their states as bit masks over it, with three private helpers here: `_Bits` lists a mask's set bits,
+`_subset_unions` joins masks over every subset, and `_components` is the
+one component flood, which splits the outside of a bag in the tree-width
+search of `oracles` and a state into its tensor factors in
 `terms.bounded_mwd_search`.
 
 `_walk` is the one walk of a decomposition tree, and `_tree_parents` the
@@ -34,6 +40,7 @@ the pairs before it as it pins it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Optional
@@ -52,9 +59,10 @@ class GraphParseError(GraphError):
 
 
 class Graph:
-    """Finite undirected multigraph with explicit edge ids; hashed on first use."""
+    """Finite undirected multigraph with explicit edge ids; hashed and
+    numbered on first use."""
 
-    __slots__ = ("vertices", "edges", "_ends", "_hash")
+    __slots__ = ("vertices", "edges", "_ends", "_hash", "_view")
 
     def __init__(self, vertices: Iterable[int], ends: Mapping[int, Iterable[int]]):
         self.vertices = frozenset(vertices)
@@ -68,7 +76,7 @@ class Graph:
             table[e] = pts
         self._ends = table
         self.edges = frozenset(table)
-        self._hash = None
+        self._hash = self._view = None
 
     @staticmethod
     def discrete(vertices: Iterable[int]) -> "Graph":
@@ -135,8 +143,14 @@ class Graph:
                     raise GraphError(f"edge {e} has endpoints {sorted(pts)} outside the vertex set")
         part.vertices = vertices
         part.edges = frozenset(table)
-        part._hash = None
+        part._hash = part._view = None
         return part
+
+    def _numbering(self) -> "_Numbering":
+        """The graph's one numbering, built by `_number` on first use."""
+        if self._view is None:
+            self._view = _number(self)
+        return self._view
 
     def connected_components(self) -> list[tuple[frozenset, frozenset]]:
         """Components as (vertex set, edge set) pairs, sorted by minimum vertex."""
@@ -398,13 +412,25 @@ def is_subcubic_tree(g: Graph) -> bool:
     return all(len(g.neighbours(v)) <= 3 for v in g.vertices)
 
 
-def _numbered(g: Graph) -> tuple[dict, list, list]:
-    """Each vertex's rank in sorted order, the sorted edges, and the ends of
-    each of those edges as ranks."""
-    rank = dict(zip(sorted(g.vertices), range(len(g.vertices))))
-    edges = sorted(g.edges)
-    ends = g._ends
-    return rank, edges, [tuple(map(rank.__getitem__, ends[e])) for e in edges]
+_Numbering = namedtuple("_Numbering", "vertices edges rank ends ends_mask incident")
+
+
+def _number(g: Graph) -> _Numbering:
+    """The numbering of g, which `Graph._numbering` keeps: bit i of a
+    vertex mask is `vertices[i]` and bit j of an edge mask `edges[j]`, the
+    ids in ascending order; `rank` maps each vertex to its index, `ends[j]`
+    holds the (low, high) ranks of edge j's ends (a loop's twice) and
+    `ends_mask[j]` their vertex mask, and `incident[i]` is the edge mask
+    of vertex i's edges.  Every reader shares these tables, so none
+    changes them; they hold no reference to g."""
+    vertices, edges = sorted(g.vertices), sorted(g.edges)
+    rank = dict(zip(vertices, range(len(vertices))))
+    ends = [(rank[min(pts)], rank[max(pts)]) for pts in map(g._ends.__getitem__, edges)]
+    incident = [0] * len(vertices)
+    for j, (a, b) in enumerate(ends):
+        incident[a] |= 1 << j
+        incident[b] |= 1 << j
+    return _Numbering(vertices, edges, rank, ends, [1 << a | 1 << b for a, b in ends], incident)
 
 
 def _colimit(blocks: list[tuple[int, list]],
@@ -442,19 +468,18 @@ def _colimit(blocks: list[tuple[int, list]],
 
 def _side_by_side(g1: Graph, g2: Graph,
                   glued: Iterable[tuple[int, int]]) -> tuple[Graph, GraphMorphism, GraphMorphism]:
-    """The colimit of g1 and g2 (g1's ids first, each side in sorted order)
-    with each (g1 vertex, g2 vertex) pair of `glued` identified, and the
-    maps of both into it."""
-    r1, es1, ends1 = _numbered(g1)
-    r2, es2, ends2 = _numbered(g2)
-    n1, m1 = len(r1), len(es1)
-    vertex, apex = _colimit([(n1, ends1), (len(r2), ends2)],
-                            [(r1[a], n1 + r2[b]) for a, b in glued])
+    """The colimit of g1 and g2 (g1's ids first, each side in its
+    numbering) with each (g1 vertex, g2 vertex) pair of `glued`
+    identified, and the maps of both into it."""
+    v1, v2 = g1._numbering(), g2._numbering()
+    n1, m1 = len(v1.vertices), len(v1.edges)
+    vertex, apex = _colimit([(n1, v1.ends), (len(v2.vertices), v2.ends)],
+                            [(v1.rank[a], n1 + v2.rank[b]) for a, b in glued])
     return (apex,
-            GraphMorphism(g1, apex, {v: vertex[i] for v, i in r1.items()},
-                          {e: i for i, e in enumerate(es1)}),
-            GraphMorphism(g2, apex, {v: vertex[n1 + i] for v, i in r2.items()},
-                          {e: m1 + i for i, e in enumerate(es2)}))
+            GraphMorphism(g1, apex, {v: vertex[i] for v, i in v1.rank.items()},
+                          {e: i for i, e in enumerate(v1.edges)}),
+            GraphMorphism(g2, apex, {v: vertex[n1 + i] for v, i in v2.rank.items()},
+                          {e: m1 + i for i, e in enumerate(v2.edges)}))
 
 
 def graph_coproduct(g1: Graph, g2: Graph) -> tuple[Graph, GraphMorphism, GraphMorphism]:

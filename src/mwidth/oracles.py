@@ -92,10 +92,11 @@ def _floor(vs: int, xs: int, reach: dict) -> int:
 def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
     """Minimum-width recursive decomposition by exhaustive search over bags.
 
-    A state is a (vertices, edges, sources) triple of bit masks, bit i
-    standing for the i-th smallest vertex or edge id of `sg`.  A node's bag
-    is the state's sources plus a subset of its other vertices, tried by
-    size, then lexicographically.  The vertices outside the bag split into
+    A state is a (vertices, edges, sources) triple of bit masks over the
+    numbering of `sg`'s graph (`Graph._numbering`), bit i standing for the
+    i-th smallest vertex or edge id, whose end and incidence masks it
+    reads.  A node's bag is the state's sources plus a subset of its other
+    vertices, tried by size, then lexicographically.  The vertices outside the bag split into
     components, each with the edges that touch it and those edges' ends in
     the bag, found by least outside vertex (`graph._components`) and then
     stably sorted by least vertex.  A tree node (`what == "tree"`) groups
@@ -127,10 +128,8 @@ def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
     if len(g.vertices) > max_vertices:
         raise OracleError(
             f"refusing {what}-width search on {len(g.vertices)} > {max_vertices} vertices")
-    vids, eids = sorted(g.vertices), sorted(g.edges)
-    bit = {v: 1 << i for i, v in enumerate(vids)}
-    ends = [sum(bit[v] for v in g.ends(e)) for e in eids]
-    incident = [sum(1 << j for j, m in enumerate(ends) if m & b) for b in bit.values()]
+    view = g._numbering()
+    vids, eids, ends, incident = view.vertices, view.edges, view.ends_mask, view.incident
     tree = what == "tree"
     bits = _Bits()
     memo: dict = {}
@@ -211,7 +210,7 @@ def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
                 built[key] = make(sub, ids(vids, bag), *map(build, children))
         return built[key]
 
-    root = (2 ** len(vids) - 1, 2 ** len(eids) - 1, sum(bit[v] for v in sg.sources))
+    root = (2 ** len(vids) - 1, 2 ** len(eids) - 1, sum(1 << view.rank[v] for v in sg.sources))
     try:
         w = best(root)
         if w == _INF:
@@ -291,10 +290,11 @@ def _leaf_trees(k: int, cut: Optional[Callable[[list, int], bool]] = None
         del grow
 
 
-def _branchwidth_value(g: Graph, edges: list) -> tuple[int, list[int]]:
+def _branchwidth_value(g: Graph) -> tuple[int, list[int]]:
     """Branch width of `g` (at least one edge) by a dynamic program over the
-    subsets X of `edges`, held as bit masks, in O(3**m); also the table of
-    the vertex mask `ends[X]` that the edges of every X touch.
+    subsets X of its edges, held as bit masks over its numbering
+    (`Graph._numbering`), in O(3**m); also the table of the vertex mask
+    `ends[X]` that the edges of every X touch.
 
     f(X) is the least width of a rooted binary tree with leaves X, counting
     the order of every tree edge below the root: 0 for a single edge, else
@@ -303,8 +303,8 @@ def _branchwidth_value(g: Graph, edges: list) -> tuple[int, list[int]]:
     edges outside S.  Joining the root's two edges into one makes the tree
     cubic, so f(edges) is the branch width.
     """
-    bit = {v: 1 << i for i, v in enumerate(sorted(g.vertices))}
-    ends = _subset_unions([sum(bit[v] for v in g.ends(e)) for e in edges])
+    view = g._numbering()
+    ends = _subset_unions(view.ends_mask)
     full = len(ends) - 1
     mid = [(ends[s] & ends[full ^ s]).bit_count() for s in range(full + 1)]
     f = [0] * (full + 1)
@@ -314,7 +314,7 @@ def _branchwidth_value(g: Graph, edges: list) -> tuple[int, list[int]]:
         if not rest:
             continue
         # each split once: A holds the lowest edge of X, X - A is not empty
-        best, sub = len(bit), rest
+        best, sub = len(view.vertices), rest
         while sub:
             sub = (sub - 1) & rest
             a = low | sub
@@ -336,13 +336,13 @@ def exact_branchwidth(g: Graph, max_edges: int = MAX_EDGES) -> tuple[int, Branch
     a single edge sits on a one-vertex tree with no tree edges, hence
     width 0.
     """
-    edges = sorted(g.edges)
-    if len(edges) > max_edges:
+    if len(g.edges) > max_edges:
         raise OracleError(
-            f"refusing branch-width search on {len(edges)} > {max_edges} edges")
-    if not edges:
+            f"refusing branch-width search on {len(g.edges)} > {max_edges} edges")
+    if not g.edges:
         return 0, BranchDec(Graph.empty(), {})
-    width, ends = _branchwidth_value(g, edges)
+    edges = g._numbering().edges
+    width, ends = _branchwidth_value(g)
 
     def wider(sides: list, placed: int) -> bool:
         return any((ends[s] & ends[placed ^ s]).bit_count() > width for s in sides)

@@ -18,8 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 from . import cospan as cs
 from .cospan import Cospan
 from .decomp import DecompositionError, _Looped
-from .graph import (Graph, SourcedGraph, _Bits, _colimit, _components, _numbered as _ranked,
-                    _subset_unions)
+from .graph import Graph, SourcedGraph, _Bits, _colimit, _components, _subset_unions
 from .oracles import MAX_EDGES, MAX_SEARCH_EDGES, MAX_SEARCH_VERTICES, MAX_VERTICES, OracleError
 
 
@@ -281,23 +280,17 @@ class _Glued(NamedTuple):
     width: int  # the term's width, as `width` gives it
 
 
-def _numbered(c: Cospan) -> tuple:
-    """A leaf cospan in its own sorted numbering: vertex count, edge ends
-    and the two legs."""
-    rank, _, ends = _ranked(c.apex)
-    return len(rank), ends, tuple(rank[v] for v in c.left), tuple(rank[v] for v in c.right)
-
-
 def _glue(d: DecompTree, sig: Signature) -> _Glued:
     """Evaluate `d` as one colimit of its leaves.
 
     The leaves' apex vertices and edges get global ids left to right, each
-    leaf's in sorted order, and each composition identifies its cut ports
-    (`graph._colimit`).  Each atom is numbered once per call, at its first
-    leaf.  The arity and cut checks all run, in post-order, before any
-    gluing; the same walk takes the term's width, the largest atom weight
-    or cut.  A node's `_Node` holds only ranges and port tuples of global
-    ids; the readers of `translate` map them into the apex.
+    leaf's in its apex's numbering (`Graph._numbering`), and each
+    composition identifies its cut ports (`graph._colimit`).  Each atom's
+    legs are ranked once per call, at its first leaf.  The arity and cut
+    checks all run, in post-order, before any gluing; the same walk takes
+    the term's width, the largest atom weight or cut.  A node's `_Node`
+    holds only ranges and port tuples of global ids; the readers of
+    `translate` map them into the apex.
     """
     atoms = sig.atoms
     new = tuple.__new__
@@ -305,7 +298,7 @@ def _glue(d: DecompTree, sig: Signature) -> _Glued:
     done: list = []  # _Node of the finished subterms, innermost last
     blocks: list = []  # (vertex count, local edge ends) of each leaf
     pairs: list = []  # cut ports to identify
-    numbered: dict = {}  # atom name -> _numbered of its cospan
+    numbered: dict = {}  # atom name -> its apex's numbering and its legs in it
     n_vertices = n_edges = 0
     widest = None  # the width so far; every term has a leaf
     for node in _post_order(d):
@@ -318,12 +311,12 @@ def _glue(d: DecompTree, sig: Signature) -> _Glued:
                     raise TermError(f"atom {node.atom!r} at {_path(d, node)} has no cospan binding")
                 if widest is None or atom.weight > widest:
                     widest = atom.weight
-                numbered[node.atom] = leaf = _numbered(c)
-            n, leaf_ends, left, right = leaf
+                numbered[node.atom] = leaf = cs._ranked_legs(c)
+            view, left, right = leaf
             v0, e0 = n_vertices, n_edges
-            n_vertices += n
-            n_edges += len(leaf_ends)
-            blocks.append((n, leaf_ends))
+            n_vertices += len(view.vertices)
+            n_edges += len(view.edges)
+            blocks.append((len(view.vertices), view.ends))
             out = new(_Node, (node, range(v0, n_vertices), range(e0, n_edges),
                               tuple([v0 + v for v in left]), tuple([v0 + v for v in right])))
         elif isinstance(node, (Tensor, Compose)):
@@ -344,9 +337,8 @@ def _glue(d: DecompTree, sig: Signature) -> _Glued:
             raise TermError(f"not a decomposition tree node: {node!r}")
         nodes.append(out)
         done.append(out)
-    if isinstance(d, Leaf):
-        c = atoms[d.atom].cospan
-        return _Glued(c, sorted(c.apex.vertices), sorted(c.apex.edges), nodes, widest)
+    if isinstance(d, Leaf):  # the loop met d alone: `c` and `view` are its atom's
+        return _Glued(c, view.vertices, view.edges, nodes, widest)
     vertex, apex = _colimit(blocks, pairs)
     (root,) = done
     return _Glued(Cospan(apex, tuple(vertex[v] for v in root.left),
@@ -605,8 +597,9 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
     than `oracles.MAX_SEARCH_VERTICES` apex vertices or
     `oracles.MAX_SEARCH_EDGES` edges is refused with OracleError.
 
-    A search state is a sub-cospan of the renumbered input, held as
-    (vertex mask, edge mask, left ports, right ports) over its apex.  The
+    A search state is a sub-cospan of the input, held as (vertex mask,
+    edge mask, left ports, right ports) over its apex's numbering
+    (`Graph._numbering`), whose end and incidence masks it reads.  The
     memo key is the state's cospan renumbered order-preservingly, read
     straight off the masks: its ports as ranks within the vertex mask, and
     an interned edge part, its vertex count n and the sorted codes
@@ -649,15 +642,8 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
     port_cuts = _PortCuts()
     subsets: dict[int, tuple] = {}  # edge mask -> endpoint and edge masks of its subsets
     visited = 0
-    root = cs._renumber(g)
-    # root edge ids are 0..m-1: their ends, least first (a loop's twice),
-    # and their endpoint masks; and each vertex's incident edges
-    ends = [(min(pts), max(pts)) for pts in map(root.apex.ends, range(len(root.apex.edges)))]
-    ends_mask = [1 << a | 1 << b for a, b in ends]
-    incident = [0] * len(root.apex.vertices)
-    for e, (a, b) in enumerate(ends):
-        incident[a] |= 1 << e
-        incident[b] |= 1 << e
+    view, root_left, root_right = cs._ranked_legs(g)
+    ends, ends_mask, incident = view.ends, view.ends_mask, view.incident
 
     def rank_in(vmask: int) -> dict:
         rank = ranks.get(vmask)
@@ -752,8 +738,8 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
         return out
 
     try:
-        found = best(((1 << len(root.apex.vertices)) - 1, (1 << len(ends)) - 1,
-                      root.left, root.right))
+        found = best(((1 << len(view.vertices)) - 1, (1 << len(ends)) - 1,
+                      root_left, root_right))
     finally:  # `best` reaches itself: break the cycle to free the tables
         del best
     seed_sig = None

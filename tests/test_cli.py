@@ -115,6 +115,47 @@ def test_translate_recursive_to_term_and_back(p3_file, tmp_path, capsys):
     assert back["to_width"] <= 2
 
 
+C4_TEXT = "v 0\nv 1\nv 2\nv 3\ne 0 1\ne 1 2\ne 2 3\ne 3 0\n"
+
+
+@pytest.mark.parametrize("recursive", ([], ["--recursive"]), ids=("classic", "recursive"))
+@pytest.mark.parametrize("kind", ("tree", "path", "branch"))
+def test_validate_reads_the_json_that_decompose_writes(tmp_path, capsys, kind, recursive):
+    graph, dec = tmp_path / "c4.g", tmp_path / "d.json"
+    graph.write_text(C4_TEXT)
+    assert main(["decompose", str(graph), "--kind", kind, *recursive, "--json"]) == 0
+    out = capsys.readouterr().out
+    dec.write_text(out)
+    assert main(["validate", str(graph), "--dec", str(dec)]) == 0
+    assert capsys.readouterr().out == f"valid, width={json.loads(out)['width']}\n"
+
+
+def test_translate_reads_the_json_that_translate_writes(tmp_path, capsys):
+    graph, rec, term = tmp_path / "c4.g", tmp_path / "rec.json", tmp_path / "term.json"
+    graph.write_text(C4_TEXT)
+    assert main(["decompose", str(graph), "--kind", "tree", "--recursive", "--json"]) == 0
+    rec.write_text(capsys.readouterr().out)
+    assert main(["translate", "--from", str(rec), "--to", "monoidal", "--json"]) == 0
+    term.write_text(capsys.readouterr().out)
+    assert main(["translate", "--from", str(term), "--to", "rec-tree"]) == 0
+    assert capsys.readouterr().out.startswith("width 3 -> ")
+    assert main(["translate", "--from", str(rec), "--to", "tree", "--json"]) == 0
+    (tmp_path / "tree.json").write_text(capsys.readouterr().out)
+    assert main(["validate", str(graph), "--dec", str(tmp_path / "tree.json")]) == 0
+
+
+@pytest.mark.parametrize("command", ("validate", "translate"))
+def test_a_json_object_without_a_kind_exits_two(p3_file, tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"width": 2}))
+    argv = {"validate": ["validate", p3_file, "--dec", str(bad)],
+            "translate": ["translate", "--from", str(bad), "--to", "rec-tree"]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: a JSON object with none of the keys "
+        "'kind', 'term', 'decomposition' and 'result'\n")
+
+
 def test_translate_classic_to_recursive_needs_graph(p3_file, tmp_path, capsys):
     dec = {"kind": "path", "bags": [[0, 1], [1, 2]]}
     dec_path = tmp_path / "classic.json"

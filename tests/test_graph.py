@@ -451,3 +451,52 @@ def test_is_tree_matches_the_reference_on_multigraphs(g):
     assert g.is_tree() == _is_tree_reference(g)
     assert is_subcubic_tree(g) == (
         _is_tree_reference(g) and all(len(g.neighbours(v)) <= 3 for v in g.vertices))
+
+
+# ---------------------------------------------------------------------------
+# The one numbering of a graph.
+
+
+def _naive_numbering(g: Graph) -> tuple:
+    """The fields of `Graph._numbering`, by their definitions."""
+    vs, es = sorted(g.vertices), sorted(g.edges)
+    rank = {v: vs.index(v) for v in vs}
+    ends = [(min(rank[v] for v in g.ends(e)), max(rank[v] for v in g.ends(e))) for e in es]
+    ends_mask = [sum(2 ** rank[v] for v in g.ends(e)) for e in es]
+    incident = [sum(2 ** j for j, e in enumerate(es) if v in g.ends(e)) for v in vs]
+    return vs, es, rank, ends, ends_mask, incident
+
+
+def test_the_numbering_is_sorted_ranked_and_masked():
+    rng = random.Random(31)
+    multigraphs = [_sparse_ids(rng, random_graph(rng, max_v=8, max_e=12)) for _ in range(200)]
+    ends = [g.ends(e) for g in multigraphs for e in g.edges]
+    assert any(len(pts) == 1 for pts in ends)  # loops
+    assert any(len(g.edges) > len({g.ends(e) for e in g.edges}) for g in multigraphs)
+    assert any(v not in set().union(*map(g.ends, g.edges)) for g in multigraphs
+               for v in g.vertices)  # isolated vertices
+    for g in [Graph.empty(), *enumerate_graphs(5), *multigraphs]:
+        view = g._numbering()
+        assert tuple(view) == _naive_numbering(g)
+        assert g._numbering() is view  # built once, then kept
+        part = g.subgraph(g.vertices, g.edges)
+        assert tuple(part._numbering()) == tuple(view)
+
+
+def test_one_numbering_per_graph(monkeypatch):
+    from mwidth import WidthCache, check_theorems, graph as graph_module
+
+    built = []  # every graph numbered, kept alive so that no id is reused
+    number = graph_module._number
+
+    def counted(g):
+        built.append(g)
+        return number(g)
+
+    monkeypatch.setattr(graph_module, "_number", counted)
+    for call in (check_theorems, lambda g: WidthCache().widths(g)):
+        for g in (k(4), path_graph(5), Graph(range(4), {0: {0}, 1: {0, 1}, 2: {0, 1}, 3: {2, 3}})):
+            built.clear()
+            call(g)
+            assert sum(h is g for h in built) == 1
+            assert len({id(h) for h in built}) == len(built)
