@@ -60,13 +60,13 @@ def _nesting(data) -> int:
     return depth
 
 
-def _load_json(path: str, parse):
-    """`parse` applied to a JSON file, or to the decomposition or term of a
-    `decompose --json` payload (its `decomposition`) or a `translate
-    --json` one (its `result`); a malformed file, one nested deeper than
-    the recursion limit (one rule, whatever the decoder follows), or an
-    object with none of those keys and neither `kind` nor `term`, is a
-    usage error."""
+def _load_json(path: str):
+    """A decomposition, or a (term, signature) pair, read from a JSON file
+    that holds one, or from the `decomposition` of a `decompose --json`
+    payload or the `result` of a `translate --json` one; a malformed file,
+    one nested deeper than the recursion limit (one rule, whatever the
+    decoder follows), or an object with none of those keys and neither
+    `kind` nor `term`, is a usage error."""
     text = _read_text(path)
     too_deep = CliError(f"{path}: JSON nested too deeply to read "
                         f"(recursion limit {sys.getrecursionlimit()})")
@@ -84,16 +84,11 @@ def _load_json(path: str, parse):
                            "'kind', 'term', 'decomposition' and 'result'")
         data = data.get("decomposition", data.get("result"))
     try:
-        return parse(data)
+        if isinstance(data, dict) and "term" in data:
+            return tm.tree_from_json(data["term"]), tm.signature_from_json(data.get("signature"))
+        return decomposition_from_json(data)
     except (DecompositionError, tm.TermError) as exc:
         raise CliError(f"{path}: {exc}") from exc
-
-
-def _decomposition_or_term(data):
-    """A decomposition, or a (term, signature) pair, from its JSON form."""
-    if isinstance(data, dict) and "term" in data:
-        return tm.tree_from_json(data["term"]), tm.signature_from_json(data.get("signature"))
-    return decomposition_from_json(data)
 
 
 def _kind_of(dec) -> tuple[str, _Kind, bool]:
@@ -155,7 +150,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_validate(args) -> int:
     sg = _load_graph(args.file)
-    dec = _load_json(args.dec, decomposition_from_json)
+    dec = _load_json(args.dec)
+    if isinstance(dec, tuple):
+        raise CliError(f"{args.dec}: the file holds a term, which validate does not take")
     _, kind, rec = _kind_of(dec)
     check = kind.rec_validate(dec, sg) if rec else kind.validate(dec, sg.graph)
     if not check:
@@ -167,7 +164,7 @@ def cmd_validate(args) -> int:
 
 def _translate(path: str, to: str, graph_path) -> dict:
     """The translate payload: both widths and the result."""
-    source = _load_json(path, _decomposition_or_term)
+    source = _load_json(path)
     if isinstance(source, tuple):
         term, sig = source
         source_width = tm.width(term, sig)

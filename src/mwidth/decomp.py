@@ -18,23 +18,30 @@ clauses of a family from one function per family, the tree and path ones
 opening with the same four checks, `_bag_node`), JSON, equality, hash and
 repr read one node order, `_pre_order`, forwards or, to see children before
 parents, reversed, or keep the nodes they have open on an explicit stack.
-Validation yields the width from its own walk.  The conversions build every
-node's graph as a part of its parent's (`Graph._part`), so the nodes of one
-form share the end sets of the graph it decomposes, and `*_to_recursive`
-take the largest bag or boundary from what they build, so no width
-postcondition walks its result again.
+Validation yields the width from its own walk.  A child's "subgraph"
+clause is two subset tests, of the vertices and of the (edge, ends) pairs,
+so a child read from JSON that reuses a parent edge id with other ends
+fails it.  The conversions build every node's graph as a part of its
+parent's (`Graph._part`), so the nodes of one form share the end sets of
+the graph it decomposes; the vertex and edge sets of each node are its
+own, so a chain k nodes deep holds O(k^2) ids.  `branch_to_recursive`
+takes the largest boundary from what it builds, so its width
+postcondition walks its result no second time.  The tree and path
+conversions need no such check: each node carries a bag of the input,
+one node per bag, and a chain link's bag lies within its parent's.
 
 Each classic decomposition tree is walked (`graph._walk`) at most once
-per call, and every question is linear in the tree's size.  The tree and
-branch validators share one walk that tells whether the shape is a tree
-(`graph._tree_parents`, which `Graph.is_tree` also reads); the tree
-validator reads from it the parents, the branch validator the degrees and
-leaves.  The tree and path validators share one check of clauses 1 to 3
-(`_bag_clauses`), where clause 3 (the bags holding a vertex are
-connected) is one per-vertex test against the parent bag.  One subtree
-pass (`_subtrees`) joins a value per node over its subtree and lists the
-children: the leaf edges' ends as bit masks over the graph's one
-numbering (`Graph._numbering`) for `branch_dec_width` (with one pass
+per call, but twice by `branch_dec_width` (in validation and again for
+its bit masks), and every question is linear in the tree's size.  The
+tree and branch validators share one walk that tells whether the shape is
+a tree (`graph._tree_parents`, which `Graph.is_tree` also reads); the
+tree validator reads from it the parents, the branch validator the
+degrees and leaves.  The tree and path validators share one check of
+clauses 1 to 3 (`_bag_clauses`), where clause 3 (the bags holding a
+vertex are connected) is one per-vertex test against the parent bag.  One
+subtree pass (`_subtrees`) joins a value per node over its subtree and
+lists the children: the leaf edges' ends as bit masks over the graph's
+one numbering (`Graph._numbering`) for `branch_dec_width` (with one pass
 down for those outside), the leaf edges and tree neighbours for
 `branch_to_recursive`, the bags for `tree_to_recursive`.  The classic ->
 recursive conversions validate with the bodies of the validators
@@ -618,29 +625,25 @@ def _bags(t: RecTreeDec | RecPathDec) -> list:
     return [node.bag for node in _pre_order(t) if not isinstance(node, _EMPTY_NODES)]
 
 
-def _rec_width(t: _RecDec, sg: Optional[SourcedGraph], clauses, empty: type,
-               what: str) -> int:
+def _rec_width(t: _RecDec, sg: Optional[SourcedGraph], clauses, what: str) -> int:
     """Width of `t` after validating it by a family's `clauses` against
-    `sg`, by default the graph the root records; an empty root with no `sg`
-    given is not validated.  DecompositionError names the first failed
-    clause."""
-    if sg is None and isinstance(t, empty):
-        return 0
+    `sg`, by default the graph the root records.  DecompositionError names
+    the first failed clause."""
     check, width = _validate_rec(t, t.graph if sg is None else sg, clauses)
     _require(check, f"recursive {what}")
     return width
 
 
 def rec_tree_width(t: RecTreeDec, sg: Optional[SourcedGraph] = None) -> int:
-    return _rec_width(t, sg, _tree_clauses, RecTreeEmpty, "tree")
+    return _rec_width(t, sg, _tree_clauses, "tree")
 
 
 def rec_path_width(t: RecPathDec, sg: Optional[SourcedGraph] = None) -> int:
-    return _rec_width(t, sg, _path_clauses, RecPathEmpty, "path")
+    return _rec_width(t, sg, _path_clauses, "path")
 
 
 def rec_branch_width(t: RecBranchDec, sg: Optional[SourcedGraph] = None) -> int:
-    return _rec_width(t, sg, _branch_clauses, RecBranchEmpty, "branch")
+    return _rec_width(t, sg, _branch_clauses, "branch")
 
 
 def rec_branch_subtree(t: RecBranchDec, path: Iterable[int]) -> RecBranchDec:
@@ -656,18 +659,17 @@ def rec_branch_subtree(t: RecBranchDec, path: Iterable[int]) -> RecBranchDec:
 def boundary_global(t: RecBranchDec, path: Iterable[int]) -> frozenset:
     """Boundary of the subtree at `path`, computed by the global formula:
     vertices of the subtree that are sources of the whole graph or appear
-    in some disjoint subtree."""
-    path = tuple(path)
-    target = rec_branch_subtree(t, path)
-    if isinstance(target, RecBranchEmpty):
-        return frozenset()
+    in some disjoint subtree.  One descent, failing as `rec_branch_subtree`
+    does, finds the subtree and the siblings passed on the way."""
     outside: set = set()
     cur = t
     for step in path:
-        sibling = cur.right if step == 0 else cur.left
+        if not isinstance(cur, RecBranchNode):
+            raise GraphError(f"no subtree at path step {step}")
+        cur, sibling = (cur.left, cur.right) if step == 0 else (cur.right, cur.left)
         outside |= sibling.graph.vertices
-        cur = cur.left if step == 0 else cur.right
-    return target.graph.vertices & (t.graph.sources | frozenset(outside))
+    return frozenset() if isinstance(cur, RecBranchEmpty) else cur.graph.vertices & (
+        t.graph.sources | outside)
 
 
 # ---------------------------------------------------------------------------
@@ -737,10 +739,6 @@ def tree_to_recursive(dec: TreeDec, sg: SourcedGraph, root: int) -> RecTreeDec:
     done: list = []  # finished subtrees, the leftmost last
     for node in reversed(order):
         done.append(RecTreeNode(*node, done.pop(), done.pop()) if node else REC_TREE_EMPTY)
-    got = max(len(node[1]) for node in order if node)
-    want = max((len(b) for b in bags.values()), default=0)
-    if got != want:
-        raise BoundViolation(f"tree_to_recursive changed the width: {got} != {want}")
     return done[0]
 
 
@@ -804,11 +802,9 @@ def path_to_recursive(dec: PathDec, sg: SourcedGraph) -> RecPathDec:
         gamma = graphs[-1].graph
         erest = [e for e, pts in gamma._ends.items() if pts <= vrest]
         graphs.append(SourcedGraph(gamma._part(vrest, erest), bag & vrest))
-    result, got = REC_PATH_EMPTY, 0
+    result = REC_PATH_EMPTY
     for gamma, bag in zip(reversed(graphs), reversed(bags)):
-        result, got = RecPathCons(gamma, bag, result), max(got, len(bag))
-    if got != max(len(b) for b in dec.bags):
-        raise BoundViolation("path_to_recursive changed the width")
+        result = RecPathCons(gamma, bag, result)
     return result
 
 

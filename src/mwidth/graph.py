@@ -13,7 +13,8 @@ which were checked when the parent was built, and checks only that they
 lie within its own vertices.  So the parts of one graph, however many and
 however nested, hold one frozenset per edge between them.  Every graph
 hashes on first use, to the value of its vertices and its (edge, ends)
-pairs, so a part that is never hashed never pays for it.
+pairs, so a part that is never hashed never pays for it.  A part
+equals, hashes and prints like the same graph built from scratch.
 
 Every graph numbers itself once, on first use (`Graph._numbering`): its
 sorted vertex and edge ids, each vertex's rank among them, and each

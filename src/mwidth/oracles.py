@@ -12,7 +12,13 @@ are those of the full search.  The branch oracle computes the width by
 a dynamic program over edge subsets, then takes as witness the first
 leaf-labelled cubic tree that attains it, cutting every partial tree
 already wider than that; its width, the cache's too, is that of the
-validated witness.  Everything here is desk scale only.
+validated witness.  The tree and path searches number the vertices and
+edges in id order, so their witnesses depend only on the order of the
+vertex ids: relabelling the vertices order-preservingly relabels the
+witness.  Each search frees its tables by reference counting when it
+returns or raises, as its recursive closures are deleted in a `finally`,
+so none waits for the cyclic GC.  The catalog computes no `canonical_key`.
+Everything here is desk scale only.
 """
 
 from __future__ import annotations
@@ -120,9 +126,12 @@ def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
       only shrink, and where both stay equal the sources can only grow,
       so the only cycle is a state meeting itself.
 
-    At the end `make(graph, bag, *children)` builds the witness's nodes,
-    and only those; with `make` None the result is `(width, None)` and no
-    node is built.
+    Every best is finite, as every state tries its full bag, whose
+    children are all the empty state.  At the end `make(graph, bag,
+    *children)` builds the witness's nodes, and only those, each once: no
+    witness meets a non-empty state twice, as siblings split the
+    components and a descendant equal to its ancestor is a cycle.  With
+    `make` None the result is `(width, None)` and no node is built.
     """
     g = sg.graph
     if len(g.vertices) > max_vertices:
@@ -197,25 +206,17 @@ def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
     def ids(table: list, mask: int) -> list:
         return [table[i] for i in bits[mask]]
 
-    built: dict = {}
-
     def build(key: tuple):
-        if key not in built:
-            vs, es, xs = key
-            if not vs and not es:
-                built[key] = empty
-            else:
-                _, bag, children = memo[key]
-                sub = SourcedGraph(g.subgraph(ids(vids, vs), ids(eids, es)), ids(vids, xs))
-                built[key] = make(sub, ids(vids, bag), *map(build, children))
-        return built[key]
+        vs, es, xs = key
+        if not vs and not es:
+            return empty
+        _, bag, children = memo[key]
+        sub = SourcedGraph(g.subgraph(ids(vids, vs), ids(eids, es)), ids(vids, xs))
+        return make(sub, ids(vids, bag), *map(build, children))
 
     root = (2 ** len(vids) - 1, 2 ** len(eids) - 1, sum(1 << view.rank[v] for v in sg.sources))
     try:
-        w = best(root)
-        if w == _INF:
-            raise OracleError(f"no recursive {what} decomposition found")
-        return w, None if make is None else build(root)
+        return best(root), None if make is None else build(root)
     finally:  # `best` and `build` reach themselves: break the cycle to free the tables
         del best, build
 

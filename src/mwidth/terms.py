@@ -5,7 +5,19 @@ by side, and composition nodes cut along a boundary object.  Width is the
 weight of the most expensive node; composition nodes cost the cut object,
 tensor nodes are free.  Atoms may be purely symbolic (a declared weight)
 or bound to cospans of graphs, in which case terms can be evaluated back
-into the category.
+into the category.  A signature refuses an atom whose cospan's legs
+differ in length from its declared arities.
+
+`evaluate` takes a term as one colimit of its leaves (`_glue`), the
+construction of `cospan.compose` and `cospan.tensor`, so nesting those
+gives the same apex, edge order and legs.  `evaluate`, `arity`, `width`,
+`node_weights`, `node_count`, the shape predicates, `tree_serial` and the
+JSON forms walk a term over explicit stacks, so its depth does not bound
+them.  `bounded_mwd_search` frees its tables by reference counting when it
+returns or raises, as its recursive closure is deleted in a `finally`, so
+no reference cycle waits for the cyclic GC; the signature it returns
+holds only the atoms of its term (`mwidth decompose k4.g --kind monoidal
+--json` lists 5).
 """
 
 from __future__ import annotations

@@ -10,17 +10,24 @@ theorems work:
 * recursive branch dec-> term               with width <= max(input width, 1) + 1;
 * term + glue map     -> recursive branch dec with width <= 2 * max(term width, arities).
 
-The term -> decomposition directions evaluate the term once, as one
-colimit of its leaves (`terms._glue`) that also gives every term node's
-global ids and each global id's image in the root apex.  One post-order
-pass over those nodes then builds each decomposition node over its term
-node's image, a part of that apex: a leaf's part is read off its global
-ids, an inner node's is the union of its two children's parts
-(`_read_back`, for trees and branches), and a path suffix's is its tail's
-part with its leaf's vertices and edges added.  The tree and path bounds
-are checked against widths taken on the way; `m_to_bdec` validates its
-result, which gives its width.  `check_theorems` validates the tree and
-path decompositions it certifies with.
+The module owns the table of decomposition kinds (`_KINDS`: per kind
+its validators, widths, conversions, translations and oracle), which the
+CLI, `check_theorems` and the search seeds read; `_optimal` runs a kind's
+oracle, makes its witness recursive and translates it to a term, with
+that term's width.
+
+The term -> decomposition directions are linear in the term.  They
+evaluate it once, as one colimit of its leaves (`terms._glue`) that also
+gives every term node's global ids and each global id's image in the
+root apex.  One post-order pass over those nodes then builds each
+decomposition node over its term node's image, a part of that apex: a
+leaf's part is read off its global ids, an inner node's is the union of
+its two children's parts (`_read_back`, for trees and branches), and a
+path suffix's is its tail's part with its leaf's vertices and edges
+added.  The tree and path bounds are checked against widths taken on
+the way; `m_to_bdec` validates its result, which gives its width.
+`check_theorems` validates the tree and path decompositions it certifies
+with.
 
 The decomposition -> term directions make right-tree and path terms by
 construction (each composition they make has a leaf on its left), so
@@ -117,14 +124,10 @@ def epis_from_composition(g1: Cospan, g2: Cospan) -> EpiWitness:
     """Quotient maps of a composition, restricted onto their images.
 
     Each map identifies two distinct vertices only when both lie in the
-    image of the inner boundary leg, which is asserted.
+    image of the inner boundary leg: the pushout glues only `g1.right[p]`
+    to `g2.left[p]`.
     """
     composite, m1, m2 = cs.compose_with_maps(g1, g2)
-    for m, inner in ((m1, g1.right_image()), (m2, g2.left_image())):
-        bad = _first_bad_pair(m.vmap, lambda v, w: v in inner and w in inner)
-        if bad is not None:
-            raise BoundViolation(
-                f"composition identified {bad[0]} and {bad[1]} outside the boundary")
     return EpiWitness(composite, *(GraphMorphism(m.domain, m.image_subgraph(), m.vmap, m.emap)
                                    for m in (m1, m2)))
 

@@ -144,6 +144,16 @@ def test_translate_reads_the_json_that_translate_writes(tmp_path, capsys):
     assert main(["validate", str(graph), "--dec", str(tmp_path / "tree.json")]) == 0
 
 
+def test_validate_given_a_term_file_exits_two_naming_the_term(tmp_path, capsys):
+    graph, term = tmp_path / "c4.g", tmp_path / "m.json"
+    graph.write_text(C4_TEXT)
+    assert main(["decompose", str(graph), "--kind", "monoidal", "--json"]) == 0
+    term.write_text(capsys.readouterr().out)
+    assert main(["validate", str(graph), "--dec", str(term)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {term}: the file holds a term, which validate does not take\n")
+
+
 @pytest.mark.parametrize("command", ("validate", "translate"))
 def test_a_json_object_without_a_kind_exits_two(p3_file, tmp_path, capsys, command):
     bad = tmp_path / "bad.json"

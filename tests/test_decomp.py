@@ -10,6 +10,7 @@ from mwidth import (
     Check,
     DecompositionError,
     Graph,
+    GraphError,
     PathDec,
     RecBranchEmpty,
     RecBranchLeaf,
@@ -280,6 +281,36 @@ def test_boundary_global_matches_stored():
             if isinstance(sub, RecBranchEmpty):
                 continue
             assert boundary_global(rec, path) == sub.graph.sources, (g, path)
+
+
+def test_boundary_global_past_a_leaf_or_an_empty_node_and_along_a_generator():
+    # K2 plus a source vertex 2 with no edge: a node over a leaf and an empty node
+    g = Graph.from_edge_pairs(range(3), [(0, 1)])
+    sg = SourcedGraph(g, {2})
+    leaf = RecBranchLeaf(SourcedGraph(g.subgraph({0, 1}, {0}), set()))
+    empty = RecBranchEmpty(SourcedGraph(g.subgraph({2}, set()), {2}))
+    rec = RecBranchNode(sg, leaf, empty)
+    assert rec_branch_width(rec) == 1
+    for path, step in (((0, 1), 1), ((1, 0), 0)):  # a step past the leaf or the empty node
+        for f in (rec_branch_subtree, boundary_global):
+            with pytest.raises(GraphError, match=f"^no subtree at path step {step}$"):
+                f(rec, path)
+    # an empty node has no boundary, although its vertex is a source
+    assert boundary_global(rec, (1,)) == frozenset()
+    # P3 splits into its two edges, which share vertex 1
+    p3 = branch_to_recursive(exact_branchwidth(path_graph(3))[1], SourcedGraph(path_graph(3)))
+    assert boundary_global(p3, (step for step in (0,))) == frozenset({1})
+
+
+def test_an_empty_root_is_validated_against_its_own_graph():
+    k2 = SourcedGraph(path_graph(2))
+    for sg in (None, k2):  # the graph the root records, by default or given
+        with pytest.raises(DecompositionError, match=r"\(clause empty\)"):
+            rec_branch_width(RecBranchEmpty(k2), sg)
+    assert rec_tree_width(REC_TREE_EMPTY) == rec_path_width(REC_PATH_EMPTY) == 0
+    assert rec_branch_width(REC_BRANCH_EMPTY) == 0
+    edgeless = SourcedGraph(Graph.discrete([0, 1]), {1})
+    assert rec_branch_width(RecBranchEmpty(edgeless)) == 0
 
 
 def test_json_round_trips(p3, k3):

@@ -76,7 +76,8 @@ from mwidth import graph as graph_module
 from mwidth import terms as tm
 from mwidth import translate as translate_module
 from mwidth.decomp import (
-    RecBranchLeaf, RecBranchEmpty, RecBranchNode, RecPathCons, RecTreeNode, REC_TREE_EMPTY, _bags,
+    RecBranchLeaf, RecBranchEmpty, RecBranchNode, RecPathCons, RecTreeNode, REC_PATH_EMPTY,
+    REC_TREE_EMPTY, _bags,
 )
 from mwidth.oracles import optimal_rec_path_dec, optimal_rec_tree_dec
 from mwidth.terms import Compose, Leaf, Tensor, tree_from_json, tree_to_json
@@ -111,6 +112,21 @@ def test_epis_disjoint_boundary_images_stay_injective():
     g2 = cs.tensor(cs.edge(), cs.edge())
     w = epis_from_composition(g1, g2)
     assert len(set(w.alpha1.vmap.values())) == len(w.alpha1.vmap)
+
+
+def test_epis_of_random_compositions_identify_only_inner_boundary_vertices():
+    # the pushout glues only g1.right[p] to g2.left[p]
+    rng = random.Random(32)
+    for _ in range(200):
+        n = rng.randint(0, 3)
+        g1 = random_cospan(rng, rng.randint(0, 2), n)
+        g2 = random_cospan(rng, n, rng.randint(0, 2))
+        w = epis_from_composition(g1, g2)
+        for alpha, inner in ((w.alpha1, g1.right_image()), (w.alpha2, g2.left_image())):
+            classes: dict = {}
+            for v, image in alpha.vmap.items():
+                classes.setdefault(image, set()).add(v)
+            assert all(c <= inner for c in classes.values() if len(c) > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +201,21 @@ def test_epi_random_never_increases_width():
         assert validate_rec_tree_dec(out, SourcedGraph(h))
         assert rec_tree_width(out) <= rec_tree_width(rec)
         done += 1
+
+
+def test_epi_to_dec_tree_returns_an_empty_decomposition_as_it_is(p3):
+    for empty in (REC_TREE_EMPTY, REC_PATH_EMPTY):
+        assert epi_to_dec_tree(_identity_morphism(p3), empty) is empty
+
+
+def test_epi_to_dec_tree_refuses_a_morphism_off_the_graph_or_not_onto(p3):
+    _, rec = optimal_rec_tree_dec(SourcedGraph(p3))
+    with pytest.raises(TranslationError, match="^the morphism domain is not the decomposed graph$"):
+        epi_to_dec_tree(_identity_morphism(path_graph(2)), rec)
+    bigger = Graph.from_edge_pairs(range(4), [(0, 1), (1, 2)])
+    into = GraphMorphism(p3, bigger, {v: v for v in p3.vertices}, {e: e for e in p3.edges})
+    with pytest.raises(TranslationError, match="^the morphism is not an epimorphism$"):
+        epi_to_dec_tree(into, rec)
 
 
 def test_epi_to_dec_path_identity_and_collapse(p3):
@@ -391,6 +422,13 @@ def test_m_to_bdec_glue_map():
         m_to_bdec(path_leaf, sig3, bad)
     assert "0" in str(err.value) and "2" in str(err.value)
     assert check_glueing(cs.of_graph(path_graph(3)), bad) is not None
+
+
+def test_m_to_bdec_refuses_a_glue_map_off_the_apex_vertices():
+    sig = Signature()
+    path_leaf = sig.leaf(cs.of_graph(path_graph(3)))
+    with pytest.raises(TranslationError, match="^the glue map domain must be the apex vertices$"):
+        m_to_bdec(path_leaf, sig, FiniteMap({0: 0, 1: 1}, frozenset({0, 1})))
 
 
 def test_m_to_bdec_on_emitted_terms(k3, p3):
@@ -929,14 +967,6 @@ def _p3_term(kind: str) -> tuple:
     return _KINDS[kind].term(*_p3(kind))[:2]
 
 
-class _Shrunk(tuple):
-    """Path bags that read back one vertex each when reversed, as
-    `path_to_recursive` reads them to build its nodes."""
-
-    def __reversed__(self):
-        return (frozenset(sorted(b)[:1]) for b in reversed(tuple(self)))
-
-
 def _wide(mp, args):  # the width of the term a graph -> term translation built
     mp.setattr(translate_module, "_built_width", lambda sig, cut: 99)
 
@@ -961,20 +991,6 @@ BOUNDS = {  # where: (its arguments, the call, the patch that breaks the quantit
         translate_module, "_left_comb_branch", RecBranchEmpty)),
     "copy_mdec": (_copy_args, copy_mdec, lambda mp, args: mp.setattr(
         translate_module, "_copy_rec", lambda d, sig, *rest: sig.leaf(cs.identity(50)))),
-    "epis_from_composition": (lambda: (cs.identity(2), cs.merge(1)), epis_from_composition,
-                              lambda mp, args: mp.setattr(cs.Cospan, "right_image",
-                                                          lambda self: frozenset())),
-    "tree_to_recursive": (
-        lambda: (TreeDec(Graph.from_edge_pairs(range(3), [(0, 1), (0, 2)]),
-                         {0: {1}, 1: {0, 1}, 2: {1, 2}}), SourcedGraph(path_graph(3)), 0),
-        tree_to_recursive, lambda mp, args: mp.setattr(
-            decomp_module, "_subtrees",
-            lambda parent, value, f=decomp_module._subtrees: (f(parent, value)[0],
-                                                              {v: [] for v in parent}))),
-    "path_to_recursive": (lambda: (PathDec([{0, 1}, {1, 2}]), SourcedGraph(path_graph(3))),
-                          path_to_recursive,
-                          lambda mp, args: mp.setitem(vars(args[0]), "bags",
-                                                      _Shrunk(args[0].bags))),
     "branch_to_recursive": (lambda: (exact_branchwidth(path_graph(3))[1],
                                      SourcedGraph(path_graph(3))), branch_to_recursive,
                             lambda mp, args: mp.setattr(decomp_module, "_branch_width",
