@@ -22,9 +22,10 @@ Validation yields the width from its own walk.  A child's "subgraph"
 clause is two subset tests, of the vertices and of the (edge, ends) pairs,
 so a child read from JSON that reuses a parent edge id with other ends
 fails it.  The conversions build every node's graph as a part of its
-parent's (`Graph._part`), so the nodes of one form share the end sets of
-the graph it decomposes; the vertex and edge sets of each node are its
-own, so a chain k nodes deep holds O(k^2) ids.  `branch_to_recursive`
+parent's (`Graph._part`, which checks nothing: each keeps only edges
+whose ends it holds), so the nodes of one form share the end sets of the
+graph it decomposes; the vertex and edge sets of each node are its own,
+so a chain k nodes deep holds O(k^2) ids.  `branch_to_recursive`
 takes the largest boundary from what it builds, so its width
 postcondition walks its result no second time.  The tree and path
 conversions need no such check: each node carries a bag of the input,
@@ -646,28 +647,32 @@ def rec_branch_width(t: RecBranchDec, sg: Optional[SourcedGraph] = None) -> int:
     return _rec_width(t, sg, _branch_clauses, "branch")
 
 
-def rec_branch_subtree(t: RecBranchDec, path: Iterable[int]) -> RecBranchDec:
-    """Subtree at a 0/1 path from the root (0 = left, 1 = right)."""
-    cur = t
-    for step in path:
-        if not isinstance(cur, RecBranchNode):
-            raise GraphError(f"no subtree at path step {step}")
-        cur = cur.left if step == 0 else cur.right
-    return cur
-
-
-def boundary_global(t: RecBranchDec, path: Iterable[int]) -> frozenset:
-    """Boundary of the subtree at `path`, computed by the global formula:
-    vertices of the subtree that are sources of the whole graph or appear
-    in some disjoint subtree.  One descent, failing as `rec_branch_subtree`
-    does, finds the subtree and the siblings passed on the way."""
+def _descend(t: RecBranchDec, path: Iterable[int]) -> tuple[RecBranchDec, set]:
+    """The subtree at a 0/1 path from the root (0 = left, 1 = right), and
+    the vertices of the siblings passed on the way.  GraphError names a
+    step past a leaf or an empty node, or else a step neither 0 nor 1."""
     outside: set = set()
     cur = t
     for step in path:
         if not isinstance(cur, RecBranchNode):
             raise GraphError(f"no subtree at path step {step}")
+        if step not in (0, 1):
+            raise GraphError(f"path step {step!r} is neither 0 nor 1")
         cur, sibling = (cur.left, cur.right) if step == 0 else (cur.right, cur.left)
         outside |= sibling.graph.vertices
+    return cur, outside
+
+
+def rec_branch_subtree(t: RecBranchDec, path: Iterable[int]) -> RecBranchDec:
+    """Subtree at a 0/1 path from the root (0 = left, 1 = right)."""
+    return _descend(t, path)[0]
+
+
+def boundary_global(t: RecBranchDec, path: Iterable[int]) -> frozenset:
+    """Boundary of the subtree at `path`, computed by the global formula:
+    vertices of the subtree that are sources of the whole graph or appear
+    in some disjoint subtree, the siblings passed on the way down."""
+    cur, outside = _descend(t, path)
     return frozenset() if isinstance(cur, RecBranchEmpty) else cur.graph.vertices & (
         t.graph.sources | outside)
 
@@ -787,9 +792,7 @@ def path_to_recursive(dec: PathDec, sg: SourcedGraph) -> RecPathDec:
     if dec.bags and not sg.sources <= dec.bags[0]:
         raise DecompositionError("the sources are not contained in the first bag")
     if not dec.bags or (len(dec.bags) == 1 and not dec.bags[0]):
-        if sg.is_empty():
-            return REC_PATH_EMPTY
-        raise DecompositionError("empty decomposition of a non-empty graph")
+        return REC_PATH_EMPTY  # clause 1 left the graph without vertices
 
     # node i > 0 decomposes node i - 1's graph cut down to the union of bags
     # i.. and the edges inside it; its sources are bag i - 1's vertices there

@@ -9,12 +9,14 @@ whose union-find is the library's one: `components` runs it too.
 
 A part of a graph, as `Graph.subgraph` and the recursive decompositions
 make them, is built by `Graph._part`: it shares its parent's end sets,
-which were checked when the parent was built, and checks only that they
-lie within its own vertices.  So the parts of one graph, however many and
-however nested, hold one frozenset per edge between them.  Every graph
-hashes on first use, to the value of its vertices and its (edge, ends)
-pairs, so a part that is never hashed never pays for it.  A part
-equals, hashes and prints like the same graph built from scratch.
+which were checked when the parent was built, and checks nothing.  Its
+callers in `decomp` and `translate` pass ends within the part's vertices
+by construction; `subgraph`, the public entry, checks its input first.
+So the parts of one graph, however many and however nested, hold one
+frozenset per edge between them.  Every graph hashes on first use, to
+the value of its vertices and its (edge, ends) pairs, so a part that is
+never hashed never pays for it.  A part equals, hashes and prints like
+the same graph built from scratch.
 
 Every graph numbers itself once, on first use (`Graph._numbering`): its
 sorted vertex and edge ids, each vertex's rank among them, and each
@@ -123,27 +125,29 @@ class Graph:
         return frozenset(e for e, pts in self._ends.items() if v in pts)
 
     def subgraph(self, vertices: Iterable[int], edges: Iterable[int]) -> "Graph":
+        """The part on `vertices` with `edges`, after checking that both are
+        this graph's and that each edge's ends lie within `vertices`, the
+        last with `Graph`'s error."""
         vs = frozenset(vertices)
         es = frozenset(edges)
         if not vs <= self.vertices:
             raise GraphError("subgraph vertices not contained in the graph")
         if not es <= self.edges:
             raise GraphError("subgraph edges not contained in the graph")
+        for e in es:
+            if not (pts := self._ends[e]) <= vs:
+                raise GraphError(f"edge {e} has endpoints {sorted(pts)} outside the vertex set")
         return self._part(vs, es)
 
     def _part(self, vertices: frozenset, edges: Iterable[int]) -> "Graph":
-        """The graph on `vertices` with `edges`, which must be edges of this
-        graph, sharing their end sets with it.  Only that those ends lie
-        within `vertices` is checked, with `Graph`'s error."""
+        """The graph on `vertices` with `edges`, sharing their end sets with
+        this graph.  Nothing is checked: the edges must be this graph's,
+        with their ends within `vertices`."""
         part = Graph.__new__(Graph)
         ends = self._ends
-        part._ends = table = {e: ends[e] for e in edges}
-        if not all(map(vertices.issuperset, table.values())):
-            for e, pts in table.items():
-                if not pts <= vertices:
-                    raise GraphError(f"edge {e} has endpoints {sorted(pts)} outside the vertex set")
+        part._ends = {e: ends[e] for e in edges}
         part.vertices = vertices
-        part.edges = frozenset(table)
+        part.edges = frozenset(part._ends)
         part._hash = part._view = None
         return part
 
@@ -545,11 +549,10 @@ def find_isomorphism(g1: Graph, g2: Graph,
 
     def compatible(v: int, w: int) -> bool:
         # every already-assigned neighbour relation must carry over with
-        # matching multiplicities
+        # matching multiplicities; neither v nor w is assigned yet, and
+        # their loops are compared through the invariants
         for u, x in assign.items():
-            c1 = loops1[v] if u == v else adj1[v].get(u, 0)
-            c2 = loops2[w] if x == w else adj2[w].get(x, 0)
-            if c1 != c2:
+            if adj1[v].get(u, 0) != adj2[w].get(x, 0):
                 return False
         return True
 
@@ -588,12 +591,10 @@ def find_isomorphism(g1: Graph, g2: Graph,
     pool: dict[frozenset, list[int]] = {}
     for e in sorted(g2.edges):
         pool.setdefault(g2.ends(e), []).append(e)
+    # every vertex pair's and every loop's edge count was matched above, so
+    # each pool holds exactly the edges it must give
     for e in sorted(g1.edges):
-        target = frozenset(assign[v] for v in g1.ends(e))
-        cands = pool.get(target)
-        if not cands:
-            return None
-        emap[e] = cands.pop(0)
+        emap[e] = pool[frozenset(assign[v] for v in g1.ends(e))].pop(0)
     return GraphMorphism(g1, g2, assign, emap)
 
 

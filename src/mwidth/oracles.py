@@ -126,12 +126,16 @@ def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
       only shrink, and where both stay equal the sources can only grow,
       so the only cycle is a state meeting itself.
 
-    Every best is finite, as every state tries its full bag, whose
-    children are all the empty state.  At the end `make(graph, bag,
-    *children)` builds the witness's nodes, and only those, each once: no
-    witness meets a non-empty state twice, as siblings split the
-    components and a descendant equal to its ancestor is a cycle.  With
-    `make` None the result is `(width, None)` and no node is built.
+    A state without vertices is the empty state, as a state's edges have
+    their ends among its vertices: the root's by construction, a tree
+    child's by the component flood, and a path child's as it takes the
+    ends of every edge it keeps.  Every best is finite, and so memoized,
+    as every state tries its full bag, whose children are all the empty
+    state.  At the end `make(graph, bag, *children)` builds the witness's
+    nodes, and only those, each once: no witness meets a non-empty state
+    twice, as siblings split the components and a descendant equal to its
+    ancestor is a cycle.  With `make` None the result is `(width, None)`
+    and no node is built.
     """
     g = sg.graph
     if len(g.vertices) > max_vertices:
@@ -167,7 +171,7 @@ def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
 
     def best(key: tuple) -> float:
         vs, es, xs = key
-        if not vs and not es:
+        if not vs:  # a state's edges have their ends among its vertices
             return 0
         if key in memo:
             return memo[key][0]
@@ -199,8 +203,7 @@ def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
                     if w <= floor:
                         break
         active.discard(key)
-        if found is not None:
-            memo[key] = (best_w, *found)
+        memo[key] = (best_w, *found)
         return best_w
 
     def ids(table: list, mask: int) -> list:
@@ -208,7 +211,7 @@ def _optimal_rec(sg: SourcedGraph, max_vertices: int, what: str, empty, make):
 
     def build(key: tuple):
         vs, es, xs = key
-        if not vs and not es:
+        if not vs:
             return empty
         _, bag, children = memo[key]
         sub = SourcedGraph(g.subgraph(ids(vids, vs), ids(eids, es)), ids(vids, xs))

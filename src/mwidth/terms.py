@@ -762,7 +762,7 @@ def bounded_mwd_search(g: Cospan, shape: str = "any", budget: int = 4000,
         kind = {"any": "branch", "right-tree": "tree", "path": "path"}[shape]
         try:
             _, tree2, sig2, width2 = _optimal(kind, SourcedGraph(g.apex, set(g.left)))
-        except (DecompositionError, OracleError):
+        except DecompositionError:  # `closed` keeps within every oracle's caps
             pass
         else:
             cand = (width2, node_count(tree2))

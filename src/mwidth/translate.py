@@ -29,6 +29,14 @@ the way; `m_to_bdec` validates its result, which gives its width.
 `check_theorems` validates the tree and path decompositions it certifies
 with.
 
+Every part made here is made by `Graph._part`, which checks nothing, so
+each one's edge ends lie within its vertices by construction: the glued
+term places them so for the parts read off a term (leaves, unions and
+path suffixes), `_push` maps a part through a validated morphism,
+`_tree_term` and `_path_term` cut their bag parts after validating
+clauses vi and iv, and a branch leaf's edge part is built on that edge's
+own ends.
+
 The decomposition -> term directions make right-tree and path terms by
 construction (each composition they make has a leaf on its left), so
 only their widths are checked.  One function pushes a recursive tree or path
@@ -268,12 +276,14 @@ def _copy_rec(d: DecompTree, sig: Signature, y: int, xs: list, z: int) -> Decomp
 
 def _perm_into(sig: Signature, outer: Sequence, inner: Sequence,
                tree: DecompTree) -> DecompTree:
-    """Precompose a permutation so the domain reads `outer` instead of `inner`."""
+    """Precompose a permutation so the domain reads `outer` instead of
+    `inner`, which must hold the same ports.  Its callers in `_branch_term`
+    run on a validated decomposition, where branch clauses ii and iii make
+    each pair the same set: a child's sources, or at the root
+    (x1 - x2) | (x1 & x2 & x) | (x2 - x1) = x."""
     outer, inner = list(outer), list(inner)
     if outer == inner:
         return tree
-    if sorted(outer) != sorted(inner):
-        raise TranslationError(f"port mismatch: {outer} vs {inner}")
     perm = tuple(inner.index(v) for v in outer)
     return Compose(sig.leaf_permutation(perm), len(perm), tree)
 

@@ -2,6 +2,7 @@
 keys exactly for isomorphic graphs, on the whole small catalog, on random
 multigraphs, and on the twin-heavy graphs the search prunes."""
 
+import random
 from itertools import combinations
 from math import factorial
 
@@ -129,6 +130,19 @@ def test_cycle_without_twins(monkeypatch):
     g = cycle_graph(6)
     _assert_copy(g, canonical_key(g))
     assert len(leaves) == 12 < factorial(6)
+
+
+def test_one_key_under_relabellings_of_a_cubic_graph_on_8_vertices():
+    # its first leaf is not its least, so the search must compare leaves
+    pairs = [(0, 1), (0, 2), (0, 5), (1, 2), (1, 7), (2, 5),
+             (3, 4), (3, 6), (3, 7), (4, 6), (4, 7), (5, 6)]
+    g = Graph.from_edge_pairs(range(8), pairs)
+    key = canonical_key(g)
+    _assert_copy(g, key)
+    for seed in range(40):
+        perm = list(range(8))
+        random.Random(seed).shuffle(perm)
+        assert canonical_key(_relabelled(g, perm)) == key, perm
 
 
 def test_catalog_class_counts_up_to_6_vertices():

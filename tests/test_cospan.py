@@ -106,6 +106,15 @@ def test_iso_eq_examples():
     assert not cospan_iso_eq(a, b)
 
 
+def test_a_leg_outside_the_apex_and_unequal_right_arities():
+    with pytest.raises(CospanError) as info:
+        Cospan(edge().apex, (0, 5), ())
+    assert str(info.value) == "leg hits 5, not an apex vertex"
+    e = edge()
+    assert not cospan_iso_eq(e, Cospan(e.apex, (0,), ()))
+    assert not cospan_iso_eq(Cospan(e.apex, (0,), ()), e)
+
+
 def test_compose_boundary_mismatch():
     with pytest.raises(CospanError):
         compose(copy(1), copy(1))

@@ -313,6 +313,47 @@ def test_an_empty_root_is_validated_against_its_own_graph():
     assert rec_branch_width(RecBranchEmpty(edgeless)) == 0
 
 
+def test_a_path_step_other_than_0_or_1_is_refused(p3):
+    # P3's recursive branch form: a node over its two edges, which share vertex 1
+    rec = branch_to_recursive(exact_branchwidth(p3)[1], SourcedGraph(p3))
+    for f in (rec_branch_subtree, boundary_global):
+        for step in (5, -1, 2, "x", None):
+            with pytest.raises(GraphError) as info:
+                f(rec, (step,))
+            assert str(info.value) == f"path step {step!r} is neither 0 nor 1"
+        # past a leaf, the step is refused as such, whatever it is
+        with pytest.raises(GraphError, match="^no subtree at path step 5$"):
+            f(rec, (1, 5))
+    assert rec_branch_subtree(rec, (1,)) == rec.right
+    assert boundary_global(rec, (1,)) == frozenset({1})
+
+
+def test_path_to_recursive_of_no_bag_or_one_empty_bag():
+    for bags in ([], [set()]):
+        assert path_to_recursive(PathDec(bags), SourcedGraph(Graph.empty())) is REC_PATH_EMPTY
+        # over a vertex, the decomposition fails its clause 1 first
+        with pytest.raises(DecompositionError) as info:
+            path_to_recursive(PathDec(bags), SourcedGraph(Graph.discrete([0])))
+        assert str(info.value) == ("invalid path decomposition (clause 1): "
+                                   "vertices [0] are in no bag")
+
+
+def test_branch_shapes_tree_edges_and_writers_refuse_what_is_not_theirs(k4):
+    # a star with four leaves has a node of degree 4
+    star = Graph.from_edge_pairs(range(5), [(0, 1), (0, 2), (0, 3), (0, 4)])
+    dec = BranchDec(star, {1: 0, 2: 1, 3: 2, 4: 3})
+    assert validate_branch_dec(dec, k4) == Check(
+        False, "shape", "decomposition shape is not a subcubic tree")
+    with pytest.raises(GraphError) as info:
+        edge_order(BranchDec(path_graph(2), {0: 0, 1: 1}), path_graph(3), 7)
+    assert str(info.value) == "unknown decomposition tree edge 7"
+    for write in (decomposition_to_json, decomposition_to_dot):
+        for thing in (5, "x", path_graph(2)):
+            with pytest.raises(DecompositionError) as info:
+                write(thing)
+            assert str(info.value) == f"not a decomposition: {thing!r}"
+
+
 def test_json_round_trips(p3, k3):
     sg = SourcedGraph(k3)
     _, bdec = exact_branchwidth(k3)
@@ -465,6 +506,9 @@ REC_BRANCH_FAILURES = [
      "child 1 is not a subgraph"),
     ("subgraph", RecBranchNode(_ALL, RecBranchLeaf(_E0), _MOVED_LEAF), _ALL,
      "child 2 is not a subgraph"),
+    # the children together miss edge 1
+    ("i", RecBranchNode(_ALL, RecBranchLeaf(_E0), RecBranchEmpty(_sg({1, 2}, (), {1}))), _ALL,
+     "children edges do not partition the edges"),
 ]
 
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import k, path_graph, random_graph
+from conftest import cycle_graph, k, path_graph, random_graph
 from mwidth import (
+    Cospan,
     FiniteMap,
     Graph,
     GraphError,
@@ -15,6 +16,7 @@ from mwidth import (
     SourcedGraph,
     ends_of_edge_set,
     format_graph_text,
+    cospan_iso_eq,
     graph_coproduct,
     graph_isomorphic,
     graph_pushout,
@@ -322,6 +324,60 @@ def test_forced_partial_isomorphism():
     assert find_isomorphism(g, g, {0: 3}) is None  # and a target outside it
 
 
+def test_isomorphism_search_backtracks_past_its_first_vertex():
+    # C6 and two triangles share every vertex invariant, so the search
+    # tries every target of its first vertex and runs out
+    triangles = Graph.from_edge_pairs(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert find_isomorphism(cycle_graph(6), triangles) is None
+    assert not cospan_iso_eq(Cospan(cycle_graph(6), (), ()), Cospan(triangles, (), ()))
+
+
+def test_a_pin_incompatible_with_the_pins_before_it_is_refused():
+    # 0 and 1 are adjacent in C4, their targets 0 and 2 are not
+    c4 = cycle_graph(4)
+    assert find_isomorphism(c4, c4, {0: 0, 1: 2}) is None
+    assert find_isomorphism(c4, c4, {0: 0, 1: 3}) is not None
+    assert not cospan_iso_eq(Cospan(c4, (0, 1), ()), Cospan(c4, (0, 2), ()))
+
+
+def _pushout(l1, l2):
+    return graph_pushout(k(2), k(2), {0}, l1, l2)
+
+
+_K2_ID = GraphMorphism(k(2), k(2), {0: 0, 1: 1}, {0: 0})
+
+GRAPH_REFUSALS = [
+    (lambda: path_graph(3).degree(9), "unknown vertex id 9"),
+    (lambda: path_graph(3).neighbours(9), "unknown vertex id 9"),
+    (lambda: GraphMorphism(k(2), k(2), {0: 0}, {0: 0}),
+     "vertex map is not total on the domain vertices"),
+    (lambda: GraphMorphism(k(2), k(2), {0: 0, 1: 1}, {}),
+     "edge map is not total on the domain edges"),
+    (lambda: GraphMorphism(k(2), k(2), {0: 0, 1: 5}, {0: 0}), "vertex map escapes the codomain"),
+    (lambda: GraphMorphism(k(2), k(2), {0: 0, 1: 1}, {0: 5}), "edge map escapes the codomain"),
+    (lambda: GraphMorphism(k(2), k(2), {0: 0, 1: 0}, {0: 0}),
+     "morphism does not respect endpoints of edge 0"),
+    (lambda: _K2_ID.then(GraphMorphism(k(3), k(3), {v: v for v in range(3)},
+                                       {e: e for e in range(3)})),
+     "morphisms are not composable"),
+    (lambda: FiniteMap({0: 5}, {0, 1}), "map image escapes the codomain at [0]"),
+    (lambda: FiniteMap({0: 1}, {0, 1})(3), "3 is outside the map domain"),
+    (lambda: image_intersection(FiniteMap({0: 1}, {0, 1}), FiniteMap({}, {0})),
+     "image_intersection requires a common codomain"),
+    (lambda: _pushout(FiniteMap({}, {0, 1}), FiniteMap({0: 0}, {0, 1})),
+     "pushout legs must be total on the shared boundary"),
+    (lambda: _pushout(FiniteMap({0: 7}, {7}), FiniteMap({0: 0}, {0, 1})),
+     "pushout legs must land in the graph vertices"),
+]
+
+
+@pytest.mark.parametrize("call,message", GRAPH_REFUSALS)
+def test_graph_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(GraphError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_image_union_intersection():
     rng = random.Random(3)
     cod = frozenset(range(6))
@@ -404,6 +460,23 @@ def test_a_subgraph_edge_leaving_its_vertices_fails_as_a_graph_does():
         g.subgraph({0, 7}, {0})
     with pytest.raises(GraphError, match="subgraph edges not contained in the graph"):
         g.subgraph({0, 1}, {0, 5})
+
+
+def test_a_subgraph_names_the_first_edge_leaving_its_vertices():
+    # the first in the order of the frozenset of the edges given
+    rng = random.Random(23)
+    for _ in range(200):
+        g = random_graph(rng, max_v=6, max_e=8)
+        vs = frozenset(v for v in g.vertices if rng.random() < 0.5)
+        es = frozenset(e for e in g.edges if rng.random() < 0.7)
+        bad = [e for e in es if not g.ends(e) <= vs]
+        if not bad:
+            assert g.subgraph(vs, es) == Graph(vs, {e: g.ends(e) for e in es})
+            continue
+        with pytest.raises(GraphError) as info:
+            g.subgraph(vs, es)
+        assert str(info.value) == (f"edge {bad[0]} has endpoints {sorted(g.ends(bad[0]))} "
+                                   "outside the vertex set")
 
 
 @pytest.mark.parametrize("entry", [[], "", {}, {"a": 1}])

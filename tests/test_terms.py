@@ -727,6 +727,50 @@ def test_search_builds_graphs_only_for_the_returned_atoms(monkeypatch, name, sha
     assert list(got) == sorted(got, key=lambda atom: int(atom[1:]))  # naming order
 
 
+def test_term_refusals_name_what_is_wrong():
+    sig = Signature()
+    sig.add("e", 1, 1, 2, cs.edge())
+    sig.add("id2", 2, 2, 2, cs.identity(2))
+    with pytest.raises(TermError) as info:
+        sig.add("e", 1, 1, 2, cs.edge())
+    assert str(info.value) == "atom 'e' already declared"
+    # a child that is not a term, to the typing walk and to the glue
+    for f in (width, evaluate):
+        with pytest.raises(TermError) as info:
+            f(Tensor(Leaf("e"), 5), sig)
+        assert str(info.value) == "not a decomposition tree node: 5"
+    # the right factor's domain is 2, not the cut of 1
+    with pytest.raises(TermError) as info:
+        evaluate(Compose(Leaf("e"), 1, Leaf("id2")), sig)
+    assert str(info.value) == "cut mismatch at node root: 1 -> [1] -> 2"
+    with pytest.raises(TermError) as info:
+        bounded_mwd_search(cs.edge(), shape="tree")
+    assert str(info.value) == "unknown search shape 'tree'"
+
+
+def test_search_seed_without_a_bag_of_both_sources_falls_back(monkeypatch):
+    # neither P3's path witness ({0, 1}, {1, 2}) nor its tree witness has a
+    # first or root bag holding both ends, so each seed raises and the
+    # searched term stands
+    from mwidth import translate
+
+    real, raised = translate._optimal, []
+
+    def recorded(kind, sg):
+        try:
+            return real(kind, sg)
+        except Exception as exc:
+            raised.append((kind, type(exc).__name__, str(exc)))
+            raise
+    monkeypatch.setattr(translate, "_optimal", recorded)
+    g = Cospan(path_graph(3), (0, 2), ())
+    assert bounded_mwd_search(g, shape="path").width == 3
+    assert bounded_mwd_search(g, shape="right-tree").width == 3
+    assert raised == [
+        ("path", "DecompositionError", "the sources are not contained in the first bag"),
+        ("tree", "DecompositionError", "no bag contains all marked sources")]
+
+
 def test_search_refuses_cospans_past_its_caps():
     from mwidth.oracles import MAX_SEARCH_EDGES, MAX_SEARCH_VERTICES, OracleError
 

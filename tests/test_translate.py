@@ -345,6 +345,14 @@ def test_p_to_mdec_exact_width(p3):
     assert isinstance(term1, Leaf) and width(term1, sig1) == 3
 
 
+def test_p_to_mdec_of_the_empty_decomposition_is_the_empty_identity():
+    sg = SourcedGraph(Graph.empty())
+    term, sig = p_to_mdec(REC_PATH_EMPTY, sg)
+    assert isinstance(term, Leaf) and list(sig.atoms) == [term.atom]
+    assert width(term, sig) == 0
+    assert evaluate(term, sig) == cs.identity(0) == from_sourced(sg)
+
+
 def test_m_to_pdec_round_trip(p3, k3):
     for g in (p3, k3):
         sg = SourcedGraph(g)
