@@ -32,7 +32,8 @@ with.
 Every part made here is made by `Graph._part`, which checks nothing, so
 each one's edge ends lie within its vertices by construction: the glued
 term places them so for the parts read off a term (leaves, unions and
-path suffixes), `_push` maps a part through a validated morphism,
+path suffixes), `_push` maps the parts of a decomposition that
+`epi_to_dec_tree` has validated through a validated morphism,
 `_tree_term` and `_path_term` cut their bag parts after validating
 clauses vi and iv, and a branch leaf's edge part is built on that edge's
 own ends.
@@ -157,12 +158,15 @@ def epi_to_dec_tree(alpha: GraphMorphism, t: RecTreeDec | RecPathDec):
     """Push a recursive tree or path decomposition through a graph
     epimorphism; `epi_to_dec_path` is the same function.
 
-    Identified vertices must share some bag; the width never increases.
+    `t` must be a valid decomposition of the morphism's domain
+    (DecompositionError names the first failed clause).  Identified
+    vertices must share some bag; the width never increases.
     """
     if isinstance(t, _EMPTY_NODES):
         return t
     if alpha.domain != t.graph.graph:
         raise TranslationError("the morphism domain is not the decomposed graph")
+    (rec_path_width if isinstance(t, RecPathCons) else rec_tree_width)(t)
     if not is_epimorphism(alpha):
         raise TranslationError("the morphism is not an epimorphism")
     bags = _bags(t)
@@ -176,10 +180,10 @@ epi_to_dec_path = epi_to_dec_tree
 
 
 def _push(t, vmap: dict, emap: dict, target: Graph):
-    """Rebuild a recursive tree or path decomposition over `target` through
-    the vertex and edge maps, which respect edge ends: each node decomposes
-    the image of its own graph, a part of `target`, with the images of its
-    bag and sources."""
+    """Rebuild a validated recursive tree or path decomposition over
+    `target` through the vertex and edge maps, which respect edge ends:
+    each node decomposes the image of its own graph, a part of `target`,
+    with the images of its bag and sources."""
     done: list = []  # the images of the finished subtrees, the leftmost last
     for node in reversed(_pre_order(t)):
         if not isinstance(node, _EMPTY_NODES):

@@ -218,6 +218,20 @@ def test_epi_to_dec_tree_refuses_a_morphism_off_the_graph_or_not_onto(p3):
         epi_to_dec_tree(into, rec)
 
 
+def test_epi_to_dec_tree_refuses_a_child_that_is_not_a_subgraph():
+    # the child reuses K2's edge id 0 as a loop at vertex 0
+    k2 = path_graph(2)
+    loop = SourcedGraph(Graph({0}, {0: {0}}))
+    tree = RecTreeNode(SourcedGraph(k2), {0, 1},
+                       RecTreeNode(loop, {0}, REC_TREE_EMPTY, REC_TREE_EMPTY), REC_TREE_EMPTY)
+    path = RecPathCons(SourcedGraph(k2), {0, 1}, RecPathCons(loop, {0}, REC_PATH_EMPTY))
+    for t, what in ((tree, "tree decomposition (clause subgraph): child 1"),
+                    (path, "path decomposition (clause subgraph): tail")):
+        with pytest.raises(DecompositionError) as err:
+            epi_to_dec_tree(_identity_morphism(k2), t)
+        assert str(err.value) == f"invalid recursive {what} is not a subgraph"
+
+
 def test_epi_to_dec_path_identity_and_collapse(p3):
     sg = SourcedGraph(p3)
     _, rec = optimal_rec_path_dec(sg)
